@@ -3,7 +3,7 @@ periodic KP lattice: evolution, monodromy matrices, spectral curves, the
 band/companion dual form, floating-point local diagnostics and the
 large-parameter degeneration harness."""
 
-from .bipoly import BiPoly, bipoly_eval
+from .bipoly import BiPoly
 from .degeneration import (
     ConvergenceTable,
     DegenerationPlan,
@@ -34,13 +34,8 @@ from .errors import (
 from .lattice import (
     LatticeParams,
     LatticeState,
-    Slice,
-    classify_case,
-    evolve_to,
     monodromy_closure,
     new_state,
-    site_invariants,
-    step,
     uniform_state,
 )
 from .lax import (

@@ -92,9 +92,6 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {(0, 0)}
-
     def term_count(self) -> int:
         return len(self._terms)
 
@@ -196,15 +193,6 @@ class BiPoly:
             total += float(c) * x0**dx * y0**dy
         return total
 
-    def subs_y(self, y0) -> list:
-        """Exact coefficients in x after substituting a rational y0; dense, low to high."""
-        y0 = Rational(y0)
-        n = self.degree_x
-        out = [_ZERO] * (n + 1)
-        for (dx, dy), c in self._terms.items():
-            out[dx] += c * y0**dy
-        return out
-
     # -- serialization -------------------------------------------------------
 
     def to_records(self) -> list:
@@ -258,12 +246,3 @@ class BiPoly:
                 parts.append(f"{format_rational(c)}*{mono}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
-
-
-X = BiPoly.x()
-Y = BiPoly.y()
-
-
-def bipoly_eval(p: BiPoly, x0, y0):
-    """Exact evaluation of ``p`` at a rational point (x0, y0)."""
-    return p.evaluate(x0, y0)

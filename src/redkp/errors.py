@@ -30,7 +30,7 @@ class InsufficientHistory(RedkpError):
 
 
 class NonPolynomialResult(RedkpError):
-    """An exact matrix conjugation failed to produce polynomial entries."""
+    """A shift conjugation's intertwining failed: Z a != a X_t for the rebuilt image Z."""
 
 
 class ExactDivisionError(RedkpError):

@@ -52,13 +52,6 @@ class LatticeParams:
         return gcd(self.M + self.K, self.N) == 1
 
 
-@dataclass(frozen=True)
-class Slice:
-    kind: str  # "I" or "V"
-    time: int
-    values: tuple
-
-
 def _check_values(values, n: int, label: str) -> tuple:
     vals = tuple(Rational(v) for v in values)
     if len(vals) != n:
@@ -138,6 +131,15 @@ class LatticeState:
     def copy(self) -> "LatticeState":
         return LatticeState(self.params, self._i, self._v, self.frontier)
 
+    def rotated(self) -> "LatticeState":
+        """The same history shifted by one site: new site n holds old site n+1."""
+        return LatticeState(
+            self.params,
+            {t: v[1:] + v[:1] for t, v in self._i.items()},
+            {t: v[1:] + v[:1] for t, v in self._v.items()},
+            self.frontier,
+        )
+
     # -- access ---------------------------------------------------------------
 
     @property
@@ -163,12 +165,6 @@ class LatticeState:
 
     def v_slice(self, t: int) -> tuple:
         return self._get(self._v, "V", t)
-
-    def slice_at(self, kind: str, t: int) -> Slice:
-        if kind not in ("I", "V"):
-            raise ValueError(f"unknown slice kind: {kind}")
-        values = self.i_slice(t) if kind == "I" else self.v_slice(t)
-        return Slice(kind=kind, time=t, values=values)
 
     def i_product(self, t: int):
         return _product(self.i_slice(t))
@@ -304,27 +300,11 @@ class LatticeState:
         return cls.from_json_dict(json.loads(text))
 
 
-# Operation-style wrappers ------------------------------------------------------
+# Constructors ----------------------------------------------------------------------
 
 
 def new_state(params: LatticeParams, i_slices, v_slices) -> LatticeState:
     return LatticeState.create(params, i_slices, v_slices)
-
-
-def step(state: LatticeState) -> LatticeState:
-    return state.step()
-
-
-def evolve_to(state: LatticeState, target: int) -> LatticeState:
-    return state.evolve_to(target)
-
-
-def site_invariants(state: LatticeState) -> tuple:
-    return state.site_invariants()
-
-
-def classify_case(state: LatticeState) -> str:
-    return state.classify_case()
 
 
 def uniform_state(params: LatticeParams, i_value, v_value, frontier: int = 0) -> LatticeState:

@@ -4,15 +4,16 @@ The monodromy at time t is the ordered product of K lower-family factors and
 M upper-family factors; its characteristic polynomial is independent of t,
 which is the anchor identity of the whole package.  Conjugation by the corner
 matrix S or by a single factor realises the site shift and the two time
-shifts exactly, entirely in polynomial arithmetic.
+shifts.  Each is checked as an exact intertwining Z a == a X_t between
+independently built monodromies, entirely in polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly, bipoly_eval
-from .errors import NonPolynomialResult, ExactDivisionError
+from .bipoly import BiPoly
+from .errors import NonPolynomialResult
 from .lattice import LatticeParams, LatticeState
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
@@ -113,35 +114,28 @@ def verify_compatibility(state: LatticeState, t: int) -> CompatibilityReport:
     )
 
 
-def _conjugate(a: PolyMatrix, x: PolyMatrix) -> PolyMatrix:
-    """a x a^{-1} over the rational-function field, returned as polynomials."""
-    det = matdet(a)
-    raw = a @ x @ a.adjugate()
-    try:
-        return raw.exact_div_entries(det)
-    except ExactDivisionError as exc:
-        raise NonPolynomialResult(
-            "conjugation produced non-polynomial entries; trajectory inconsistent"
-        ) from exc
-
-
 def apply_shift(state: LatticeState, t: int, which: str) -> PolyMatrix:
-    """Conjugate the monodromy at t by S (site shift) or a factor (time shift).
+    """The monodromy at t conjugated by S (site shift) or a factor (time
+    shift), ``a X_t a^{-1}``.
 
-    mu_K equals the independently built monodromy at t+K, mu_minus_M the one
-    at t-M; sigma preserves the characteristic polynomial.
+    The image Z is built on its own: the monodromy at t+K for mu_K, at t-M
+    for mu_minus_M, and for sigma the monodromy at t of the history rotated
+    by one site.  Z is returned only once ``Z a == a X_t`` holds exactly;
+    ``a`` is invertible over Q(y), so that equality is the conjugation.
+    Raises NonPolynomialResult when it does not hold.
     """
     M, K = state.params.M, state.params.K
-    x_t = build_monodromy(state, t)
     if which == SHIFT_SIGMA:
-        conj = shift_matrix(state.params.N)
+        conj, image = shift_matrix(state.params.N), build_monodromy(state.rotated(), t)
     elif which == SHIFT_MU_K:
-        conj = factor_r(state, t - (M - 1) * K)
+        conj, image = factor_r(state, t - (M - 1) * K), build_monodromy(state, t + K)
     elif which == SHIFT_MU_MINUS_M:
-        conj = factor_l(state, t - M * K)
+        conj, image = factor_l(state, t - M * K), build_monodromy(state, t - M)
     else:
         raise ValueError(f"unknown shift: {which}")
-    return _conjugate(conj, x_t)
+    if image @ conj != conj @ build_monodromy(state, t):
+        raise NonPolynomialResult(f"{which} intertwining failed at t = {t}")
+    return image
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,7 @@ def special_points(state: LatticeState, t: int) -> SpecialPoints:
     b_pts = tuple((zero, sign * state.v_product(t - j * M)) for j in range(K))
     q_pts = tuple((u, zero) for u in state.site_invariants())
     for (x0, y0) in (*a_pts, *b_pts, *q_pts):
-        if bipoly_eval(curve.poly, x0, y0) != 0:
+        if curve.poly.evaluate(x0, y0) != 0:
             raise AssertionError(f"special point ({x0}, {y0}) not on curve")
     p_branch = (M + K, n) if params.gcd_mkn_ok else None
     return SpecialPoints(a_points=a_pts, b_points=b_pts, q_points=q_pts, p_branch=p_branch)

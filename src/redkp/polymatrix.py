@@ -61,8 +61,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(out)
 
-    __mul__ = __matmul__
-
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.n != other.n:
             raise SizeMismatch("size mismatch in sum")
@@ -99,9 +97,6 @@ class PolyMatrix:
         body = ",\n ".join("[" + ", ".join(map(repr, row)) + "]" for row in self._rows)
         return f"PolyMatrix(\n {body})"
 
-    def det(self, method: str = "bareiss") -> BiPoly:
-        return matdet(self, method)
-
     def minor(self, i: int, j: int) -> BiPoly:
         sub = [
             [self._rows[r][c] for c in range(self.n) if c != j]
@@ -113,6 +108,8 @@ class PolyMatrix:
         return matdet(PolyMatrix(sub))
 
     def adjugate(self) -> "PolyMatrix":
+        """Classical adjugate, ``m @ m.adjugate() == matdet(m) * I``; the
+        independent oracle for the conjugations of ``lax.apply_shift``."""
         n = self.n
         out = [[BiPoly.zero()] * n for _ in range(n)]
         for i in range(n):
@@ -120,11 +117,6 @@ class PolyMatrix:
                 m = self.minor(i, j)
                 out[j][i] = m if (i + j) % 2 == 0 else -m
         return PolyMatrix(out)
-
-    def exact_div_entries(self, divisor: BiPoly) -> "PolyMatrix":
-        return PolyMatrix(
-            [[e.exact_div(divisor) for e in row] for row in self._rows]
-        )
 
     def evaluate_complex(self, x0: complex, y0: complex):
         return [

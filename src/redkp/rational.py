@@ -9,12 +9,16 @@ always reduced, positive denominator, exact field arithmetic.
 
 from __future__ import annotations
 
+import re
+
 try:  # pragma: no cover - environment dependent
     from gmpy2 import mpq as Rational
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rational
 
 __all__ = ["Rational", "rat", "parse_rational", "format_rational"]
+
+_WIRE_FORM = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def rat(numerator, denominator=1):
@@ -23,10 +27,13 @@ def rat(numerator, denominator=1):
 
 
 def parse_rational(text: str):
-    """Parse the wire form ``"p/q"`` (denominator omitted when 1)."""
+    """Parse the wire form ``"p/q"`` (denominator omitted when 1) and nothing
+    else: no exponent, decimal point, underscore, plus sign or whitespace."""
+    if not isinstance(text, str) or not _WIRE_FORM.fullmatch(text):
+        raise ValueError(f"not a rational: {text!r}")
     try:
-        return Rational(text.strip())
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return Rational(text)
+    except ZeroDivisionError as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 

@@ -1,7 +1,8 @@
 """Batch verification: every exact and numeric suite applicable to one state.
 
 Each suite reports pass, fail, or skipped (with the gating reason); nothing
-is silently omitted.  Randomized pieces draw from a seeded generator so a
+is silently omitted, and a suite that raises is reported as fail with the
+exception as its reason.  Randomized pieces draw from a seeded generator so a
 report is reproducible from (input, seed, tolerances).
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bipoly import BiPoly
-from .errors import RedkpError
 from .lattice import CASE_B, LatticeState
 from .lax import (
     SHIFT_MU_K,
@@ -36,7 +36,7 @@ from .numeric import (
     psi_phi_ratios,
     special_point_kernels,
 )
-from .polymatrix import PolyMatrix, matdet
+from .polymatrix import matdet
 from .rational import Rational, format_rational
 from .yform import (
     WORD_MAX_WIDTH,
@@ -76,7 +76,7 @@ def run_verification(state: LatticeState, seed: int = 0, tol: Tolerances = DEFAU
             return
         try:
             detail = fn()
-        except RedkpError as exc:
+        except Exception as exc:
             suites.append(
                 {"name": name, "status": FAIL, "reason": f"{type(exc).__name__}: {exc}"}
             )
@@ -129,17 +129,9 @@ def run_verification(state: LatticeState, seed: int = 0, tol: Tolerances = DEFAU
         return {"_ok": std == alt}
 
     def shift_conjugations():
-        mu_k = apply_shift(state, t_deep, SHIFT_MU_K)
-        ok = mu_k == build_monodromy(state, t_deep + K)
-        mu_m = apply_shift(state, t_deep, SHIFT_MU_MINUS_M)
-        ok &= mu_m == build_monodromy(state, t_deep - M)
-        sig = apply_shift(state, t_deep, SHIFT_SIGMA)
-        char = matdet(sig - PolyMatrix.identity(n).scale(BiPoly.x()))
-        char0 = matdet(
-            build_monodromy(state, t_deep) - PolyMatrix.identity(n).scale(BiPoly.x())
-        )
-        ok &= char == char0
-        return {"_ok": bool(ok)}
+        for which in (SHIFT_MU_K, SHIFT_MU_MINUS_M, SHIFT_SIGMA):
+            apply_shift(state, t_deep, which)  # raises if an intertwining fails
+        return {"_ok": True}
 
     def determinant_closed_forms():
         # det S = (-1)^(N+1) y

@@ -20,7 +20,7 @@ from .bipoly import BiPoly
 from .errors import ExactDivisionError, SizeMismatch, WordGuard
 from .lattice import LatticeState
 from .lax import spectral_curve
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
 
 WORD_MAX_WIDTH = 8
@@ -253,7 +253,7 @@ def spectral_duality(state: LatticeState, t: int) -> DualityReport:
     bc = band_coefficients(state, t)
     _, y_matrix = build_companions(bc)
     width = bc.width
-    char_y = (y_matrix - PolyMatrix.identity(width).scale(BiPoly.y())).det()
+    char_y = matdet(y_matrix - PolyMatrix.identity(width).scale(BiPoly.y()))
     ratio = None
     for num, den in ((char_y, curve), (curve, char_y)):
         try:
@@ -298,13 +298,13 @@ def companion_reference_report() -> dict:
     matches = {f"{i}{j}": y_matrix.entry(i, j) == expected[(i, j)] for (i, j) in expected}
     # duality check for both sign variants of the lower-right entry; the raw
     # x-form characteristic polynomial is what the companion form reproduces
-    x_char = (reassemble(bc) - PolyMatrix.identity(3).scale(BiPoly.x())).det()
+    x_char = matdet(reassemble(bc) - PolyMatrix.identity(3).scale(BiPoly.x()))
     verdicts = {}
     for label, entry in (("plus_x", plus_22), ("minus_x", minus_22)):
         rows_m = y_matrix.rows
         rows_m[1][1] = entry
         variant = PolyMatrix(rows_m)
-        char_y = (variant - PolyMatrix.identity(2).scale(BiPoly.y())).det()
+        char_y = matdet(variant - PolyMatrix.identity(2).scale(BiPoly.y()))
         verdicts[label] = char_y == x_char
     return {
         "entries_match_display": matches,

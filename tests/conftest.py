@@ -4,6 +4,8 @@ import pytest
 
 from redkp import DegenerateEvolution, LatticeParams, new_state, rat, uniform_state
 
+PARAM_SETS = [(1, 1, 3), (2, 1, 3), (1, 2, 3), (3, 2, 5), (2, 3, 5)]
+
 
 def random_rational(rng, lo=1, hi=9, den=5):
     return rat(rng.randint(lo, hi), rng.randint(1, den))

@@ -39,9 +39,7 @@ from redkp.cli import main as cli_main
 from redkp.degeneration import curve_closed_form_112, curve_closed_form_212, seed_large_zeta
 from redkp.lax import SHIFT_MU_K, apply_shift, default_time
 from redkp.yform import companion_reference_report, shift_stars
-from conftest import random_state
-
-PARAM_SETS = [(1, 1, 3), (2, 1, 3), (1, 2, 3), (3, 2, 5), (2, 3, 5)]
+from conftest import PARAM_SETS, random_state
 
 
 def _report(num, description, passed):
@@ -159,10 +157,13 @@ def test_criterion_5_compatibility_and_conjugation():
         t = default_time(st, deep=True)
         ok &= verify_compatibility(st, t).all_zero
         ok &= apply_shift(st, t, SHIFT_MU_K) == build_monodromy(st, t + K)
+        s = shift_matrix(N)
+        ok &= s @ build_monodromy(st, t) == build_monodromy(st.rotated(), t) @ s
     _report(
         5,
-        "exchange identities have zero residual matrices and the (+K)-conjugation "
-        "matches independent reconstruction for every parameter set",
+        "exchange identities have zero residual matrices, the (+K)-conjugation "
+        "matches independent reconstruction, and S X_t = X_t(sites rotated by one) S "
+        "for every parameter set",
         ok,
     )
 

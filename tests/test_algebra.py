@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redkp import BiPoly, LeibnizGuard, PolyMatrix, bipoly_eval, matdet, rat
+from redkp import BiPoly, LeibnizGuard, PolyMatrix, matdet, rat
 from redkp.errors import ExactDivisionError
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 9))
@@ -77,8 +77,8 @@ def test_bipoly_ring_axioms(p, q, r):
 @given(p=bipolys(), q=bipolys(), x0=rationals, y0=rationals)
 @settings(max_examples=50)
 def test_eval_is_ring_homomorphism(p, q, x0, y0):
-    assert bipoly_eval(p * q, x0, y0) == bipoly_eval(p, x0, y0) * bipoly_eval(q, x0, y0)
-    assert bipoly_eval(p + q, x0, y0) == bipoly_eval(p, x0, y0) + bipoly_eval(q, x0, y0)
+    assert (p * q).evaluate(x0, y0) == p.evaluate(x0, y0) * q.evaluate(x0, y0)
+    assert (p + q).evaluate(x0, y0) == p.evaluate(x0, y0) + q.evaluate(x0, y0)
 
 
 def test_eval_examples():
@@ -88,19 +88,19 @@ def test_eval_examples():
     for d in range(1, 31):
         if 30 % d == 0:
             for cand in (d, -d):
-                if bipoly_eval(p, cand, 0) == 0:
+                if p.evaluate(cand, 0) == 0:
                     roots.append(cand)
     assert sorted(roots) == [2, 15]
-    assert bipoly_eval(p, 2, 0) == 0
+    assert p.evaluate(2, 0) == 0
 
-    assert bipoly_eval(BiPoly.zero(), rat(7, 3), rat(-2)) == 0
+    assert BiPoly.zero().evaluate(rat(7, 3), rat(-2)) == 0
 
     # y^2 - y(2x+11) + x^2 - 17x + 30 at (0, 6): 36 - 66 + 30 = 0
     curve = BiPoly(
         {(0, 2): 1, (1, 1): -2, (0, 1): -11, (2, 0): 1, (1, 0): -17, (0, 0): 30}
     )
-    assert bipoly_eval(curve, 0, 6) == rat(36) - 66 + 30
-    assert bipoly_eval(curve, 0, 6) == 0
+    assert curve.evaluate(0, 6) == rat(36) - 66 + 30
+    assert curve.evaluate(0, 6) == 0
 
 
 def test_degrees_and_structure():

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import redkp.verify
 from redkp import LatticeParams, new_state, rat
 from redkp.cli import main
+from redkp.verify import run_verification
 from conftest import random_state
 
 
@@ -43,6 +45,16 @@ def test_evolve_errors(tmp_path):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     assert run_cli("evolve", str(garbage), "--to", "1") == 2
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1_000", "+3", "1e999999999"])
+def test_evolve_rejects_rationals_outside_wire_form(tmp_path, classic_state, text, capsys):
+    data = classic_state.to_json_dict()
+    data["V"]["0"][0] = text
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("evolve", str(path), "--to", "1") == 2
+    assert "not a rational" in capsys.readouterr().err
 
 
 # -- charpoly ---------------------------------------------------------------------
@@ -118,6 +130,23 @@ def test_verify_gcd_gating_reports_skipped(tmp_path, classic_file):
     assert doc["passed"] is True
     statuses = {s["status"] for s in doc["suites"]}
     assert statuses <= {"pass", "skipped"}
+
+
+def test_verify_reports_crashing_suite_as_fail(tmp_path, classic_state, classic_file, monkeypatch):
+    def broken_curve(state, t):
+        raise AssertionError("unexpected curve degrees")
+
+    monkeypatch.setattr(redkp.verify, "spectral_curve", broken_curve)
+    report = run_verification(classic_state, seed=7)
+    statuses = {s["name"]: s["status"] for s in report["suites"]}
+    assert len(statuses) == 20
+    for name in ("isospectrality", "fiber_counts", "eigen_residuals"):
+        assert statuses[name] == "fail"
+    by_name = {s["name"]: s for s in report["suites"]}
+    assert by_name["isospectrality"]["reason"] == "AssertionError: unexpected curve degrees"
+    assert statuses["compatibility_identities"] == "pass"
+    assert report["passed"] is False
+    assert run_cli("verify", classic_file, "-o", str(tmp_path / "r.json")) == 1
 
 
 def test_verify_enumerates_all_suites(tmp_path, classic_file):

@@ -224,6 +224,43 @@ def test_json_rejects_malformed():
         LatticeState.from_json_dict(bad)
 
 
+NON_WIRE_RATIONALS = ["1e3", "1.5", "1_000", "+3", " 3", "3/-4", "1e999999999"]
+
+
+@pytest.mark.parametrize("text", NON_WIRE_RATIONALS)
+def test_json_rejects_rationals_outside_wire_form(text):
+    data = random_state(1, 1, 2, seed=2).to_json_dict()
+    data["I"]["0"][1] = text
+    with pytest.raises(SizeMismatch, match="not a rational"):
+        LatticeState.from_json_dict(data)
+
+
+def test_json_wire_form_accepted_and_zero_denominator_rejected():
+    data = random_state(1, 1, 2, seed=2).to_json_dict()
+    data["I"]["0"] = ["-7/3", "12"]
+    assert LatticeState.from_json_dict(data).i_slice(0) == (rat(-7, 3), rat(12))
+    data["I"]["0"][1] = "1/0"
+    with pytest.raises(SizeMismatch, match="not a rational"):
+        LatticeState.from_json_dict(data)
+
+
+# -- site rotation ----------------------------------------------------------------------
+
+
+def test_rotated_moves_every_slice_by_one_site():
+    st = random_state(2, 1, 3, seed=21)
+    rot = st.rotated()
+    for t in st.times("I"):
+        v = st.i_slice(t)
+        assert rot.i_slice(t) == v[1:] + v[:1]
+    for t in st.times("V"):
+        v = st.v_slice(t)
+        assert rot.v_slice(t) == v[1:] + v[:1]
+    # the rotation commutes with evolution: slices evolved on demand agree
+    v = st.v_slice(st.frontier + 5)
+    assert rot.v_slice(rot.frontier + 5) == v[1:] + v[:1]
+
+
 @given(
     data=st.data(),
     params=st.sampled_from([(1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 3)]),

@@ -4,8 +4,8 @@ from redkp import (
     BiPoly,
     InsufficientHistory,
     LatticeParams,
+    NonPolynomialResult,
     PolyMatrix,
-    bipoly_eval,
     build_factor,
     build_monodromy,
     matdet,
@@ -17,18 +17,20 @@ from redkp import (
     uniform_state,
     verify_compatibility,
 )
+from redkp import lax, polymatrix
 from redkp.lax import (
     SHIFT_MU_K,
     SHIFT_MU_MINUS_M,
     SHIFT_SIGMA,
     apply_shift,
     default_time,
+    factor_l,
+    factor_r,
 )
-from conftest import random_state
+from redkp.verify import run_verification
+from conftest import PARAM_SETS, random_state
 
-
-def char_poly(m: PolyMatrix) -> BiPoly:
-    return matdet(m - PolyMatrix.identity(m.n).scale(BiPoly.x()))
+SHIFTS = (SHIFT_MU_K, SHIFT_MU_MINUS_M, SHIFT_SIGMA)
 
 
 # -- factors ------------------------------------------------------------------
@@ -146,10 +148,84 @@ def test_mu_minus_m_matches_rebuild():
     assert apply_shift(st, t, SHIFT_MU_MINUS_M) == build_monodromy(st, t - 2)
 
 
-def test_sigma_preserves_char_poly():
-    st = random_state(1, 2, 3, seed=10)
+def test_sigma_intertwines_site_rotation():
+    for (M, K, N, seed) in [(1, 1, 3, 10), (2, 1, 3, 15), (3, 2, 5, 16)]:
+        st = random_state(M, K, N, seed=seed)
+        t = default_time(st, deep=True)
+        s = shift_matrix(N)
+        x_t = build_monodromy(st, t)
+        assert s @ x_t == build_monodromy(st.rotated(), t) @ s
+        assert apply_shift(st, t, SHIFT_SIGMA) == build_monodromy(st.rotated(), t)
+        # negative control: N-1 rotations are the opposite rotation, which
+        # differs from the forward one for N >= 3 and must not intertwine
+        back = st
+        for _ in range(N - 1):
+            back = back.rotated()
+        assert s @ x_t != build_monodromy(back, t) @ s
+
+
+def _conjugator(st, t, which):
+    M, K = st.params.M, st.params.K
+    if which == SHIFT_SIGMA:
+        return shift_matrix(st.params.N)
+    if which == SHIFT_MU_K:
+        return factor_r(st, t - (M - 1) * K)
+    return factor_l(st, t - M * K)
+
+
+def _adjugate_oracle(a, x):
+    """a x a^{-1} through the adjugate and one exact division per entry."""
+    det = matdet(a)
+    raw = a @ x @ a.adjugate()
+    return PolyMatrix([[raw.entry(i, j).exact_div(det) for j in range(a.n)] for i in range(a.n)])
+
+
+@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+def test_apply_shift_matches_adjugate_oracle(M, K, N, monkeypatch):
+    st = random_state(M, K, N, seed=100 * M + 10 * K + N)
     t = default_time(st, deep=True)
-    assert char_poly(apply_shift(st, t, SHIFT_SIGMA)) == char_poly(build_monodromy(st, t))
+    x_t = build_monodromy(st, t)
+    expected = {which: _adjugate_oracle(_conjugator(st, t, which), x_t) for which in SHIFTS}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("apply_shift must not take determinants or adjugates")
+
+    monkeypatch.setattr(PolyMatrix, "adjugate", forbidden)
+    monkeypatch.setattr(polymatrix, "matdet", forbidden)
+    monkeypatch.setattr(lax, "matdet", forbidden)
+    for which in SHIFTS:
+        assert apply_shift(st, t, which) == expected[which]
+
+
+def _corrupted(st, t):
+    out = st.copy()
+    vals = list(out.v_slice(t))
+    vals[0] += 1
+    out._v[t] = tuple(vals)
+    return out
+
+
+def test_corrupted_slice_breaks_time_shift_intertwinings():
+    st = random_state(2, 1, 3, seed=17)
+    t = default_time(st, deep=True)
+    st.evolve_to(t + 4)
+    bad = _corrupted(st, t)
+    for which in (SHIFT_MU_K, SHIFT_MU_MINUS_M):
+        with pytest.raises(NonPolynomialResult, match="intertwining failed"):
+            apply_shift(bad, t, which)
+    # the site shift is an identity of the Lax structure, not of the dynamics
+    assert apply_shift(bad, t, SHIFT_SIGMA) == build_monodromy(bad.rotated(), t)
+
+
+def test_corrupted_slice_fails_shift_conjugations_suite():
+    st = random_state(1, 1, 3, seed=18)
+    t = default_time(st, deep=True)
+    st.evolve_to(t + 8)
+    report = run_verification(_corrupted(st, t))
+    suite = next(s for s in report["suites"] if s["name"] == "shift_conjugations")
+    assert suite["status"] == "fail"
+    assert suite["reason"].startswith("NonPolynomialResult")
+    assert report["passed"] is False
 
 
 def test_shift_round_trip():
@@ -230,7 +306,7 @@ def test_special_points_on_curve_exactly():
     curve = spectral_curve(st, t).poly
     sp = special_points(st, t)
     for (x0, y0) in sp.all_points():
-        assert bipoly_eval(curve, x0, y0) == 0
+        assert curve.evaluate(x0, y0) == 0
     assert sp.p_branch == (3, 3) if st.params.gcd_mkn_ok else sp.p_branch is None
 
 

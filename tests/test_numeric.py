@@ -247,13 +247,6 @@ def test_multiple_eigenvalue_guard():
         _eigvec(np.eye(3, dtype=complex), 1.0, DEFAULT_TOL)
 
 
-def test_slice_accessor():
-    st = random_state(2, 1, 3, seed=31)
-    rec = st.slice_at("I", 0)
-    assert rec.kind == "I" and rec.time == 0
-    assert rec.values == st.i_slice(0)
-
-
 def test_infinity_asymptotics_five_sites():
     # N = 5 is the largest fit size double precision resolves reliably;
     # the default sweep widens its smallest k accordingly
