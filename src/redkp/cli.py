@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .degeneration import DegenerationPlan, limit_compare
@@ -132,8 +133,8 @@ def cmd_verify(args) -> int:
 def cmd_degenerate(args) -> int:
     base = _load_state(args.base)
     sweep = [float(z) for z in args.zeta_sweep.split(",") if z.strip()]
-    if not sweep:
-        raise ValueError("empty zeta sweep")
+    if not sweep or not all(math.isfinite(z) for z in sweep):
+        raise ValueError(f"zeta sweep needs one or more finite values: {args.zeta_sweep!r}")
     plan = DegenerationPlan(
         direction=args.direction, zeta=sweep[0], base=base, horizon=args.horizon
     )

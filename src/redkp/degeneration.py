@@ -28,10 +28,7 @@ def lambda_set(M: int, K: int, horizon: int) -> list:
     {kM, ..., kM+K-1} below the horizon.  Closed form: t mod M >= K."""
     if K >= M:
         raise EmptyIndexSet(f"index set empty: K = {K} >= M = {M}")
-    removed = set()
-    for k in range(horizon // M + 1):
-        removed.update(range(k * M, min(k * M + K, horizon)))
-    return sorted(set(range(horizon)) - removed)
+    return [t for t in range(horizon) if t % M >= K]
 
 
 def xi_set(M: int, K: int, horizon: int) -> list:
@@ -122,21 +119,6 @@ class ConvergenceTable:
             yield (r.zeta, r.max_err, self.slope)
 
 
-def _kept_times(plan: DegenerationPlan, start: int, count: int) -> list:
-    big = plan.big_params
-    if plan.direction == REDUCE_M:
-        period, width = big.M, big.K
-    else:
-        period, width = big.K, big.M
-    out = []
-    t = start
-    while len(out) < count:
-        if t % period >= width:
-            out.append(t)
-        t += 1
-    return out
-
-
 def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
     """Exact big-system runs over the zeta sweep against the exact reduced run."""
     reduced = LatticeState.create(plan.base.params, *_windows_at_zero(plan.base))
@@ -144,7 +126,9 @@ def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
 
     big = plan.big_params
     start = big.K if plan.direction == REDUCE_M else big.M  # first computed big time
-    kept = _kept_times(plan, start, plan.horizon)
+    index_set = lambda_set if plan.direction == REDUCE_M else xi_set
+    # every M+K consecutive times keep at least one, so this horizon suffices
+    kept = index_set(big.M, big.K, plan.horizon * (big.M + big.K))[: plan.horizon]
     kept_set = set(kept)
     rows = []
     for z in zeta_sweep:

@@ -16,6 +16,7 @@ zero error; prod(b) is the excluded trivial branch.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from math import gcd
 
@@ -92,11 +93,29 @@ def monodromy_closure(a, b):
     return (t11, t12, t21, t22), pa, pb
 
 
-class LatticeState:
-    """History of I/V slices with an advancing frontier.
+_TIME_KEY = re.compile(r"-?[0-9]+")
 
-    The history is append-only; a state is exclusively owned while being
-    advanced, while ``copy()`` snapshots may be read concurrently.
+
+def _json_int(value, label: str) -> int:
+    # bool is a subclass of int, and JSON true must not load as 1
+    if type(value) is not int:
+        raise TypeError(f"{label} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _time_key(key) -> int:
+    if not isinstance(key, str) or _TIME_KEY.fullmatch(key) is None:
+        raise ValueError(f"time key {key!r} is not an integer string")
+    return int(key)
+
+
+class LatticeState:
+    """History of I/V slices with an advancing frontier, plus a cache of the
+    objects derived from it (``built``), valid until ``prune_below``.
+
+    A state is exclusively owned while being advanced.  ``copy()`` snapshots
+    may be read concurrently; reading one fills its own cache, so two readers
+    may build the same object twice.
     """
 
     def __init__(self, params: LatticeParams, i_hist: dict, v_hist: dict, frontier: int):
@@ -104,6 +123,7 @@ class LatticeState:
         self._i = dict(i_hist)
         self._v = dict(v_hist)
         self.frontier = frontier
+        self._built = {}
 
     # -- construction --------------------------------------------------------
 
@@ -176,6 +196,12 @@ class LatticeState:
         hist = self._i if kind == "I" else self._v
         return sorted(hist)
 
+    def built(self, key, build):
+        """The derived object under ``key``, made by ``build()`` on first use."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
     # -- evolution --------------------------------------------------------------
 
     def step(self) -> "LatticeState":
@@ -230,6 +256,7 @@ class LatticeState:
         floor = min(floor, keep)
         self._i = {t: v for t, v in self._i.items() if t >= floor}
         self._v = {t: v for t, v in self._v.items() if t >= floor}
+        self._built.clear()
         return self
 
     # -- invariants ------------------------------------------------------------
@@ -279,10 +306,10 @@ class LatticeState:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LatticeState":
         try:
-            params = LatticeParams(int(data["M"]), int(data["K"]), int(data["N"]))
-            i_slices = {int(t): [parse_rational(v) for v in vals] for t, vals in data["I"].items()}
-            v_slices = {int(t): [parse_rational(v) for v in vals] for t, vals in data["V"].items()}
-            frontier = int(data["frontier"])
+            params = LatticeParams(*(_json_int(data[key], key) for key in ("M", "K", "N")))
+            i_slices = {_time_key(t): [parse_rational(v) for v in vals] for t, vals in data["I"].items()}
+            v_slices = {_time_key(t): [parse_rational(v) for v in vals] for t, vals in data["V"].items()}
+            frontier = _json_int(data["frontier"], "frontier")
         except (KeyError, TypeError, ValueError) as exc:
             raise SizeMismatch(f"malformed state file: {exc}") from exc
         state = cls.create(params, i_slices, v_slices)

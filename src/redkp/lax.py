@@ -6,6 +6,9 @@ which is the anchor identity of the whole package.  Conjugation by the corner
 matrix S or by a single factor realises the site shift and the two time
 shifts.  Each is checked as an exact intertwining Z a == a X_t between
 independently built monodromies, entirely in polynomial arithmetic.
+
+The monodromy at each (t, form) and the curve at each t are built once per
+state, in its cache (``LatticeState.built``), and shared by every caller.
 """
 
 from __future__ import annotations
@@ -63,7 +66,12 @@ def build_monodromy(state: LatticeState, t: int, form: str = "standard") -> Poly
     The alternate form is the provably equal product with every factor
     pushed through the exchange identity, i.e. upper factors at t-MK, ...,
     t-(2M-1)K followed by lower factors at t-KM, ..., t-(2K-1)M.
+    Built once per (t, form) and state.
     """
+    return state.built(("monodromy", t, form), lambda: _build_monodromy(state, t, form))
+
+
+def _build_monodromy(state: LatticeState, t: int, form: str) -> PolyMatrix:
     M, K = state.params.M, state.params.K
     if form == "standard":
         mats = [factor_l(state, t - j * M) for j in range(K - 1, -1, -1)]
@@ -152,6 +160,11 @@ class SpectralCurve:
 
 
 def spectral_curve(state: LatticeState, t: int) -> SpectralCurve:
+    """The curve of the monodromy at t, built once per t and state."""
+    return state.built(("curve", t), lambda: _build_curve(state, t))
+
+
+def _build_curve(state: LatticeState, t: int) -> SpectralCurve:
     params = state.params
     n = params.N
     x_t = build_monodromy(state, t)

@@ -236,7 +236,6 @@ def infinity_asymptotics(
     if not params.gcd_mkn_ok:
         raise GcdViolation(f"gcd(M+K, N) = {gcd(M + K, n)} != 1: no unique infinity branch")
     curve = spectral_curve(state, t)
-    x_sym = build_monodromy(state, t)
     s_sym = shift_matrix(n)
     if k_values is None:
         k_values = _resolvable_k_values(n)
@@ -251,7 +250,7 @@ def infinity_asymptotics(
         target = k ** (-(M + K))
         pts = fiber_x(curve, y0, tol)
         point = min(pts, key=lambda p: abs(p.x - target))
-        v = _eigvec(matrix_eval(x_sym, 0.0, y0), point.x, tol)
+        v = eigenvector_at(state, t, point, tol)
         xs.append(point.x)
         vecs.append(v)
         scaled_err.append(abs(point.x * k ** (M + K) - 1.0))
@@ -306,9 +305,9 @@ def special_point_kernels(
 
     # corner matrix at the first zero-fiber point; the exact eigenvalue is the
     # first site invariant, so use it directly instead of a computed root.
+    # Every point here is an exact special point, hence residual 0.
     u = state.site_invariants()
-    xnum0 = matrix_eval(build_monodromy(state, t), 0.0, 0.0)
-    v_q1 = _eigvec(xnum0, float(u[0]), tol)
+    v_q1 = eigenvector_at(state, t, ComplexPoint(float(u[0]), 0.0, 0.0), tol)
     samples.append(
         ("ker:corner@Q1", kernel_residual(shift_matrix(n), 0.0, v_q1), 0.0)
     )
@@ -319,8 +318,7 @@ def special_point_kernels(
     for j in range(M):
         y_a = sign * float(state.i_product(t - j * K))
         t_shift = t + (M - 1 - j) * K
-        xnum = matrix_eval(build_monodromy(state, t_shift), 0.0, y_a)
-        vec = _eigvec(xnum, 0.0, tol)
+        vec = eigenvector_at(state, t_shift, ComplexPoint(0.0, y_a, 0.0), tol)
         res = kernel_residual(factor_r(state, t - j * K), y_a, vec)
         samples.append((f"ker:upper@A{j}", res, 0.0))
 
@@ -330,8 +328,7 @@ def special_point_kernels(
     for i in range(K):
         y_b = sign * float(state.v_product(t - i * M))
         t_shift = t + (K - i) * M
-        xnum = matrix_eval(build_monodromy(state, t_shift), 0.0, y_b)
-        vec = _eigvec(xnum, 0.0, tol)
+        vec = eigenvector_at(state, t_shift, ComplexPoint(0.0, y_b, 0.0), tol)
         res = kernel_residual(factor_l(state, t - i * M), y_b, vec)
         samples.append((f"ker:lower@B{i}", res, 0.0))
 
@@ -361,15 +358,14 @@ def special_point_kernels(
 # -- coincident-point structure ------------------------------------------------------
 
 
-def _branch_by_phase(x_sym, curve, y0, tol):
+def _branch_by_phase(state, t, y0, tol):
     """Pick the fiber branch whose local parameter (read off v_2/v_1) is
     closest to the positive real axis."""
-    pts = fiber_x(curve, y0, tol)
-    xnum = matrix_eval(x_sym, 0.0, y0)
+    pts = fiber_x(spectral_curve(state, t), y0, tol)
     best = None
     for p in pts:
         try:
-            v = _eigvec(xnum, p.x, tol)
+            v = eigenvector_at(state, t, p, tol)
         except (MultipleEigenvalue, IllConditioned):
             continue
         ratio = v[1] / v[0]
@@ -395,14 +391,12 @@ def case_b_structure(
         raise GcdViolation("gcd(M+K, N) != 1")
     if state.classify_case() != CASE_B:
         raise NotCaseB("site invariants are not all equal")
-    curve = spectral_curve(state, t)
-    x_sym = build_monodromy(state, t)
     if k_values is None:
         k_values = _resolvable_k_values(n)
     ks = list(k_values)
     vecs = []
     for k in ks:
-        _, v = _branch_by_phase(x_sym, curve, k ** n, tol)
+        _, v = _branch_by_phase(state, t, k ** n, tol)
         vecs.append(v)
     samples = []
     for i in range(1, n):
@@ -428,18 +422,16 @@ def _ratio_along_paths(state, t, t_other, k_values, tol):
     params = state.params
     n, M, K = params.N, params.M, params.K
     curve = spectral_curve(state, t)
-    x_sym = build_monodromy(state, t)
-    other_sym = build_monodromy(state, t_other)
     ks = list(k_values)
 
     def measure(point):
-        v_t = _eigvec(matrix_eval(x_sym, 0.0, point.y), point.x, tol)
-        v_o = _eigvec(matrix_eval(other_sym, 0.0, point.y), point.x, tol)
+        v_t = eigenvector_at(state, t, point, tol)
+        v_o = eigenvector_at(state, t_other, point, tol)
         return (v_t[0] * v_o[n - 1]) / (v_t[n - 1] * v_o[0])
 
     q_vals, p_vals = [], []
     for k in ks:
-        pt_q, _ = _branch_by_phase(x_sym, curve, k ** n, tol)
+        pt_q, _ = _branch_by_phase(state, t, k ** n, tol)
         q_vals.append(measure(pt_q))
         y_inf = k ** (-n)
         pts = fiber_x(curve, y_inf, tol)

@@ -33,11 +33,6 @@ class PolyMatrix:
         one, zero = BiPoly.one(), BiPoly.zero()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n: int) -> "PolyMatrix":
-        zero = BiPoly.zero()
-        return cls([[zero] * n for _ in range(n)])
-
     def entry(self, i: int, j: int) -> BiPoly:
         return self._rows[i][j]
 

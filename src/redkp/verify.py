@@ -33,6 +33,7 @@ from .numeric import (
     eigenvector_at,
     fiber_x,
     infinity_asymptotics,
+    matrix_eval,
     psi_phi_ratios,
     special_point_kernels,
 )
@@ -210,18 +211,11 @@ def run_verification(state: LatticeState, seed: int = 0, tol: Tolerances = DEFAU
 
     # -- numeric suites ------------------------------------------------------
 
-    curve_cache = {}
-
-    def _curve():
-        if "c" not in curve_cache:
-            curve_cache["c"] = spectral_curve(state, t_deep)
-        return curve_cache["c"]
-
     def fiber_counts():
         ok = True
         for _ in range(5):
             y0 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            pts = fiber_x(_curve(), y0, tol)
+            pts = fiber_x(spectral_curve(state, t_deep), y0, tol)
             ok &= len(pts) == n
         return {"_ok": bool(ok)}
 
@@ -230,12 +224,10 @@ def run_verification(state: LatticeState, seed: int = 0, tol: Tolerances = DEFAU
         worst = 0.0
         for _ in range(5):
             y0 = complex(rng.uniform(0.5, 2), rng.uniform(0.5, 2))
-            pts = fiber_x(_curve(), y0, tol)
+            pts = fiber_x(spectral_curve(state, t_deep), y0, tol)
             pt = pts[int(rng.integers(0, len(pts)))]
             v = eigenvector_at(state, t_deep, pt, tol)
-            xm = np.array(
-                build_monodromy(state, t_deep).evaluate_complex(0, pt.y), dtype=complex
-            )
+            xm = matrix_eval(build_monodromy(state, t_deep), 0.0, pt.y)
             res = float(np.linalg.norm(xm @ v - pt.x * v) / np.linalg.norm(xm))
             worst = max(worst, res)
             ok &= res <= tol.eig

@@ -42,10 +42,6 @@ class BandCoefficients:
         if any(r[self.width] != 1 for r in self.rows):
             raise AssertionError("leading band coefficient must be 1")
 
-    def a(self, i: int, k: int):
-        """Band value with cyclic site index (1-based rows wrap modulo N)."""
-        return self.rows[i % self.n_sites][k]
-
     def e_values(self) -> tuple:
         """E_1 = x - a_{1,0}; E_{k+1} = -a_{1,k}: the closing row of the stars."""
         first = self.rows[0]

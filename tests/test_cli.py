@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+import redkp.lax
 import redkp.verify
-from redkp import LatticeParams, new_state, rat
+from redkp import LatticeParams, matdet, new_state, rat
 from redkp.cli import main
 from redkp.verify import run_verification
 from conftest import random_state
@@ -55,6 +56,24 @@ def test_evolve_rejects_rationals_outside_wire_form(tmp_path, classic_state, tex
     path.write_text(json.dumps(data))
     assert run_cli("evolve", str(path), "--to", "1") == 2
     assert "not a rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [(None, "M", 1.9), (None, "K", True), (None, "frontier", "0"), ("I", "+0", None), ("V", "0_0", None)],
+)
+def test_evolve_rejects_state_fields_outside_documented_form(
+    tmp_path, classic_state, section, key, value, capsys
+):
+    data = classic_state.to_json_dict()
+    if section is None:
+        data[key] = value
+    else:
+        data[section][key] = data[section].pop("0")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("evolve", str(path), "--to", "1") == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SizeMismatch"
 
 
 # -- charpoly ---------------------------------------------------------------------
@@ -149,6 +168,25 @@ def test_verify_reports_crashing_suite_as_fail(tmp_path, classic_state, classic_
     assert run_cli("verify", classic_file, "-o", str(tmp_path / "r.json")) == 1
 
 
+def test_each_curve_takes_one_determinant(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.n)
+        return matdet(m, *args, **kwargs)
+
+    monkeypatch.setattr(redkp.lax, "matdet", counted)
+    path = tmp_path / "s.json"
+    path.write_text(random_state(3, 2, 5, seed=4).dumps())
+    assert run_cli("charpoly", str(path), "-o", str(tmp_path / "c.json")) == 0
+    assert calls == [5]  # special_points reuses the curve
+    calls.clear()
+    # isospectrality builds four curves; every other suite reuses the one at t_deep
+    report = run_verification(random_state(2, 3, 7, seed=7), seed=7)
+    assert report["passed"] is True
+    assert calls == [7] * 4
+
+
 def test_verify_enumerates_all_suites(tmp_path, classic_file):
     out = tmp_path / "r.json"
     run_cli("verify", classic_file, "-o", str(out))
@@ -202,6 +240,18 @@ def test_degenerate_csv(tmp_path, classic_file):
     assert (z1, z2) == (100.0, 1000.0)
     assert e1 > e2 > 0
     assert s1 == s2
+
+
+@pytest.mark.parametrize("sweep", ["inf", "1e999", "nan", "1e2,-inf", ","])
+def test_degenerate_rejects_non_finite_zeta(classic_file, sweep, capsys):
+    argv = ["degenerate", "--base", classic_file, "--direction", "reduce_M"]
+    assert run_cli(*argv, "--zeta-sweep", sweep, "--horizon", "6") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "ValueError",
+        "message": f"zeta sweep needs one or more finite values: {sweep!r}",
+    }
 
 
 def test_unknown_flag_rejected(classic_file):

@@ -49,6 +49,13 @@ def test_lambda_set_closed_form():
         assert lam == [t for t in range(40) if t % M >= K]
 
 
+def test_lambda_set_matches_block_definition():
+    # the docstring's definition: drop the K-wide blocks {kM, ..., kM+K-1}
+    for (M, K, horizon) in [(2, 1, 9), (3, 2, 17), (5, 2, 40), (7, 4, 3), (4, 3, 0)]:
+        removed = {k * M + j for k in range(horizon // M + 1) for j in range(K)}
+        assert lambda_set(M, K, horizon) == [t for t in range(horizon) if t not in removed]
+
+
 def test_lambda_set_empty():
     with pytest.raises(EmptyIndexSet):
         lambda_set(1, 1, 10)

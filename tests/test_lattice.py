@@ -244,6 +244,24 @@ def test_json_wire_form_accepted_and_zero_denominator_rejected():
         LatticeState.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("M", 1.9), ("K", True), ("N", "2"), ("frontier", "0"), ("frontier", 0.0)]
+)
+def test_json_rejects_non_integer_fields(field, value):
+    data = random_state(1, 1, 2, seed=2).to_json_dict()
+    data[field] = value
+    with pytest.raises(SizeMismatch, match="must be a JSON integer"):
+        LatticeState.from_json_dict(data)
+
+
+@pytest.mark.parametrize("key", ["+0", "0_0", " 0", "0.0", "0x0", "\u0660"])
+def test_json_rejects_time_keys_outside_integer_form(key):
+    data = random_state(1, 1, 2, seed=2).to_json_dict()
+    data["V"][key] = data["V"].pop("0")
+    with pytest.raises(SizeMismatch, match="not an integer string"):
+        LatticeState.from_json_dict(data)
+
+
 # -- site rotation ----------------------------------------------------------------------
 
 

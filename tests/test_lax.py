@@ -106,6 +106,34 @@ def test_monodromy_insufficient_history():
         build_monodromy(st, st.i_min - 1)
 
 
+def test_pruning_drops_built_monodromies():
+    st = random_state(2, 1, 3, seed=2)
+    t = default_time(st)
+    build_monodromy(st, t)
+    st.evolve_to(t + 10)
+    st.prune_below(t + 1)
+    with pytest.raises(InsufficientHistory):
+        build_monodromy(st, t)
+
+
+@pytest.mark.parametrize("M,K,N,seed", [(1, 1, 3, 31), (2, 1, 3, 32), (2, 3, 5, 33)])
+def test_form_equality_sees_a_slice_read_only_by_the_alternate_form(M, K, N, seed):
+    # V at t - MK feeds the alternate product and not the standard one.  Both
+    # forms are built on st first, so a cache key without the form, or a
+    # copy() sharing st's cache, would hand back st's matrices here.
+    st = random_state(M, K, N, seed=seed)
+    t = default_time(st, deep=True)
+    st.evolve_to(t + 4)
+    std = build_monodromy(st, t, "standard")
+    assert build_monodromy(st, t, "alternate") == std
+    bad = _corrupted(st, t - M * K)
+    assert build_monodromy(bad, t, "standard") == std
+    assert build_monodromy(bad, t, "alternate") != std
+    report = run_verification(bad)
+    suite = next(s for s in report["suites"] if s["name"] == "monodromy_form_equality")
+    assert suite["status"] == "fail"
+
+
 # -- compatibility -----------------------------------------------------------------
 
 
