@@ -45,7 +45,7 @@ def _fail(exc: Exception, code: int) -> int:
 
 def _load_state(path: str) -> LatticeState:
     with open(path, "r", encoding="utf-8") as fh:
-        return LatticeState.from_json_dict(json.load(fh))
+        return LatticeState.loads(fh.read())
 
 
 def _write(text: str, output: str | None) -> None:

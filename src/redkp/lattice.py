@@ -109,6 +109,31 @@ def _time_key(key) -> int:
     return int(key)
 
 
+def _slices(hist, label: str) -> dict:
+    if type(hist) is not dict:
+        raise TypeError(f"{label} must be a JSON object, got {type(hist).__name__}")
+    out = {}
+    for key, vals in hist.items():
+        t = _time_key(key)
+        if t in out:
+            raise ValueError(f"{label} time key {key!r} repeats time {t}")
+        if type(vals) is not list:
+            # a string would iterate as one rational per character
+            raise TypeError(f"{label}[{key!r}] must be a JSON list, got {type(vals).__name__}")
+        out[t] = [parse_rational(v) for v in vals]
+    return out
+
+
+def _unique_keys(pairs) -> dict:
+    # json.load keeps the last of repeated keys; a state file must not repeat one
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SizeMismatch(f"malformed state file: repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 class LatticeState:
     """History of I/V slices with an advancing frontier, plus a cache of the
     objects derived from it (``built``), valid until ``prune_below``.
@@ -307,8 +332,8 @@ class LatticeState:
     def from_json_dict(cls, data: dict) -> "LatticeState":
         try:
             params = LatticeParams(*(_json_int(data[key], key) for key in ("M", "K", "N")))
-            i_slices = {_time_key(t): [parse_rational(v) for v in vals] for t, vals in data["I"].items()}
-            v_slices = {_time_key(t): [parse_rational(v) for v in vals] for t, vals in data["V"].items()}
+            i_slices = _slices(data["I"], "I")
+            v_slices = _slices(data["V"], "V")
             frontier = _json_int(data["frontier"], "frontier")
         except (KeyError, TypeError, ValueError) as exc:
             raise SizeMismatch(f"malformed state file: {exc}") from exc
@@ -324,7 +349,8 @@ class LatticeState:
 
     @classmethod
     def loads(cls, text: str) -> "LatticeState":
-        return cls.from_json_dict(json.loads(text))
+        """Parse a state file; a JSON object that repeats a key is rejected."""
+        return cls.from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 # Constructors ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Exact rational scalars.
 
 Every lattice value, polynomial coefficient and invariant in this package is
-an arbitrary-precision rational.  ``gmpy2.mpq`` is used when available (it is
-several times faster on the fraction-free determinant paths); the stdlib
-``fractions.Fraction`` is a drop-in fallback with identical semantics:
+an arbitrary-precision rational.  ``gmpy2.mpq`` is used when available (its
+speed relative to ``Fraction`` on this package has not been measured); the
+stdlib ``fractions.Fraction`` is a drop-in fallback with identical semantics:
 always reduced, positive denominator, exact field arithmetic.
 """
 

@@ -1,11 +1,17 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import redkp.polymatrix
 from redkp import BiPoly, LeibnizGuard, PolyMatrix, matdet, rat
+from redkp.cli import main
 from redkp.errors import ExactDivisionError
+from redkp.lax import build_monodromy, default_time, spectral_curve
+from redkp.polymatrix import _common_denominator, _det_bareiss, _det_bareiss_int, _int_exact_div
+from conftest import PARAM_SETS, random_state
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 9))
 nonzero_rationals = st.builds(
@@ -130,6 +136,17 @@ def test_exact_division_remainder_raises():
         p.exact_div(q)
 
 
+def test_integer_exact_division():
+    p = {(1, 0): 2, (0, 1): -3}  # 2x - 3y
+    q = {(1, 1): 5, (0, 0): -1}  # 5xy - 1
+    pq = {(2, 1): 10, (1, 2): -15, (1, 0): -2, (0, 1): 3}
+    assert _int_exact_div(pq, q) == p and _int_exact_div(pq, p) == q
+    with pytest.raises(ExactDivisionError):
+        _int_exact_div({(1, 0): 2, (0, 0): 4}, {(0, 0): 3})  # (2x + 4) / 3
+    with pytest.raises(ExactDivisionError):
+        _int_exact_div({(1, 0): 1, (0, 0): 1}, {(0, 1): 1})  # (x + 1) / y
+
+
 def test_serialization_roundtrip_and_order():
     p = BiPoly({(1, 1): rat(-2), (0, 0): rat(30), (0, 2): rat(1, 3)})
     recs = p.to_records()
@@ -151,18 +168,59 @@ def test_det_corner_matrix():
     assert matdet(m, "leibniz") == -BiPoly.y()
 
 
+# 1/(2^89 - 1) pushes the common denominator past the integer path's 64 bits
+TALL_SCALE = rat(1, 2**89 - 1)
+
+
+def full_denominator(m: PolyMatrix) -> int:
+    """lcm of every coefficient's denominator, with no cut-off."""
+    return math.lcm(*(c.denominator for row in m.rows for e in row for _, c in e.items()))
+
+
+def assert_bareiss_equals_leibniz(m: PolyMatrix):
+    """On m, over the integers, and on m scaled past 64 bits, over Q."""
+    for a, integer in ((m, True), (m.scale(TALL_SCALE), False)):
+        assert (_common_denominator(a) is not None) == integer
+        assert matdet(a, "bareiss") == matdet(a, "leibniz")
+
+
 def test_bareiss_equals_leibniz_4x4():
     rng = random.Random(11)
     for _ in range(8):
-        m = random_matrix(rng, 4)
-        assert matdet(m, "bareiss") == matdet(m, "leibniz")
+        assert_bareiss_equals_leibniz(random_matrix(rng, 4))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_bareiss_equals_leibniz_sizes(n):
     rng = random.Random(100 + n)
-    m = random_matrix(rng, n)
-    assert matdet(m, "bareiss") == matdet(m, "leibniz")
+    assert_bareiss_equals_leibniz(random_matrix(rng, n))
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_integer_bareiss_equals_rational_bareiss_on_curves(params):
+    state = random_state(*params, seed=3)
+    t = default_time(state)
+    n = params[2]
+    m = build_monodromy(state, t) - PolyMatrix.identity(n).scale(BiPoly.x())
+    assert _det_bareiss_int(m, full_denominator(m)) == _det_bareiss(m)
+
+
+def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong determinant path")
+
+    low = random_state(3, 2, 5, seed=4)
+    path = tmp_path / "low.json"
+    path.write_text(low.dumps())
+    with monkeypatch.context() as mp:
+        mp.setattr(redkp.polymatrix, "_det_bareiss", refuse)
+        assert main(["charpoly", str(path), "-o", str(tmp_path / "out.json")]) == 0
+
+    tall = random_state(1, 1, 3, seed=5)
+    while max(v.denominator.bit_length() for v in tall.i_slice(tall.frontier)) <= 1000:
+        tall.step()
+    monkeypatch.setattr(redkp.polymatrix, "_det_bareiss_int", refuse)
+    assert spectral_curve(tall, tall.frontier).poly.degree_x == 3
 
 
 def test_det_multiplicative():
@@ -178,6 +236,9 @@ def test_det_with_zero_pivot_row_swap():
     assert matdet(m) == -BiPoly.one()
     singular = PolyMatrix([[zero, one], [zero, one]])
     assert matdet(singular).is_zero()
+    for scale in (1, rat(2, 3), TALL_SCALE):
+        for a in (m.scale(scale), singular.scale(scale)):
+            assert _det_bareiss_int(a, full_denominator(a)) == _det_bareiss(a)
 
 
 def test_leibniz_size_guard():

@@ -76,6 +76,24 @@ def test_evolve_rejects_state_fields_outside_documented_form(
     assert json.loads(capsys.readouterr().err)["error"] == "SizeMismatch"
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ('"0": ["2", "3"]', '"0": ["2", "3"], "00": ["7", "9"]'),
+        ('"0": ["2", "3"]', '"0": ["2", "3"], "0": ["7", "9"]'),
+        ('{"M": 1,', '{"M": 1, "M": 1,'),
+    ],
+    ids=["time-00", "repeated-0", "repeated-M"],
+)
+def test_evolve_rejects_state_file_naming_one_key_twice(tmp_path, classic_state, old, new, capsys):
+    text = classic_state.dumps()
+    assert text.count(old) == 1
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace(old, new))
+    assert run_cli("evolve", str(path), "--to", "1") == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SizeMismatch"
+
+
 # -- charpoly ---------------------------------------------------------------------
 
 

@@ -262,6 +262,33 @@ def test_json_rejects_time_keys_outside_integer_form(key):
         LatticeState.from_json_dict(data)
 
 
+@pytest.mark.parametrize("section,key", [("I", "00"), ("I", "-0"), ("V", "000")])
+def test_json_rejects_time_keys_naming_one_time_twice(section, key):
+    data = random_state(1, 1, 2, seed=2).to_json_dict()
+    data[section][key] = ["7", "9"]
+    with pytest.raises(SizeMismatch, match="repeats time 0"):
+        LatticeState.from_json_dict(data)
+
+
+@pytest.mark.parametrize("section,value", [("I", []), ("V", "0"), ("I", {"0": "23"}), ("V", {"0": 5})])
+def test_json_rejects_slice_maps_and_slices_of_other_types(section, value):
+    data = random_state(1, 1, 2, seed=2).to_json_dict()
+    data[section] = value
+    with pytest.raises(SizeMismatch, match="must be a JSON"):
+        LatticeState.from_json_dict(data)
+
+
+def test_loads_rejects_repeated_json_keys():
+    text = random_state(1, 1, 2, seed=2).dumps()
+    assert text.startswith('{"M": 1, ')
+    with pytest.raises(SizeMismatch, match="repeated key 'M'"):
+        LatticeState.loads('{"M": 1, ' + text[1:])
+    i_zero = '"I": {"0": '
+    assert text.count(i_zero) == 1
+    with pytest.raises(SizeMismatch, match="repeated key '0'"):
+        LatticeState.loads(text.replace(i_zero, i_zero + '["7", "9"], "0": '))
+
+
 # -- site rotation ----------------------------------------------------------------------
 
 
