@@ -52,7 +52,6 @@ from .lax import (
 from .numeric import (
     ComplexPoint,
     NumericDiag,
-    Tolerances,
     case_b_structure,
     eigenvector_at,
     fiber_x,

@@ -7,11 +7,39 @@ banded matrix products stay sparse.  Values are immutable after construction.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import ExactDivisionError
 from .rational import Rational, format_rational, parse_rational
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
+
+
+def _divide_terms(num: dict, den: dict, div) -> dict:
+    """Exact quotient of two term maps (nonzero coefficients, ``den`` not
+    empty) over any coefficient ring; ``div`` divides two coefficients and
+    raises ExactDivisionError when it cannot."""
+    lead_d = max(den)  # lex order on (deg_x, deg_y)
+    cd = den[lead_d]
+    rest = [(key, c) for key, c in den.items() if key != lead_d]
+    rem = dict(num)
+    quot = {}
+    while rem:
+        lead_r = max(rem)
+        qx, qy = lead_r[0] - lead_d[0], lead_r[1] - lead_d[1]
+        if qx < 0 or qy < 0:
+            raise ExactDivisionError("leading term not divisible")
+        qc = div(rem.pop(lead_r), cd)
+        quot[(qx, qy)] = qc
+        for (dx, dy), c in rest:
+            key = (dx + qx, dy + qy)
+            s = rem.get(key, 0) - qc * c
+            if s:
+                rem[key] = s
+            else:
+                del rem[key]
+    return quot
 
 
 def _coerce(value) -> "BiPoly":
@@ -151,31 +179,12 @@ class BiPoly:
         return result
 
     def exact_div(self, divisor: "BiPoly") -> "BiPoly":
-        """Exact polynomial quotient; raises ExactDivisionError on remainder."""
+        """Exact quotient over Q; raises ExactDivisionError on remainder.  The
+        same ``_divide_terms`` divides over Z in ``polymatrix``'s integer ring."""
         divisor = _coerce(divisor)
         if divisor.is_zero():
             raise ExactDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return BiPoly.zero()
-        lead_d = max(divisor._terms)  # lex order on (deg_x, deg_y)
-        cd = divisor._terms[lead_d]
-        rem = dict(self._terms)
-        quot: dict = {}
-        while rem:
-            lead_r = max(rem)
-            qx, qy = lead_r[0] - lead_d[0], lead_r[1] - lead_d[1]
-            if qx < 0 or qy < 0:
-                raise ExactDivisionError("leading term not divisible")
-            qc = rem[lead_r] / cd
-            quot[(qx, qy)] = qc
-            for (dx, dy), c in divisor._terms.items():
-                key = (dx + qx, dy + qy)
-                s = rem.get(key, _ZERO) - qc * c
-                if s == 0:
-                    rem.pop(key, None)
-                else:
-                    rem[key] = s
-        return BiPoly._raw(quot)
+        return BiPoly._raw(_divide_terms(self._terms, divisor._terms, operator.truediv))
 
     # -- evaluation ----------------------------------------------------------
 

@@ -225,7 +225,8 @@ def hidden_invariant_check(state: LatticeState, steps: int = 50) -> HiddenInvari
     if (state.params.M, state.params.K, state.params.N) != (1, 1, 2):
         raise WrongParams("hidden invariant is specific to (M,K,N) = (1,1,2)")
     state.evolve_to(state.frontier + steps)
-    times = [t for t in state.times("I") if t in set(state.times("V"))]
+    v_times = set(state.times("V"))
+    times = [t for t in state.times("I") if t in v_times]
     values = [hidden_sum(state, t) for t in times]
     return HiddenInvariantReport(
         value=values[0],

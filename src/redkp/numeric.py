@@ -61,17 +61,12 @@ def _resolvable_ratio_ks(n: int):
     return tuple(np.geomspace(1e-1, k_min, 4))
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    on_curve: float = 1e-9
-    eig: float = 1e-9
-    kernel: float = 1e-8
-    exponent: float = 0.2
-    ratio: float = 1e-4
-    multiple_eig: float = 1e-10
-
-
-DEFAULT_TOL = Tolerances()
+ON_CURVE_TOL = 1e-9
+EIG_TOL = 1e-9
+KERNEL_TOL = 1e-8
+EXPONENT_TOL = 0.2
+RATIO_TOL = 1e-4
+MULTIPLE_EIG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -142,7 +137,7 @@ def curve_residual(curve: SpectralCurve, x0: complex, y0: complex) -> float:
     return abs(value) / max(1.0, curve_scale(curve, x0, y0))
 
 
-def fiber_x(curve: SpectralCurve, y0: complex, tol: Tolerances = DEFAULT_TOL):
+def fiber_x(curve: SpectralCurve, y0: complex):
     """All N roots in x of the curve over a fixed y0, with on-curve residuals."""
     n = curve.deg_x
     coeffs = np.zeros(n + 1, dtype=complex)
@@ -155,7 +150,7 @@ def fiber_x(curve: SpectralCurve, y0: complex, tol: Tolerances = DEFAULT_TOL):
         raise IllConditioned("root finder returned a bad fiber")
     roots = sorted(roots, key=lambda z: (z.real, z.imag))
     points = [ComplexPoint(complex(r), complex(y0), curve_residual(curve, r, y0)) for r in roots]
-    bad = [p for p in points if p.residual > tol.on_curve]
+    bad = [p for p in points if p.residual > ON_CURVE_TOL]
     if bad:
         raise IllConditioned(f"fiber root off curve: residual {bad[0].residual:.3g}")
     return points
@@ -168,7 +163,7 @@ def matrix_eval(pm, x0: complex, y0: complex) -> np.ndarray:
     return np.array(pm.evaluate_complex(complex(x0), complex(y0)), dtype=complex)
 
 
-def _eigvec(xnum: np.ndarray, x0: complex, tol: Tolerances) -> np.ndarray:
+def _eigvec(xnum: np.ndarray, x0: complex) -> np.ndarray:
     n = xnum.shape[0]
     shifted = xnum - x0 * np.eye(n, dtype=complex)
     scale = np.linalg.norm(xnum)
@@ -176,7 +171,7 @@ def _eigvec(xnum: np.ndarray, x0: complex, tol: Tolerances) -> np.ndarray:
     # kernel-dimension guard on the eigenvalue scale, not the matrix norm:
     # near the infinity branch the matrix is wildly non-normal and its norm
     # dwarfs every eigenvalue gap
-    if n > 1 and sigma[-2] < tol.multiple_eig * max(abs(x0), 1.0):
+    if n > 1 and sigma[-2] < MULTIPLE_EIG_TOL * max(abs(x0), 1.0):
         raise MultipleEigenvalue(
             f"numerically multi-dimensional kernel at x = {x0}"
         )
@@ -184,25 +179,22 @@ def _eigvec(xnum: np.ndarray, x0: complex, tol: Tolerances) -> np.ndarray:
     idx = int(np.argmax(np.abs(v)))
     v = v * (abs(v[idx]) / v[idx])
     residual = np.linalg.norm(xnum @ v - x0 * v) / max(scale, 1e-300)
-    if residual > tol.eig:
+    if residual > EIG_TOL:
         raise IllConditioned(f"eigen-residual {residual:.3g} above tolerance")
     return v
 
 
-def eigenvector_at(
-    state: LatticeState, t: int, point: ComplexPoint, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def eigenvector_at(state: LatticeState, t: int, point: ComplexPoint) -> np.ndarray:
     """Unit eigenvector of the monodromy at the given on-curve point."""
-    if point.residual > tol.on_curve:
+    if point.residual > ON_CURVE_TOL:
         raise IllConditioned(f"point residual {point.residual:.3g} not on curve")
     xnum = matrix_eval(build_monodromy(state, t), 0.0, point.y)
-    return _eigvec(xnum, point.x, tol)
+    return _eigvec(xnum, point.x)
 
 
-def eigen_extension(state: LatticeState, t: int, point: ComplexPoint,
-                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def eigen_extension(state: LatticeState, t: int, point: ComplexPoint) -> np.ndarray:
     """First M+K entries of the periodic eigenvector extension g_{i+N} = y g_i."""
-    v = eigenvector_at(state, t, point, tol)
+    v = eigenvector_at(state, t, point)
     n = state.params.N
     width = state.params.M + state.params.K
     out = np.zeros(width, dtype=complex)
@@ -219,12 +211,7 @@ def _fit_slope(ks, values) -> float:
 # -- infinity branch ---------------------------------------------------------------
 
 
-def infinity_asymptotics(
-    state: LatticeState,
-    t: int,
-    k_values=None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> NumericDiag:
+def infinity_asymptotics(state: LatticeState, t: int) -> NumericDiag:
     """Pole orders and eigenvector decay along y = k^{-N}, x ~ k^{-(M+K)}.
 
     Requires a unique infinity branch, i.e. gcd(M+K, N) = 1.  Fitted samples:
@@ -237,20 +224,18 @@ def infinity_asymptotics(
         raise GcdViolation(f"gcd(M+K, N) = {gcd(M + K, n)} != 1: no unique infinity branch")
     curve = spectral_curve(state, t)
     s_sym = shift_matrix(n)
-    if k_values is None:
-        k_values = _resolvable_k_values(n)
     r_sym = factor_r(state, t - (M - 1) * K)
     l_sym = factor_l(state, t - M * K)
 
-    ks = list(k_values)
+    ks = list(_resolvable_k_values(n))
     xs, vecs, growth = [], [], {"corner": [], "upper": [], "lower": []}
     scaled_err = []
     for k in ks:
         y0 = k ** (-n)
         target = k ** (-(M + K))
-        pts = fiber_x(curve, y0, tol)
+        pts = fiber_x(curve, y0)
         point = min(pts, key=lambda p: abs(p.x - target))
-        v = eigenvector_at(state, t, point, tol)
+        v = eigenvector_at(state, t, point)
         xs.append(point.x)
         vecs.append(v)
         scaled_err.append(abs(point.x * k ** (M + K) - 1.0))
@@ -268,12 +253,12 @@ def infinity_asymptotics(
                         ("lower", "lower_factor_growth")):
         samples.append((name, _fit_slope(ks, growth[label]), -1.0))
     monotone = all(a > b for a, b in zip(scaled_err, scaled_err[1:]))
-    passed = monotone and all(abs(m - e) <= tol.exponent for _, m, e in samples)
+    passed = monotone and all(abs(m - e) <= EXPONENT_TOL for _, m, e in samples)
     return NumericDiag(
         name="infinity_asymptotics",
         samples=tuple(samples),
         passed=passed,
-        tolerance=tol.exponent,
+        tolerance=EXPONENT_TOL,
         notes={"k_values": ks, "x_scaled_error": scaled_err, "scaled_error_decreasing": monotone},
     )
 
@@ -281,9 +266,7 @@ def infinity_asymptotics(
 # -- kernels at the finite special points -------------------------------------------
 
 
-def special_point_kernels(
-    state: LatticeState, t: int, rng=None, tol: Tolerances = DEFAULT_TOL
-) -> NumericDiag:
+def special_point_kernels(state: LatticeState, t: int, rng=None) -> NumericDiag:
     """Kernel membership at the distinguished points, with negative controls.
 
     Samples labelled ``ker:*`` must have residual <= kernel tolerance; the
@@ -307,7 +290,7 @@ def special_point_kernels(
     # first site invariant, so use it directly instead of a computed root.
     # Every point here is an exact special point, hence residual 0.
     u = state.site_invariants()
-    v_q1 = eigenvector_at(state, t, ComplexPoint(float(u[0]), 0.0, 0.0), tol)
+    v_q1 = eigenvector_at(state, t, ComplexPoint(float(u[0]), 0.0, 0.0))
     samples.append(
         ("ker:corner@Q1", kernel_residual(shift_matrix(n), 0.0, v_q1), 0.0)
     )
@@ -318,7 +301,7 @@ def special_point_kernels(
     for j in range(M):
         y_a = sign * float(state.i_product(t - j * K))
         t_shift = t + (M - 1 - j) * K
-        vec = eigenvector_at(state, t_shift, ComplexPoint(0.0, y_a, 0.0), tol)
+        vec = eigenvector_at(state, t_shift, ComplexPoint(0.0, y_a, 0.0))
         res = kernel_residual(factor_r(state, t - j * K), y_a, vec)
         samples.append((f"ker:upper@A{j}", res, 0.0))
 
@@ -328,44 +311,44 @@ def special_point_kernels(
     for i in range(K):
         y_b = sign * float(state.v_product(t - i * M))
         t_shift = t + (K - i) * M
-        vec = eigenvector_at(state, t_shift, ComplexPoint(0.0, y_b, 0.0), tol)
+        vec = eigenvector_at(state, t_shift, ComplexPoint(0.0, y_b, 0.0))
         res = kernel_residual(factor_l(state, t - i * M), y_b, vec)
         samples.append((f"ker:lower@B{i}", res, 0.0))
 
     # negative controls at generic fibers
-    floor = 1e3 * tol.kernel
+    floor = 1e3 * KERNEL_TOL
     r_sym = factor_r(state, t - (M - 1) * K)
     for idx in range(10):
         y0 = complex(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        pts = fiber_x(curve, y0, tol)
+        pts = fiber_x(curve, y0)
         point = pts[int(rng.integers(0, len(pts)))]
-        vec = eigenvector_at(state, t, point, tol)
+        vec = eigenvector_at(state, t, point)
         res = kernel_residual(r_sym, y0, vec)
         samples.append((f"gen:upper@random{idx}", res, floor))
 
     passed = all(
-        (m <= tol.kernel) if str(p).startswith("ker:") else (m >= e)
+        (m <= KERNEL_TOL) if str(p).startswith("ker:") else (m >= e)
         for p, m, e in samples
     )
     return NumericDiag(
         name="special_point_kernels",
         samples=tuple(samples),
         passed=passed,
-        tolerance=tol.kernel,
+        tolerance=KERNEL_TOL,
     )
 
 
 # -- coincident-point structure ------------------------------------------------------
 
 
-def _branch_by_phase(state, t, y0, tol):
+def _branch_by_phase(state, t, y0):
     """Pick the fiber branch whose local parameter (read off v_2/v_1) is
     closest to the positive real axis."""
-    pts = fiber_x(spectral_curve(state, t), y0, tol)
+    pts = fiber_x(spectral_curve(state, t), y0)
     best = None
     for p in pts:
         try:
-            v = eigenvector_at(state, t, p, tol)
+            v = eigenvector_at(state, t, p)
         except (MultipleEigenvalue, IllConditioned):
             continue
         ratio = v[1] / v[0]
@@ -377,12 +360,7 @@ def _branch_by_phase(state, t, y0, tol):
     return best[1], best[2]
 
 
-def case_b_structure(
-    state: LatticeState,
-    t: int,
-    k_values=None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> NumericDiag:
+def case_b_structure(state: LatticeState, t: int) -> NumericDiag:
     """Local structure at the coincident zero-fiber point: along y = k^N the
     eigenvector components satisfy v_i/v_1 ~ k^{i-1}."""
     params = state.params
@@ -391,23 +369,21 @@ def case_b_structure(
         raise GcdViolation("gcd(M+K, N) != 1")
     if state.classify_case() != CASE_B:
         raise NotCaseB("site invariants are not all equal")
-    if k_values is None:
-        k_values = _resolvable_k_values(n)
-    ks = list(k_values)
+    ks = list(_resolvable_k_values(n))
     vecs = []
     for k in ks:
-        _, v = _branch_by_phase(state, t, k ** n, tol)
+        _, v = _branch_by_phase(state, t, k ** n)
         vecs.append(v)
     samples = []
     for i in range(1, n):
         ratios = [vec[i] / vec[0] for vec in vecs]
         samples.append((f"v{i + 1}/v1_order", _fit_slope(ks, ratios), float(i)))
-    passed = all(abs(m - e) <= tol.exponent for _, m, e in samples)
+    passed = all(abs(m - e) <= EXPONENT_TOL for _, m, e in samples)
     return NumericDiag(
         name="case_b_structure",
         samples=tuple(samples),
         passed=passed,
-        tolerance=tol.exponent,
+        tolerance=EXPONENT_TOL,
         notes={"k_values": ks},
     )
 
@@ -415,7 +391,7 @@ def case_b_structure(
 # -- eigenvector-ratio limits -----------------------------------------------------------
 
 
-def _ratio_along_paths(state, t, t_other, k_values, tol):
+def _ratio_along_paths(state, t, t_other, k_values):
     """The scale-free ratio (g_1^t g_N^{other}) / (g_N^t g_1^{other}) measured
     along p -> coincident point (y = k^N) and p -> infinity (y = k^{-N});
     returns the two extrapolated limits."""
@@ -425,16 +401,16 @@ def _ratio_along_paths(state, t, t_other, k_values, tol):
     ks = list(k_values)
 
     def measure(point):
-        v_t = eigenvector_at(state, t, point, tol)
-        v_o = eigenvector_at(state, t_other, point, tol)
+        v_t = eigenvector_at(state, t, point)
+        v_o = eigenvector_at(state, t_other, point)
         return (v_t[0] * v_o[n - 1]) / (v_t[n - 1] * v_o[0])
 
     q_vals, p_vals = [], []
     for k in ks:
-        pt_q, _ = _branch_by_phase(state, t, k ** n, tol)
+        pt_q, _ = _branch_by_phase(state, t, k ** n)
         q_vals.append(measure(pt_q))
         y_inf = k ** (-n)
-        pts = fiber_x(curve, y_inf, tol)
+        pts = fiber_x(curve, y_inf)
         pt_p = min(pts, key=lambda p: abs(p.x - k ** (-(M + K))))
         p_vals.append(measure(pt_p))
 
@@ -444,12 +420,7 @@ def _ratio_along_paths(state, t, t_other, k_values, tol):
     return q_limit, p_limit, q_vals, p_vals
 
 
-def psi_phi_ratios(
-    state: LatticeState,
-    t: int,
-    k_values=None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> NumericDiag:
+def psi_phi_ratios(state: LatticeState, t: int) -> NumericDiag:
     """The two eigenvector-ratio limits tying lattice values to special values.
 
     With w(p) the ratio built from times (t, t+K), the coincident-point limit
@@ -463,29 +434,28 @@ def psi_phi_ratios(
     if state.classify_case() != CASE_B:
         raise NotCaseB("ratio limits need all site invariants equal")
     M, K, n = params.M, params.K, params.N
-    if k_values is None:
-        k_values = _resolvable_ratio_ks(n)
+    k_values = _resolvable_ratio_ks(n)
 
     i_ref = state.i_slice(t - (M - 1) * K)
     v_ref = state.v_slice(t - M * K)
     psi_expected = float(i_ref[n - 1] / i_ref[0])
     phi_expected = float(v_ref[n - 1] / v_ref[0])
 
-    q_psi, p_psi, q_raw, p_raw = _ratio_along_paths(state, t, t + K, k_values, tol)
+    q_psi, p_psi, q_raw, p_raw = _ratio_along_paths(state, t, t + K, k_values)
     psi_measured = q_psi / p_psi
-    q_phi, p_phi, _, _ = _ratio_along_paths(state, t, t - M, k_values, tol)
+    q_phi, p_phi, _, _ = _ratio_along_paths(state, t, t - M, k_values)
     phi_measured = q_phi / p_phi
 
     samples = (
         ("psi_ratio", psi_measured, psi_expected),
         ("phi_ratio", phi_measured, phi_expected),
     )
-    passed = all(abs(m - e) <= tol.ratio for _, m, e in samples)
+    passed = all(abs(m - e) <= RATIO_TOL for _, m, e in samples)
     return NumericDiag(
         name="psi_phi_ratios",
         samples=samples,
         passed=passed,
-        tolerance=tol.ratio,
+        tolerance=RATIO_TOL,
         notes={
             "k_values": list(k_values),
             "raw_coincident": q_raw,

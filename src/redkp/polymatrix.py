@@ -2,19 +2,21 @@
 
 The production determinant is Bareiss fraction-free elimination: every
 division is exact over the integral domain, so intermediate entries stay
-polynomial.  It runs in one of two rings, chosen by ``matdet`` from the input:
+polynomial.  One elimination (``_det_bareiss``) and one exact division
+(``bipoly._divide_terms``) run in either of two coefficient rings, chosen by
+``matdet`` from the input:
 
-* over Z[x,y], on D*m with plain ``int`` coefficients, when the common
-  denominator D of all coefficients fits in ``_INTEGER_DENOMINATOR_BITS``
-  bits; the result is det(D*m) / D**n;
-* over Q[x,y], on ``BiPoly`` entries, otherwise.
+* Z[x,y], on D*m with plain ``int`` coefficients and a ``divmod`` that
+  raises on a remainder, when the common denominator D of all coefficients
+  fits in ``_INTEGER_DENOMINATOR_BITS`` bits; the result is det(D*m) / D**n;
+* Q[x,y], on the ``Rational`` coefficients themselves with ``/``, otherwise.
 
-Both return the identical polynomial.  The integer loop skips the
+Both return the identical polynomial.  The integer ring skips the
 normalising ``Fraction`` built for every term product, which is most of the
 cost on wide, low-height matrices: on the curves of (3,2,5) to (5,4,9) from
 small data (D of 10-24 bits) it is 7-10x faster.  Its scaled integers grow
-with D, so the Rational loop wins on tall matrices: on curves with D of
-1500-45000 bits the integer loop is up to 25x slower (Python 3.11.7,
+with D, so the Rational ring wins on tall matrices: on curves with D of
+1500-45000 bits the integer ring is up to 25x slower (Python 3.11.7,
 ``fractions.Fraction``, 2 CPUs).  The Leibniz expansion is kept as an
 independent small-size oracle.
 """
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
-from .bipoly import BiPoly, _coerce
+from .bipoly import BiPoly, _coerce, _divide_terms
 from .errors import ExactDivisionError, LeibnizGuard, SizeMismatch
 from .rational import Rational
 
@@ -137,29 +140,11 @@ class PolyMatrix:
         ]
 
 
-def _det_bareiss(m: PolyMatrix) -> BiPoly:
-    n = m.n
-    a = [list(row) for row in m._rows]
-    sign = 1
-    prev = BiPoly.one()
-    for k in range(n - 1):
-        pivot_row = k
-        while a[pivot_row][k].is_zero():
-            pivot_row += 1
-            if pivot_row == n:
-                return BiPoly.zero()
-        if pivot_row != k:
-            a[pivot_row], a[k] = a[k], a[pivot_row]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = BiPoly.zero()
-        prev = pivot
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
+def _exact_int_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ExactDivisionError("coefficient not divisible")
+    return q
 
 
 def _common_denominator(m: PolyMatrix):
@@ -177,41 +162,20 @@ def _common_denominator(m: PolyMatrix):
     return d
 
 
-def _int_exact_div(num: dict, den: dict) -> dict:
-    """Exact quotient of integer polynomials (dicts of nonzero ints);
-    raises ExactDivisionError on any remainder."""
-    lead_d = max(den)
-    cd = den[lead_d]
-    rest = [(key, c) for key, c in den.items() if key != lead_d]
-    rem = dict(num)
-    quot = {}
-    while rem:
-        lead_r = max(rem)
-        qx, qy = lead_r[0] - lead_d[0], lead_r[1] - lead_d[1]
-        if qx < 0 or qy < 0:
-            raise ExactDivisionError("leading term not divisible")
-        qc, r = divmod(rem.pop(lead_r), cd)
-        if r:
-            raise ExactDivisionError("coefficient not divisible")
-        quot[(qx, qy)] = qc
-        for (dx, dy), c in rest:
-            key = (dx + qx, dy + qy)
-            s = rem.get(key, 0) - qc * c
-            if s:
-                rem[key] = s
-            else:
-                del rem[key]
-    return quot
-
-
-def _det_bareiss_int(m: PolyMatrix, d: int) -> BiPoly:
-    """Bareiss elimination over Z[x,y] on d*m, d a common denominator of m;
-    returns det(d*m) / d**n."""
+def _det_bareiss(m: PolyMatrix, d) -> BiPoly:
+    """Bareiss elimination on the term maps of m's entries.  With d None the
+    coefficients stay Rational; with d a common denominator of m they are
+    the ints of d*m, and det(d*m) is divided by d**n at the end."""
     n = m.n
-    a = [
-        [{k: c.numerator * (d // c.denominator) for k, c in e._terms.items()} for e in row]
-        for row in m._rows
-    ]
+    if d is None:
+        a = [[e._terms for e in row] for row in m._rows]
+        div, dn = operator.truediv, 1
+    else:
+        a = [
+            [{k: c.numerator * (d // c.denominator) for k, c in e._terms.items()} for e in row]
+            for row in m._rows
+        ]
+        div, dn = _exact_int_div, d**n
     sign = 1
     prev = {(0, 0): 1}
     for k in range(n - 1):
@@ -240,9 +204,8 @@ def _det_bareiss_int(m: PolyMatrix, d: int) -> BiPoly:
                         key = (lx + ex, ly + ey)
                         acc[key] = get(key, 0) - lc * ec
                 num = {key: c for key, c in acc.items() if c}
-                row_i[j] = _int_exact_div(num, prev) if num else num
+                row_i[j] = _divide_terms(num, prev, div) if num else num
         prev = pivot
-    dn = d**n
     return BiPoly._raw({key: Rational(sign * c, dn) for key, c in a[n - 1][n - 1].items()})
 
 
@@ -269,9 +232,8 @@ def matdet(m: PolyMatrix, method: str = "bareiss") -> BiPoly:
     ``"bareiss"`` eliminates over the integers when the coefficients' common
     denominator fits in ``_INTEGER_DENOMINATOR_BITS`` bits, else over Q."""
     if method == "bareiss":
-        d = _common_denominator(m)
         try:
-            return _det_bareiss(m) if d is None else _det_bareiss_int(m, d)
+            return _det_bareiss(m, _common_denominator(m))
         except ExactDivisionError as exc:  # cannot happen over an integral domain
             raise AssertionError("fraction-free elimination failed") from exc
     if method == "leibniz":

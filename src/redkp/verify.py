@@ -26,9 +26,8 @@ from .lax import (
     verify_compatibility,
 )
 from .numeric import (
-    DEFAULT_TOL,
+    EIG_TOL,
     RELIABLE_FIT_SITES,
-    Tolerances,
     case_b_structure,
     eigenvector_at,
     fiber_x,
@@ -61,7 +60,7 @@ def _factor_det_expected(values, n: int) -> BiPoly:
     return BiPoly.constant(prod) + BiPoly.monomial(0, 1, sign)
 
 
-def run_verification(state: LatticeState, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> dict:
+def run_verification(state: LatticeState, seed: int = 0) -> dict:
     state = state.copy()
     params = state.params
     M, K, n = params.M, params.K, params.N
@@ -215,7 +214,7 @@ def run_verification(state: LatticeState, seed: int = 0, tol: Tolerances = DEFAU
         ok = True
         for _ in range(5):
             y0 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            pts = fiber_x(spectral_curve(state, t_deep), y0, tol)
+            pts = fiber_x(spectral_curve(state, t_deep), y0)
             ok &= len(pts) == n
         return {"_ok": bool(ok)}
 
@@ -224,29 +223,29 @@ def run_verification(state: LatticeState, seed: int = 0, tol: Tolerances = DEFAU
         worst = 0.0
         for _ in range(5):
             y0 = complex(rng.uniform(0.5, 2), rng.uniform(0.5, 2))
-            pts = fiber_x(spectral_curve(state, t_deep), y0, tol)
+            pts = fiber_x(spectral_curve(state, t_deep), y0)
             pt = pts[int(rng.integers(0, len(pts)))]
-            v = eigenvector_at(state, t_deep, pt, tol)
+            v = eigenvector_at(state, t_deep, pt)
             xm = matrix_eval(build_monodromy(state, t_deep), 0.0, pt.y)
             res = float(np.linalg.norm(xm @ v - pt.x * v) / np.linalg.norm(xm))
             worst = max(worst, res)
-            ok &= res <= tol.eig
+            ok &= res <= EIG_TOL
         return {"_ok": bool(ok), "worst_residual": worst}
 
     def kernels():
-        diag = special_point_kernels(state, t_deep, rng=rng, tol=tol)
+        diag = special_point_kernels(state, t_deep, rng=rng)
         return {"_ok": diag.passed, "diag": diag.to_json_dict()}
 
     def infinity():
-        diag = infinity_asymptotics(state, t_deep, tol=tol)
+        diag = infinity_asymptotics(state, t_deep)
         return {"_ok": diag.passed, "diag": diag.to_json_dict()}
 
     def case_b():
-        diag = case_b_structure(state, t_deep, tol=tol)
+        diag = case_b_structure(state, t_deep)
         return {"_ok": diag.passed, "diag": diag.to_json_dict()}
 
     def ratios():
-        diag = psi_phi_ratios(state, t_deep, tol=tol)
+        diag = psi_phi_ratios(state, t_deep)
         return {"_ok": diag.passed, "diag": diag.to_json_dict()}
 
     gcd_gate = None if params.gcd_mkn_ok else "gcd(M+K,N) != 1"

@@ -10,7 +10,8 @@ from redkp import BiPoly, LeibnizGuard, PolyMatrix, matdet, rat
 from redkp.cli import main
 from redkp.errors import ExactDivisionError
 from redkp.lax import build_monodromy, default_time, spectral_curve
-from redkp.polymatrix import _common_denominator, _det_bareiss, _det_bareiss_int, _int_exact_div
+from redkp.bipoly import _divide_terms
+from redkp.polymatrix import _common_denominator, _det_bareiss, _exact_int_div
 from conftest import PARAM_SETS, random_state
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 9))
@@ -140,11 +141,12 @@ def test_integer_exact_division():
     p = {(1, 0): 2, (0, 1): -3}  # 2x - 3y
     q = {(1, 1): 5, (0, 0): -1}  # 5xy - 1
     pq = {(2, 1): 10, (1, 2): -15, (1, 0): -2, (0, 1): 3}
-    assert _int_exact_div(pq, q) == p and _int_exact_div(pq, p) == q
+    assert _divide_terms(pq, q, _exact_int_div) == p
+    assert _divide_terms(pq, p, _exact_int_div) == q
     with pytest.raises(ExactDivisionError):
-        _int_exact_div({(1, 0): 2, (0, 0): 4}, {(0, 0): 3})  # (2x + 4) / 3
+        _divide_terms({(1, 0): 2, (0, 0): 4}, {(0, 0): 3}, _exact_int_div)  # (2x + 4) / 3
     with pytest.raises(ExactDivisionError):
-        _int_exact_div({(1, 0): 1, (0, 0): 1}, {(0, 1): 1})  # (x + 1) / y
+        _divide_terms({(1, 0): 1, (0, 0): 1}, {(0, 1): 1}, _exact_int_div)  # (x + 1) / y
 
 
 def test_serialization_roundtrip_and_order():
@@ -196,31 +198,51 @@ def test_bareiss_equals_leibniz_sizes(n):
     assert_bareiss_equals_leibniz(random_matrix(rng, n))
 
 
+def integer_ring_det(m: PolyMatrix, monkeypatch) -> BiPoly:
+    """_det_bareiss over Z on full_denominator(m) * m; fails if a quotient
+    of the elimination leaves the integers."""
+    divide = redkp.polymatrix._divide_terms
+
+    def integer_quotient(num, den, div):
+        quot = divide(num, den, div)
+        assert all(type(c) is int for c in quot.values())
+        return quot
+
+    with monkeypatch.context() as mp:
+        mp.setattr(redkp.polymatrix, "_divide_terms", integer_quotient)
+        return _det_bareiss(m, full_denominator(m))
+
+
 @pytest.mark.parametrize("params", PARAM_SETS)
-def test_integer_bareiss_equals_rational_bareiss_on_curves(params):
+def test_integer_bareiss_equals_rational_bareiss_on_curves(params, monkeypatch):
     state = random_state(*params, seed=3)
     t = default_time(state)
     n = params[2]
     m = build_monodromy(state, t) - PolyMatrix.identity(n).scale(BiPoly.x())
-    assert _det_bareiss_int(m, full_denominator(m)) == _det_bareiss(m)
+    assert integer_ring_det(m, monkeypatch) == _det_bareiss(m, None)
 
 
 def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("wrong determinant path")
+    denominators = []
+
+    def record(m, d):
+        denominators.append(d)
+        return _det_bareiss(m, d)
+
+    monkeypatch.setattr(redkp.polymatrix, "_det_bareiss", record)
 
     low = random_state(3, 2, 5, seed=4)
     path = tmp_path / "low.json"
     path.write_text(low.dumps())
-    with monkeypatch.context() as mp:
-        mp.setattr(redkp.polymatrix, "_det_bareiss", refuse)
-        assert main(["charpoly", str(path), "-o", str(tmp_path / "out.json")]) == 0
+    assert main(["charpoly", str(path), "-o", str(tmp_path / "out.json")]) == 0
+    assert denominators and all(type(d) is int and d.bit_length() <= 64 for d in denominators)
 
+    denominators.clear()
     tall = random_state(1, 1, 3, seed=5)
     while max(v.denominator.bit_length() for v in tall.i_slice(tall.frontier)) <= 1000:
         tall.step()
-    monkeypatch.setattr(redkp.polymatrix, "_det_bareiss_int", refuse)
     assert spectral_curve(tall, tall.frontier).poly.degree_x == 3
+    assert denominators == [None]
 
 
 def test_det_multiplicative():
@@ -230,7 +252,7 @@ def test_det_multiplicative():
         assert matdet(a @ b) == matdet(a) * matdet(b)
 
 
-def test_det_with_zero_pivot_row_swap():
+def test_det_with_zero_pivot_row_swap(monkeypatch):
     zero, one = BiPoly.zero(), BiPoly.one()
     m = PolyMatrix([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
     assert matdet(m) == -BiPoly.one()
@@ -238,7 +260,7 @@ def test_det_with_zero_pivot_row_swap():
     assert matdet(singular).is_zero()
     for scale in (1, rat(2, 3), TALL_SCALE):
         for a in (m.scale(scale), singular.scale(scale)):
-            assert _det_bareiss_int(a, full_denominator(a)) == _det_bareiss(a)
+            assert integer_ring_det(a, monkeypatch) == _det_bareiss(a, None)
 
 
 def test_leibniz_size_guard():

@@ -16,7 +16,7 @@ from redkp import (
     uniform_state,
 )
 from redkp.lax import build_monodromy, default_time
-from redkp.numeric import DEFAULT_TOL, ComplexPoint, matrix_eval
+from redkp.numeric import ON_CURVE_TOL, ComplexPoint, matrix_eval
 from conftest import random_state
 
 
@@ -49,7 +49,7 @@ def test_fiber_points_have_small_residual():
     st = random_state(3, 2, 5, seed=2)
     curve = spectral_curve(st, default_time(st))
     for p in fiber_x(curve, 1.25 + 0.5j):
-        assert p.residual <= DEFAULT_TOL.on_curve
+        assert p.residual <= ON_CURVE_TOL
 
 
 # -- eigenvectors ---------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_zero_fiber_eigenvector_support():
     from redkp.numeric import _eigvec
 
     for j, uj in enumerate(u, start=1):
-        v = _eigvec(x_num, float(uj), DEFAULT_TOL)
+        v = _eigvec(x_num, float(uj))
         assert all(abs(v[i]) <= 1e-9 for i in range(j, 3))
         assert abs(v[j - 1]) > 1e-6
 
@@ -244,7 +244,7 @@ def test_multiple_eigenvalue_guard():
     from redkp.numeric import _eigvec
 
     with pytest.raises(MultipleEigenvalue):
-        _eigvec(np.eye(3, dtype=complex), 1.0, DEFAULT_TOL)
+        _eigvec(np.eye(3, dtype=complex), 1.0)
 
 
 def test_infinity_asymptotics_five_sites():
