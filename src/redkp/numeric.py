@@ -98,11 +98,6 @@ class NumericDiag:
             "notes": {k: _jsonable(v) for k, v in self.notes.items()},
         }
 
-    def csv_rows(self):
-        for p, m, e in self.samples:
-            err = abs(m - e) if e is not None else float("nan")
-            yield (str(p), _as_float(m), _as_float(e), _as_float(err))
-
 
 def _jsonable(v):
     if isinstance(v, complex):
@@ -112,14 +107,6 @@ def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(item) for item in v]
     return v
-
-
-def _as_float(v):
-    if v is None:
-        return float("nan")
-    if isinstance(v, complex):
-        return abs(v)
-    return float(v)
 
 
 # -- curve evaluation -----------------------------------------------------------
@@ -190,17 +177,6 @@ def eigenvector_at(state: LatticeState, t: int, point: ComplexPoint) -> np.ndarr
         raise IllConditioned(f"point residual {point.residual:.3g} not on curve")
     xnum = matrix_eval(build_monodromy(state, t), 0.0, point.y)
     return _eigvec(xnum, point.x)
-
-
-def eigen_extension(state: LatticeState, t: int, point: ComplexPoint) -> np.ndarray:
-    """First M+K entries of the periodic eigenvector extension g_{i+N} = y g_i."""
-    v = eigenvector_at(state, t, point)
-    n = state.params.N
-    width = state.params.M + state.params.K
-    out = np.zeros(width, dtype=complex)
-    for i in range(width):
-        out[i] = v[i % n] * point.y ** (i // n)
-    return out
 
 
 def _fit_slope(ks, values) -> float:

@@ -3,7 +3,12 @@
 Each suite reports pass, fail, or skipped (with the gating reason); nothing
 is silently omitted, and a suite that raises is reported as fail with the
 exception as its reason.  Randomized pieces draw from a seeded generator so a
-report is reproducible from (input, seed, tolerances).
+report is reproducible from (input, seed).
+
+Each identity is checked by one suite: the factor exchange is the lattice
+equations (``evolution_consistency``), the monodromy exchanges are the time
+shifts (``shift_conjugations``).  Identities that hold for every input, such
+as det S, are pinned by the tests instead.
 """
 
 from __future__ import annotations
@@ -17,13 +22,10 @@ from .lax import (
     SHIFT_MU_MINUS_M,
     SHIFT_SIGMA,
     apply_shift,
-    build_factor,
     build_monodromy,
     default_time,
-    shift_matrix,
     special_points,
     spectral_curve,
-    verify_compatibility,
 )
 from .numeric import (
     EIG_TOL,
@@ -41,7 +43,6 @@ from .rational import Rational, format_rational
 from .yform import (
     WORD_MAX_WIDTH,
     band_coefficients,
-    companion_reference_report,
     reassemble,
     shift_stars,
     spectral_duality,
@@ -49,15 +50,6 @@ from .yform import (
 )
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
-
-
-def _factor_det_expected(values, n: int) -> BiPoly:
-    # det of a banded factor: product of the diagonal plus (-1)^(N+1) y
-    prod = Rational(1)
-    for v in values:
-        prod *= v
-    sign = Rational(-1) if n % 2 == 0 else Rational(1)
-    return BiPoly.constant(prod) + BiPoly.monomial(0, 1, sign)
 
 
 def run_verification(state: LatticeState, seed: int = 0) -> dict:
@@ -119,10 +111,6 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
         curves = [spectral_curve(state, t_deep + i).poly for i in range(4)]
         return {"_ok": all(c == curves[0] for c in curves), "times": 4}
 
-    def compatibility():
-        rep = verify_compatibility(state, t_deep)
-        return {"_ok": rep.all_zero}
-
     def monodromy_forms():
         std = build_monodromy(state, t_deep, "standard")
         alt = build_monodromy(state, t_deep, "alternate")
@@ -134,23 +122,14 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
         return {"_ok": True}
 
     def determinant_closed_forms():
-        # det S = (-1)^(N+1) y
-        ok = matdet(shift_matrix(n)) == BiPoly.monomial(
-            0, 1, Rational(-1) if n % 2 == 0 else Rational(1)
-        )
-        for j in range(M):
-            vals = state.i_slice(t_deep - j * K)
-            ok &= matdet(build_factor(vals)) == _factor_det_expected(vals, n)
-        for j in range(K):
-            vals = state.v_slice(t_deep - j * M)
-            ok &= matdet(build_factor(vals)) == _factor_det_expected(vals, n)
-        width = M + K
+        # the three star determinants; det S and det of a factor are the same
+        # for every state, so the tests pin them instead
         s_star, r_star, l_star = shift_stars(state, t_deep)
         u1 = state.site_invariants()[0]
-        sign = Rational(1) if width % 2 == 0 else Rational(-1)
+        sign = Rational(1) if (M + K) % 2 == 0 else Rational(-1)
         expected_s = (BiPoly.constant(u1) - BiPoly.x()) * sign
         expected_rl = BiPoly.monomial(1, 0, -sign)
-        ok &= matdet(s_star) == expected_s
+        ok = matdet(s_star) == expected_s
         ok &= matdet(r_star) == expected_rl
         ok &= matdet(l_star) == expected_rl
         return {"_ok": bool(ok)}
@@ -191,12 +170,6 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
     def duality():
         rep = spectral_duality(state, t_deep)
         return {"_ok": rep.ok, "ratio": repr(rep.ratio)}
-
-    def companion_reference():
-        rep = companion_reference_report()
-        ok = rep["product_uses_plus_x"] and rep["duality_holds"]["plus_x"]
-        ok &= not rep["duality_holds"]["minus_x"]
-        return {"_ok": bool(ok), **rep}
 
     def hidden_invariant():
         from .degeneration import hidden_invariant_check
@@ -261,7 +234,6 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
     run("evolution_consistency", evolution_consistency)
     run("site_invariant_constancy", invariant_constancy)
     run("isospectrality", isospectrality)
-    run("compatibility_identities", compatibility)
     run("monodromy_form_equality", monodromy_forms)
     run("shift_conjugations", shift_conjugations)
     run("determinant_closed_forms", determinant_closed_forms)
@@ -270,7 +242,6 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
     run("band_method_agreement", band_methods, width_gate)
     run("word_append_rule", word_lemma, width_gate)
     run("spectral_duality", duality)
-    run("companion_reference_case", companion_reference)
     run("hidden_invariant", hidden_invariant, small_gate)
     run("fiber_counts", fiber_counts)
     run("eigen_residuals", eigen_residuals)

@@ -38,8 +38,9 @@ from redkp import (
 from redkp.cli import main as cli_main
 from redkp.degeneration import curve_closed_form_112, curve_closed_form_212, seed_large_zeta
 from redkp.lax import SHIFT_MU_K, apply_shift, default_time
-from redkp.yform import companion_reference_report, shift_stars
+from redkp.yform import shift_stars
 from conftest import PARAM_SETS, random_state
+from test_yform import companion_reference_report
 
 
 def _report(num, description, passed):

@@ -176,12 +176,12 @@ def test_verify_reports_crashing_suite_as_fail(tmp_path, classic_state, classic_
     monkeypatch.setattr(redkp.verify, "spectral_curve", broken_curve)
     report = run_verification(classic_state, seed=7)
     statuses = {s["name"]: s["status"] for s in report["suites"]}
-    assert len(statuses) == 20
+    assert len(statuses) == 18
     for name in ("isospectrality", "fiber_counts", "eigen_residuals"):
         assert statuses[name] == "fail"
     by_name = {s["name"]: s for s in report["suites"]}
     assert by_name["isospectrality"]["reason"] == "AssertionError: unexpected curve degrees"
-    assert statuses["compatibility_identities"] == "pass"
+    assert statuses["evolution_consistency"] == "pass"
     assert report["passed"] is False
     assert run_cli("verify", classic_file, "-o", str(tmp_path / "r.json")) == 1
 
@@ -209,8 +209,26 @@ def test_verify_enumerates_all_suites(tmp_path, classic_file):
     out = tmp_path / "r.json"
     run_cli("verify", classic_file, "-o", str(out))
     doc = json.loads(out.read_text())
-    names = [s["name"] for s in doc["suites"]]
-    assert len(names) == len(set(names)) == 20
+    assert [s["name"] for s in doc["suites"]] == [
+        "evolution_consistency",
+        "site_invariant_constancy",
+        "isospectrality",
+        "monodromy_form_equality",
+        "shift_conjugations",
+        "determinant_closed_forms",
+        "special_points_on_curve",
+        "triangular_at_zero_fiber",
+        "band_method_agreement",
+        "word_append_rule",
+        "spectral_duality",
+        "hidden_invariant",
+        "fiber_counts",
+        "eigen_residuals",
+        "special_point_kernels",
+        "infinity_asymptotics",
+        "case_b_structure",
+        "psi_phi_ratios",
+    ]
 
 
 def test_verify_case_b_runs_every_suite(tmp_path):

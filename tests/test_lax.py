@@ -160,6 +160,49 @@ def test_compatibility_negative_control():
     assert not rep.all_zero
 
 
+def _lattice_equations_hold(st, t):
+    M, K, n = st.params.M, st.params.K, st.params.N
+    a, b = st.i_slice(t - M), st.v_slice(t - K)
+    x, y = st.i_slice(t), st.v_slice(t)
+    return all(
+        x[i] == a[i - 1] + b[i] - y[i - 1] and y[i] * x[i] == a[i] * b[i] for i in range(n)
+    )
+
+
+def _intertwines(st, t, which):
+    try:
+        apply_shift(st, t, which)
+    except NonPolynomialResult:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("M,K,N,seed", [(1, 1, 3, 41), (2, 1, 3, 42), (1, 2, 3, 43)])
+def test_exchange_identities_are_the_lattice_equations_and_time_shifts(M, K, N, seed):
+    # Each residual of verify_compatibility is zero exactly when an identity
+    # checked elsewhere holds: the factor exchange at t is the lattice
+    # equations at t, the monodromy exchanges are mu_{-M} at t and mu_K at
+    # t - K.  One slice at a time is corrupted around t, so both outcomes occur.
+    st = random_state(M, K, N, seed=seed)
+    t = default_time(st, deep=True)
+    st.evolve_to(t + 2)
+    outcomes = set()
+    for s in range(t - M * K - M - K, t + 2):
+        for kind in ("I", "V"):
+            bad = _corrupted(st, s, kind)
+            rep = verify_compatibility(bad, t)
+            outcome = (
+                _lattice_equations_hold(bad, t),
+                _intertwines(bad, t, SHIFT_MU_MINUS_M),
+                _intertwines(bad, t - K, SHIFT_MU_K),
+            )
+            residuals = (rep.factor_exchange, rep.monodromy_l, rep.monodromy_r)
+            assert tuple(r.is_zero() for r in residuals) == outcome
+            outcomes.add(outcome)
+    for k in range(3):
+        assert {o[k] for o in outcomes} == {True, False}
+
+
 # -- shifts ---------------------------------------------------------------------------
 
 
@@ -225,11 +268,12 @@ def test_apply_shift_matches_adjugate_oracle(M, K, N, monkeypatch):
         assert apply_shift(st, t, which) == expected[which]
 
 
-def _corrupted(st, t):
+def _corrupted(st, t, kind="V"):
     out = st.copy()
-    vals = list(out.v_slice(t))
+    hist = out._v if kind == "V" else out._i
+    vals = list(hist[t])
     vals[0] += 1
-    out._v[t] = tuple(vals)
+    hist[t] = tuple(vals)
     return out
 
 
@@ -254,6 +298,61 @@ def test_corrupted_slice_fails_shift_conjugations_suite():
     assert suite["status"] == "fail"
     assert suite["reason"].startswith("NonPolynomialResult")
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("offset,which", [(-3, SHIFT_MU_MINUS_M), (1, SHIFT_MU_K)])
+def test_shift_conjugations_suite_checks_each_time_shift(offset, which):
+    # For (2,1,3), I at t-3 feeds only X_{t-2} (the mu_{-M} image) and I at
+    # t+1 only X_{t+1} (the mu_K image), so each breaks one intertwining.
+    st = random_state(2, 1, 3, seed=17)
+    t = default_time(st, deep=True)
+    st.evolve_to(t + 8)
+    bad = _corrupted(st, t + offset, "I")
+    other = SHIFT_MU_K if which == SHIFT_MU_MINUS_M else SHIFT_MU_MINUS_M
+    assert _intertwines(bad, t, other) and not _intertwines(bad, t, which)
+    report = run_verification(bad)
+    suite = next(s for s in report["suites"] if s["name"] == "shift_conjugations")
+    assert suite["status"] == "fail"
+    assert suite["reason"] == f"NonPolynomialResult: {which} intertwining failed at t = {t}"
+
+
+@pytest.mark.parametrize("kind", ["I", "V"])
+def test_corrupted_slice_fails_evolution_consistency_suite(kind):
+    st = random_state(2, 1, 3, seed=19)
+    t = default_time(st, deep=True)
+    st.evolve_to(t + 8)
+    report = run_verification(_corrupted(st, t, kind))
+    suite = next(s for s in report["suites"] if s["name"] == "evolution_consistency")
+    assert suite["status"] == "fail"
+    assert report["passed"] is False
+
+
+@pytest.mark.parametrize("broken", ["sum", "product"])
+def test_evolution_consistency_checks_each_lattice_equation(broken):
+    # Corrupt the frontier so that only one of the two lattice equations
+    # breaks, while the slice products prod(I) and prod(V) stay the same.
+    # Scaling I_0, I_1 by 2, 1/2 and V_0, V_1 by 1/2, 2 keeps every product
+    # V_i I_i and breaks the sum I_1 + V_0.  Adding d_i to I_i and taking
+    # d_{i+1} from V_i keeps every sum I_i + V_{i-1}; with d_0 = 0 the d_1
+    # below keeps both slice products and changes V_1 I_1.
+    st = random_state(2, 1, 3, seed=19)
+    st.evolve_to(default_time(st, deep=True) + 3)
+    bad = st.copy()
+    t = bad.frontier
+    x, y = list(bad.i_slice(t)), list(bad.v_slice(t))
+    if broken == "sum":
+        x[0], x[1], y[0], y[1] = x[0] * 2, x[1] / 2, y[0] / 2, y[1] * 2
+    else:
+        d1 = (y[0] * x[2] - y[1] * x[1]) / (y[1] + x[2])
+        d2 = -x[2] * d1 / (x[1] + d1)
+        assert d1 != 0
+        x[1], x[2], y[0], y[1] = x[1] + d1, x[2] + d2, y[0] - d1, y[1] - d2
+    bad._i[t], bad._v[t] = tuple(x), tuple(y)
+    assert bad.i_product(t) == st.i_product(t) and bad.v_product(t) == st.v_product(t)
+    assert _lattice_equations_hold(st, t) and not _lattice_equations_hold(bad, t)
+    report = run_verification(bad)
+    suite = next(s for s in report["suites"] if s["name"] == "evolution_consistency")
+    assert suite["status"] == "fail"
 
 
 def test_shift_round_trip():

@@ -218,9 +218,6 @@ def test_diag_json_and_csv(uniform_113):
     doc = diag.to_json_dict()
     assert doc["name"] == "case_b_structure"
     assert doc["passed"] is True
-    rows = list(diag.csv_rows())
-    assert len(rows) == len(diag.samples)
-    assert all(len(r) == 4 for r in rows)
 
 
 def test_zero_fiber_eigenvector_support():

@@ -3,6 +3,7 @@ import pytest
 
 from redkp import (
     BiPoly,
+    PolyMatrix,
     WordGuard,
     band_coefficients,
     build_companions,
@@ -15,14 +16,71 @@ from redkp import (
     spectral_duality,
     verify_word_append_rule,
 )
-from redkp.numeric import eigen_extension, fiber_x, matrix_eval
+from redkp.numeric import eigenvector_at, fiber_x, matrix_eval
 from redkp.lax import default_time
-from redkp.yform import (
-    BandCoefficients,
-    companion_reference_report,
-    reassemble,
-)
+from redkp.yform import BandCoefficients, reassemble
 from conftest import random_state
+
+
+def eigen_extension(state, t, point):
+    """First M+K entries of the periodic eigenvector extension g_{i+N} = y g_i."""
+    v = eigenvector_at(state, t, point)
+    n = state.params.N
+    width = state.params.M + state.params.K
+    out = np.zeros(width, dtype=complex)
+    for i in range(width):
+        out[i] = v[i % n] * point.y ** (i // n)
+    return out
+
+
+def companion_reference_report() -> dict:
+    """Fixed 3-site, width-2 reference case for the companion product.
+
+    The band rows are (1,2,1), (3,4,1), (5,6,1).  A hand derivation of this
+    Y can plausibly land on either sign of x inside the lower-right bracket,
+    a2*(c1-x) - c2*(a2*b2 - b1 +- x); the companion product carries +x there
+    (consistent with the top-right entry) and only the +x variant satisfies
+    the x-form/y-form duality, so the report records both entries and which
+    one is consistent.
+    """
+    a1, a2 = rat(1), rat(2)
+    b1, b2 = rat(3), rat(4)
+    c1, c2 = rat(5), rat(6)
+    rows = (
+        (a1, a2, rat(1)),
+        (b1, b2, rat(1)),
+        (c1, c2, rat(1)),
+    )
+    bc = BandCoefficients(n_sites=3, width=2, rows=rows)
+    _, y_matrix = build_companions(bc)
+    x = BiPoly.x()
+    expected = {
+        (0, 0): b2 * (BiPoly.constant(a1) - x),
+        (0, 1): BiPoly.constant(a2 * b2 - b1) + x,
+        (1, 0): (BiPoly.constant(a1) - x)
+        * (BiPoly.constant(c1) - x - BiPoly.constant(b2 * c2)),
+    }
+    plus_22 = a2 * (BiPoly.constant(c1) - x) - c2 * (BiPoly.constant(a2 * b2 - b1) + x)
+    minus_22 = a2 * (BiPoly.constant(c1) - x) - c2 * (BiPoly.constant(a2 * b2 - b1) - x)
+    matches = {f"{i}{j}": y_matrix.entry(i, j) == expected[(i, j)] for (i, j) in expected}
+    # duality check for both sign variants of the lower-right entry; the raw
+    # x-form characteristic polynomial is what the companion form reproduces
+    x_char = matdet(reassemble(bc) - PolyMatrix.identity(3).scale(BiPoly.x()))
+    verdicts = {}
+    for label, entry in (("plus_x", plus_22), ("minus_x", minus_22)):
+        rows_m = y_matrix.rows
+        rows_m[1][1] = entry
+        variant = PolyMatrix(rows_m)
+        char_y = matdet(variant - PolyMatrix.identity(2).scale(BiPoly.y()))
+        verdicts[label] = char_y == x_char
+    return {
+        "entries_match_display": matches,
+        "product_entry_22": repr(y_matrix.entry(1, 1)),
+        "plus_x_entry_22": repr(plus_22),
+        "minus_x_entry_22": repr(minus_22),
+        "product_uses_plus_x": y_matrix.entry(1, 1) == plus_22,
+        "duality_holds": verdicts,
+    }
 
 
 # -- band coefficients ---------------------------------------------------------
