@@ -1,15 +1,26 @@
-"""Complex floating-point diagnostics for the local analytic structure.
+"""Local structure of the spectral curve: exact leading forms at infinity and
+at the coincident point, floating-point diagnostics at finite points.
 
-Everything exact lives elsewhere; this module checks the claims that are
-inherently about limits: the branch at infinity (pole orders and eigenvector
-component decay), kernel membership at the distinguished finite points, the
-coincident-point local structure, and the two eigenvector-ratio limits that
-tie lattice values to special curve values.
+The claims at infinity and at the coincident point Q are exact.  Give the
+term y^a of entry (r, c) of a monodromy the weight (c - r) + aN.  Weights
+add under matrix products, and every factor and S has top weight 1 (its
+superdiagonal and corner y) and bottom weight 0 (its diagonal), so X_t has
+weights 0..M+K.  At infinity x takes the top weight of X_t; at Q, in case
+(b), x' = x - U takes the bottom weight of X_t - U.  The extreme-weight part
+of X_t - xI is then a matrix of monomials: the Newton-polygon argument
+(Duval, "Rational Puiseux expansions", 1989) taken on leading parts only
+(Murota, "Computing the degree of determinants via combinatorial
+relaxation", 1995).  Its determinant is the leading part of the curve, its
+cofactor column holds the leading forms of the eigenvector components, and
+a leading form of weight w grows like k^-w along y = k^-N at infinity and
+vanishes like k^w along y = k^N at Q.  Orders are ints and limits are
+rationals, compared with ``==``.
 
-Conventions: fiber roots come from the companion matrix of the monic-in-x
-polynomial, ordered by (real, imag); eigenvectors are smallest singular
-vectors with the largest-magnitude component rotated to the positive real
-axis; exponents are least-squares slopes in log-log over the k sweep.
+Kernel membership at the distinguished finite points is checked in complex
+floating point against fixed tolerances: fiber roots come from the companion
+matrix of the monic-in-x polynomial, ordered by (real, imag); eigenvectors
+are smallest singular vectors with the largest-magnitude component rotated
+to the positive real axis.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from math import gcd
 
 import numpy as np
 
+from .bipoly import BiPoly
 from .errors import (
     GcdViolation,
     IllConditioned,
@@ -34,38 +46,12 @@ from .lax import (
     shift_matrix,
     spectral_curve,
 )
-
-DEFAULT_K_VALUES = (1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3)
-RATIO_K_VALUES = (1e-2, 5e-3, 2e-3, 1e-3)
-
-
-RELIABLE_FIT_SITES = 5  # exponent fits are trustworthy in doubles up to N = 5
-
-
-def _resolvable_k_values(n: int):
-    """Sweep for exponent fits: the smallest tracked eigenvector component
-    behaves like k^(N-1), which must stay well above the double-precision
-    noise floor, so large N forces a larger smallest k.  Beyond
-    RELIABLE_FIT_SITES the window between resolvability and the asymptotic
-    regime closes and the fits degrade regardless of the sweep."""
-    k_min = 10.0 ** (-11.0 / max(n - 1, 1))
-    if k_min <= 1e-3:
-        return DEFAULT_K_VALUES
-    return tuple(np.geomspace(10 ** -0.8, k_min, 7))
-
-
-def _resolvable_ratio_ks(n: int):
-    k_min = max(1e-3, 10.0 ** (-11.0 / max(n - 1, 1)))
-    if k_min <= 1e-3:
-        return RATIO_K_VALUES
-    return tuple(np.geomspace(1e-1, k_min, 4))
-
+from .polymatrix import PolyMatrix, matdet
+from .rational import Rational, format_rational
 
 ON_CURVE_TOL = 1e-9
 EIG_TOL = 1e-9
 KERNEL_TOL = 1e-8
-EXPONENT_TOL = 0.2
-RATIO_TOL = 1e-4
 MULTIPLE_EIG_TOL = 1e-10
 
 
@@ -179,66 +165,6 @@ def eigenvector_at(state: LatticeState, t: int, point: ComplexPoint) -> np.ndarr
     return _eigvec(xnum, point.x)
 
 
-def _fit_slope(ks, values) -> float:
-    logs = np.log(np.abs(np.asarray(values, dtype=complex)))
-    return float(np.polyfit(np.log(np.asarray(ks, dtype=float)), logs.real, 1)[0])
-
-
-# -- infinity branch ---------------------------------------------------------------
-
-
-def infinity_asymptotics(state: LatticeState, t: int) -> NumericDiag:
-    """Pole orders and eigenvector decay along y = k^{-N}, x ~ k^{-(M+K)}.
-
-    Requires a unique infinity branch, i.e. gcd(M+K, N) = 1.  Fitted samples:
-    the pole order of x, the component ratios v_i/v_N ~ k^{N-i}, and the
-    one-order growth of S v, R v, L v relative to v.
-    """
-    params = state.params
-    M, K, n = params.M, params.K, params.N
-    if not params.gcd_mkn_ok:
-        raise GcdViolation(f"gcd(M+K, N) = {gcd(M + K, n)} != 1: no unique infinity branch")
-    curve = spectral_curve(state, t)
-    s_sym = shift_matrix(n)
-    r_sym = factor_r(state, t - (M - 1) * K)
-    l_sym = factor_l(state, t - M * K)
-
-    ks = list(_resolvable_k_values(n))
-    xs, vecs, growth = [], [], {"corner": [], "upper": [], "lower": []}
-    scaled_err = []
-    for k in ks:
-        y0 = k ** (-n)
-        target = k ** (-(M + K))
-        pts = fiber_x(curve, y0)
-        point = min(pts, key=lambda p: abs(p.x - target))
-        v = eigenvector_at(state, t, point)
-        xs.append(point.x)
-        vecs.append(v)
-        scaled_err.append(abs(point.x * k ** (M + K) - 1.0))
-        norm_v = np.linalg.norm(v)
-        for label, sym in (("corner", s_sym), ("upper", r_sym), ("lower", l_sym)):
-            mat = matrix_eval(sym, 0.0, y0)
-            growth[label].append(np.linalg.norm(mat @ v) / norm_v)
-
-    samples = [("x_pole_order", _fit_slope(ks, xs), float(-(M + K)))]
-    for i in range(n - 1):
-        ratios = [vec[i] / vec[n - 1] for vec in vecs]
-        samples.append((f"v{i + 1}/v{n}_order", _fit_slope(ks, ratios), float(n - 1 - i)))
-    for label, name in (("corner", "corner_shift_growth"),
-                        ("upper", "upper_factor_growth"),
-                        ("lower", "lower_factor_growth")):
-        samples.append((name, _fit_slope(ks, growth[label]), -1.0))
-    monotone = all(a > b for a, b in zip(scaled_err, scaled_err[1:]))
-    passed = monotone and all(abs(m - e) <= EXPONENT_TOL for _, m, e in samples)
-    return NumericDiag(
-        name="infinity_asymptotics",
-        samples=tuple(samples),
-        passed=passed,
-        tolerance=EXPONENT_TOL,
-        notes={"k_values": ks, "x_scaled_error": scaled_err, "scaled_error_decreasing": monotone},
-    )
-
-
 # -- kernels at the finite special points -------------------------------------------
 
 
@@ -314,86 +240,166 @@ def special_point_kernels(state: LatticeState, t: int, rng=None) -> NumericDiag:
     )
 
 
+# -- exact leading forms -------------------------------------------------------------
+
+
+def _extreme_part(m: PolyMatrix, top: bool):
+    """The largest (``top``) or smallest weight among the terms of m, whose
+    entries are polynomials in y alone, and the matrix of the terms of that
+    weight."""
+    n = m.n
+    terms = [
+        (c - r + key[1] * n, r, c, key, v)
+        for r in range(n)
+        for c in range(n)
+        for key, v in m.entry(r, c).items()
+    ]
+    w = (max if top else min)(term[0] for term in terms)
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for weight, r, c, key, v in terms:
+        if weight == w:
+            rows[r][c][key] = v
+    return w, PolyMatrix([[BiPoly(e) for e in row] for row in rows])
+
+
+def _branch_point(det: BiPoly, n: int):
+    """A point (1, rho) of the leading branch when det is c x^N + c' y^a:
+    c' rho^a = -c has the rational root rho = -c/c' for a = 1, and rho = 1
+    when c = -c'.  None otherwise."""
+    terms = dict(det.items())
+    others = [key for key in terms if key != (n, 0)]
+    if (n, 0) not in terms or len(others) != 1 or others[0][0] != 0:
+        return None
+    ratio = -terms[(n, 0)] / terms[others[0]]
+    if others[0][1] == 1:
+        return Rational(1), ratio
+    return (Rational(1), Rational(1)) if ratio == 1 else None
+
+
+@dataclass(frozen=True)
+class _LeadingForm:
+    """Extreme-weight part of X_t - xI at infinity, or of X_t - (U + x)I at
+    the coincident point (x standing for x' = x - U), and the leading forms
+    read off it."""
+
+    matrix: PolyMatrix
+    x_weight: int
+    sign: int  # -1 at infinity, where weight w is order k^-w; +1 at Q
+    point: tuple | None  # (1, rho) on the leading branch
+    column: tuple  # column N of the adjugate: the eigenvector's leading forms
+
+    def order(self, p: BiPoly):
+        """Order in k of the leading form p on the branch; None where p
+        vanishes on it."""
+        if self.point is None or p.evaluate(*self.point) == 0:
+            return None
+        (dx, dy), _ = next(iter(p.items()))
+        return self.sign * (dx * self.x_weight + dy * self.matrix.n)
+
+    def relative_order(self, num, den):
+        """Order of |num| / |den| for vectors of leading forms, each sized by
+        its largest component; None unless every order involved is known."""
+        orders = [[self.order(p) for p in vec] for vec in (num, den)]
+        if None in orders[0] + orders[1]:
+            return None
+        return min(orders[0]) - min(orders[1])
+
+
+def _leading_form(state: LatticeState, t: int, at_infinity: bool) -> _LeadingForm:
+    n = state.params.N
+    x_t = build_monodromy(state, t)
+    if not at_infinity:
+        x_t = x_t - PolyMatrix.identity(n).scale(state.site_invariants()[0])
+    w, part = _extreme_part(x_t, top=at_infinity)
+    matrix = part - PolyMatrix.identity(n).scale(BiPoly.x())
+    # the cofactors of the last row: det with that row replaced by e_i
+    rows = matrix.rows[:-1]
+    column = tuple(matdet(PolyMatrix(rows + [[int(c == i) for c in range(n)]])) for i in range(n))
+    return _LeadingForm(
+        matrix=matrix,
+        x_weight=w,
+        sign=-1 if at_infinity else 1,
+        point=_branch_point(matdet(matrix), n),
+        column=column,
+    )
+
+
+def _exact_diag(name: str, samples) -> NumericDiag:
+    return NumericDiag(
+        name=name, samples=tuple(samples), passed=all(m == e for _, m, e in samples), tolerance=0
+    )
+
+
+# -- infinity branch -----------------------------------------------------------------
+
+
+def infinity_asymptotics(state: LatticeState, t: int) -> NumericDiag:
+    """Pole orders and eigenvector decay on the branch y = k^{-N},
+    x ~ k^{-(M+K)}, read off the top-weight part of X_t - xI.
+
+    Requires a unique infinity branch, i.e. gcd(M+K, N) = 1.  Samples: the
+    pole order of x, the orders v_i/v_N ~ k^{N-i}, and the one-order growth
+    of S v, R v, L v relative to v.  A sample whose leading form vanishes on
+    the branch reads None and fails.
+    """
+    params = state.params
+    M, K, n = params.M, params.K, params.N
+    if not params.gcd_mkn_ok:
+        raise GcdViolation(f"gcd(M+K, N) = {gcd(M + K, n)} != 1: no unique infinity branch")
+    lead = _leading_form(state, t, at_infinity=True)
+    v = lead.column
+    pole = None if lead.point is None else lead.sign * lead.x_weight
+    samples = [("x_pole_order", pole, -(M + K))]
+    for i in range(n - 1):
+        samples.append((f"v{i + 1}/v{n}_order", lead.relative_order([v[i]], [v[-1]]), n - 1 - i))
+    for name, factor in (
+        ("corner_shift_growth", shift_matrix(n)),
+        ("upper_factor_growth", factor_r(state, t - (M - 1) * K)),
+        ("lower_factor_growth", factor_l(state, t - M * K)),
+    ):
+        _, top = _extreme_part(factor, top=True)
+        image = [sum((top.entry(r, c) * v[c] for c in range(n)), BiPoly.zero()) for r in range(n)]
+        samples.append((name, lead.relative_order(image, v), -1))
+    return _exact_diag("infinity_asymptotics", samples)
+
+
 # -- coincident-point structure ------------------------------------------------------
-
-
-def _branch_by_phase(state, t, y0):
-    """Pick the fiber branch whose local parameter (read off v_2/v_1) is
-    closest to the positive real axis."""
-    pts = fiber_x(spectral_curve(state, t), y0)
-    best = None
-    for p in pts:
-        try:
-            v = eigenvector_at(state, t, p)
-        except (MultipleEigenvalue, IllConditioned):
-            continue
-        ratio = v[1] / v[0]
-        score = abs(np.angle(ratio))
-        if best is None or score < best[0]:
-            best = (score, p, v)
-    if best is None:
-        raise IllConditioned("no usable branch in the fiber")
-    return best[1], best[2]
 
 
 def case_b_structure(state: LatticeState, t: int) -> NumericDiag:
     """Local structure at the coincident zero-fiber point: along y = k^N the
-    eigenvector components satisfy v_i/v_1 ~ k^{i-1}."""
+    eigenvector components satisfy v_i/v_1 ~ k^{i-1}, read off the
+    bottom-weight part of X_t - xI at Q."""
     params = state.params
     n = params.N
     if not params.gcd_mkn_ok:
         raise GcdViolation("gcd(M+K, N) != 1")
     if state.classify_case() != CASE_B:
         raise NotCaseB("site invariants are not all equal")
-    ks = list(_resolvable_k_values(n))
-    vecs = []
-    for k in ks:
-        _, v = _branch_by_phase(state, t, k ** n)
-        vecs.append(v)
-    samples = []
-    for i in range(1, n):
-        ratios = [vec[i] / vec[0] for vec in vecs]
-        samples.append((f"v{i + 1}/v1_order", _fit_slope(ks, ratios), float(i)))
-    passed = all(abs(m - e) <= EXPONENT_TOL for _, m, e in samples)
-    return NumericDiag(
-        name="case_b_structure",
-        samples=tuple(samples),
-        passed=passed,
-        tolerance=EXPONENT_TOL,
-        notes={"k_values": ks},
+    lead = _leading_form(state, t, at_infinity=False)
+    v = lead.column
+    return _exact_diag(
+        "case_b_structure",
+        [(f"v{i + 1}/v1_order", lead.relative_order([v[i]], [v[0]]), i) for i in range(1, n)],
     )
 
 
 # -- eigenvector-ratio limits -----------------------------------------------------------
 
 
-def _ratio_along_paths(state, t, t_other, k_values):
-    """The scale-free ratio (g_1^t g_N^{other}) / (g_N^t g_1^{other}) measured
-    along p -> coincident point (y = k^N) and p -> infinity (y = k^{-N});
-    returns the two extrapolated limits."""
-    params = state.params
-    n, M, K = params.N, params.M, params.K
-    curve = spectral_curve(state, t)
-    ks = list(k_values)
-
-    def measure(point):
-        v_t = eigenvector_at(state, t, point)
-        v_o = eigenvector_at(state, t_other, point)
-        return (v_t[0] * v_o[n - 1]) / (v_t[n - 1] * v_o[0])
-
-    q_vals, p_vals = [], []
-    for k in ks:
-        pt_q, _ = _branch_by_phase(state, t, k ** n)
-        q_vals.append(measure(pt_q))
-        y_inf = k ** (-n)
-        pts = fiber_x(curve, y_inf)
-        pt_p = min(pts, key=lambda p: abs(p.x - k ** (-(M + K))))
-        p_vals.append(measure(pt_p))
-
-    deg = min(2, len(ks) - 1)
-    q_limit = complex(np.polyfit(np.asarray(ks), np.asarray(q_vals), deg)[-1])
-    p_limit = complex(np.polyfit(np.asarray(ks), np.asarray(p_vals), deg)[-1])
-    return q_limit, p_limit, q_vals, p_vals
+def _ratio_limit(state, t, t_other):
+    """The limit of (v_1/v_N at t) / (v_1/v_N at t_other) at the coincident
+    point over its limit at infinity, in wire form; None unless the leading
+    forms fix both."""
+    limits = []
+    for at_infinity in (False, True):
+        a, b = (_leading_form(state, s, at_infinity) for s in (t, t_other))
+        orders = [f.relative_order([f.column[0]], [f.column[-1]]) for f in (a, b)]
+        if None in orders or (a.x_weight, a.point, orders[0]) != (b.x_weight, b.point, orders[1]):
+            return None
+        a1, an, b1, bn = (f.column[i].evaluate(*a.point) for f in (a, b) for i in (0, -1))
+        limits.append(a1 * bn / (an * b1))
+    return format_rational(limits[0] / limits[1])
 
 
 def psi_phi_ratios(state: LatticeState, t: int) -> NumericDiag:
@@ -401,8 +407,8 @@ def psi_phi_ratios(state: LatticeState, t: int) -> NumericDiag:
 
     With w(p) the ratio built from times (t, t+K), the coincident-point limit
     over the infinity limit equals I_N/I_1 of the slice at t-(M-1)K; the
-    (t, t-M) analogue gives V_N/V_1 of the slice at t-MK.  Limits are
-    polynomial extrapolations in k of the sweep values.
+    (t, t-M) analogue gives V_N/V_1 of the slice at t-MK.  Both limits are
+    exact rationals read off the leading forms at the two points.
     """
     params = state.params
     if not params.gcd_mkn_ok:
@@ -410,31 +416,12 @@ def psi_phi_ratios(state: LatticeState, t: int) -> NumericDiag:
     if state.classify_case() != CASE_B:
         raise NotCaseB("ratio limits need all site invariants equal")
     M, K, n = params.M, params.K, params.N
-    k_values = _resolvable_ratio_ks(n)
-
     i_ref = state.i_slice(t - (M - 1) * K)
     v_ref = state.v_slice(t - M * K)
-    psi_expected = float(i_ref[n - 1] / i_ref[0])
-    phi_expected = float(v_ref[n - 1] / v_ref[0])
-
-    q_psi, p_psi, q_raw, p_raw = _ratio_along_paths(state, t, t + K, k_values)
-    psi_measured = q_psi / p_psi
-    q_phi, p_phi, _, _ = _ratio_along_paths(state, t, t - M, k_values)
-    phi_measured = q_phi / p_phi
-
-    samples = (
-        ("psi_ratio", psi_measured, psi_expected),
-        ("phi_ratio", phi_measured, phi_expected),
-    )
-    passed = all(abs(m - e) <= RATIO_TOL for _, m, e in samples)
-    return NumericDiag(
-        name="psi_phi_ratios",
-        samples=samples,
-        passed=passed,
-        tolerance=RATIO_TOL,
-        notes={
-            "k_values": list(k_values),
-            "raw_coincident": q_raw,
-            "raw_infinity": p_raw,
-        },
+    return _exact_diag(
+        "psi_phi_ratios",
+        [
+            ("psi_ratio", _ratio_limit(state, t, t + K), format_rational(i_ref[n - 1] / i_ref[0])),
+            ("phi_ratio", _ratio_limit(state, t, t - M), format_rational(v_ref[n - 1] / v_ref[0])),
+        ],
     )

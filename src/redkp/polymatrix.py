@@ -226,16 +226,11 @@ def _det_leibniz(m: PolyMatrix) -> BiPoly:
     return total
 
 
-def matdet(m: PolyMatrix, method: str = "bareiss") -> BiPoly:
-    """Exact determinant; both methods return identical polynomials.
-
-    ``"bareiss"`` eliminates over the integers when the coefficients' common
-    denominator fits in ``_INTEGER_DENOMINATOR_BITS`` bits, else over Q."""
-    if method == "bareiss":
-        try:
-            return _det_bareiss(m, _common_denominator(m))
-        except ExactDivisionError as exc:  # cannot happen over an integral domain
-            raise AssertionError("fraction-free elimination failed") from exc
-    if method == "leibniz":
-        return _det_leibniz(m)
-    raise ValueError(f"unknown determinant method: {method}")
+def matdet(m: PolyMatrix) -> BiPoly:
+    """Exact determinant by Bareiss elimination, over the integers when the
+    coefficients' common denominator fits in ``_INTEGER_DENOMINATOR_BITS``
+    bits, else over Q; ``_det_leibniz`` is the tests' oracle."""
+    try:
+        return _det_bareiss(m, _common_denominator(m))
+    except ExactDivisionError as exc:  # cannot happen over an integral domain
+        raise AssertionError("fraction-free elimination failed") from exc

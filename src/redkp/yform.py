@@ -110,8 +110,9 @@ def _bands_words(state: LatticeState, t: int) -> tuple:
 
 
 def band_coefficients(state: LatticeState, t: int, method: str = "product") -> BandCoefficients:
+    """The band table at t; the product route is built once per t and state."""
     if method == "product":
-        rows = _bands_product(state, t)
+        rows = state.built(("bands", t), lambda: _bands_product(state, t))
     elif method == "words":
         rows = _bands_words(state, t)
     else:

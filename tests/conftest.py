@@ -49,3 +49,8 @@ def case_b_113():
 @pytest.fixture
 def uniform_113():
     return uniform_state(LatticeParams(1, 1, 3), 2, 1)
+
+
+@pytest.fixture
+def uniform_212():
+    return uniform_state(LatticeParams(2, 1, 2), 3, 2)

@@ -241,7 +241,7 @@ def test_criterion_8_numeric_local_structure():
         st = random_state(M, K, N, seed=seed)
         t = default_time(st, deep=True)
         inf = infinity_asymptotics(st, t)
-        ok &= inf.passed  # every fitted exponent within +-0.2
+        ok &= inf.passed  # every order at infinity exact
         ker = special_point_kernels(st, t, rng=rng)
         ok &= ker.passed  # kernel residuals <= 1e-8, controls >= 1e-5
 
@@ -257,14 +257,14 @@ def test_criterion_8_numeric_local_structure():
     ):
         t = default_time(st, deep=True)
         cb = case_b_structure(st, t)
-        ok &= cb.passed  # component orders within +-0.2
+        ok &= cb.passed  # component orders exact
         pr = psi_phi_ratios(st, t)
-        ok &= pr.passed  # limits within 1e-4 of the exact rationals
+        ok &= pr.passed  # limits equal the exact rationals
     elapsed = time.monotonic() - start
     _report(
         8,
-        f"infinity exponents within 0.2, kernel residuals <= 1e-8 with controls >= 1e-5, "
-        f"coincident-point orders within 0.2, ratio limits within 1e-4 ({elapsed:.1f}s < 60s)",
+        f"exact infinity orders, kernel residuals <= 1e-8 with controls >= 1e-5, "
+        f"exact coincident-point orders and ratio limits ({elapsed:.1f}s < 60s)",
         ok and elapsed < 60.0,
     )
 

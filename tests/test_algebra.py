@@ -11,7 +11,7 @@ from redkp.cli import main
 from redkp.errors import ExactDivisionError
 from redkp.lax import build_monodromy, default_time, spectral_curve
 from redkp.bipoly import _divide_terms
-from redkp.polymatrix import _common_denominator, _det_bareiss, _exact_int_div
+from redkp.polymatrix import _common_denominator, _det_bareiss, _det_leibniz, _exact_int_div
 from conftest import PARAM_SETS, random_state
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 9))
@@ -167,7 +167,7 @@ def test_det_identity():
 def test_det_corner_matrix():
     m = PolyMatrix([[BiPoly.zero(), BiPoly.one()], [BiPoly.y(), BiPoly.zero()]])
     assert matdet(m) == -BiPoly.y()
-    assert matdet(m, "leibniz") == -BiPoly.y()
+    assert _det_leibniz(m) == -BiPoly.y()
 
 
 # 1/(2^89 - 1) pushes the common denominator past the integer path's 64 bits
@@ -183,7 +183,7 @@ def assert_bareiss_equals_leibniz(m: PolyMatrix):
     """On m, over the integers, and on m scaled past 64 bits, over Q."""
     for a, integer in ((m, True), (m.scale(TALL_SCALE), False)):
         assert (_common_denominator(a) is not None) == integer
-        assert matdet(a, "bareiss") == matdet(a, "leibniz")
+        assert matdet(a) == _det_leibniz(a)
 
 
 def test_bareiss_equals_leibniz_4x4():
@@ -265,7 +265,7 @@ def test_det_with_zero_pivot_row_swap(monkeypatch):
 
 def test_leibniz_size_guard():
     with pytest.raises(LeibnizGuard):
-        matdet(PolyMatrix.identity(9), "leibniz")
+        _det_leibniz(PolyMatrix.identity(9))
 
 
 def test_adjugate_inverse_relation():

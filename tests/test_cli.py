@@ -307,14 +307,14 @@ def test_evolve_backward_rejected(tmp_path, classic_file):
     assert run_cli("evolve", str(fwd), "--to", "1") == 2
 
 
-def test_verify_large_n_skips_exponent_fits(tmp_path):
-    # N beyond the double-precision fit range: exponent suites skip, not fail
-    st = random_state(1, 2, 7, seed=3)
+@pytest.mark.parametrize("M,K,N", [(1, 2, 7), (2, 3, 7)])
+def test_verify_large_n_runs_infinity_asymptotics(tmp_path, M, K, N):
+    # the orders at infinity are exact, so N = 7 is checked like N = 3
+    st = random_state(M, K, N, seed=3)
     path = tmp_path / "big.json"
     path.write_text(st.dumps())
     out = tmp_path / "rep.json"
     assert run_cli("verify", str(path), "-o", str(out)) == 0
     doc = json.loads(out.read_text())
     by_name = {s["name"]: s for s in doc["suites"]}
-    assert by_name["infinity_asymptotics"]["status"] == "skipped"
-    assert "double precision" in by_name["infinity_asymptotics"]["reason"]
+    assert by_name["infinity_asymptotics"]["status"] == "pass"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import redkp.yform
 from redkp import (
     BiPoly,
     PolyMatrix,
@@ -18,6 +19,7 @@ from redkp import (
 )
 from redkp.numeric import eigenvector_at, fiber_x, matrix_eval
 from redkp.lax import default_time
+from redkp.verify import run_verification
 from redkp.yform import BandCoefficients, reassemble
 from conftest import random_state
 
@@ -123,6 +125,22 @@ def test_reassembly_reproduces_monodromy(M, K, N, seed):
     t = default_time(st)
     bc = band_coefficients(st, t)
     assert reassemble(bc) == build_monodromy(st, t)
+
+
+def test_verify_builds_the_band_table_once(monkeypatch):
+    # band_method_agreement, determinant_closed_forms (via shift_stars) and
+    # spectral_duality all read the product table at the same time
+    calls = []
+    real = redkp.yform._bands_product
+
+    def counted(state, t):
+        calls.append(t)
+        return real(state, t)
+
+    monkeypatch.setattr(redkp.yform, "_bands_product", counted)
+    report = run_verification(random_state(2, 1, 3, seed=5), seed=7)
+    assert report["passed"] is True
+    assert len(calls) == 1
 
 
 def test_word_guard():
