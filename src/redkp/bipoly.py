@@ -179,8 +179,9 @@ class BiPoly:
         return result
 
     def exact_div(self, divisor: "BiPoly") -> "BiPoly":
-        """Exact quotient over Q; raises ExactDivisionError on remainder.  The
-        same ``_divide_terms`` divides over Z in ``polymatrix``'s integer ring."""
+        """Exact quotient over Q; raises ExactDivisionError on remainder.  Over Z
+        ``_divide_terms`` runs ``polymatrix``'s two rings: D*m for a common
+        denominator D of <= 64 bits, else primitive parts, faster past 64-500 bits."""
         divisor = _coerce(divisor)
         if divisor.is_zero():
             raise ExactDivisionError("division by zero polynomial")
@@ -212,13 +213,15 @@ class BiPoly:
 
     @classmethod
     def from_records(cls, records) -> "BiPoly":
+        """Inverse of ``to_records``: each exponent pair once, as JSON ints >= 0
+        (not ``true``, ``1.9``, ``"2"``), with a nonzero wire-form rational."""
         data = {}
         for rec in records:
-            key = (int(rec["dx"]), int(rec["dy"]))
-            if key in data:
-                raise ValueError(f"duplicate term {key}")
-            data[key] = parse_rational(rec["c"])
-        return cls(data)
+            key, c = (rec["dx"], rec["dy"]), parse_rational(rec["c"])
+            if not all(type(e) is int and e >= 0 for e in key) or key in data or c == 0:
+                raise ValueError(f"not a wire-form term, or a repeated one: {rec!r}")
+            data[key] = c
+        return cls._raw(data)
 
     # -- dunder --------------------------------------------------------------
 

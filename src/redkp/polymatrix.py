@@ -1,31 +1,27 @@
 """Square matrices with bivariate polynomial entries and exact determinants.
 
-The production determinant is Bareiss fraction-free elimination: every
-division is exact over the integral domain, so intermediate entries stay
-polynomial.  One elimination (``_det_bareiss``) and one exact division
-(``bipoly._divide_terms``) run in either of two coefficient rings, chosen by
-``matdet`` from the input:
+The determinant is Bareiss fraction-free elimination, whose divisions are
+exact: one loop (``_det_bareiss``) and one ``bipoly._divide_terms`` run in
+either of two rings over Z, chosen by ``matdet``:
 
-* Z[x,y], on D*m with plain ``int`` coefficients and a ``divmod`` that
-  raises on a remainder, when the common denominator D of all coefficients
-  fits in ``_INTEGER_DENOMINATOR_BITS`` bits; the result is det(D*m) / D**n;
-* Q[x,y], on the ``Rational`` coefficients themselves with ``/``, otherwise.
+* D*m with ``int`` coefficients, when the common denominator D of all
+  coefficients fits in ``_INTEGER_DENOMINATOR_BITS`` bits;
+* primitive parts, otherwise: each entry is a Rational scalar times an
+  ``int`` term map of content 1 with a positive leading coefficient.  By
+  Gauss's lemma a product of primitive parts is primitive and their quotient
+  is exact over Z, so only a difference of two products takes a content gcd.
 
-Both return the identical polynomial.  The integer ring skips the
-normalising ``Fraction`` built for every term product, which is most of the
-cost on wide, low-height matrices: on the curves of (3,2,5) to (5,4,9) from
-small data (D of 10-24 bits) it is 7-10x faster.  Its scaled integers grow
-with D, so the Rational ring wins on tall matrices: on curves with D of
-1500-45000 bits the integer ring is up to 25x slower (Python 3.11.7,
-``fractions.Fraction``, 2 CPUs).  The Leibniz expansion is kept as an
-independent small-size oracle.
+Both give the identical polynomial.  D*m grows with D: on curves the rings
+break even near D = 500 bits at N = 3 and 64-160 bits at N >= 5; the
+integer ring runs 0.8-2.2x as fast at D <= 64 bits, 1.4-35x slower at 1000
+bits (Python 3.11.7, ``Fraction``).  The primitive ring is 6x faster than
+the Q[x,y] elimination it replaced.  The Leibniz expansion is an oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 from .bipoly import BiPoly, _coerce, _divide_terms
 from .errors import ExactDivisionError, LeibnizGuard, SizeMismatch
@@ -162,22 +158,80 @@ def _common_denominator(m: PolyMatrix):
     return d
 
 
+def _nonzero(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c}
+
+
+def _add_product(acc: dict, p: dict, q: dict, c: int) -> dict:
+    """acc += c*p*q on int term maps; sums that cancel stay in acc as 0."""
+    get = acc.get
+    for (px, py), pc in p.items():
+        pc *= c
+        for (qx, qy), qc in q.items():
+            key = (px + qx, py + qy)
+            acc[key] = get(key, 0) + pc * qc
+    return acc
+
+
+def _primitive(ints: dict, den: int):
+    """ints/den as a (Rational scalar, primitive int map) pair; None for 0."""
+    if not ints:
+        return None
+    g = 0
+    for c in ints.values():
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    if ints[max(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {key: c // g for key, c in ints.items()}
+    return Rational(g, den), ints
+
+
+def _scaled(e: BiPoly, d: int) -> dict:
+    """The int term map of d*e, for d a multiple of e's denominators."""
+    return {key: c.numerator * (d // c.denominator) for key, c in e._terms.items()}
+
+
+def _primitive_entry(e: BiPoly):
+    den = math.lcm(*(c.denominator for c in e._terms.values()))
+    return _primitive(_scaled(e, den), den)
+
+
+def _integer_update(pivot, a, lead, k, prev):
+    num = _nonzero(_add_product(_add_product({}, pivot, a, 1), lead, k, -1))
+    return _divide_terms(num, prev, _exact_int_div) if num else num
+
+
+def _primitive_update(pivot, a, lead, k, prev):
+    """``_integer_update`` on ``_primitive`` pairs, with None for zero."""
+    if a and lead and k:
+        s1, s2 = pivot[0] * a[0], lead[0] * k[0]
+        den = math.lcm(s1.denominator, s2.denominator)
+        acc = _add_product({}, pivot[1], a[1], s1.numerator * (den // s1.denominator))
+        acc = _add_product(acc, lead[1], k[1], -s2.numerator * (den // s2.denominator))
+        entry = _primitive(_nonzero(acc), den)
+    elif a or (lead and k):  # one product of primitive parts: no gcd
+        s, p, q = (pivot[0] * a[0], pivot[1], a[1]) if a else (-lead[0] * k[0], lead[1], k[1])
+        entry = s, _nonzero(_add_product({}, p, q, 1))
+    else:
+        entry = None
+    return entry and (entry[0] / prev[0], _divide_terms(entry[1], prev[1], _exact_int_div))
+
+
 def _det_bareiss(m: PolyMatrix, d) -> BiPoly:
-    """Bareiss elimination on the term maps of m's entries.  With d None the
-    coefficients stay Rational; with d a common denominator of m they are
-    the ints of d*m, and det(d*m) is divided by d**n at the end."""
+    """Bareiss elimination on the int maps of d*m, d a common denominator of
+    m, dividing det(d*m) by d**n at the end; with d None, on ``_primitive``
+    pairs, with None for a zero entry."""
     n = m.n
     if d is None:
-        a = [[e._terms for e in row] for row in m._rows]
-        div, dn = operator.truediv, 1
+        a = [[_primitive_entry(e) for e in row] for row in m._rows]
+        update, prev = _primitive_update, (Rational(1), {(0, 0): 1})
     else:
-        a = [
-            [{k: c.numerator * (d // c.denominator) for k, c in e._terms.items()} for e in row]
-            for row in m._rows
-        ]
-        div, dn = _exact_int_div, d**n
+        a = [[_scaled(e, d) for e in row] for row in m._rows]
+        update, prev = _integer_update, {(0, 0): 1}
     sign = 1
-    prev = {(0, 0): 1}
     for k in range(n - 1):
         pivot_row = k
         while not a[pivot_row][k]:
@@ -193,20 +247,11 @@ def _det_bareiss(m: PolyMatrix, d) -> BiPoly:
             row_i = a[i]
             lead = row_i[k]
             for j in range(k + 1, n):
-                acc = {}
-                get = acc.get
-                for (px, py), pc in pivot.items():
-                    for (ex, ey), ec in row_i[j].items():
-                        key = (px + ex, py + ey)
-                        acc[key] = get(key, 0) + pc * ec
-                for (lx, ly), lc in lead.items():
-                    for (ex, ey), ec in row_k[j].items():
-                        key = (lx + ex, ly + ey)
-                        acc[key] = get(key, 0) - lc * ec
-                num = {key: c for key, c in acc.items() if c}
-                row_i[j] = _divide_terms(num, prev, div) if num else num
+                row_i[j] = update(pivot, row_i[j], lead, row_k[j], prev)
         prev = pivot
-    return BiPoly._raw({key: Rational(sign * c, dn) for key, c in a[n - 1][n - 1].items()})
+    last = a[n - 1][n - 1] if d is None else (Rational(1, d**n), a[n - 1][n - 1])
+    scalar, terms = last or (0, {})
+    return BiPoly._raw({key: sign * c * scalar for key, c in terms.items()})
 
 
 def _det_leibniz(m: PolyMatrix) -> BiPoly:

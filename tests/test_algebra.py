@@ -157,6 +157,27 @@ def test_serialization_roundtrip_and_order():
     assert recs[0]["c"] == "30"  # denominator omitted when 1
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"dx": 1.9, "dy": 1, "c": "3"},
+        {"dx": 1.0, "dy": 1, "c": "3"},
+        {"dx": 1, "dy": True, "c": "3"},
+        {"dx": False, "dy": 0, "c": "3"},
+        {"dx": "02", "dy": 0, "c": "3"},
+        {"dx": -1, "dy": 0, "c": "3"},
+        {"dx": 1, "dy": 0, "c": "0"},
+        {"dx": 1, "dy": 0, "c": "-0/7"},
+        {"dx": 1, "dy": 0, "c": "1.5"},
+    ],
+)
+def test_from_records_reads_only_the_wire_form(record):
+    good = {"dx": 0, "dy": 2, "c": "-1/3"}
+    assert BiPoly.from_records([good]) == BiPoly({(0, 2): rat(-1, 3)})
+    with pytest.raises(ValueError):
+        BiPoly.from_records([good, record])
+
+
 # -- determinants ------------------------------------------------------------------
 
 
@@ -198,19 +219,28 @@ def test_bareiss_equals_leibniz_sizes(n):
     assert_bareiss_equals_leibniz(random_matrix(rng, n))
 
 
-def integer_ring_det(m: PolyMatrix, monkeypatch) -> BiPoly:
-    """_det_bareiss over Z on full_denominator(m) * m; fails if a quotient
-    of the elimination leaves the integers."""
+def ring_det(m: PolyMatrix, d, monkeypatch) -> BiPoly:
+    """_det_bareiss(m, d), failing unless every quotient of the elimination
+    is an int map, and in the primitive ring (d None) one of content 1 with
+    a positive leading coefficient."""
     divide = redkp.polymatrix._divide_terms
 
-    def integer_quotient(num, den, div):
+    def checked_quotient(num, den, div):
         quot = divide(num, den, div)
         assert all(type(c) is int for c in quot.values())
+        if d is None:
+            assert math.gcd(*quot.values()) == 1 and quot[max(quot)] > 0
         return quot
 
     with monkeypatch.context() as mp:
-        mp.setattr(redkp.polymatrix, "_divide_terms", integer_quotient)
-        return _det_bareiss(m, full_denominator(m))
+        mp.setattr(redkp.polymatrix, "_divide_terms", checked_quotient)
+        return _det_bareiss(m, d)
+
+
+def assert_rings_agree(m: PolyMatrix, monkeypatch):
+    """Z on full_denominator(m) * m, the primitive ring and Leibniz agree."""
+    det = ring_det(m, full_denominator(m), monkeypatch)
+    assert ring_det(m, None, monkeypatch) == det == _det_leibniz(m)
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
@@ -219,7 +249,71 @@ def test_integer_bareiss_equals_rational_bareiss_on_curves(params, monkeypatch):
     t = default_time(state)
     n = params[2]
     m = build_monodromy(state, t) - PolyMatrix.identity(n).scale(BiPoly.x())
-    assert integer_ring_det(m, monkeypatch) == _det_bareiss(m, None)
+    assert_rings_agree(m, monkeypatch)
+
+
+# Coefficient denominators of the primitive-ring draws: mixed, several past
+# 64 bits.
+TALL_DENOMINATORS = (1, 3, 2**61 - 1, 2**89 - 1, 2**107 - 1, 3**50)
+
+
+def tall_bipoly(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        key = (rng.randint(0, 1), rng.randint(0, 1))
+        terms[key] = rat(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice(TALL_DENOMINATORS))
+    return BiPoly(terms)
+
+
+def tall_matrix(rng, n):
+    """A random n x n matrix with a zero pivot at (0,0) (a row swap), a
+    first pivot with a negative leading coefficient, zero leads in column 0
+    (the branch without a content gcd), and rows that repeat a multiple of
+    the first pivot row on some columns (updates that cancel to zero)."""
+    zero = BiPoly.zero()
+    rows = [[tall_bipoly(rng) if rng.random() < 0.8 else zero for _ in range(n)] for _ in range(n)]
+    # the first pivot, at (1,0), has a negative leading coefficient and a
+    # denominator past 64 bits
+    lead = tall_bipoly(rng) * TALL_SCALE
+    if lead.coefficient(*max(k for k, _ in lead.items())) > 0:
+        lead = -lead
+    rows[0][0], rows[1][0] = zero, lead
+    pivot_row = rows[1]
+    for i in range(2, n):
+        r = rng.random()
+        if r < 0.3:
+            rows[i][0] = zero
+        elif r < 0.7:
+            scale = rat(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice(TALL_DENOMINATORS))
+            rows[i][0] = pivot_row[0] * scale
+            for j in range(1, n):
+                if rng.random() < 0.6:
+                    rows[i][j] = pivot_row[j] * scale
+    return PolyMatrix(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_primitive_ring_equals_leibniz(n, monkeypatch):
+    rng = random.Random(700 + n)
+    update = redkp.polymatrix._primitive_update
+    branches = set()
+
+    def traced_update(pivot, a, lead, k, prev):
+        out = update(pivot, a, lead, k, prev)
+        if a and lead and k:
+            branches.add("cancelled" if out is None else "content")
+        elif a:
+            branches.add("no content")
+        return out
+
+    monkeypatch.setattr(redkp.polymatrix, "_primitive_update", traced_update)
+    for _ in range(12 if n < 6 else 3):
+        m = tall_matrix(rng, n)
+        assert _common_denominator(m) is None
+        assert ring_det(m, None, monkeypatch) == matdet(m) == _det_leibniz(m)
+    # at n = 2 the only update is of the swapped-in row, whose lead is 0
+    expected = {"no content"} | ({"content", "cancelled"} if n > 2 else set())
+    assert expected <= branches
 
 
 def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
@@ -241,8 +335,15 @@ def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
     tall = random_state(1, 1, 3, seed=5)
     while max(v.denominator.bit_length() for v in tall.i_slice(tall.frontier)) <= 1000:
         tall.step()
+    primitive_updates = []
+    update = redkp.polymatrix._primitive_update
+    monkeypatch.setattr(
+        redkp.polymatrix,
+        "_primitive_update",
+        lambda *args: primitive_updates.append(args) or update(*args),
+    )
     assert spectral_curve(tall, tall.frontier).poly.degree_x == 3
-    assert denominators == [None]
+    assert denominators == [None] and primitive_updates
 
 
 def test_det_multiplicative():
@@ -260,7 +361,7 @@ def test_det_with_zero_pivot_row_swap(monkeypatch):
     assert matdet(singular).is_zero()
     for scale in (1, rat(2, 3), TALL_SCALE):
         for a in (m.scale(scale), singular.scale(scale)):
-            assert integer_ring_det(a, monkeypatch) == _det_bareiss(a, None)
+            assert_rings_agree(a, monkeypatch)
 
 
 def test_leibniz_size_guard():
