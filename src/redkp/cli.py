@@ -18,6 +18,7 @@ import sys
 from .degeneration import DegenerationPlan, limit_compare
 from .errors import (
     DegenerateEvolution,
+    HeightBudgetExceeded,
     InsufficientHistory,
     RedkpError,
     SingularStep,
@@ -34,7 +35,7 @@ EXIT_CHECKS_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_EVOLUTION = 3
 
-_EVOLUTION_ERRORS = (DegenerateEvolution, SingularStep, InsufficientHistory)
+_EVOLUTION_ERRORS = (DegenerateEvolution, SingularStep, InsufficientHistory, HeightBudgetExceeded)
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -70,7 +71,18 @@ def cmd_evolve(args) -> int:
     state = _load_state(args.input)
     if args.to < state.frontier:
         raise ValueError(f"target {args.to} is before the frontier {state.frontier}")
-    state.evolve_to(args.to)
+    while state.frontier < args.to:
+        t = state.step().frontier
+        if args.max_bits is None:
+            continue
+        bits = max(
+            max(v.numerator.bit_length(), v.denominator.bit_length())
+            for v in state.i_slice(t) + state.v_slice(t)
+        )
+        if bits > args.max_bits:
+            raise HeightBudgetExceeded(
+                f"t = {t} reaches {bits} bits, over --max-bits {args.max_bits}"
+            )
     _write(json.dumps(state.to_json_dict(), indent=2), args.output)
     return EXIT_OK
 
@@ -158,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="advance a state file to a target time")
     p.add_argument("input")
     p.add_argument("--to", type=int, required=True, help="target frontier time")
+    p.add_argument("--max-bits", type=int, default=None, help="exit 3 past this slice height")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(fn=cmd_evolve)
 

@@ -25,6 +25,10 @@ class SingularStep(RedkpError):
     """An intermediate site value vanished while propagating one time step."""
 
 
+class HeightBudgetExceeded(RedkpError):
+    """A stepped slice passed the bit height allowed by ``evolve --max-bits``."""
+
+
 class InsufficientHistory(RedkpError):
     """A required slice predates the initial data and cannot be produced."""
 

@@ -5,12 +5,12 @@ time step solves the cyclic one-step equations
 
     x_n = a_{n-1} + b_n - y_{n-1},      y_n = a_n b_n / x_n
 
-(a = I-slice M steps back, b = V-slice K steps back) by forming the 2x2
-monodromy of the associated linear-fractional recursion over the rationals
-and taking the fixed point belonging to the eigenvalue prod(a).  Both
-candidate eigenvalues, prod(a) and prod(b), are rational, so the selected
-branch is exactly representable and the product conservation laws hold with
-zero error; prod(b) is the excluded trivial branch.
+(a = I-slice M steps back, b = V-slice K steps back).  In z_i = 1/(x_i - b_i)
+the step is affine, z_i = (1 + b_{i-1} z_{i-1}) / a_{i-1}, with slope
+prod(b)/prod(a) round the cycle.  One Horner pass gives its finite fixed
+point: the eigenvalue-prod(a) branch of the 2x2 monodromy (``monodromy_closure``).
+z = infinity (x = b) is the excluded trivial branch of prod(b).  Every step
+is exact, so the product conservation laws hold with zero error.
 """
 
 from __future__ import annotations
@@ -70,13 +70,13 @@ def _product(values):
 
 
 def monodromy_closure(a, b):
-    """2x2 monodromy T of the cyclic step recursion.
+    """2x2 monodromy T of the cyclic step recursion: the reference the tests
+    hold the step to, as each step's (x_N, 1) is an eigenvector of T for prod_a.
 
     Returns (T, prod_a, prod_b).  trace(T) == prod_a + prod_b and
     det(T) == prod_a * prod_b hold for every a and b: det T is the product
     of the per-site determinants a_{i-1} b_{i-1}, and x_i = b_i is a cyclic
-    orbit of the recursion, so prod_b is an eigenvalue.  No input can break
-    them, so they are left to the tests rather than checked on every step.
+    orbit of the recursion, so prod_b is an eigenvalue.
     """
     n = len(a)
     t11, t12, t21, t22 = Rational(1), Rational(0), Rational(0), Rational(1)
@@ -234,19 +234,19 @@ class LatticeState:
         b = self._v[t1 - self.params.K]
         n = self.params.N
 
-        (t11, t12, t21, t22), pa, pb = monodromy_closure(a, b)
+        pa, pb = _product(a), _product(b)
         if pa == pb:
             raise DegenerateEvolution(
                 f"prod(I) == prod(V) == {format_rational(pa)} at step {t1}: "
                 "closure is not unique"
             )
-        lam = pa
-        if lam != t11:
-            x_last = t12 / (lam - t11)
-        elif t21 != 0:
-            x_last = (lam - t22) / t21
-        else:
+        # z = 1/(x - b) goes round the cycle to (pb/pa) z + s, fixed at s / (1 - pb/pa)
+        s = 0
+        for i in range(n):
+            s = (1 + b[i - 1] * s) / a[i - 1]
+        if s == 0:
             raise DegenerateEvolution(f"closure fixed point at infinity at step {t1}")
+        x_last = b[n - 1] + (1 - pb / pa) / s
 
         x = [None] * n
         y = [None] * n

@@ -137,6 +137,8 @@ def test_criterion_4_monodromy_closure():
         (t11, t12, t21, t22), pa, pb = monodromy_closure(a, b)
         ok &= t11 + t22 == pa + pb
         ok &= t11 * t22 - t12 * t21 == pa * pb
+        x_n = st.i_slice(t)[-1]  # the step's closure: (T - pa I) (x_N, 1)^T == 0
+        ok &= (t11 - pa) * x_n + t12 == 0 and t21 * x_n + t22 - pa == 0
     degenerate = new_state(LatticeParams(1, 1, 2), {0: [2, 3]}, {0: [1, 6]})
     raised = False
     try:
@@ -145,7 +147,8 @@ def test_criterion_4_monodromy_closure():
         raised = True
     _report(
         4,
-        "closure trace/det identities exact at every one of 50 steps; "
+        "closure trace/det identities exact and x_N the prod(I) eigenvector of the "
+        "monodromy at every one of 50 steps; "
         "degenerate product collision raises",
         ok and raised,
     )

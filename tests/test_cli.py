@@ -48,6 +48,32 @@ def test_evolve_errors(tmp_path):
     assert run_cli("evolve", str(garbage), "--to", "1") == 2
 
 
+@pytest.fixture
+def tall_file(tmp_path):
+    """The (1,1,3) state whose slices reach 1125 bits at t = 15 and 1997 bits at t = 20."""
+    st = new_state(LatticeParams(1, 1, 3), {0: [2, rat(3, 2), 5]}, {0: [1, rat(7, 3), 4]})
+    path = tmp_path / "tall.json"
+    path.write_text(st.dumps())
+    return str(path)
+
+
+def test_evolve_max_bits_stops_before_writing(tmp_path, tall_file, capsys):
+    out = tmp_path / "out.json"
+    assert run_cli("evolve", tall_file, "--to", "20", "--max-bits", "1000", "-o", str(out)) == 3
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "HeightBudgetExceeded",
+        "message": "t = 15 reaches 1125 bits, over --max-bits 1000",
+    }
+
+
+def test_evolve_max_bits_at_the_final_height_writes_the_default_output(tmp_path, tall_file):
+    default, budget = tmp_path / "default.json", tmp_path / "budget.json"
+    assert run_cli("evolve", tall_file, "--to", "20", "-o", str(default)) == 0
+    assert run_cli("evolve", tall_file, "--to", "20", "--max-bits", "1997", "-o", str(budget)) == 0
+    assert budget.read_bytes() == default.read_bytes()
+
+
 @pytest.mark.parametrize("text", ["1e3", "1.5", "1_000", "+3", "1e999999999"])
 def test_evolve_rejects_rationals_outside_wire_form(tmp_path, classic_state, text, capsys):
     data = classic_state.to_json_dict()

@@ -12,8 +12,10 @@ from redkp import (
     InsufficientHistory,
     LatticeParams,
     LatticeState,
+    SingularStep,
     SizeMismatch,
     ZeroValue,
+    format_rational,
     monodromy_closure,
     new_state,
     rat,
@@ -112,6 +114,97 @@ def test_degenerate_closure_raises():
     st = new_state(LatticeParams(1, 1, 2), {0: [2, 3]}, {0: [1, 6]})
     with pytest.raises(DegenerateEvolution):
         st.step()
+
+
+def monodromy_step_oracle(a, b, t1):
+    """One step solved through the 2x2 monodromy: x_N is the fixed point of T
+    for the eigenvalue prod(a), x_N = t12/(pa - t11) or (pa - t22)/t21, and the
+    one-step equations carry it round the cycle.  Raises what the step raises."""
+    (t11, t12, t21, t22), pa, pb = monodromy_closure(a, b)
+    n = len(a)
+    if pa == pb:
+        raise DegenerateEvolution(
+            f"prod(I) == prod(V) == {format_rational(pa)} at step {t1}: closure is not unique"
+        )
+    if pa != t11:
+        x_last = t12 / (pa - t11)
+    elif t21 != 0:
+        x_last = (pa - t22) / t21
+    else:
+        raise DegenerateEvolution(f"closure fixed point at infinity at step {t1}")
+    if x_last == 0:
+        raise SingularStep(f"x_{n} = 0 at step {t1}")
+    x, y = [None] * n, [None] * n
+    x[n - 1], y[n - 1] = x_last, a[n - 1] * b[n - 1] / x_last
+    for i in range(n - 1):
+        x[i] = a[i - 1] + b[i] - y[i - 1]
+        if x[i] == 0:
+            raise SingularStep(f"x_{i + 1} = 0 at step {t1}")
+        y[i] = a[i] * b[i] / x[i]
+    return tuple(x), tuple(y)
+
+
+ERRORS = (DegenerateEvolution, SingularStep)
+
+
+def step_outcome(step, *args):
+    try:
+        return step(*args)
+    except ERRORS as exc:
+        return type(exc), str(exc)
+
+
+def lattice_step(a, b):
+    st = new_state(LatticeParams(1, 1, len(a)), {0: a}, {0: b})
+    st.step()
+    return st.i_slice(1), st.v_slice(1)
+
+
+@pytest.mark.parametrize(
+    "a,b,error,message",
+    [
+        (
+            [2, 3], [1, 6], DegenerateEvolution,
+            "prod(I) == prod(V) == 6 at step 1: closure is not unique",
+        ),
+        ([1, 1, 1], [-2, 1, 1], DegenerateEvolution, "closure fixed point at infinity at step 1"),
+        ([1, 1, 1], [1, -2, 1], SingularStep, "x_3 = 0 at step 1"),
+        ([1, 1, 1], [1, 1, -2], SingularStep, "x_1 = 0 at step 1"),
+    ],
+)
+def test_step_error_branches(a, b, error, message):
+    a, b = [rat(v) for v in a], [rat(v) for v in b]
+    with pytest.raises(error) as raised:
+        lattice_step(a, b)
+    assert str(raised.value) == message
+    assert step_outcome(monodromy_step_oracle, a, b, 1) == (error, message)
+
+
+def test_step_equals_monodromy_oracle_on_signed_inputs():
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(4000):
+        n = rng.randint(1, 6)
+        a, b = (
+            [rat(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) for _ in range(n)]
+            for _ in range(2)
+        )
+        got = step_outcome(lattice_step, a, b)
+        assert got == step_outcome(monodromy_step_oracle, a, b, 1)
+        # the message up to its value or step: "prod(I)", "closure fixed point", "x_3 = 0"
+        seen.add(got[1].split(" == ")[0].split(" at ")[0] if got[0] in ERRORS else "ok")
+    assert seen >= {"ok", "prod(I)", "closure fixed point", "x_1 = 0", "x_3 = 0", "x_6 = 0"}
+
+
+def test_step_equals_monodromy_oracle_past_1000_bits():
+    st = random_state(2, 1, 3, seed=21)
+    bits = 0
+    while bits <= 1000:
+        t1 = st.frontier + 1
+        expected = monodromy_step_oracle(st.i_slice(t1 - 2), st.v_slice(t1 - 1), t1)
+        st.step()
+        assert (st.i_slice(t1), st.v_slice(t1)) == expected
+        bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in expected[0])
 
 
 def test_evolve_to_noop_and_uniform():
