@@ -122,6 +122,14 @@ def verify_compatibility(state: LatticeState, t: int) -> CompatibilityReport:
     )
 
 
+def conjugator_times(state: LatticeState, t: int) -> tuple:
+    """Times of the two factors that conjugate X_t into its time shifts: the
+    upper factor at t-(M-1)K (mu_K) and the lower factor at t-MK
+    (mu_minus_M)."""
+    M, K = state.params.M, state.params.K
+    return t - (M - 1) * K, t - M * K
+
+
 def apply_shift(state: LatticeState, t: int, which: str) -> PolyMatrix:
     """The monodromy at t conjugated by S (site shift) or a factor (time
     shift), ``a X_t a^{-1}``.
@@ -133,12 +141,13 @@ def apply_shift(state: LatticeState, t: int, which: str) -> PolyMatrix:
     Raises NonPolynomialResult when it does not hold.
     """
     M, K = state.params.M, state.params.K
+    t_upper, t_lower = conjugator_times(state, t)
     if which == SHIFT_SIGMA:
         conj, image = shift_matrix(state.params.N), build_monodromy(state.rotated(), t)
     elif which == SHIFT_MU_K:
-        conj, image = factor_r(state, t - (M - 1) * K), build_monodromy(state, t + K)
+        conj, image = factor_r(state, t_upper), build_monodromy(state, t + K)
     elif which == SHIFT_MU_MINUS_M:
-        conj, image = factor_l(state, t - M * K), build_monodromy(state, t - M)
+        conj, image = factor_l(state, t_lower), build_monodromy(state, t - M)
     else:
         raise ValueError(f"unknown shift: {which}")
     if image @ conj != conj @ build_monodromy(state, t):

@@ -25,7 +25,7 @@ to the positive real axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -41,6 +41,7 @@ from .lattice import CASE_B, LatticeState
 from .lax import (
     SpectralCurve,
     build_monodromy,
+    conjugator_times,
     factor_l,
     factor_r,
     shift_matrix,
@@ -64,13 +65,13 @@ class ComplexPoint:
 
 @dataclass(frozen=True)
 class NumericDiag:
-    """One named diagnostic: (parameter, measured, expected) samples and a verdict."""
+    """One named diagnostic: (parameter, measured, expected) samples of JSON
+    scalars (floats, ints, wire-form rationals or None) and a verdict."""
 
     name: str
     samples: tuple
     passed: bool
     tolerance: float
-    notes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,21 +79,10 @@ class NumericDiag:
             "passed": self.passed,
             "tolerance": self.tolerance,
             "samples": [
-                {"parameter": str(p), "measured": _jsonable(m), "expected": _jsonable(e)}
+                {"parameter": str(p), "measured": m, "expected": e}
                 for (p, m, e) in self.samples
             ],
-            "notes": {k: _jsonable(v) for k, v in self.notes.items()},
         }
-
-
-def _jsonable(v):
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(item) for item in v]
-    return v
 
 
 # -- curve evaluation -----------------------------------------------------------
@@ -219,7 +209,7 @@ def special_point_kernels(state: LatticeState, t: int, rng=None) -> NumericDiag:
 
     # negative controls at generic fibers
     floor = 1e3 * KERNEL_TOL
-    r_sym = factor_r(state, t - (M - 1) * K)
+    r_sym = factor_r(state, conjugator_times(state, t)[0])
     for idx in range(10):
         y0 = complex(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
         pts = fiber_x(curve, y0)
@@ -348,14 +338,15 @@ def infinity_asymptotics(state: LatticeState, t: int) -> NumericDiag:
         raise GcdViolation(f"gcd(M+K, N) = {gcd(M + K, n)} != 1: no unique infinity branch")
     lead = _leading_form(state, t, at_infinity=True)
     v = lead.column
+    t_upper, t_lower = conjugator_times(state, t)
     pole = None if lead.point is None else lead.sign * lead.x_weight
     samples = [("x_pole_order", pole, -(M + K))]
     for i in range(n - 1):
         samples.append((f"v{i + 1}/v{n}_order", lead.relative_order([v[i]], [v[-1]]), n - 1 - i))
     for name, factor in (
         ("corner_shift_growth", shift_matrix(n)),
-        ("upper_factor_growth", factor_r(state, t - (M - 1) * K)),
-        ("lower_factor_growth", factor_l(state, t - M * K)),
+        ("upper_factor_growth", factor_r(state, t_upper)),
+        ("lower_factor_growth", factor_l(state, t_lower)),
     ):
         _, top = _extreme_part(factor, top=True)
         image = [sum((top.entry(r, c) * v[c] for c in range(n)), BiPoly.zero()) for r in range(n)]
@@ -416,8 +407,8 @@ def psi_phi_ratios(state: LatticeState, t: int) -> NumericDiag:
     if state.classify_case() != CASE_B:
         raise NotCaseB("ratio limits need all site invariants equal")
     M, K, n = params.M, params.K, params.N
-    i_ref = state.i_slice(t - (M - 1) * K)
-    v_ref = state.v_slice(t - M * K)
+    t_upper, t_lower = conjugator_times(state, t)
+    i_ref, v_ref = state.i_slice(t_upper), state.v_slice(t_lower)
     return _exact_diag(
         "psi_phi_ratios",
         [

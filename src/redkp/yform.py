@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .bipoly import BiPoly
 from .errors import ExactDivisionError, SizeMismatch, WordGuard
 from .lattice import LatticeState
-from .lax import spectral_curve
+from .lax import conjugator_times, spectral_curve
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
 
@@ -189,11 +189,9 @@ def build_shift_stars(bc: BandCoefficients, i_values, v_values):
 
 def shift_stars(state: LatticeState, t: int):
     """Stars at time t, fetching the conjugating factor slices from history."""
-    M, K = state.params.M, state.params.K
+    t_upper, t_lower = conjugator_times(state, t)
     bc = band_coefficients(state, t)
-    i_slice = state.i_slice(t - (M - 1) * K)
-    v_slice = state.v_slice(t - M * K)
-    return build_shift_stars(bc, i_slice, v_slice)
+    return build_shift_stars(bc, state.i_slice(t_upper), state.v_slice(t_lower))
 
 
 @dataclass(frozen=True)
@@ -214,7 +212,7 @@ def verify_word_append_rule(state: LatticeState, t: int) -> WordAppendReport:
     width = M + K
     if width > WORD_MAX_WIDTH:
         raise WordGuard(f"word enumeration limited to width {WORD_MAX_WIDTH}")
-    i_ref = state.i_slice(t - (M - 1) * K)
+    i_ref = state.i_slice(conjugator_times(state, t)[0])
     violations = []
     checked = 0
     for length in range(1, width):

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from redkp import DegenerateEvolution, LatticeParams, new_state, rat, uniform_state
+from redkp import DegenerateEvolution, LatticeParams, LatticeState, new_state, rat, uniform_state
 
 PARAM_SETS = [(1, 1, 3), (2, 1, 3), (1, 2, 3), (3, 2, 5), (2, 3, 5)]
+
+# bit height a stepped slice may reach in a test; see ``bounded_steps``
+STEP_MAX_BITS = 100_000
 
 
 def random_rational(rng, lo=1, hi=9, den=5):
@@ -30,6 +33,27 @@ def random_state(M, K, N, seed=0, probe=40):
             seed += 1000003  # fixed stride keeps the retry deterministic
             continue
         return state
+
+
+@pytest.fixture(autouse=True)
+def bounded_steps(monkeypatch):
+    """Every step a test takes fails once its slice passes STEP_MAX_BITS.
+
+    A correct step grows heights quadratically in t, while a broken one lets
+    them explode; without a budget such a test runs on instead of failing."""
+    step = LatticeState.step
+
+    def bounded(self):
+        t = step(self).frontier
+        bits = max(
+            max(v.numerator.bit_length(), v.denominator.bit_length())
+            for v in self.i_slice(t) + self.v_slice(t)
+        )
+        if bits > STEP_MAX_BITS:
+            raise AssertionError(f"slice at t = {t} reaches {bits} bits, over {STEP_MAX_BITS}")
+        return self
+
+    monkeypatch.setattr(LatticeState, "step", bounded)
 
 
 @pytest.fixture

@@ -4,9 +4,23 @@ import pytest
 
 import redkp.lax
 import redkp.verify
-from redkp import LatticeParams, matdet, new_state, rat
+from redkp import (
+    GcdViolation,
+    LatticeParams,
+    NotCaseB,
+    WordGuard,
+    WrongParams,
+    case_b_structure,
+    hidden_invariant_check,
+    infinity_asymptotics,
+    matdet,
+    new_state,
+    rat,
+)
 from redkp.cli import main
+from redkp.lax import default_time
 from redkp.verify import run_verification
+from redkp.yform import verify_word_append_rule
 from conftest import random_state
 
 
@@ -202,9 +216,8 @@ def test_verify_reports_crashing_suite_as_fail(tmp_path, classic_state, classic_
     monkeypatch.setattr(redkp.verify, "spectral_curve", broken_curve)
     report = run_verification(classic_state, seed=7)
     statuses = {s["name"]: s["status"] for s in report["suites"]}
-    assert len(statuses) == 18
-    for name in ("isospectrality", "fiber_counts", "eigen_residuals"):
-        assert statuses[name] == "fail"
+    assert len(statuses) == 16
+    assert [name for name, status in statuses.items() if status == "fail"] == ["isospectrality"]
     by_name = {s["name"]: s for s in report["suites"]}
     assert by_name["isospectrality"]["reason"] == "AssertionError: unexpected curve degrees"
     assert statuses["evolution_consistency"] == "pass"
@@ -248,13 +261,32 @@ def test_verify_enumerates_all_suites(tmp_path, classic_file):
         "word_append_rule",
         "spectral_duality",
         "hidden_invariant",
-        "fiber_counts",
-        "eigen_residuals",
         "special_point_kernels",
         "infinity_asymptotics",
         "case_b_structure",
         "psi_phi_ratios",
     ]
+
+
+@pytest.mark.parametrize(
+    "params,suite,call,error",
+    [
+        ((1, 2, 3), "infinity_asymptotics", infinity_asymptotics, GcdViolation),
+        ((1, 1, 3), "case_b_structure", case_b_structure, NotCaseB),
+        ((1, 8, 2), "word_append_rule", verify_word_append_rule, WordGuard),
+        ((1, 1, 3), "hidden_invariant", lambda st, t: hidden_invariant_check(st), WrongParams),
+    ],
+)
+def test_verify_skip_reason_is_the_precondition_error(params, suite, call, error):
+    st = random_state(*params, seed=3)
+    t = default_time(st, deep=True)
+    evolved = st.copy()
+    evolved.evolve_to(t + 3)
+    with pytest.raises(error) as info:
+        call(evolved, t)
+    exc = info.value
+    by_name = {s["name"]: s for s in run_verification(st, seed=7)["suites"]}
+    assert by_name[suite] == {"name": suite, "status": "skipped", "reason": f"{type(exc).__name__}: {exc}"}
 
 
 def test_verify_case_b_runs_every_suite(tmp_path):

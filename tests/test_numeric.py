@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -404,6 +406,17 @@ def test_diag_json_and_csv(uniform_113):
     doc = diag.to_json_dict()
     assert doc["name"] == "case_b_structure"
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "diagnostic", [special_point_kernels, infinity_asymptotics, case_b_structure, psi_phi_ratios]
+)
+def test_diag_json_keys(diagnostic, uniform_113):
+    t = default_time(uniform_113, deep=True)
+    uniform_113.evolve_to(t + 3)
+    doc = diagnostic(uniform_113, t).to_json_dict()
+    assert set(doc) == {"name", "passed", "tolerance", "samples"}
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_zero_fiber_eigenvector_support():
