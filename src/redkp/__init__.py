@@ -1,8 +1,8 @@
 """Exact-arithmetic tools for the (M,K)-reduced non-autonomous discrete
 periodic KP lattice: evolution, monodromy matrices, spectral curves, the
-band/companion dual form, the local structure of the curve (exact at
-infinity and at the coincident point, floating point at finite points) and
-the large-parameter degeneration harness."""
+band/companion dual form, the local structure of the curve (exact leading
+forms at infinity and at the coincident point, exact ranks at the finite
+special points) and the large-parameter degeneration harness."""
 
 from .bipoly import BiPoly
 from .degeneration import (

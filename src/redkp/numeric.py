@@ -1,5 +1,5 @@
 """Local structure of the spectral curve: exact leading forms at infinity and
-at the coincident point, floating-point diagnostics at finite points.
+at the coincident point, exact ranks at the finite special points.
 
 The claims at infinity and at the coincident point Q are exact.  Give the
 term y^a of entry (r, c) of a monodromy the weight (c - r) + aN.  Weights
@@ -16,8 +16,12 @@ a leading form of weight w grows like k^-w along y = k^-N at infinity and
 vanishes like k^w along y = k^N at Q.  Orders are ints and limits are
 rationals, compared with ``==``.
 
-Kernel membership at the distinguished finite points is checked in complex
-floating point against fixed tolerances: fiber roots come from the companion
+The special points Q1, A_j and B_i are rational, so the uniqueness of the
+eigenvector there is an exact rank over Q.
+
+``fiber_x`` and ``eigenvector_at`` work in complex floating point and no
+suite calls them: they remain only as the tests' float oracles and as
+targets of the benchmark's tracer.  Fiber roots come from the companion
 matrix of the monic-in-x polynomial, ordered by (real, imag); eigenvectors
 are smallest singular vectors with the largest-magnitude component rotated
 to the positive real axis.
@@ -45,14 +49,12 @@ from .lax import (
     factor_l,
     factor_r,
     shift_matrix,
-    spectral_curve,
 )
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational, format_rational
 
 ON_CURVE_TOL = 1e-9
 EIG_TOL = 1e-9
-KERNEL_TOL = 1e-8
 MULTIPLE_EIG_TOL = 1e-10
 
 
@@ -155,79 +157,49 @@ def eigenvector_at(state: LatticeState, t: int, point: ComplexPoint) -> np.ndarr
     return _eigvec(xnum, point.x)
 
 
-# -- kernels at the finite special points -------------------------------------------
+# -- ranks at the finite special points -----------------------------------------------
 
 
-def special_point_kernels(state: LatticeState, t: int, rng=None) -> NumericDiag:
-    """Kernel membership at the distinguished points, with negative controls.
+def _rank(rows) -> int:
+    """Rank of a matrix of rationals, by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
-    Samples labelled ``ker:*`` must have residual <= kernel tolerance; the
-    ``gen:*`` controls at generic on-curve points must stay >= 1e3 x that
-    tolerance (an invertible factor cannot annihilate an eigenvector).
+
+def special_point_kernels(state: LatticeState, t: int) -> NumericDiag:
+    """The eigenvector is unique up to scale at Q1 and at every A_j and B_i:
+    X_{t'}(y0) - x0 I has rank N - 1 over Q at each of these rational points.
+
+    t' is the time at which the point's factor is the rightmost one of the
+    monodromy: t for the corner point Q1 = (U_1, 0), t + (M-1-j)K for the
+    zero of the upper factor at t - jK, and t + (K-i)M for the zero of the
+    lower factor at t - iM (the alternate product form ends in it).
     """
     params = state.params
     M, K, n = params.M, params.K, params.N
-    rng = rng or np.random.default_rng(0)
-    curve = spectral_curve(state, t)
-    sign = 1.0 if n % 2 == 0 else -1.0
+    sign = 1 if n % 2 == 0 else -1  # det of a factor vanishes at y = (-1)^N prod
+    points = [("Q1", t, state.site_invariants()[0], 0)]
+    points += [(f"A{j}", t + (M - 1 - j) * K, 0, sign * state.i_product(t - j * K)) for j in range(M)]
+    points += [(f"B{i}", t + (K - i) * M, 0, sign * state.v_product(t - i * M)) for i in range(K)]
     samples = []
-
-    def kernel_residual(factor_sym, y0, vec):
-        mat = matrix_eval(factor_sym, 0.0, y0)
-        return float(
-            np.linalg.norm(mat @ vec) / (np.linalg.norm(mat) * np.linalg.norm(vec))
-        )
-
-    # corner matrix at the first zero-fiber point; the exact eigenvalue is the
-    # first site invariant, so use it directly instead of a computed root.
-    # Every point here is an exact special point, hence residual 0.
-    u = state.site_invariants()
-    v_q1 = eigenvector_at(state, t, ComplexPoint(float(u[0]), 0.0, 0.0))
-    samples.append(
-        ("ker:corner@Q1", kernel_residual(shift_matrix(n), 0.0, v_q1), 0.0)
-    )
-
-    # upper-family points (exact eigenvalue 0): shift the monodromy time so the
-    # singular factor is the rightmost one; its determinant zero then forces
-    # kernel membership.
-    for j in range(M):
-        y_a = sign * float(state.i_product(t - j * K))
-        t_shift = t + (M - 1 - j) * K
-        vec = eigenvector_at(state, t_shift, ComplexPoint(0.0, y_a, 0.0))
-        res = kernel_residual(factor_r(state, t - j * K), y_a, vec)
-        samples.append((f"ker:upper@A{j}", res, 0.0))
-
-    # lower-family points: the alternate product form ends in the lower factor
-    # at time t - MK, so the eigenvector of the monodromy at t + (K-i)M lies in
-    # the kernel of the factor at t - iM.
-    for i in range(K):
-        y_b = sign * float(state.v_product(t - i * M))
-        t_shift = t + (K - i) * M
-        vec = eigenvector_at(state, t_shift, ComplexPoint(0.0, y_b, 0.0))
-        res = kernel_residual(factor_l(state, t - i * M), y_b, vec)
-        samples.append((f"ker:lower@B{i}", res, 0.0))
-
-    # negative controls at generic fibers
-    floor = 1e3 * KERNEL_TOL
-    r_sym = factor_r(state, conjugator_times(state, t)[0])
-    for idx in range(10):
-        y0 = complex(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        pts = fiber_x(curve, y0)
-        point = pts[int(rng.integers(0, len(pts)))]
-        vec = eigenvector_at(state, t, point)
-        res = kernel_residual(r_sym, y0, vec)
-        samples.append((f"gen:upper@random{idx}", res, floor))
-
-    passed = all(
-        (m <= KERNEL_TOL) if str(p).startswith("ker:") else (m >= e)
-        for p, m, e in samples
-    )
-    return NumericDiag(
-        name="special_point_kernels",
-        samples=tuple(samples),
-        passed=passed,
-        tolerance=KERNEL_TOL,
-    )
+    for label, t_shift, x0, y0 in points:
+        x_t = build_monodromy(state, t_shift)
+        rows = [
+            [x_t.entry(r, c).evaluate(x0, y0) - (x0 if r == c else 0) for c in range(n)]
+            for r in range(n)
+        ]
+        samples.append((f"rank:{label}", _rank(rows), n - 1))
+    return _exact_diag("special_point_kernels", samples)
 
 
 # -- exact leading forms -------------------------------------------------------------

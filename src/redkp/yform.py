@@ -42,12 +42,6 @@ class BandCoefficients:
         if any(r[self.width] != 1 for r in self.rows):
             raise AssertionError("leading band coefficient must be 1")
 
-    def e_values(self) -> tuple:
-        """E_1 = x - a_{1,0}; E_{k+1} = -a_{1,k}: the closing row of the stars."""
-        first = self.rows[0]
-        e1 = BiPoly.x() - BiPoly.constant(first[0])
-        return (e1,) + tuple(BiPoly.constant(-first[k]) for k in range(1, self.width))
-
 
 def _xi(state: LatticeState, t: int, level: int, site: int):
     """Per-site multiplier of the level-th factor in the ordered product."""
@@ -160,31 +154,20 @@ def build_companions(bc: BandCoefficients):
 
 def build_shift_stars(bc: BandCoefficients, i_values, v_values):
     """Star realisations (S*, R*, L*) of the corner matrix and the two factor
-    conjugators; site values wrap cyclically when M+K exceeds N."""
+    conjugators.  S* is the first companion C_1; R* and L* add the
+    conjugating slice along its diagonal, whose site values wrap cyclically
+    when M+K exceeds N."""
     width = bc.width
-    e_vals = bc.e_values()
-    i_vals = [Rational(v) for v in i_values]
-    v_vals = [Rational(v) for v in v_values]
-    n_i, n_v = len(i_vals), len(v_vals)
+    s_star = _companion(bc.rows[0], width)
 
-    def shell(diag_vals, n_src):
-        rows = [[BiPoly.zero() for _ in range(width)] for _ in range(width)]
-        for r in range(width - 1):
-            rows[r][r + 1] = BiPoly.one()
-            if diag_vals is not None:
-                rows[r][r] = BiPoly.constant(diag_vals[r % n_src])
-        for k in range(width):
-            rows[width - 1][k] = e_vals[k]
-        if diag_vals is not None:
-            rows[width - 1][width - 1] = rows[width - 1][width - 1] + BiPoly.constant(
-                diag_vals[(width - 1) % n_src]
-            )
+    def plus_diagonal(values):
+        vals = [Rational(v) for v in values]
+        rows = s_star.rows
+        for r in range(width):
+            rows[r][r] = rows[r][r] + BiPoly.constant(vals[r % len(vals)])
         return PolyMatrix(rows)
 
-    s_star = shell(None, 1)
-    r_star = shell(i_vals, n_i)
-    l_star = shell(v_vals, n_v)
-    return s_star, r_star, l_star
+    return s_star, plus_diagonal(i_values), plus_diagonal(v_values)
 
 
 def shift_stars(state: LatticeState, t: int):

@@ -7,7 +7,6 @@ tolerance is pinned here, nothing is deferred to later calibration.
 import json
 import time
 
-import numpy as np
 import pytest
 
 from redkp import (
@@ -237,20 +236,20 @@ def test_criterion_7_band_expansion_and_duality():
 def test_criterion_8_numeric_local_structure():
     start = time.monotonic()
     ok = True
-    rng = np.random.default_rng(12)
 
-    # infinity branch + kernels on gcd-compatible parameter sets
+    # infinity branch + special-point ranks on gcd-compatible parameter sets
     for (M, K, N, seed) in [(1, 1, 3, 3), (2, 1, 2, 4), (1, 2, 2, 5), (2, 1, 4, 6)]:
         st = random_state(M, K, N, seed=seed)
         t = default_time(st, deep=True)
         inf = infinity_asymptotics(st, t)
         ok &= inf.passed  # every order at infinity exact
-        ker = special_point_kernels(st, t, rng=rng)
-        ok &= ker.passed  # kernel residuals <= 1e-8, controls >= 1e-5
+        ker = special_point_kernels(st, t)
+        ok &= ker.passed and all(m == N - 1 for _, m, _ in ker.samples)
 
-    # kernels are not gcd-gated; exercise one incompatible set too
+    # the ranks are not gcd-gated; exercise one incompatible set too
     st = random_state(2, 1, 3, seed=7)
-    ok &= special_point_kernels(st, default_time(st, deep=True), rng=rng).passed
+    ker = special_point_kernels(st, default_time(st, deep=True))
+    ok &= ker.passed and all(m == 2 for _, m, _ in ker.samples)
 
     # coincident-point structure and ratio limits
     for st in (
@@ -266,7 +265,7 @@ def test_criterion_8_numeric_local_structure():
     elapsed = time.monotonic() - start
     _report(
         8,
-        f"exact infinity orders, kernel residuals <= 1e-8 with controls >= 1e-5, "
+        f"exact infinity orders, rank N-1 at every special point, "
         f"exact coincident-point orders and ratio limits ({elapsed:.1f}s < 60s)",
         ok and elapsed < 60.0,
     )

@@ -7,6 +7,7 @@ from redkp import (
     BiPoly,
     GcdViolation,
     LatticeParams,
+    LatticeState,
     NotCaseB,
     PolyMatrix,
     case_b_structure,
@@ -23,7 +24,8 @@ from redkp import (
     uniform_state,
 )
 from redkp.lax import build_monodromy, default_time, factor_l, factor_r
-from redkp.numeric import ON_CURVE_TOL, ComplexPoint, _leading_form, matrix_eval
+from redkp.numeric import ON_CURVE_TOL, ComplexPoint, _leading_form, _rank, matrix_eval
+from redkp.verify import run_verification
 from conftest import random_state
 
 
@@ -92,28 +94,57 @@ def test_eigenvector_rejects_off_curve_point():
         eigenvector_at(st, 0, bad)
 
 
-# -- kernels at special points ------------------------------------------------------
+# -- ranks at special points --------------------------------------------------------
 
 
 def test_kernels_classic(classic_state):
-    diag = special_point_kernels(classic_state, 0, rng=np.random.default_rng(1))
-    assert diag.passed
-    by_name = {p: m for p, m, _ in diag.samples}
-    assert by_name["ker:corner@Q1"] <= 1e-10
-    assert by_name["ker:upper@A0"] <= 1e-8
-    assert by_name["ker:lower@B0"] <= 1e-8
-    negatives = [m for p, m, _ in diag.samples if p.startswith("gen:")]
-    assert negatives and all(m >= 1e-5 for m in negatives)
+    diag = special_point_kernels(classic_state, 0)
+    assert diag.passed and diag.tolerance == 0
+    assert {p: m for p, m, _ in diag.samples} == {"rank:Q1": 1, "rank:A0": 1, "rank:B0": 1}
 
 
 @pytest.mark.parametrize("M,K,N,seed", [(2, 1, 3, 4), (1, 2, 3, 5), (2, 1, 2, 6)])
 def test_kernels_multifactor(M, K, N, seed):
     st = random_state(M, K, N, seed=seed)
     t = default_time(st, deep=True)
-    diag = special_point_kernels(st, t, rng=np.random.default_rng(2))
+    diag = special_point_kernels(st, t)
     assert diag.passed
-    kers = [p for p, _, _ in diag.samples if p.startswith("ker:")]
-    assert len(kers) == 1 + M + K  # corner + every A_j + every B_i
+    names = [p for p, _, _ in diag.samples]
+    # corner + every A_j + every B_i
+    assert names == ["rank:Q1"] + [f"rank:A{j}" for j in range(M)] + [f"rank:B{i}" for i in range(K)]
+    assert all(type(m) is int and m == e == N - 1 for _, m, e in diag.samples)
+
+
+# signed states on which the eigenvector is not unique at a special point
+RANK_DROPS = [
+    # the two I-slice products are equal, so two upper factors are singular at A
+    ('{"M":2,"K":1,"N":2,"frontier":0,"I":{"-1":["1","1"],"0":["-1","-1"]},"V":{"0":["3","1"]}}', "rank:A1", 0),
+    # case_b_structure skips this state: this suite is its only check at Q
+    ('{"M":1,"K":1,"N":3,"frontier":0,"I":{"0":["-3/2","2","-1"]},"V":{"0":["-2","3/2","3"]}}', "rank:Q1", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "text,sample,rank", RANK_DROPS, ids=["equal_i_products_212", "signed_q1_113"]
+)
+def test_verify_fails_on_a_rank_drop(text, sample, rank):
+    report = run_verification(LatticeState.loads(text), seed=7)
+    suite = {s["name"]: s for s in report["suites"]}["special_point_kernels"]
+    assert suite["status"] == "fail" and not report["passed"]
+    measured = {s["parameter"]: s["measured"] for s in suite["detail"]["diag"]["samples"]}
+    assert measured[sample] == rank
+
+
+@pytest.mark.parametrize(
+    "rows,rank",
+    [
+        ([[0, 0, 0], [0, 0, 0]], 0),
+        ([[0, 1, 2], [3, 4, 5], [6, 7, 8]], 2),  # the first pivot sits in row 1
+        ([[rat(1, 2), rat(1, 3), 1], [rat(3, 2), 1, 3], [rat(-1, 4), rat(-1, 6), rat(-1, 2)]], 1),
+    ],
+)
+def test_rank(rows, rank):
+    assert _rank([[rat(v) for v in row] for row in rows]) == rank
 
 
 # -- exact leading forms: the full-cofactor oracle --------------------------------
