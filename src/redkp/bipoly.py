@@ -197,12 +197,6 @@ class BiPoly:
             total += c * x0**dx * y0**dy
         return total
 
-    def evaluate_complex(self, x0: complex, y0: complex) -> complex:
-        total = 0j
-        for (dx, dy), c in self._terms.items():
-            total += float(c) * x0**dx * y0**dy
-        return total
-
     # -- serialization -------------------------------------------------------
 
     def to_records(self) -> list:

@@ -147,9 +147,7 @@ def cmd_degenerate(args) -> int:
     sweep = [float(z) for z in args.zeta_sweep.split(",") if z.strip()]
     if not sweep or not all(math.isfinite(z) for z in sweep):
         raise ValueError(f"zeta sweep needs one or more finite values: {args.zeta_sweep!r}")
-    plan = DegenerationPlan(
-        direction=args.direction, zeta=sweep[0], base=base, horizon=args.horizon
-    )
+    plan = DegenerationPlan(direction=args.direction, base=base, horizon=args.horizon)
     table = limit_compare(plan, sweep)
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -4,15 +4,16 @@ Seeding one slice family with a large constant zeta makes the trajectory,
 restricted to a thinned set of times, converge (as zeta grows) to a
 trajectory of the system with the corresponding parameter reduced.  The big
 and the reduced systems both evolve in exact arithmetic; only the error
-norms of the comparison are floats, so the o(1) measurement carries no
-drift of its own.
+norms of the comparison and their log-log slope (a least-squares line from
+``statistics``) are floats, so the o(1) measurement carries no drift of its
+own.
 """
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bipoly import BiPoly
 from .errors import EmptyIndexSet, WrongParams
@@ -39,7 +40,6 @@ def xi_set(M: int, K: int, horizon: int) -> list:
 @dataclass(frozen=True)
 class DegenerationPlan:
     direction: str
-    zeta: object  # Rational (exact runs) or float (sweep labels)
     base: LatticeState  # initial data of the reduced system
     horizon: int = 20
 
@@ -67,7 +67,7 @@ def _windows_at_zero(state: LatticeState):
     return i_win, v_win
 
 
-def seed_large_zeta(plan: DegenerationPlan) -> LatticeState:
+def seed_large_zeta(plan: DegenerationPlan, zeta) -> LatticeState:
     """Big-system initial state: the designated slices set to the constant
     zeta at every site, the remaining windows copied from the reduced base.
 
@@ -76,7 +76,7 @@ def seed_large_zeta(plan: DegenerationPlan) -> LatticeState:
     0..K'-1; the kept-times comparison then matches reduced time s >= 1 with
     the s-th kept big time.  reduce_K mirrors the roles.
     """
-    zeta = Rational(plan.zeta)
+    zeta = Rational(zeta)
     n = plan.base.params.N
     Mr, Kr = plan.base.params.M, plan.base.params.K
     i_win, v_win = _windows_at_zero(plan.base)
@@ -133,8 +133,7 @@ def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
     rows = []
     for z in zeta_sweep:
         # floats like 1e3 convert exactly; arbitrary rationals pass through
-        run_plan = DegenerationPlan(plan.direction, Rational(z), plan.base, plan.horizon)
-        state = seed_large_zeta(run_plan)
+        state = seed_large_zeta(plan, z)
         state.evolve_to(kept[-1])
         err = 0.0
         for s, t_big in enumerate(kept, start=1):
@@ -158,16 +157,13 @@ def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
                 scale = max(scale, abs(float(scaled[n]) / zf - 1.0))
         rows.append(ConvergenceRow(zeta=zf, max_err=err, freeze_err=freeze, scale_dev=scale))
 
-    if len(rows) >= 2:
-        slope = float(
-            np.polyfit(
-                np.log([r.zeta for r in rows]),
-                np.log([max(r.max_err, 1e-300) for r in rows]),
-                1,
-            )[0]
-        )
+    if len({r.zeta for r in rows}) >= 2:
+        slope = statistics.linear_regression(
+            [math.log(r.zeta) for r in rows],
+            [math.log(max(r.max_err, 1e-300)) for r in rows],
+        ).slope
     else:
-        slope = float("nan")  # a slope needs at least two sweep points
+        slope = float("nan")  # a slope needs two distinct sweep points
     return ConvergenceTable(direction=plan.direction, horizon=plan.horizon, rows=tuple(rows), slope=slope)
 
 
@@ -254,14 +250,15 @@ def companion_with_same_curve(state: LatticeState, p) -> LatticeState:
 
 
 def find_hidden_invariant_pair(rng, attempts: int = 200):
-    """Randomized search: two states with exactly equal curves but different
-    hidden sums, witnessing that the sum is independent of the curve data."""
+    """Randomized search, drawing from ``rng.randint`` (a ``random.Random``):
+    two states with exactly equal curves but different hidden sums,
+    witnessing that the sum is independent of the curve data."""
     from .lax import spectral_curve
 
     for _ in range(attempts):
-        vals = [Rational(int(rng.integers(1, 9)), int(rng.integers(1, 5))) for _ in range(4)]
+        vals = [Rational(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(4)]
         base = LatticeState.create(LatticeParams(1, 1, 2), {0: vals[:2]}, {0: vals[2:]})
-        p = Rational(int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+        p = Rational(rng.randint(1, 8), rng.randint(1, 4))
         other = companion_with_same_curve(base, p)
         if spectral_curve(base, 0).poly != spectral_curve(other, 0).poly:
             raise AssertionError("companion construction changed the curve")

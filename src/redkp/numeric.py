@@ -16,23 +16,22 @@ a leading form of weight w grows like k^-w along y = k^-N at infinity and
 vanishes like k^w along y = k^N at Q.  Orders are ints and limits are
 rationals, compared with ``==``.
 
-The special points Q1, A_j and B_i are rational, so the uniqueness of the
-eigenvector there is an exact rank over Q.
+The special points Q1, A_j and B_i of ``lax.special_points`` are rational,
+so the uniqueness of the eigenvector there is an exact rank over Q.
 
 ``fiber_x`` and ``eigenvector_at`` work in complex floating point and no
 suite calls them: they remain only as the tests' float oracles and as
-targets of the benchmark's tracer.  Fiber roots come from the companion
-matrix of the monic-in-x polynomial, ordered by (real, imag); eigenvectors
-are smallest singular vectors with the largest-magnitude component rotated
-to the positive real axis.
+targets of the benchmark's tracer.  They import numpy when called, so the
+package itself needs only the standard library.  Fiber roots come from the
+companion matrix of the monic-in-x polynomial, ordered by (real, imag);
+eigenvectors are smallest singular vectors with the largest-magnitude
+component rotated to the positive real axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
 
 from .bipoly import BiPoly
 from .errors import (
@@ -49,6 +48,7 @@ from .lax import (
     factor_l,
     factor_r,
     shift_matrix,
+    special_points,
 )
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational, format_rational
@@ -90,6 +90,10 @@ class NumericDiag:
 # -- curve evaluation -----------------------------------------------------------
 
 
+def _complex_value(p: BiPoly, x0: complex, y0: complex) -> complex:
+    return sum((float(c) * x0**dx * y0**dy for (dx, dy), c in p.items()), 0j)
+
+
 def curve_scale(curve: SpectralCurve, x0: complex, y0: complex) -> float:
     total = 0.0
     for (dx, dy), c in curve.poly.items():
@@ -98,12 +102,14 @@ def curve_scale(curve: SpectralCurve, x0: complex, y0: complex) -> float:
 
 
 def curve_residual(curve: SpectralCurve, x0: complex, y0: complex) -> float:
-    value = curve.poly.evaluate_complex(complex(x0), complex(y0))
+    value = _complex_value(curve.poly, complex(x0), complex(y0))
     return abs(value) / max(1.0, curve_scale(curve, x0, y0))
 
 
 def fiber_x(curve: SpectralCurve, y0: complex):
     """All N roots in x of the curve over a fixed y0, with on-curve residuals."""
+    import numpy as np
+
     n = curve.deg_x
     coeffs = np.zeros(n + 1, dtype=complex)
     for (dx, dy), c in curve.poly.items():
@@ -124,11 +130,17 @@ def fiber_x(curve: SpectralCurve, y0: complex):
 # -- eigenvectors -----------------------------------------------------------------
 
 
-def matrix_eval(pm, x0: complex, y0: complex) -> np.ndarray:
-    return np.array(pm.evaluate_complex(complex(x0), complex(y0)), dtype=complex)
+def matrix_eval(pm: PolyMatrix, x0: complex, y0: complex):
+    """The matrix of complex values of pm's entries, as a numpy array."""
+    import numpy as np
+
+    x0, y0 = complex(x0), complex(y0)
+    return np.array([[_complex_value(e, x0, y0) for e in row] for row in pm.rows], dtype=complex)
 
 
-def _eigvec(xnum: np.ndarray, x0: complex) -> np.ndarray:
+def _eigvec(xnum, x0: complex):
+    import numpy as np
+
     n = xnum.shape[0]
     shifted = xnum - x0 * np.eye(n, dtype=complex)
     scale = np.linalg.norm(xnum)
@@ -149,7 +161,7 @@ def _eigvec(xnum: np.ndarray, x0: complex) -> np.ndarray:
     return v
 
 
-def eigenvector_at(state: LatticeState, t: int, point: ComplexPoint) -> np.ndarray:
+def eigenvector_at(state: LatticeState, t: int, point: ComplexPoint):
     """Unit eigenvector of the monodromy at the given on-curve point."""
     if point.residual > ON_CURVE_TOL:
         raise IllConditioned(f"point residual {point.residual:.3g} not on curve")
@@ -187,12 +199,12 @@ def special_point_kernels(state: LatticeState, t: int) -> NumericDiag:
     """
     params = state.params
     M, K, n = params.M, params.K, params.N
-    sign = 1 if n % 2 == 0 else -1  # det of a factor vanishes at y = (-1)^N prod
-    points = [("Q1", t, state.site_invariants()[0], 0)]
-    points += [(f"A{j}", t + (M - 1 - j) * K, 0, sign * state.i_product(t - j * K)) for j in range(M)]
-    points += [(f"B{i}", t + (K - i) * M, 0, sign * state.v_product(t - i * M)) for i in range(K)]
+    sp = special_points(state, t)
+    points = [("Q1", t, sp.q_points[0])]
+    points += [(f"A{j}", t + (M - 1 - j) * K, sp.a_points[j]) for j in range(M)]
+    points += [(f"B{i}", t + (K - i) * M, sp.b_points[i]) for i in range(K)]
     samples = []
-    for label, t_shift, x0, y0 in points:
+    for label, t_shift, (x0, y0) in points:
         x_t = build_monodromy(state, t_shift)
         rows = [
             [x_t.entry(r, c).evaluate(x0, y0) - (x0 if r == c else 0) for c in range(n)]

@@ -130,11 +130,6 @@ class PolyMatrix:
                 out[j][i] = m if (i + j) % 2 == 0 else -m
         return PolyMatrix(out)
 
-    def evaluate_complex(self, x0: complex, y0: complex):
-        return [
-            [e.evaluate_complex(x0, y0) for e in row] for row in self._rows
-        ]
-
 
 def _exact_int_div(a: int, b: int) -> int:
     q, r = divmod(a, b)

@@ -75,7 +75,7 @@ def test_criterion_2_small_case_closed_forms():
     for seed in range(10):
         base = random_state(1, 1, 2, seed=100 + seed)
         zeta = rat(11 + seed, 1 + seed % 3)
-        big = seed_large_zeta(DegenerationPlan("reduce_M", zeta, base))
+        big = seed_large_zeta(DegenerationPlan("reduce_M", base), zeta)
         big.evolve_to(1)
         ok &= spectral_curve(big, 1).poly == curve_closed_form_212(
             zeta, big.i_slice(1), big.v_slice(1)
@@ -280,7 +280,7 @@ def test_criterion_9_degeneration_convergence():
         LatticeParams(2, 1, 3), {-1: [2, 3, 5], 0: [1, 4, 2]}, {0: [rat(1, 2), 5, 3]}
     )
     for base in (base_112, base_213):
-        plan = DegenerationPlan("reduce_M", rat(100), base, horizon=12)
+        plan = DegenerationPlan("reduce_M", base, horizon=12)
         table = limit_compare(plan, sweep)
         ok &= table.strictly_decreasing
         ok &= -1.3 <= table.slope <= -0.7

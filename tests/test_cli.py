@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -336,6 +340,18 @@ def test_degenerate_csv(tmp_path, classic_file):
     assert s1 == s2
 
 
+def test_degenerate_repeated_zeta_has_no_slope(tmp_path, classic_file):
+    out = tmp_path / "table.csv"
+    argv = ["degenerate", "--base", classic_file, "--direction", "reduce_M"]
+    assert run_cli(*argv, "--zeta-sweep", "1e2,1e2", "--horizon", "6", "-o", str(out)) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "zeta,max_err,fitted_slope"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["100.0", "100.0"]
+    assert rows[0][1] == rows[1][1]
+    assert all(math.isnan(float(row[2])) for row in rows)
+
+
 @pytest.mark.parametrize("sweep", ["inf", "1e999", "nan", "1e2,-inf", ","])
 def test_degenerate_rejects_non_finite_zeta(classic_file, sweep, capsys):
     argv = ["degenerate", "--base", classic_file, "--direction", "reduce_M"]
@@ -376,3 +392,42 @@ def test_verify_large_n_runs_infinity_asymptotics(tmp_path, M, K, N):
     doc = json.loads(out.read_text())
     by_name = {s["name"]: s for s in doc["suites"]}
     assert by_name["infinity_asymptotics"]["status"] == "pass"
+
+
+# -- without numpy --------------------------------------------------------------------
+
+_WITHOUT_NUMPY = """
+import sys
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from redkp.cli import main
+
+state, out = sys.argv[1], sys.argv[2]
+runs = {
+    "evolve": ["evolve", state, "--to", "5"],
+    "charpoly": ["charpoly", state],
+    "yform": ["yform", state],
+    "verify": ["verify", state, "--seed", "7"],
+    "degenerate": ["degenerate", "--base", state, "--direction", "reduce_M", "--horizon", "6"],
+}
+for name, argv in runs.items():
+    code = main(argv + ["-o", f"{out}/{name}.out"])
+    if code != 0:
+        sys.exit(f"{name} exited {code}")
+"""
+
+
+def test_every_command_runs_without_numpy(tmp_path, classic_file):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(redkp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, classic_file, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    in_process = tmp_path / "verify.json"
+    assert run_cli("verify", classic_file, "--seed", "7", "-o", str(in_process)) == 0
+    assert (tmp_path / "verify.out").read_bytes() == in_process.read_bytes()

@@ -1,4 +1,6 @@
-import numpy as np
+import math
+import random
+
 import pytest
 
 from redkp import (
@@ -73,8 +75,8 @@ def test_xi_set_mirror():
 
 
 def test_seed_reduce_m(classic_state):
-    plan = DegenerationPlan("reduce_M", rat(1000), classic_state)
-    big = seed_large_zeta(plan)
+    plan = DegenerationPlan("reduce_M", classic_state)
+    big = seed_large_zeta(plan, rat(1000))
     assert (big.params.M, big.params.K, big.params.N) == (2, 1, 2)
     assert big.i_slice(0) == (rat(1000), rat(1000))
     assert big.i_slice(-1) == classic_state.i_slice(0)
@@ -83,8 +85,8 @@ def test_seed_reduce_m(classic_state):
 
 
 def test_seed_reduce_k(classic_state):
-    plan = DegenerationPlan("reduce_K", rat(500), classic_state)
-    big = seed_large_zeta(plan)
+    plan = DegenerationPlan("reduce_K", classic_state)
+    big = seed_large_zeta(plan, rat(500))
     assert (big.params.M, big.params.K, big.params.N) == (1, 2, 2)
     assert big.v_slice(0) == (rat(500), rat(500))
     assert big.v_slice(-1) == classic_state.v_slice(0)
@@ -93,19 +95,19 @@ def test_seed_reduce_k(classic_state):
 
 def test_seed_zero_zeta_rejected(classic_state):
     with pytest.raises(ZeroValue):
-        seed_large_zeta(DegenerationPlan("reduce_M", rat(0), classic_state))
+        seed_large_zeta(DegenerationPlan("reduce_M", classic_state), rat(0))
 
 
 def test_plan_validation(classic_state):
     with pytest.raises(ValueError):
-        DegenerationPlan("sideways", rat(10), classic_state)
+        DegenerationPlan("sideways", classic_state)
 
 
 # -- convergence --------------------------------------------------------------------
 
 
 def test_limit_compare_212(classic_state):
-    plan = DegenerationPlan("reduce_M", rat(100), classic_state, horizon=10)
+    plan = DegenerationPlan("reduce_M", classic_state, horizon=10)
     table = limit_compare(plan, [1e2, 1e3, 1e4])
     errs = [r.max_err for r in table.rows]
     assert all(e > 0 for e in errs)
@@ -113,10 +115,16 @@ def test_limit_compare_212(classic_state):
     # roughly one decade of error per decade of zeta
     assert errs[0] / errs[1] > 3 and errs[1] / errs[2] > 3
     assert -1.3 <= table.slope <= -0.7
+    # the slope is the least-squares line of log max_err against log zeta
+    xs = [math.log(r.zeta) for r in table.rows]
+    ys = [math.log(e) for e in errs]
+    mx, my = sum(xs) / 3, sum(ys) / 3
+    fit = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    assert table.slope == pytest.approx(fit, rel=1e-12)
 
 
 def test_limit_compare_off_set_behaviour(classic_state):
-    plan = DegenerationPlan("reduce_M", rat(100), classic_state, horizon=8)
+    plan = DegenerationPlan("reduce_M", classic_state, horizon=8)
     table = limit_compare(plan, [1e2, 1e3])
     # frozen family: V carries over between kept times, deviation shrinks with zeta
     assert table.rows[0].freeze_err > table.rows[1].freeze_err
@@ -127,7 +135,7 @@ def test_limit_compare_off_set_behaviour(classic_state):
 
 def test_limit_compare_reduce_k():
     base = new_state(LatticeParams(1, 2, 3), {0: [2, 3, 5]}, {-1: [1, 4, 2], 0: [3, 1, 2]})
-    plan = DegenerationPlan("reduce_K", rat(100), base, horizon=8)
+    plan = DegenerationPlan("reduce_K", base, horizon=8)
     table = limit_compare(plan, [1e2, 1e3, 1e4])
     assert table.strictly_decreasing
     assert -1.3 <= table.slope <= -0.7
@@ -148,7 +156,7 @@ def test_closed_form_212_seeded(seed):
     # the closed form reads the slices one step above the constant slice
     base = random_state(1, 1, 2, seed=seed)
     zeta = rat(7 + seed, 2)
-    big = seed_large_zeta(DegenerationPlan("reduce_M", zeta, base))
+    big = seed_large_zeta(DegenerationPlan("reduce_M", base), zeta)
     big.evolve_to(1)
     expected = curve_closed_form_212(zeta, big.i_slice(1), big.v_slice(1))
     assert spectral_curve(big, 1).poly == expected
@@ -186,7 +194,7 @@ def test_companion_same_curve_different_sum(classic_state):
 
 
 def test_find_hidden_invariant_pair():
-    a, b = find_hidden_invariant_pair(np.random.default_rng(3))
+    a, b = find_hidden_invariant_pair(random.Random(3))
     assert spectral_curve(a, 0).poly == spectral_curve(b, 0).poly
     assert hidden_sum(a, 0) != hidden_sum(b, 0)
     # both remain honest evolving states
@@ -196,7 +204,18 @@ def test_find_hidden_invariant_pair():
 
 
 def test_single_zeta_sweep_has_no_slope(classic_state):
-    plan = DegenerationPlan("reduce_M", rat(100), classic_state, horizon=4)
+    plan = DegenerationPlan("reduce_M", classic_state, horizon=4)
     table = limit_compare(plan, [1e3])
     assert len(table.rows) == 1
-    assert np.isnan(table.slope)
+    assert math.isnan(table.slope)
+
+
+def test_repeated_zeta_sweep_has_no_slope(classic_state):
+    # two rows at one zeta fix no line: the slope is nan, not a fit
+    plan = DegenerationPlan("reduce_M", classic_state, horizon=4)
+    table = limit_compare(plan, [1e2, 1e2])
+    assert len(table.rows) == 2
+    assert table.rows[0] == table.rows[1]
+    assert math.isnan(table.slope)
+    assert not math.isnan(limit_compare(plan, [1e2, 1e2, 1e3]).slope)
+
