@@ -147,6 +147,8 @@ def cmd_degenerate(args) -> int:
     sweep = [float(z) for z in args.zeta_sweep.split(",") if z.strip()]
     if not sweep or not all(math.isfinite(z) for z in sweep):
         raise ValueError(f"zeta sweep needs one or more finite values: {args.zeta_sweep!r}")
+    if min(sweep) <= 0:
+        raise ValueError(f"zeta sweep values must be positive: {args.zeta_sweep!r}")
     plan = DegenerationPlan(direction=args.direction, base=base, horizon=args.horizon)
     table = limit_compare(plan, sweep)
     buf = io.StringIO()

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .bipoly import BiPoly
 from .errors import EmptyIndexSet, WrongParams
 from .lattice import LatticeParams, LatticeState
+from .lax import spectral_curve
 from .rational import Rational
 
 REDUCE_M = "reduce_M"
@@ -253,8 +254,6 @@ def find_hidden_invariant_pair(rng, attempts: int = 200):
     """Randomized search, drawing from ``rng.randint`` (a ``random.Random``):
     two states with exactly equal curves but different hidden sums,
     witnessing that the sum is independent of the curve data."""
-    from .lax import spectral_curve
-
     for _ in range(attempts):
         vals = [Rational(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(4)]
         base = LatticeState.create(LatticeParams(1, 1, 2), {0: vals[:2]}, {0: vals[2:]})

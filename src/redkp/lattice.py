@@ -52,6 +52,24 @@ class LatticeParams:
         """Recorded, not enforced: the unique-infinity-point condition."""
         return gcd(self.M + self.K, self.N) == 1
 
+    def factor_times(self, t: int) -> tuple:
+        """The factor times of the monodromy X_t in product order, as
+        (i_times, v_times): X_t = L(t-(K-1)M) ... L(t-M) L(t) R(t) R(t-K) ...
+        R(t-(M-1)K), L built from V-slices and R from I-slices."""
+        M, K = self.M, self.K
+        return tuple(t - j * K for j in range(M)), tuple(t - j * M for j in range(K - 1, -1, -1))
+
+
+def default_time(state: LatticeState, deep: bool = False) -> int:
+    """Earliest time at which the monodromy is constructible from the initial
+    data; with ``deep`` also every identity-check neighbour (X at t-K and t-M,
+    the alternate form, and the exchange factors)."""
+    if deep:
+        M, K = state.params.M, state.params.K
+        return max(state.i_min, state.v_min) + 2 * (M * K + M + K)
+    i_times, v_times = state.params.factor_times(0)
+    return max(state.i_min - min(i_times), state.v_min - min(v_times))
+
 
 def _check_values(values, n: int, label: str) -> tuple:
     vals = tuple(Rational(v) for v in values)
@@ -288,24 +306,14 @@ class LatticeState:
     def site_invariants(self) -> tuple:
         """The N per-site conserved products (the diagonal of the monodromy at y=0).
 
-        U_j multiplies the V value at times t, t-M, ..., t-(K-1)M and the I
-        value at times t, t-K, ..., t-(M-1)K; this progression form is exactly
-        invariant in t, so any sufficiently deep anchor gives the same tuple.
+        U_j multiplies the site-j values of every factor slice of X_t
+        (``LatticeParams.factor_times``); this product is exactly invariant in
+        t, so any time from ``default_time`` on gives the same tuple.
         """
-        M, K = self.params.M, self.params.K
-        anchor_min = max(self.i_min + (M - 1) * K, self.v_min + (K - 1) * M)
-        if self.frontier < anchor_min:
-            self.evolve_to(anchor_min)
-        t = self.frontier
-        out = []
-        for j in range(self.params.N):
-            u = Rational(1)
-            for r in range(K):
-                u *= self._v[t - r * M][j]
-            for r in range(M):
-                u *= self._i[t - r * K][j]
-            out.append(u)
-        return tuple(out)
+        self.evolve_to(default_time(self))
+        i_times, v_times = self.params.factor_times(self.frontier)
+        slices = [self._i[s] for s in i_times] + [self._v[s] for s in v_times]
+        return tuple(_product(v[j] for v in slices) for j in range(self.params.N))
 
     def classify_case(self) -> str:
         u = self.site_invariants()

@@ -1,14 +1,15 @@
 """Lax factors, monodromy matrices, the spectral curve and its special points.
 
 The monodromy at time t is the ordered product of K lower-family factors and
-M upper-family factors; its characteristic polynomial is independent of t,
+M upper-family factors at the times ``LatticeParams.factor_times(t)``
+schedules; its characteristic polynomial is independent of t,
 which is the anchor identity of the whole package.  Conjugation by the corner
 matrix S or by a single factor realises the site shift and the two time
 shifts.  Each is checked as an exact intertwining Z a == a X_t between
 independently built monodromies, entirely in polynomial arithmetic.
 
-The monodromy at each (t, form) and the curve at each t are built once per
-state, in its cache (``LatticeState.built``), and shared by every caller.
+The monodromy at each (t, form), and the curve and special points at each t,
+are built once per state, in its cache (``LatticeState.built``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly
 from .errors import NonPolynomialResult
-from .lattice import LatticeParams, LatticeState
+from .lattice import LatticeParams, LatticeState, default_time  # noqa: F401 (re-exported)
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
 
@@ -61,26 +62,23 @@ def factor_l(state: LatticeState, t: int) -> PolyMatrix:
 def build_monodromy(state: LatticeState, t: int, form: str = "standard") -> PolyMatrix:
     """Ordered product of the K lower and M upper factors feeding time t.
 
-    The standard form takes the upper factors at times t, t-K, ...,
-    t-(M-1)K to the right of the lower factors at t, t-M, ..., t-(K-1)M.
-    The alternate form is the provably equal product with every factor
-    pushed through the exchange identity, i.e. upper factors at t-MK, ...,
-    t-(2M-1)K followed by lower factors at t-KM, ..., t-(2K-1)M.
-    Built once per (t, form) and state.
+    The standard form is the product ``LatticeParams.factor_times(t)``
+    schedules: the lower factors to the left of the upper ones.  The
+    alternate form is the provably equal product with every factor pushed
+    through the exchange identity: the two blocks of the schedule at t-MK,
+    upper factors first.  Built once per (t, form) and state.
     """
     return state.built(("monodromy", t, form), lambda: _build_monodromy(state, t, form))
 
 
 def _build_monodromy(state: LatticeState, t: int, form: str) -> PolyMatrix:
-    M, K = state.params.M, state.params.K
-    if form == "standard":
-        mats = [factor_l(state, t - j * M) for j in range(K - 1, -1, -1)]
-        mats += [factor_r(state, t - j * K) for j in range(M)]
-    elif form == "alternate":
-        mats = [factor_r(state, t - (M + j) * K) for j in range(M)]
-        mats += [factor_l(state, t - (K + j) * M) for j in range(K - 1, -1, -1)]
-    else:
+    if form not in ("standard", "alternate"):
         raise ValueError(f"unknown monodromy form: {form}")
+    params = state.params
+    i_times, v_times = params.factor_times(t if form == "standard" else t - params.M * params.K)
+    lower = [factor_l(state, s) for s in v_times]
+    upper = [factor_r(state, s) for s in i_times]
+    mats = lower + upper if form == "standard" else upper + lower
     out = mats[0]
     for m in mats[1:]:
         out = out @ m
@@ -124,10 +122,10 @@ def verify_compatibility(state: LatticeState, t: int) -> CompatibilityReport:
 
 def conjugator_times(state: LatticeState, t: int) -> tuple:
     """Times of the two factors that conjugate X_t into its time shifts: the
-    upper factor at t-(M-1)K (mu_K) and the lower factor at t-MK
-    (mu_minus_M)."""
-    M, K = state.params.M, state.params.K
-    return t - (M - 1) * K, t - M * K
+    rightmost factor of each form of X_t, the upper factor at t-(M-1)K
+    (mu_K) and the lower factor at t-MK (mu_minus_M)."""
+    params = state.params
+    return params.factor_times(t)[0][-1], params.factor_times(t - params.M * params.K)[1][-1]
 
 
 def apply_shift(state: LatticeState, t: int, which: str) -> PolyMatrix:
@@ -209,28 +207,22 @@ def special_points(state: LatticeState, t: int) -> SpecialPoints:
 
     The y-coordinates are the exact roots of the factor determinants
     (product of the slice plus (-1)^{N+1} y), so they carry the (-1)^N
-    factor for odd N.
+    factor for odd N.  Built once per t and state.
     """
+    return state.built(("special_points", t), lambda: _special_points(state, t))
+
+
+def _special_points(state: LatticeState, t: int) -> SpecialPoints:
     params = state.params
-    M, K, n = params.M, params.K, params.N
     curve = spectral_curve(state, t)
-    sign = Rational(1) if n % 2 == 0 else Rational(-1)
+    sign = Rational(1) if params.N % 2 == 0 else Rational(-1)
     zero = Rational(0)
-    a_pts = tuple((zero, sign * state.i_product(t - j * K)) for j in range(M))
-    b_pts = tuple((zero, sign * state.v_product(t - j * M)) for j in range(K))
+    i_times, v_times = params.factor_times(t)
+    a_pts = tuple((zero, sign * state.i_product(s)) for s in i_times)
+    b_pts = tuple((zero, sign * state.v_product(s)) for s in reversed(v_times))
     q_pts = tuple((u, zero) for u in state.site_invariants())
     for (x0, y0) in (*a_pts, *b_pts, *q_pts):
         if curve.poly.evaluate(x0, y0) != 0:
             raise AssertionError(f"special point ({x0}, {y0}) not on curve")
-    p_branch = (M + K, n) if params.gcd_mkn_ok else None
+    p_branch = (params.M + params.K, params.N) if params.gcd_mkn_ok else None
     return SpecialPoints(a_points=a_pts, b_points=b_pts, q_points=q_pts, p_branch=p_branch)
-
-
-def default_time(state: LatticeState, deep: bool = False) -> int:
-    """Earliest time at which the monodromy is constructible from the initial
-    data; with ``deep`` also every identity-check neighbour (X at t-K and t-M,
-    the alternate form, and the exchange factors)."""
-    M, K = state.params.M, state.params.K
-    if deep:
-        return max(state.i_min, state.v_min) + 2 * (M * K + M + K)
-    return max(state.i_min + (M - 1) * K, state.v_min + (K - 1) * M)

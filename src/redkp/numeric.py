@@ -193,16 +193,17 @@ def special_point_kernels(state: LatticeState, t: int) -> NumericDiag:
     X_{t'}(y0) - x0 I has rank N - 1 over Q at each of these rational points.
 
     t' is the time at which the point's factor is the rightmost one of the
-    monodromy: t for the corner point Q1 = (U_1, 0), t + (M-1-j)K for the
-    zero of the upper factor at t - jK, and t + (K-i)M for the zero of the
-    lower factor at t - iM (the alternate product form ends in it).
+    monodromy (``conjugator_times``): t for the corner point Q1 = (U_1, 0),
+    the standard form for an upper factor and the alternate form, which ends
+    in a lower factor, for a lower one.
     """
-    params = state.params
-    M, K, n = params.M, params.K, params.N
+    n = state.params.N
     sp = special_points(state, t)
+    i_times, v_times = state.params.factor_times(t)
+    up, low = conjugator_times(state, 0)  # each rightmost factor's time at t' = 0
     points = [("Q1", t, sp.q_points[0])]
-    points += [(f"A{j}", t + (M - 1 - j) * K, sp.a_points[j]) for j in range(M)]
-    points += [(f"B{i}", t + (K - i) * M, sp.b_points[i]) for i in range(K)]
+    points += [(f"A{j}", s - up, p) for j, (s, p) in enumerate(zip(i_times, sp.a_points))]
+    points += [(f"B{i}", s - low, p) for i, (s, p) in enumerate(zip(v_times[::-1], sp.b_points))]
     samples = []
     for label, t_shift, (x0, y0) in points:
         x_t = build_monodromy(state, t_shift)
@@ -280,6 +281,12 @@ class _LeadingForm:
 
 
 def _leading_form(state: LatticeState, t: int, at_infinity: bool) -> _LeadingForm:
+    """The leading form at infinity or at Q of X_t, built once per state."""
+    key = ("leading_form", t, at_infinity)
+    return state.built(key, lambda: _build_leading_form(state, t, at_infinity))
+
+
+def _build_leading_form(state: LatticeState, t: int, at_infinity: bool) -> _LeadingForm:
     n = state.params.N
     x_t = build_monodromy(state, t)
     if not at_infinity:

@@ -15,6 +15,7 @@ as det S, are pinned by the tests instead.
 from __future__ import annotations
 
 from .bipoly import BiPoly
+from .degeneration import hidden_invariant_check
 from .errors import GcdViolation, NotCaseB, WordGuard, WrongParams
 from .lattice import LatticeState
 from .lax import (
@@ -68,9 +69,7 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
     def evolution_consistency():
         ok = True
         checked = 0
-        for t in range(state.i_min + M, state.frontier + 1):
-            if t - M < state.i_min or t - K < state.v_min:
-                continue
+        for t in range(max(state.i_min + M, state.v_min + K), state.frontier + 1):
             a, b = state.i_slice(t - M), state.v_slice(t - K)
             x, y = state.i_slice(t), state.v_slice(t)
             for i in range(n):
@@ -157,8 +156,6 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
         return {"_ok": rep.ok, "ratio": repr(rep.ratio)}
 
     def hidden_invariant():
-        from .degeneration import hidden_invariant_check
-
         rep = hidden_invariant_check(state, steps=20)
         return {
             "_ok": rep.constant,

@@ -43,47 +43,45 @@ class BandCoefficients:
             raise AssertionError("leading band coefficient must be 1")
 
 
-def _xi(state: LatticeState, t: int, level: int, site: int):
-    """Per-site multiplier of the level-th factor in the ordered product."""
-    M, N = state.params.M, state.params.N
-    if level <= M:
-        return state.i_slice(t - (M - level) * state.params.K)[site % N]
-    return state.v_slice(t - (level - M - 1) * M)[site % N]
+def _levels(state: LatticeState, t: int) -> list:
+    """The factor slices of X_t, rightmost (level 1) to leftmost (level M+K)."""
+    i_times, v_times = state.params.factor_times(t)
+    return [state.i_slice(s) for s in i_times[::-1]] + [state.v_slice(s) for s in v_times[::-1]]
+
+
+def _word_levels(state: LatticeState, t: int) -> list:
+    if state.params.M + state.params.K > WORD_MAX_WIDTH:
+        raise WordGuard(f"word enumeration limited to width {WORD_MAX_WIDTH}")
+    return _levels(state, t)
 
 
 def _bands_product(state: LatticeState, t: int) -> tuple:
+    """Apply the factors level by level: a factor maps row i of the table to
+    its diagonal value times row i plus row i+1 moved up one column."""
     n = state.params.N
-    width = state.params.M + state.params.K
-    coeffs = [{0: Rational(1)} for _ in range(n)]
-    for level in range(1, width + 1):
-        nxt = []
-        for i in range(n):
-            row: dict = {}
-            mult = _xi(state, t, level, i)
-            for k, v in coeffs[i].items():
-                row[k] = row.get(k, Rational(0)) + mult * v
-            for k, v in coeffs[(i + 1) % n].items():
-                row[k + 1] = row.get(k + 1, Rational(0)) + v
-            nxt.append(row)
-        coeffs = nxt
-    return tuple(
-        tuple(coeffs[i].get(k, Rational(0)) for k in range(width + 1))
-        for i in range(n)
-    )
+    levels = _levels(state, t)
+    rows = [[Rational(1)] + [Rational(0)] * len(levels) for _ in range(n)]
+    for mults in levels:
+        rows = [
+            [mults[i] * a + b for a, b in zip(rows[i], [0] + rows[(i + 1) % n][:-1])]
+            for i in range(n)
+        ]
+    return tuple(tuple(row) for row in rows)
 
 
 def word_value(state: LatticeState, t: int, word: str, site: int):
     """Value of one {s,m}-word at a row index; the letter written first is the
     outermost (last applied) factor."""
+    return _word_value(_levels(state, t), word, site)
+
+
+def _word_value(levels: list, word: str, site: int):
     val = Rational(1)
-    pos_site = site
-    length = len(word)
-    for pos, ch in enumerate(word):
-        level = length - pos
+    for ch, mults in zip(word, reversed(levels[: len(word)]), strict=True):
         if ch == "m":
-            val *= _xi(state, t, level, pos_site)
+            val *= mults[site % len(mults)]
         elif ch == "s":
-            pos_site += 1
+            site += 1
         else:
             raise ValueError(f"bad letter {ch!r}")
     return val
@@ -91,15 +89,13 @@ def word_value(state: LatticeState, t: int, word: str, site: int):
 
 def _bands_words(state: LatticeState, t: int) -> tuple:
     n = state.params.N
-    width = state.params.M + state.params.K
-    if width > WORD_MAX_WIDTH:
-        raise WordGuard(f"word enumeration limited to width {WORD_MAX_WIDTH}")
-    acc = [[Rational(0)] * (width + 1) for _ in range(n)]
-    for letters in itertools.product("sm", repeat=width):
+    levels = _word_levels(state, t)
+    acc = [[Rational(0)] * (len(levels) + 1) for _ in range(n)]
+    for letters in itertools.product("sm", repeat=len(levels)):
         word = "".join(letters)
         k = word.count("s")
         for i in range(n):
-            acc[i][k] += word_value(state, t, word, i)
+            acc[i][k] += _word_value(levels, word, i)
     return tuple(tuple(row) for row in acc)
 
 
@@ -191,11 +187,10 @@ class WordAppendReport:
 
 
 def verify_word_append_rule(state: LatticeState, t: int) -> WordAppendReport:
-    M, K, n = state.params.M, state.params.K, state.params.N
-    width = M + K
-    if width > WORD_MAX_WIDTH:
-        raise WordGuard(f"word enumeration limited to width {WORD_MAX_WIDTH}")
-    i_ref = state.i_slice(conjugator_times(state, t)[0])
+    n = state.params.N
+    levels = _word_levels(state, t)
+    width = len(levels)
+    i_ref = levels[0]  # the rightmost factor's slice, I at conjugator_times(t)[0]
     violations = []
     checked = 0
     for length in range(1, width):
@@ -203,8 +198,8 @@ def verify_word_append_rule(state: LatticeState, t: int) -> WordAppendReport:
             chi = "".join(letters)
             k = chi.count("s")
             for i in range(n):
-                lhs = word_value(state, t, chi + "m", i)
-                rhs = word_value(state, t, chi + "s", i) * i_ref[(i + k) % n]
+                lhs = _word_value(levels, chi + "m", i)
+                rhs = _word_value(levels, chi + "s", i) * i_ref[(i + k) % n]
                 checked += 1
                 if lhs != rhs:
                     violations.append((chi, i))

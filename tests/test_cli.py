@@ -11,6 +11,7 @@ import redkp.verify
 from redkp import (
     GcdViolation,
     LatticeParams,
+    LatticeState,
     NotCaseB,
     WordGuard,
     WrongParams,
@@ -361,6 +362,25 @@ def test_degenerate_rejects_non_finite_zeta(classic_file, sweep, capsys):
     assert json.loads(err[0]) == {
         "error": "ValueError",
         "message": f"zeta sweep needs one or more finite values: {sweep!r}",
+    }
+
+
+@pytest.mark.parametrize("sweep", ["-1e2,-1e3", "0", "1e2,-0.0"])
+def test_degenerate_rejects_non_positive_zeta_before_evolving(
+    classic_file, sweep, capsys, monkeypatch
+):
+    def no_step(self):
+        raise AssertionError("a rejected sweep must not evolve")
+
+    monkeypatch.setattr(LatticeState, "step", no_step)
+    argv = ["degenerate", "--base", classic_file, "--direction", "reduce_M"]
+    # the = form lets argparse take a value that starts with a minus sign
+    assert run_cli(*argv, f"--zeta-sweep={sweep}", "--horizon", "6") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "ValueError",
+        "message": f"zeta sweep values must be positive: {sweep!r}",
     }
 
 

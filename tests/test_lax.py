@@ -17,7 +17,7 @@ from redkp import (
     uniform_state,
     verify_compatibility,
 )
-from redkp import lax, polymatrix
+from redkp import lattice, lax, polymatrix
 from redkp.lax import (
     SHIFT_MU_K,
     SHIFT_MU_MINUS_M,
@@ -91,6 +91,45 @@ def test_monodromy_single_factors(classic_state):
     assert x0.entry(0, 1) == BiPoly.constant(4)
     assert x0.entry(1, 0) == BiPoly.monomial(0, 1, 7)
     assert x0.entry(1, 1) == BiPoly.y() + BiPoly.constant(15)
+
+
+def test_factor_times_in_product_order():
+    # X_t = L(t-(K-1)M) ... L(t-M) L(t) R(t) R(t-K) ... R(t-(M-1)K)
+    assert LatticeParams(2, 3, 5).factor_times(10) == ((10, 7), (6, 8, 10))
+    assert LatticeParams(3, 2, 5).factor_times(0) == ((0, -2, -4), (-3, 0))
+    assert LatticeParams(1, 1, 2).factor_times(4) == ((4,), (4,))
+
+
+def test_monodromy_is_the_scheduled_product():
+    st = random_state(2, 3, 5, seed=6)
+    t = default_time(st, deep=True)
+    # hand-ordered factors: V at t-2M, t-M, t, then I at t, t-K
+    mats = [factor_l(st, t - 4), factor_l(st, t - 2), factor_l(st, t)]
+    mats += [factor_r(st, t), factor_r(st, t - 3)]
+    expected = mats[0]
+    for m in mats[1:]:
+        expected = expected @ m
+    assert build_monodromy(st, t) == expected
+    assert lax.conjugator_times(st, t) == (t - 3, t - 6)
+
+
+@pytest.mark.parametrize("long_family", ["I", "V"])
+@pytest.mark.parametrize("M,K,N", [(1, 1, 2), (2, 1, 3), (1, 2, 3), (2, 3, 5), (3, 2, 5)])
+def test_default_time_is_the_earliest_buildable(M, K, N, long_family):
+    assert lax.default_time is lattice.default_time
+    src = random_state(M, K, N, seed=3).evolve_to(8)
+    # one family keeps nine slices, the other only its stepping window
+    i_from = 0 if long_family == "I" else 9 - M
+    v_from = 0 if long_family == "V" else 9 - K
+    st = new_state(
+        src.params,
+        {s: src.i_slice(s) for s in range(i_from, 9)},
+        {s: src.v_slice(s) for s in range(v_from, 9)},
+    )
+    t = default_time(st)
+    build_monodromy(st, t)
+    with pytest.raises(InsufficientHistory):
+        build_monodromy(st, t - 1)
 
 
 @pytest.mark.parametrize("M,K,N,seed", [(2, 1, 3, 4), (1, 2, 3, 5), (2, 3, 5, 6), (3, 2, 5, 1)])
@@ -435,6 +474,22 @@ def test_special_points_on_curve_exactly():
     for (x0, y0) in sp.all_points():
         assert curve.evaluate(x0, y0) == 0
     assert sp.p_branch == (3, 3) if st.params.gcd_mkn_ok else sp.p_branch is None
+
+
+def test_verify_builds_the_special_points_once(monkeypatch):
+    # special_points_on_curve and special_point_kernels read the same points
+    calls = []
+    real = lax._special_points
+
+    def counted(state, t):
+        calls.append(t)
+        return real(state, t)
+
+    monkeypatch.setattr(lax, "_special_points", counted)
+    report = run_verification(random_state(2, 1, 3, seed=5), seed=7)
+    statuses = {s["name"]: s["status"] for s in report["suites"]}
+    assert statuses["special_points_on_curve"] == statuses["special_point_kernels"] == "pass"
+    assert len(calls) == 1
 
 
 def test_special_points_case_b_coincide():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import redkp.numeric
 from redkp import (
     BiPoly,
     GcdViolation,
@@ -113,6 +114,24 @@ def test_kernels_multifactor(M, K, N, seed):
     # corner + every A_j + every B_i
     assert names == ["rank:Q1"] + [f"rank:A{j}" for j in range(M)] + [f"rank:B{i}" for i in range(K)]
     assert all(type(m) is int and m == e == N - 1 for _, m, e in diag.samples)
+
+
+@pytest.mark.parametrize("M,K,N,seed", [(2, 1, 3, 4), (1, 2, 3, 5), (2, 3, 5, 6)])
+def test_each_kernel_is_taken_where_its_factor_is_rightmost(M, K, N, seed, monkeypatch):
+    st = random_state(M, K, N, seed=seed)
+    t = default_time(st, deep=True)
+    times = []
+
+    def recorded(state, s, form="standard"):
+        times.append(s)
+        return build_monodromy(state, s, form)
+
+    monkeypatch.setattr(redkp.numeric, "build_monodromy", recorded)
+    special_point_kernels(st, t)
+    # R(t-jK) ends X at t+(M-1-j)K; L(t-iM) ends the alternate form of X at t+(K-i)M
+    assert times == [t] + [t + (M - 1 - j) * K for j in range(M)] + [
+        t + (K - i) * M for i in range(K)
+    ]
 
 
 # signed states on which the eigenvector is not unique at a special point
@@ -343,6 +362,25 @@ def test_case_b_structure_nonuniform(case_b_113):
             if (r, c) == (2, 0):
                 expected = BiPoly.monomial(0, 1, x0.entry(r, c).coefficient(0, 1))
             assert lead.matrix.entry(r, c) == expected
+
+
+def test_verify_builds_each_leading_form_once(case_b_113, monkeypatch):
+    # infinity_asymptotics and case_b_structure build the two forms at t_deep;
+    # psi_phi_ratios reads those again and adds both at t_deep + K and t_deep - M
+    calls = []
+    real = redkp.numeric._build_leading_form
+
+    def counted(state, t, at_infinity):
+        calls.append((t, at_infinity))
+        return real(state, t, at_infinity)
+
+    monkeypatch.setattr(redkp.numeric, "_build_leading_form", counted)
+    report = run_verification(case_b_113, seed=7)
+    statuses = {s["name"]: s["status"] for s in report["suites"]}
+    names = ("infinity_asymptotics", "case_b_structure", "psi_phi_ratios")
+    assert [statuses[name] for name in names] == ["pass"] * 3
+    t = default_time(case_b_113, deep=True)
+    assert sorted(calls) == sorted((s, q) for s in (t - 1, t, t + 1) for q in (False, True))
 
 
 def test_case_b_rejects_case_a():

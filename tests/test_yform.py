@@ -143,6 +143,30 @@ def test_verify_builds_the_band_table_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_word_routes_read_the_factor_slices_once_per_call(monkeypatch):
+    # the word loops are exponential in M + K; each call fetches the levels once
+    calls = []
+    real = redkp.yform._levels
+
+    def counted(state, t):
+        calls.append(t)
+        return real(state, t)
+
+    monkeypatch.setattr(redkp.yform, "_levels", counted)
+    st = random_state(2, 3, 5, seed=13)
+    t = default_time(st, deep=True)
+    assert band_coefficients(st, t, "words") == band_coefficients(st, t, "product")
+    assert verify_word_append_rule(st, t).ok
+    assert calls == [t] * 3
+
+
+def test_word_value_rejects_a_word_longer_than_the_product(classic_state):
+    from redkp.yform import word_value
+
+    with pytest.raises(ValueError):
+        word_value(classic_state, 0, "mmm", 0)
+
+
 def test_word_guard():
     st = random_state(5, 4, 3, seed=11)
     t = default_time(st, deep=True)
