@@ -114,8 +114,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_yform(args) -> int:
     state = _load_state(args.input)
-    M, K = state.params.M, state.params.K
-    t = args.time if args.time is not None else default_time(state) + M * K
+    t = args.time if args.time is not None else default_time(state, deep=True)
     bc = band_coefficients(state, t)
     s_star, r_star, l_star = shift_stars(state, t)
     _, y_matrix = build_companions(bc)
@@ -160,8 +159,15 @@ def cmd_degenerate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as the one-line JSON error and exit 2, in every subcommand."""
+
+    def error(self, message):
+        self.exit(_fail(argparse.ArgumentError(None, message), EXIT_VALIDATION))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="redkp",
         description="Exact evolution and spectral analysis of the reduced discrete periodic KP lattice",
     )

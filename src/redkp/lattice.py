@@ -61,14 +61,13 @@ class LatticeParams:
 
 
 def default_time(state: LatticeState, deep: bool = False) -> int:
-    """Earliest time at which the monodromy is constructible from the initial
-    data; with ``deep`` also every identity-check neighbour (X at t-K and t-M,
-    the alternate form, and the exchange factors)."""
-    if deep:
-        M, K = state.params.M, state.params.K
-        return max(state.i_min, state.v_min) + 2 * (M * K + M + K)
+    """Earliest time at which the monodromy X_t is constructible from the
+    initial data; with ``deep``, its alternate form, the schedule at t-MK, too.
+    That is enough for every check at t: X at t-K and t-M and the conjugating
+    factors at t-(M-1)K and t-MK belong to schedules from t-MK on."""
     i_times, v_times = state.params.factor_times(0)
-    return max(state.i_min - min(i_times), state.v_min - min(v_times))
+    t = max(state.i_min - min(i_times), state.v_min - min(v_times))
+    return t + state.params.M * state.params.K if deep else t
 
 
 def _check_values(values, n: int, label: str) -> tuple:

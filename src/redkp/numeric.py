@@ -281,7 +281,13 @@ class _LeadingForm:
 
 
 def _leading_form(state: LatticeState, t: int, at_infinity: bool) -> _LeadingForm:
-    """The leading form at infinity or at Q of X_t, built once per state."""
+    """The leading form at infinity or at Q of X_t, built once per state.  Both
+    need a unique branch, gcd(M+K, N) = 1, and Q needs case (b)."""
+    M, K, n = state.params.M, state.params.K, state.params.N
+    if not state.params.gcd_mkn_ok:
+        raise GcdViolation(f"gcd(M+K, N) = {gcd(M + K, n)} != 1: no unique leading branch")
+    if not at_infinity and state.classify_case() != CASE_B:
+        raise NotCaseB("site invariants are not all equal")
     key = ("leading_form", t, at_infinity)
     return state.built(key, lambda: _build_leading_form(state, t, at_infinity))
 
@@ -323,10 +329,7 @@ def infinity_asymptotics(state: LatticeState, t: int) -> NumericDiag:
     of S v, R v, L v relative to v.  A sample whose leading form vanishes on
     the branch reads None and fails.
     """
-    params = state.params
-    M, K, n = params.M, params.K, params.N
-    if not params.gcd_mkn_ok:
-        raise GcdViolation(f"gcd(M+K, N) = {gcd(M + K, n)} != 1: no unique infinity branch")
+    M, K, n = state.params.M, state.params.K, state.params.N
     lead = _leading_form(state, t, at_infinity=True)
     v = lead.column
     t_upper, t_lower = conjugator_times(state, t)
@@ -352,12 +355,7 @@ def case_b_structure(state: LatticeState, t: int) -> NumericDiag:
     """Local structure at the coincident zero-fiber point: along y = k^N the
     eigenvector components satisfy v_i/v_1 ~ k^{i-1}, read off the
     bottom-weight part of X_t - xI at Q."""
-    params = state.params
-    n = params.N
-    if not params.gcd_mkn_ok:
-        raise GcdViolation("gcd(M+K, N) != 1")
-    if state.classify_case() != CASE_B:
-        raise NotCaseB("site invariants are not all equal")
+    n = state.params.N
     lead = _leading_form(state, t, at_infinity=False)
     v = lead.column
     return _exact_diag(
@@ -392,12 +390,7 @@ def psi_phi_ratios(state: LatticeState, t: int) -> NumericDiag:
     (t, t-M) analogue gives V_N/V_1 of the slice at t-MK.  Both limits are
     exact rationals read off the leading forms at the two points.
     """
-    params = state.params
-    if not params.gcd_mkn_ok:
-        raise GcdViolation("gcd(M+K, N) != 1")
-    if state.classify_case() != CASE_B:
-        raise NotCaseB("ratio limits need all site invariants equal")
-    M, K, n = params.M, params.K, params.N
+    M, K, n = state.params.M, state.params.K, state.params.N
     t_upper, t_lower = conjugator_times(state, t)
     i_ref, v_ref = state.i_slice(t_upper), state.v_slice(t_lower)
     return _exact_diag(

@@ -20,6 +20,7 @@ from redkp import (
     infinity_asymptotics,
     matdet,
     new_state,
+    psi_phi_ratios,
     rat,
 )
 from redkp.cli import main
@@ -280,6 +281,9 @@ def test_verify_enumerates_all_suites(tmp_path, classic_file):
         ((1, 1, 3), "case_b_structure", case_b_structure, NotCaseB),
         ((1, 8, 2), "word_append_rule", verify_word_append_rule, WordGuard),
         ((1, 1, 3), "hidden_invariant", lambda st, t: hidden_invariant_check(st), WrongParams),
+        ((1, 2, 3), "case_b_structure", case_b_structure, GcdViolation),
+        ((1, 2, 3), "psi_phi_ratios", psi_phi_ratios, GcdViolation),
+        ((1, 1, 3), "psi_phi_ratios", psi_phi_ratios, NotCaseB),
     ],
 )
 def test_verify_skip_reason_is_the_precondition_error(params, suite, call, error):
@@ -387,6 +391,27 @@ def test_degenerate_rejects_non_positive_zeta_before_evolving(
 def test_unknown_flag_rejected(classic_file):
     with pytest.raises(SystemExit):
         run_cli("charpoly", classic_file, "--bogus")
+
+
+@pytest.mark.parametrize(
+    "argv,argument",
+    [
+        (["evolve", "STATE", "--to", "abc"], "--to"),
+        # a value that starts with a minus sign reads as an option when given apart
+        (
+            ["degenerate", "--base", "STATE", "--direction", "reduce_M", "--zeta-sweep", "-1e2,-1e3"],
+            "--zeta-sweep",
+        ),
+    ],
+)
+def test_usage_errors_are_one_json_line(classic_file, argv, argument, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*(classic_file if a == "STATE" else a for a in argv))
+    assert info.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "ArgumentError" and doc["message"].startswith(f"argument {argument}:")
 
 
 def test_evolve_to_frontier_is_noop(tmp_path, classic_file):

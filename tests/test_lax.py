@@ -17,7 +17,7 @@ from redkp import (
     uniform_state,
     verify_compatibility,
 )
-from redkp import lattice, lax, polymatrix
+from redkp import cli, lattice, lax, polymatrix
 from redkp.lax import (
     SHIFT_MU_K,
     SHIFT_MU_MINUS_M,
@@ -115,7 +115,7 @@ def test_monodromy_is_the_scheduled_product():
 
 @pytest.mark.parametrize("long_family", ["I", "V"])
 @pytest.mark.parametrize("M,K,N", [(1, 1, 2), (2, 1, 3), (1, 2, 3), (2, 3, 5), (3, 2, 5)])
-def test_default_time_is_the_earliest_buildable(M, K, N, long_family):
+def test_default_time_is_the_earliest_buildable(M, K, N, long_family, tmp_path):
     assert lax.default_time is lattice.default_time
     src = random_state(M, K, N, seed=3).evolve_to(8)
     # one family keeps nine slices, the other only its stepping window
@@ -130,6 +130,19 @@ def test_default_time_is_the_earliest_buildable(M, K, N, long_family):
     build_monodromy(st, t)
     with pytest.raises(InsufficientHistory):
         build_monodromy(st, t - 1)
+    # the deep anchor is the earliest time the alternate form builds
+    deep = default_time(st, deep=True)
+    assert deep == t + M * K
+    build_monodromy(st, deep, "alternate")
+    with pytest.raises(InsufficientHistory):
+        build_monodromy(st, deep - 1, "alternate")
+    # and yform's default time
+    path = tmp_path / "s.json"
+    path.write_text(st.dumps())
+    outs = [tmp_path / "default.json", tmp_path / "explicit.json"]
+    assert cli.main(["yform", str(path), "-o", str(outs[0])]) == 0
+    assert cli.main(["yform", str(path), "--time", str(t + M * K), "-o", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("M,K,N,seed", [(2, 1, 3, 4), (1, 2, 3, 5), (2, 3, 5, 6), (3, 2, 5, 1)])
@@ -221,9 +234,10 @@ def test_exchange_identities_are_the_lattice_equations_and_time_shifts(M, K, N, 
     # Each residual of verify_compatibility is zero exactly when an identity
     # checked elsewhere holds: the factor exchange at t is the lattice
     # equations at t, the monodromy exchanges are mu_{-M} at t and mu_K at
-    # t - K.  One slice at a time is corrupted around t, so both outcomes occur.
+    # t - K.  One slice at a time is corrupted around t, so both outcomes occur;
+    # the window reaches back to t - MK - M - K, so t sits M + K past the anchor.
     st = random_state(M, K, N, seed=seed)
-    t = default_time(st, deep=True)
+    t = default_time(st, deep=True) + M + K
     st.evolve_to(t + 2)
     outcomes = set()
     for s in range(t - M * K - M - K, t + 2):
