@@ -42,6 +42,24 @@ def _divide_terms(num: dict, den: dict, div) -> dict:
     return quot
 
 
+def _nonzero(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c}
+
+
+def _add_product(acc: dict, p: dict, q: dict, c=1) -> dict:
+    """acc += c*p*q on term maps over any coefficient ring; sums that cancel
+    stay in acc as 0."""
+    get = acc.get
+    for (px, py), pc in p.items():
+        if c != 1:
+            pc *= c
+        for (qx, qy), qc in q.items():
+            key = (px + qx, py + qy)
+            cur = get(key)
+            acc[key] = pc * qc if cur is None else cur + pc * qc
+    return acc
+
+
 def _coerce(value) -> "BiPoly":
     if isinstance(value, BiPoly):
         return value
@@ -149,19 +167,7 @@ class BiPoly:
 
     def __mul__(self, other) -> "BiPoly":
         other = _coerce(other)
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return BiPoly._raw({})
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        for (ax, ay), ac in a.items():
-            for (bx, by), bc in b.items():
-                key = (ax + bx, ay + by)
-                cur = get(key)
-                out[key] = ac * bc if cur is None else cur + ac * bc
-        return BiPoly._raw({k: c for k, c in out.items() if c != 0})
+        return BiPoly._raw(_nonzero(_add_product({}, self._terms, other._terms)))
 
     __rmul__ = __mul__
 
@@ -190,12 +196,14 @@ class BiPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x0, y0):
-        """Exact value at a rational point; a ring homomorphism."""
+        """Exact value at a rational point; a ring homomorphism.  The terms a
+        zero coordinate kills are skipped (0**0 = 1 keeps the constant term),
+        and each power of x0 and y0 is taken once."""
         x0, y0 = Rational(x0), Rational(y0)
-        total = _ZERO
-        for (dx, dy), c in self._terms.items():
-            total += c * x0**dx * y0**dy
-        return total
+        live = [(dx, dy, c) for (dx, dy), c in self._terms.items() if (x0 or not dx) and (y0 or not dy)]
+        xs = {dx: x0**dx for dx in {dx for dx, _, _ in live}}
+        ys = {dy: y0**dy for dy in {dy for _, dy, _ in live}}
+        return sum((c * xs[dx] * ys[dy] for dx, dy, c in live), _ZERO)
 
     # -- serialization -------------------------------------------------------
 
@@ -227,6 +235,8 @@ class BiPoly:
         return NotImplemented
 
     def __hash__(self):
+        if self._terms.keys() <= {(0, 0)}:  # equals its scalar, so hashes as it
+            return hash(self.coefficient(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

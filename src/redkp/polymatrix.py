@@ -1,5 +1,10 @@
 """Square matrices with bivariate polynomial entries and exact determinants.
 
+The product skips the zero entries of both operands (a banded Lax factor has
+2N nonzero entries of N^2) and sums each output entry in one term map with
+``bipoly._add_product``, the accumulator of ``BiPoly.__mul__`` and of Bareiss,
+dropping the sums that cancel.
+
 The determinant is Bareiss fraction-free elimination, whose divisions are
 exact: one loop (``_det_bareiss``) and one ``bipoly._divide_terms`` run in
 either of two rings over Z, chosen by ``matdet``:
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .bipoly import BiPoly, _coerce, _divide_terms
+from .bipoly import BiPoly, _add_product, _coerce, _divide_terms, _nonzero
 from .errors import ExactDivisionError, LeibnizGuard, SizeMismatch
 from .rational import Rational
 
@@ -60,17 +65,15 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.n != other.n:
             raise SizeMismatch("size mismatch in product")
-        n = self.n
-        a, b = self._rows, other._rows
+        right = [[(j, e._terms) for j, e in enumerate(row) if e] for row in other._rows]
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = BiPoly.zero()
-                for l in range(n):
-                    acc = acc + a[i][l] * b[l][j]
-                row.append(acc)
-            out.append(row)
+        for row in self._rows:
+            acc = [{} for _ in range(self.n)]
+            for e, nonzero in zip(row, right):
+                if e:
+                    for j, q in nonzero:
+                        _add_product(acc[j], e._terms, q)
+            out.append([BiPoly._raw(_nonzero(terms)) for terms in acc])
         return PolyMatrix(out)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -153,21 +156,6 @@ def _common_denominator(m: PolyMatrix):
     return d
 
 
-def _nonzero(terms: dict) -> dict:
-    return {key: c for key, c in terms.items() if c}
-
-
-def _add_product(acc: dict, p: dict, q: dict, c: int) -> dict:
-    """acc += c*p*q on int term maps; sums that cancel stay in acc as 0."""
-    get = acc.get
-    for (px, py), pc in p.items():
-        pc *= c
-        for (qx, qy), qc in q.items():
-            key = (px + qx, py + qy)
-            acc[key] = get(key, 0) + pc * qc
-    return acc
-
-
 def _primitive(ints: dict, den: int):
     """ints/den as a (Rational scalar, primitive int map) pair; None for 0."""
     if not ints:
@@ -195,7 +183,7 @@ def _primitive_entry(e: BiPoly):
 
 
 def _integer_update(pivot, a, lead, k, prev):
-    num = _nonzero(_add_product(_add_product({}, pivot, a, 1), lead, k, -1))
+    num = _nonzero(_add_product(_add_product({}, pivot, a), lead, k, -1))
     return _divide_terms(num, prev, _exact_int_div) if num else num
 
 
@@ -209,7 +197,7 @@ def _primitive_update(pivot, a, lead, k, prev):
         entry = _primitive(_nonzero(acc), den)
     elif a or (lead and k):  # one product of primitive parts: no gcd
         s, p, q = (pivot[0] * a[0], pivot[1], a[1]) if a else (-lead[0] * k[0], lead[1], k[1])
-        entry = s, _nonzero(_add_product({}, p, q, 1))
+        entry = s, _nonzero(_add_product({}, p, q))
     else:
         entry = None
     return entry and (entry[0] / prev[0], _divide_terms(entry[1], prev[1], _exact_int_div))

@@ -9,7 +9,7 @@ import redkp.polymatrix
 from redkp import BiPoly, LeibnizGuard, PolyMatrix, matdet, rat
 from redkp.cli import main
 from redkp.errors import ExactDivisionError
-from redkp.lax import build_monodromy, default_time, spectral_curve
+from redkp.lax import build_factor, build_monodromy, default_time, shift_matrix, spectral_curve
 from redkp.bipoly import _divide_terms
 from redkp.polymatrix import _common_denominator, _det_bareiss, _det_leibniz, _exact_int_div
 from conftest import PARAM_SETS, random_state
@@ -108,6 +108,33 @@ def test_eval_examples():
     )
     assert curve.evaluate(0, 6) == rat(36) - 66 + 30
     assert curve.evaluate(0, 6) == 0
+
+
+def naive_value(p: BiPoly, x0, y0):
+    """Term-by-term sum with every power taken afresh: the oracle for
+    ``BiPoly.evaluate``."""
+    x0, y0 = rat(x0), rat(y0)
+    return sum((c * x0**dx * y0**dy for (dx, dy), c in p.items()), rat(0))
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(0, rat(7, 3)), (rat(-5, 2), 0), (0, 0), (rat(3, 4), rat(-2, 9)), (rat(1, 3), rat(2**1000 + 1, 3**7))],
+)
+def test_evaluate_equals_naive_term_sum(point):
+    rng = random.Random(53)
+    polys = [random_bipoly(rng, max_deg=4) for _ in range(5)]
+    polys.append(BiPoly({(0, 0): 5, (3, 0): 2, (0, 4): -1, (2, 2): rat(1, 7)}))
+    for p in polys:
+        assert p.evaluate(*point) == naive_value(p, *point)
+    assert polys[-1].evaluate(0, 0) == 5  # 0**0 = 1 keeps the constant term
+
+
+def test_constant_bipoly_hashes_as_its_scalar():
+    assert BiPoly.constant(3) == 3 and 3 in {BiPoly.constant(3)}
+    assert len({BiPoly.constant(3), 3}) == 1
+    assert rat(1, 2) in {BiPoly.constant(rat(1, 2))}
+    assert len({BiPoly.zero(), 0}) == 1
 
 
 def test_degrees_and_structure():
@@ -382,3 +409,67 @@ def test_matrix_associativity_spot_check():
     rng = random.Random(23)
     a, b, c = (random_matrix(rng, 3) for _ in range(3))
     assert (a @ b) @ c == a @ (b @ c)
+
+
+def naive_mul(p: BiPoly, q: BiPoly) -> BiPoly:
+    """A sum of monomials, one per pair of terms: a product that shares no
+    code with ``bipoly._add_product``."""
+    total = BiPoly.zero()
+    for (px, py), pc in p.items():
+        for (qx, qy), qc in q.items():
+            total = total + BiPoly.monomial(px + qx, py + qy, pc * qc)
+    return total
+
+
+def dense_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The dense triple loop of products and sums: the oracle for the sparse
+    ``PolyMatrix.__matmul__``."""
+    n = a.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = BiPoly.zero()
+            for l in range(n):
+                acc = acc + naive_mul(a.entry(i, l), b.entry(l, j))
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(out)
+
+
+def assert_product_matches_dense(a: PolyMatrix, b: PolyMatrix):
+    prod = a @ b
+    assert prod == dense_product(a, b)
+    assert all(c != 0 for row in prod.rows for e in row for _, c in e.items())
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_sparse_product_equals_dense_oracle(n):
+    rng = random.Random(31 + n)
+    for _ in range(5):
+        a, b = (
+            PolyMatrix([[random_bipoly(rng) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)])
+            for _ in range(2)
+        )
+        assert_product_matches_dense(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_factor_chain_products_equal_dense_oracle(n):
+    rng = random.Random(41 + n)
+    chain = [build_factor([rat(rng.randint(-3, 5), rng.randint(1, 3)) for _ in range(n)]) for _ in range(4)]
+    chain += [shift_matrix(n), shift_matrix(n)]
+    rng.shuffle(chain)
+    prod = chain[0]
+    for m in chain[1:]:
+        assert_product_matches_dense(prod, m)
+        prod = prod @ m
+
+
+def test_product_drops_sums_that_cancel():
+    x, y, one = BiPoly.x(), BiPoly.y(), BiPoly.one()
+    a = PolyMatrix([[x + 1, y], [x, y]])
+    b = PolyMatrix([[y, one], [-x, -one]])
+    # (x+1)y - yx = y, and xy - yx = 0 cancels to the zero entry
+    assert a @ b == PolyMatrix([[y, x + 1 - y], [0, x - y]])
+    assert_product_matches_dense(a, b)
