@@ -120,6 +120,14 @@ class ConvergenceTable:
             yield (r.zeta, r.max_err, self.slope)
 
 
+def _float_diff(a, b) -> float:
+    """float(a - b), without reducing a - b: int true division rounds
+    correctly, so the quotient of the unreduced fraction is the same float
+    (``int`` keeps it a float for gmpy2's mpz as well)."""
+    num = a.numerator * b.denominator - b.numerator * a.denominator
+    return int(num) / int(a.denominator * b.denominator)
+
+
 def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
     """Exact big-system runs over the zeta sweep against the exact reduced run."""
     reduced = LatticeState.create(plan.base.params, *_windows_at_zero(plan.base))
@@ -139,8 +147,8 @@ def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
         err = 0.0
         for s, t_big in enumerate(kept, start=1):
             for n in range(big.N):
-                err = max(err, abs(float(state.i_slice(t_big)[n] - reduced.i_slice(s)[n])))
-                err = max(err, abs(float(state.v_slice(t_big)[n] - reduced.v_slice(s)[n])))
+                err = max(err, abs(_float_diff(state.i_slice(t_big)[n], reduced.i_slice(s)[n])))
+                err = max(err, abs(_float_diff(state.v_slice(t_big)[n], reduced.v_slice(s)[n])))
         freeze = 0.0
         scale = 0.0
         zf = float(Rational(z))
@@ -154,7 +162,7 @@ def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
                 frozen_now, frozen_prev = state.i_slice(t_big), state.i_slice(t_big - big.M)
                 scaled = state.v_slice(t_big)
             for n in range(big.N):
-                freeze = max(freeze, abs(float(frozen_now[n] - frozen_prev[n])))
+                freeze = max(freeze, abs(_float_diff(frozen_now[n], frozen_prev[n])))
                 scale = max(scale, abs(float(scaled[n]) / zf - 1.0))
         rows.append(ConvergenceRow(zeta=zf, max_err=err, freeze_err=freeze, scale_dev=scale))
 

@@ -31,7 +31,7 @@ component rotated to the positive real axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .bipoly import BiPoly
 from .errors import (
@@ -173,17 +173,24 @@ def eigenvector_at(state: LatticeState, t: int, point: ComplexPoint):
 
 
 def _rank(rows) -> int:
-    """Rank of a matrix of rationals, by Gaussian elimination."""
-    rows = [list(row) for row in rows]
+    """Rank of a matrix of rationals, by fraction-free Gaussian elimination
+    over Z: each row is scaled by the lcm of its denominators, and each
+    updated row divided by its content."""
+    dens = [lcm(*(v.denominator for v in row)) for row in rows]
+    rows = [[v.numerator * (den // v.denominator) for v in row] for row, den in zip(rows, dens)]
     rank = 0
     for c in range(len(rows[0])):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
         for r in range(rank + 1, len(rows)):
-            f = rows[r][c] / rows[rank][c]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            lead = rows[r][c]
+            if lead:
+                row = [top[c] * a - lead * b for a, b in zip(rows[r], top)]
+                g = gcd(*row)
+                rows[r] = [a // g for a in row] if g > 1 else row
         rank += 1
     return rank
 

@@ -5,22 +5,33 @@ The product skips the zero entries of both operands (a banded Lax factor has
 ``bipoly._add_product``, the accumulator of ``BiPoly.__mul__`` and of Bareiss,
 dropping the sums that cancel.
 
-The determinant is Bareiss fraction-free elimination, whose divisions are
-exact: one loop (``_det_bareiss``) and one ``bipoly._divide_terms`` run in
-either of two rings over Z, chosen by ``matdet``:
+The determinant is exact and runs over Z, by one of two algorithms that
+``matdet`` chooses.  Let D be the common denominator of all coefficients.
 
-* D*m with ``int`` coefficients, when the common denominator D of all
-  coefficients fits in ``_INTEGER_DENOMINATOR_BITS`` bits;
-* primitive parts, otherwise: each entry is a Rational scalar times an
-  ``int`` term map of content 1 with a positive leading coefficient.  By
-  Gauss's lemma a product of primitive parts is primitive and their quotient
-  is exact over Z, so only a difference of two products takes a content gcd.
+* Berkowitz's division-free algorithm (``_det_berkowitz``), when m = A - vI
+  with v = x or y and A free of v, and D fits in
+  ``_INTEGER_DENOMINATOR_BITS`` bits: the spectral curve det(X_t - xI), the
+  leading branch of ``numeric`` and det(Y - yI) of ``yform``.  It works on
+  ``{deg: int}`` maps of D*A in the other variable, with no gcd and no
+  division, and divides the coefficient of v^(n-k) by D^k at the end; on
+  the wide curves (N 5-9, D 10-24 bits) it runs 3.3-12x as fast as Bareiss.
+* Bareiss fraction-free elimination otherwise, whose divisions are exact:
+  one loop (``_det_bareiss``) and one ``bipoly._divide_terms`` in either of
+  two rings, D*m with ``int`` coefficients when D fits in
+  ``_INTEGER_DENOMINATOR_BITS`` bits, else primitive parts: each entry a
+  Rational scalar times an ``int`` term map of content 1 with a positive
+  leading coefficient.  By Gauss's lemma a product of primitive parts is
+  primitive and their quotient is exact over Z, so only a difference of
+  two products takes a content gcd.
 
-Both give the identical polynomial.  D*m grows with D: on curves the rings
-break even near D = 500 bits at N = 3 and 64-160 bits at N >= 5; the
-integer ring runs 0.8-2.2x as fast at D <= 64 bits, 1.4-35x slower at 1000
-bits (Python 3.11.7, ``Fraction``).  The primitive ring is 6x faster than
-the Q[x,y] elimination it replaced.  The Leibniz expansion is an oracle.
+Every path gives the identical polynomial.  D*m grows with D: on curves the
+Bareiss rings break even near D = 500 bits at N = 3 and 64-160 bits at
+N >= 5; the integer ring runs 0.8-2.2x as fast at D <= 64 bits, 1.4-35x
+slower at 1000 bits (Python 3.11.7, ``Fraction``).  Past 64 bits Berkowitz
+on D*A ran 1.9-3.7x slower than the primitive ring on tall N = 5 curves
+(D 3.6k-25k bits), though 1.0-1.5x as fast at N = 3 and 4.  The primitive
+ring is 6x faster than the Q[x,y] elimination it replaced.  The Leibniz
+expansion is an oracle.
 """
 
 from __future__ import annotations
@@ -237,6 +248,78 @@ def _det_bareiss(m: PolyMatrix, d) -> BiPoly:
     return BiPoly._raw({key: sign * c * scalar for key, c in terms.items()})
 
 
+def _characteristic_variable(m: PolyMatrix):
+    """v, 0 for x or 1 for y, when m = A - vI with A free of v; else None."""
+    n, rows = m.n, m._rows
+    for v, unit in ((0, (1, 0)), (1, (0, 1))):
+        if all(rows[i][i]._terms.get(unit) == -1 for i in range(n)) and all(
+            not key[v] or (i == j and key == unit)
+            for i in range(n)
+            for j in range(n)
+            for key in rows[i][j]._terms
+        ):
+            return v
+    return None
+
+
+def _add_univariate_product(acc: dict, p: dict, q: dict, c=1) -> dict:
+    """``bipoly._add_product`` on univariate ``{deg: int}`` maps."""
+    get = acc.get
+    for pd, pc in p.items():
+        if c != 1:
+            pc *= c
+        for qd, qc in q.items():
+            key = pd + qd
+            cur = get(key)
+            acc[key] = pc * qc if cur is None else cur + pc * qc
+    return acc
+
+
+def _dot(ps, qs, c=1) -> dict:
+    """Sum of c*p*q over the pairs of two lists of univariate maps."""
+    acc = {}
+    for p, q in zip(ps, qs):
+        if p and q:
+            _add_univariate_product(acc, p, q, c)
+    return _nonzero(acc)
+
+
+def _det_berkowitz(m: PolyMatrix, v: int, d: int) -> BiPoly:
+    """det(m) for m = A - vI with A free of v (``_characteristic_variable``)
+    and d a common denominator of A, by Berkowitz's division-free algorithm
+    (Inf. Process. Lett. 18, 1984) over Z[w], w the other variable.
+
+    A is taken as ``{deg_w: int}`` maps of d*A.  Row r, for r = n-1 down to 0,
+    turns the coefficients of det(vI - S), S the trailing principal submatrix
+    below and right of row r, into those of the submatrix from row r, by the
+    Toeplitz column 1, -a_rr, -R C, -R S C, -R S^2 C, ... (R and C the rest of
+    row and column r).  The coefficient of v^(n-k) of det(vI - d*A) is d^k
+    times that of det(vI - A), and det(m) = (-1)^n det(vI - A)."""
+    n, w = m.n, 1 - v
+    a = [
+        [{key[w]: c for key, c in _scaled(e, d).items() if not key[v]} for e in row]
+        for row in m._rows
+    ]
+    coeffs = [{0: 1}]  # of det(vI - S), leading first
+    for r in range(n - 1, -1, -1):
+        row, col, sub = a[r][r + 1 :], [s[r] for s in a[r + 1 :]], [s[r + 1 :] for s in a[r + 1 :]]
+        toeplitz = [{0: 1}, {deg: -c for deg, c in a[r][r].items()}]
+        for power in range(n - 1 - r):
+            if power:
+                col = [_dot(s, col) for s in sub]
+            toeplitz.append(_dot(row, col, -1))
+        coeffs = [_dot(toeplitz[i::-1], coeffs) for i in range(len(toeplitz))]
+    sign = -1 if n % 2 else 1
+    terms = {}
+    for k, c in enumerate(coeffs):
+        scale = d**k
+        for deg, value in c.items():
+            terms[(n - k, deg) if v == 0 else (deg, n - k)] = Rational(sign * value, scale)
+    # lex descending, as Bareiss's quotients leave them: float sums over the
+    # terms (``numeric``) stay bit-identical
+    return BiPoly._raw(dict(sorted(terms.items(), reverse=True)))
+
+
 def _det_leibniz(m: PolyMatrix) -> BiPoly:
     n = m.n
     if n > LEIBNIZ_MAX:
@@ -255,10 +338,17 @@ def _det_leibniz(m: PolyMatrix) -> BiPoly:
 
 
 def matdet(m: PolyMatrix) -> BiPoly:
-    """Exact determinant by Bareiss elimination, over the integers when the
-    coefficients' common denominator fits in ``_INTEGER_DENOMINATOR_BITS``
-    bits, else over Q; ``_det_leibniz`` is the tests' oracle."""
+    """Exact determinant.  When the coefficients' common denominator fits in
+    ``_INTEGER_DENOMINATOR_BITS`` bits: by Berkowitz over the integers for
+    m = A - vI (v = x or y, A free of v), and by Bareiss over the integers
+    otherwise.  Past that, by Bareiss on primitive parts.  ``_det_leibniz``
+    is the tests' oracle."""
+    d = _common_denominator(m)
+    if d is not None:
+        v = _characteristic_variable(m)
+        if v is not None:
+            return _det_berkowitz(m, v, d)
     try:
-        return _det_bareiss(m, _common_denominator(m))
+        return _det_bareiss(m, d)
     except ExactDivisionError as exc:  # cannot happen over an integral domain
         raise AssertionError("fraction-free elimination failed") from exc

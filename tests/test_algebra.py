@@ -11,7 +11,15 @@ from redkp.cli import main
 from redkp.errors import ExactDivisionError
 from redkp.lax import build_factor, build_monodromy, default_time, shift_matrix, spectral_curve
 from redkp.bipoly import _divide_terms
-from redkp.polymatrix import _common_denominator, _det_bareiss, _det_leibniz, _exact_int_div
+from redkp.numeric import _leading_form
+from redkp.polymatrix import (
+    _common_denominator,
+    _det_bareiss,
+    _det_berkowitz,
+    _det_leibniz,
+    _exact_int_div,
+)
+from redkp.yform import shift_stars, spectral_duality
 from conftest import PARAM_SETS, random_state
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 9))
@@ -343,22 +351,34 @@ def test_primitive_ring_equals_leibniz(n, monkeypatch):
     assert expected <= branches
 
 
-def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
-    denominators = []
+def route(monkeypatch) -> list:
+    """The path of each determinant ``matdet`` takes from here on:
+    ("berkowitz", v, d) or ("bareiss", d)."""
+    calls = []
 
-    def record(m, d):
-        denominators.append(d)
+    def traced_berkowitz(m, v, d):
+        calls.append(("berkowitz", v, d))
+        return _det_berkowitz(m, v, d)
+
+    def traced_bareiss(m, d):
+        calls.append(("bareiss", d))
         return _det_bareiss(m, d)
 
-    monkeypatch.setattr(redkp.polymatrix, "_det_bareiss", record)
+    monkeypatch.setattr(redkp.polymatrix, "_det_berkowitz", traced_berkowitz)
+    monkeypatch.setattr(redkp.polymatrix, "_det_bareiss", traced_bareiss)
+    return calls
 
+
+def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
+    calls = route(monkeypatch)
     low = random_state(3, 2, 5, seed=4)
     path = tmp_path / "low.json"
     path.write_text(low.dumps())
     assert main(["charpoly", str(path), "-o", str(tmp_path / "out.json")]) == 0
-    assert denominators and all(type(d) is int and d.bit_length() <= 64 for d in denominators)
+    assert [call[:2] for call in calls] == [("berkowitz", 0)]
+    assert type(calls[0][2]) is int and calls[0][2].bit_length() <= 64
 
-    denominators.clear()
+    calls.clear()
     tall = random_state(1, 1, 3, seed=5)
     while max(v.denominator.bit_length() for v in tall.i_slice(tall.frontier)) <= 1000:
         tall.step()
@@ -370,7 +390,106 @@ def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
         lambda *args: primitive_updates.append(args) or update(*args),
     )
     assert spectral_curve(tall, tall.frontier).poly.degree_x == 3
-    assert denominators == [None] and primitive_updates
+    assert calls == [("bareiss", None)] and primitive_updates
+
+
+# -- Berkowitz on m = A - vI ------------------------------------------------------
+
+VARIABLES = (BiPoly.x(), BiPoly.y())
+
+
+def characteristic_matrix(rng, n, v, dens=(1, 2, 3)) -> PolyMatrix:
+    """A - vI (v = 0 for x, 1 for y) with A random in the other variable:
+    about a third of its entries zero, negative coefficients, denominators
+    drawn from ``dens``."""
+    rows = [[BiPoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.7:
+                terms = {}
+                for deg in range(rng.randint(1, 3)):
+                    key = (0, deg) if v == 0 else (deg, 0)
+                    terms[key] = rat(rng.randint(-5, 5), rng.choice(dens))
+                rows[i][j] = BiPoly(terms)
+        rows[i][i] = rows[i][i] - VARIABLES[v]
+    return PolyMatrix(rows)
+
+
+@pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_berkowitz_equals_bareiss_and_leibniz(n, v, monkeypatch):
+    rng = random.Random(900 + 10 * n + v)
+    calls = route(monkeypatch)
+    for _ in range(4 if n < 6 else 2):
+        m = characteristic_matrix(rng, n, v)
+        d = _common_denominator(m)
+        calls.clear()
+        det = matdet(m)
+        assert calls == [("berkowitz", v, d)]
+        bareiss = _det_bareiss(m, d)
+        assert det == bareiss == _det_leibniz(m)
+        if n > 1:  # the same term order as Bareiss's quotients
+            assert list(det.items()) == list(bareiss.items())
+
+
+@pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
+def test_characteristic_form_routes_by_denominator_height(v, monkeypatch):
+    """D of 64 bits takes Berkowitz, D of 65 bits the primitive ring."""
+    rng = random.Random(950 + v)
+    calls = route(monkeypatch)
+    for den, path in ((2**64 - 59, "berkowitz"), (2**64 + 13, "bareiss")):
+        for n in (3, 5):
+            corner = [[rat(-1, den) if (i, j) == (0, n - 1) else 0 for j in range(n)] for i in range(n)]
+            m = characteristic_matrix(rng, n, v, dens=(1, den)) + PolyMatrix(corner)
+            assert full_denominator(m) == den
+            calls.clear()
+            det = matdet(m)
+            assert [call[0] for call in calls] == [path]
+            assert det == _det_leibniz(m) == _det_berkowitz(m, v, den)
+
+
+def test_near_characteristic_matrices_reach_bareiss(monkeypatch):
+    x, y = BiPoly.x(), BiPoly.y()
+    zero = BiPoly.zero()
+    rng = random.Random(970)
+    a = characteristic_matrix(rng, 3, 0)
+    corner = PolyMatrix([[zero, zero, x], [zero] * 3, [zero] * 3])
+    lead = PolyMatrix([[x, zero, zero], [zero] * 3, [zero] * 3])
+    near = [
+        a.scale(2),  # -2x on the diagonal
+        a + corner,  # x off the diagonal
+        a + lead,  # one diagonal entry free of x
+        a + PolyMatrix.identity(3).scale(x * y),  # x y on the diagonal
+        a - PolyMatrix.identity(3).scale(x * x),  # x^2 on the diagonal
+        characteristic_matrix(rng, 3, 1) + corner.scale(y),  # A - yI, A not free of y
+        random_matrix(rng, 3),
+    ]
+    calls = route(monkeypatch)
+    for m in near:
+        calls.clear()
+        assert matdet(m) == _det_leibniz(m)
+        assert [call[0] for call in calls] == ["bareiss"]
+
+
+def test_each_determinant_caller_takes_its_path(monkeypatch):
+    """The curve, the leading branch and det(Y - yI) take Berkowitz; the
+    stars and the cofactor matrices of the leading form take Bareiss."""
+    state = random_state(2, 1, 5, seed=6)  # gcd(M+K, N) = 1: a unique branch
+    t, t_deep = default_time(state), default_time(state, deep=True)
+    calls = route(monkeypatch)
+    spectral_curve(state, t)
+    assert [call[:2] for call in calls] == [("berkowitz", 0)]
+    calls.clear()
+    _leading_form(state, t, at_infinity=True)
+    assert [call[:2] for call in calls[-1:]] == [("berkowitz", 0)]
+    assert [call[0] for call in calls[:-1]] == ["bareiss"] * 5
+    calls.clear()
+    assert spectral_duality(state, t).ok
+    assert [call[:2] for call in calls] == [("berkowitz", 1)]
+    calls.clear()
+    for star in shift_stars(state, t_deep):
+        assert matdet(star) == _det_leibniz(star)
+    assert [call[0] for call in calls] == ["bareiss"] * 3
 
 
 def test_det_multiplicative():

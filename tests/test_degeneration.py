@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -19,7 +20,9 @@ from redkp import (
     uniform_state,
     xi_set,
 )
+from redkp.cli import main
 from redkp.degeneration import (
+    _float_diff,
     companion_with_same_curve,
     curve_closed_form_112,
     curve_closed_form_212,
@@ -219,3 +222,50 @@ def test_repeated_zeta_sweep_has_no_slope(classic_state):
     assert math.isnan(table.slope)
     assert not math.isnan(limit_compare(plan, [1e2, 1e2, 1e3]).slope)
 
+
+
+def test_float_diff_equals_float_of_the_difference():
+    """On fractions of 1k-20k bits: near-equal pairs, underflowing and
+    subnormal differences, and differences past the float range."""
+    rng = random.Random(71)
+    for _ in range(200):
+        bits = rng.randint(1000, 20000)
+        den_a, den_b = rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1
+        a = rat(rng.getrandbits(bits) * rng.choice((-1, 1)), den_a)
+        b = rng.choice((
+            rat(rng.getrandbits(bits), den_b),
+            a + rat(rng.choice((-1, 1)), den_b),  # near a
+            a + rat(1, 2**1070),  # a subnormal difference
+            a + rat(1, 2**1200),  # below the smallest subnormal
+            -a,
+        ))
+        assert _float_diff(a, b) == float(a - b)
+        assert math.copysign(1, _float_diff(a, b)) == math.copysign(1, float(a - b))
+    huge = rat(2**2000 + 1, 3)
+    for a, b in ((huge, rat(1, 7)), (rat(1, 7), huge)):
+        with pytest.raises(OverflowError):
+            float(a - b)
+        with pytest.raises(OverflowError):
+            _float_diff(a, b)
+
+
+# sha256 of `redkp degenerate` CSVs, from the Fraction differences the
+# deviations were once taken as; the unreduced ones must give the same floats
+DEGENERATE_CSV_SHA256 = [
+    ('{"M":1,"K":1,"N":2,"frontier":0,"I":{"0":["2","3"]},"V":{"0":["1","5"]}}', "reduce_M",
+     "f9a4a9f594f64189ecdf93b5b895fa9b74feb22a574a61cd5b60f7bf94163cfd"),
+    ('{"M":1,"K":1,"N":2,"frontier":0,"I":{"0":["2","3"]},"V":{"0":["1","5"]}}', "reduce_K",
+     "065440d8bd552d2606a70ad12f5653dd90cecc658dc5c302a1111c9582120cbe"),
+    ('{"M":1,"K":1,"N":3,"frontier":0,"I":{"0":["1/3","1/4","3"]},"V":{"0":["1","1","5/2"]}}', "reduce_M",
+     "5b9f628e7e259979f175c68163ecdb7f995b4657a5c8b07d037fcb0b4b249365"),
+    ('{"M":1,"K":1,"N":3,"frontier":0,"I":{"0":["1/3","1/4","3"]},"V":{"0":["1","1","5/2"]}}', "reduce_K",
+     "c041ffd7ddda0e4169b564b1177483b8fa9ee53e36606c5272effc3d721b1e7b"),
+]
+
+
+@pytest.mark.parametrize("text,direction,digest", DEGENERATE_CSV_SHA256)
+def test_degenerate_csv_is_pinned(text, direction, digest, tmp_path):
+    base, out = tmp_path / "base.json", tmp_path / "table.csv"
+    base.write_text(text)
+    assert main(["degenerate", "--base", str(base), "--direction", direction, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -164,6 +165,45 @@ def test_verify_fails_on_a_rank_drop(text, sample, rank):
 )
 def test_rank(rows, rank):
     assert _rank([[rat(v) for v in row] for row in rows]) == rank
+
+
+def fraction_rank(rows) -> int:
+    """Gaussian elimination over Q: the oracle for the integer ``_rank``."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_equals_fraction_elimination():
+    """Random rectangular matrices of rank r (a product of n x r and r x m
+    factors), with zero rows and columns and denominators up to 120 bits."""
+    rng = random.Random(61)
+
+    def value():
+        if rng.random() < 0.25:
+            return rat(0)
+        return rat(rng.randint(-9, 9), rng.choice((1, 2, 7, 2**61 - 1, 3**75)))
+
+    ranks = set()
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(0, min(n, m))
+        left = [[value() for _ in range(r)] for _ in range(n)]
+        right = [[value() for _ in range(m)] for _ in range(r)]
+        rows = [[sum((a * b for a, b in zip(row, col)), rat(0)) for col in zip(*right)] for row in left]
+        rank = _rank(rows)
+        assert rank == fraction_rank(rows) <= r
+        ranks.add((rank, min(n, m)))
+    assert any(rank < full for rank, full in ranks) and any(rank == full for rank, full in ranks)
 
 
 # -- exact leading forms: the full-cofactor oracle --------------------------------
