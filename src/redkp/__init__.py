@@ -21,7 +21,6 @@ from .errors import (
     GcdViolation,
     IllConditioned,
     InsufficientHistory,
-    LeibnizGuard,
     MultipleEigenvalue,
     NonPolynomialResult,
     NotCaseB,

@@ -186,8 +186,7 @@ class BiPoly:
 
     def exact_div(self, divisor: "BiPoly") -> "BiPoly":
         """Exact quotient over Q; raises ExactDivisionError on remainder.  Over Z
-        ``_divide_terms`` runs ``polymatrix``'s two rings: D*m for a common
-        denominator D of <= 64 bits, else primitive parts, faster past 64-500 bits."""
+        ``_divide_terms`` runs ``polymatrix``'s Bareiss on primitive parts."""
         divisor = _coerce(divisor)
         if divisor.is_zero():
             raise ExactDivisionError("division by zero polynomial")

@@ -41,10 +41,6 @@ class ExactDivisionError(RedkpError):
     """Polynomial division left a nonzero remainder."""
 
 
-class LeibnizGuard(RedkpError):
-    """Leibniz expansion rejected: factorial cost beyond the guarded size."""
-
-
 class WordGuard(RedkpError):
     """Word enumeration rejected: exponential cost beyond the guarded width."""
 

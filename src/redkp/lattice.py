@@ -302,16 +302,18 @@ class LatticeState:
 
     # -- invariants ------------------------------------------------------------
 
-    def site_invariants(self) -> tuple:
+    def site_invariants(self, t: int | None = None) -> tuple:
         """The N per-site conserved products (the diagonal of the monodromy at y=0).
 
         U_j multiplies the site-j values of every factor slice of X_t
-        (``LatticeParams.factor_times``); this product is exactly invariant in
-        t, so any time from ``default_time`` on gives the same tuple.
+        (``LatticeParams.factor_times``), at t or by default at the frontier;
+        this product is exactly invariant in t, so any time from
+        ``default_time`` on gives the same tuple.
         """
-        self.evolve_to(default_time(self))
-        i_times, v_times = self.params.factor_times(self.frontier)
-        slices = [self._i[s] for s in i_times] + [self._v[s] for s in v_times]
+        if t is None:
+            t = self.evolve_to(default_time(self)).frontier
+        i_times, v_times = self.params.factor_times(t)
+        slices = [self.i_slice(s) for s in i_times] + [self.v_slice(s) for s in v_times]
         return tuple(_product(v[j] for v in slices) for j in range(self.params.N))
 
     def classify_case(self) -> str:

@@ -73,13 +73,11 @@ class NumericDiag:
     name: str
     samples: tuple
     passed: bool
-    tolerance: float
 
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
             "passed": self.passed,
-            "tolerance": self.tolerance,
             "samples": [
                 {"parameter": str(p), "measured": m, "expected": e}
                 for (p, m, e) in self.samples
@@ -319,9 +317,7 @@ def _build_leading_form(state: LatticeState, t: int, at_infinity: bool) -> _Lead
 
 
 def _exact_diag(name: str, samples) -> NumericDiag:
-    return NumericDiag(
-        name=name, samples=tuple(samples), passed=all(m == e for _, m, e in samples), tolerance=0
-    )
+    return NumericDiag(name=name, samples=tuple(samples), passed=all(m == e for _, m, e in samples))
 
 
 # -- infinity branch -----------------------------------------------------------------

@@ -6,7 +6,8 @@ The product skips the zero entries of both operands (a banded Lax factor has
 dropping the sums that cancel.
 
 The determinant is exact and runs over Z, by one of two algorithms that
-``matdet`` chooses.  Let D be the common denominator of all coefficients.
+``matdet`` chooses by the kind of matrix.  Let D be the common denominator of
+all coefficients.
 
 * Berkowitz's division-free algorithm (``_det_berkowitz``), when m = A - vI
   with v = x or y and A free of v, and D fits in
@@ -15,36 +16,32 @@ The determinant is exact and runs over Z, by one of two algorithms that
   ``{deg: int}`` maps of D*A in the other variable, with no gcd and no
   division, and divides the coefficient of v^(n-k) by D^k at the end; on
   the wide curves (N 5-9, D 10-24 bits) it runs 3.3-12x as fast as Bareiss.
-* Bareiss fraction-free elimination otherwise, whose divisions are exact:
-  one loop (``_det_bareiss``) and one ``bipoly._divide_terms`` in either of
-  two rings, D*m with ``int`` coefficients when D fits in
-  ``_INTEGER_DENOMINATOR_BITS`` bits, else primitive parts: each entry a
-  Rational scalar times an ``int`` term map of content 1 with a positive
-  leading coefficient.  By Gauss's lemma a product of primitive parts is
-  primitive and their quotient is exact over Z, so only a difference of
-  two products takes a content gcd.
+* Bareiss fraction-free elimination (``_det_bareiss``) on every other
+  matrix: the stars of ``yform``, the cofactor matrices of ``numeric`` and
+  every matrix with D past 64 bits.  Each entry is a Rational scalar times
+  an ``int`` term map of content 1 with a positive leading coefficient.  By
+  Gauss's lemma a product of primitive parts is primitive and their
+  quotient is exact over Z (one ``bipoly._divide_terms``), so only a
+  difference of two products takes a content gcd.
 
-Every path gives the identical polynomial.  D*m grows with D: on curves the
-Bareiss rings break even near D = 500 bits at N = 3 and 64-160 bits at
-N >= 5; the integer ring runs 0.8-2.2x as fast at D <= 64 bits, 1.4-35x
-slower at 1000 bits (Python 3.11.7, ``Fraction``).  Past 64 bits Berkowitz
-on D*A ran 1.9-3.7x slower than the primitive ring on tall N = 5 curves
-(D 3.6k-25k bits), though 1.0-1.5x as fast at N = 3 and 4.  The primitive
-ring is 6x faster than the Q[x,y] elimination it replaced.  The Leibniz
-expansion is an oracle.
+Both paths give the identical polynomial.  Past 64 bits Berkowitz on D*A ran
+1.9-3.7x slower than primitive Bareiss on tall N = 5 curves (D 3.6k-25k
+bits), though 1.0-1.5x as fast at N = 3 and 4 (Python 3.11.7,
+``Fraction``).  The primitive ring is 6x faster than the Q[x,y] elimination
+it replaced.  On the small stars and cofactor matrices (N 2-7, D of at most
+64 bits) it runs 1.3-1.6x slower than Bareiss on D*m over ``int`` did,
+about 0.2 ms per ``verify``, which does not pay for a second ring.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .bipoly import BiPoly, _add_product, _coerce, _divide_terms, _nonzero
-from .errors import ExactDivisionError, LeibnizGuard, SizeMismatch
+from .errors import ExactDivisionError, SizeMismatch
 from .rational import Rational
 
-LEIBNIZ_MAX = 8
-# Largest common denominator, in bits, for which the integer elimination runs.
+# Largest common denominator, in bits, for which Berkowitz runs.
 _INTEGER_DENOMINATOR_BITS = 64
 
 
@@ -193,13 +190,9 @@ def _primitive_entry(e: BiPoly):
     return _primitive(_scaled(e, den), den)
 
 
-def _integer_update(pivot, a, lead, k, prev):
-    num = _nonzero(_add_product(_add_product({}, pivot, a), lead, k, -1))
-    return _divide_terms(num, prev, _exact_int_div) if num else num
-
-
 def _primitive_update(pivot, a, lead, k, prev):
-    """``_integer_update`` on ``_primitive`` pairs, with None for zero."""
+    """The Bareiss update (pivot*a - lead*k) / prev on ``_primitive`` pairs,
+    with None for zero."""
     if a and lead and k:
         s1, s2 = pivot[0] * a[0], lead[0] * k[0]
         den = math.lcm(s1.denominator, s2.denominator)
@@ -214,17 +207,12 @@ def _primitive_update(pivot, a, lead, k, prev):
     return entry and (entry[0] / prev[0], _divide_terms(entry[1], prev[1], _exact_int_div))
 
 
-def _det_bareiss(m: PolyMatrix, d) -> BiPoly:
-    """Bareiss elimination on the int maps of d*m, d a common denominator of
-    m, dividing det(d*m) by d**n at the end; with d None, on ``_primitive``
-    pairs, with None for a zero entry."""
+def _det_bareiss(m: PolyMatrix) -> BiPoly:
+    """Bareiss elimination on the ``_primitive`` pairs of m, with None for a
+    zero entry."""
     n = m.n
-    if d is None:
-        a = [[_primitive_entry(e) for e in row] for row in m._rows]
-        update, prev = _primitive_update, (Rational(1), {(0, 0): 1})
-    else:
-        a = [[_scaled(e, d) for e in row] for row in m._rows]
-        update, prev = _integer_update, {(0, 0): 1}
+    a = [[_primitive_entry(e) for e in row] for row in m._rows]
+    prev = Rational(1), {(0, 0): 1}
     sign = 1
     for k in range(n - 1):
         pivot_row = k
@@ -241,10 +229,9 @@ def _det_bareiss(m: PolyMatrix, d) -> BiPoly:
             row_i = a[i]
             lead = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = update(pivot, row_i[j], lead, row_k[j], prev)
+                row_i[j] = _primitive_update(pivot, row_i[j], lead, row_k[j], prev)
         prev = pivot
-    last = a[n - 1][n - 1] if d is None else (Rational(1, d**n), a[n - 1][n - 1])
-    scalar, terms = last or (0, {})
+    scalar, terms = a[n - 1][n - 1] or (0, {})
     return BiPoly._raw({key: sign * c * scalar for key, c in terms.items()})
 
 
@@ -320,35 +307,17 @@ def _det_berkowitz(m: PolyMatrix, v: int, d: int) -> BiPoly:
     return BiPoly._raw(dict(sorted(terms.items(), reverse=True)))
 
 
-def _det_leibniz(m: PolyMatrix) -> BiPoly:
-    n = m.n
-    if n > LEIBNIZ_MAX:
-        raise LeibnizGuard(f"leibniz determinant limited to size {LEIBNIZ_MAX}")
-    rows = m._rows
-    total = BiPoly.zero()
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        total = total + (term if inversions % 2 == 0 else -term)
-    return total
-
-
 def matdet(m: PolyMatrix) -> BiPoly:
-    """Exact determinant.  When the coefficients' common denominator fits in
-    ``_INTEGER_DENOMINATOR_BITS`` bits: by Berkowitz over the integers for
-    m = A - vI (v = x or y, A free of v), and by Bareiss over the integers
-    otherwise.  Past that, by Bareiss on primitive parts.  ``_det_leibniz``
-    is the tests' oracle."""
+    """Exact determinant: by Berkowitz over the integers for m = A - vI
+    (v = x or y, A free of v) whose coefficients' common denominator fits in
+    ``_INTEGER_DENOMINATOR_BITS`` bits, and by Bareiss on primitive parts
+    otherwise."""
     d = _common_denominator(m)
     if d is not None:
         v = _characteristic_variable(m)
         if v is not None:
             return _det_berkowitz(m, v, d)
     try:
-        return _det_bareiss(m, d)
+        return _det_bareiss(m)
     except ExactDivisionError as exc:  # cannot happen over an integral domain
         raise AssertionError("fraction-free elimination failed") from exc

@@ -5,6 +5,9 @@ suite is skipped when the function it calls raises a precondition error
 (``PRECONDITIONS``), with that error as its reason, and fails with the
 exception as its reason when it raises anything else.  Every suite is exact,
 so a report is reproducible from its input alone; ``seed`` is only recorded.
+Each suite reads fixed times from the anchor t = ``default_time(state,
+deep=True)``, or site invariants at the frontier, which the steps conserve,
+so its detail does not depend on the suites run before it.
 
 Each identity is checked by one suite: the factor exchange is the lattice
 equations (``evolution_consistency``), the monodromy exchanges are the time
@@ -46,30 +49,41 @@ PRECONDITIONS = (GcdViolation, NotCaseB, WordGuard, WrongParams)
 
 
 def run_verification(state: LatticeState, seed: int = 0) -> dict:
+    params = state.params
+    suites = [_run(name, check) for name, check in _suites(state)]
+    return {
+        "params": {"M": params.M, "K": params.K, "N": params.N, "gcd_MKN_ok": params.gcd_mkn_ok},
+        "seed": seed,
+        "suites": suites,
+        "passed": all(s["status"] != FAIL for s in suites),
+    }
+
+
+def _run(name: str, check) -> dict:
+    try:
+        detail = check()
+    except Exception as exc:
+        status = SKIP if isinstance(exc, PRECONDITIONS) else FAIL
+        return {"name": name, "status": status, "reason": f"{type(exc).__name__}: {exc}"}
+    ok = detail.pop("_ok")
+    return {"name": name, "status": PASS if ok else FAIL, "detail": detail}
+
+
+def _suites(state: LatticeState) -> list:
+    """(name, check) pairs in report order.  The checks share a copy of
+    ``state`` evolved to t + 3 for the anchor t, and read fixed times."""
     state = state.copy()
     params = state.params
     M, K, n = params.M, params.K, params.N
     t_deep = default_time(state, deep=True)
-    state.evolve_to(t_deep + 3)
-
-    suites = []
-
-    def run(name, fn):
-        try:
-            detail = fn()
-        except Exception as exc:
-            status = SKIP if isinstance(exc, PRECONDITIONS) else FAIL
-            suites.append({"name": name, "status": status, "reason": f"{type(exc).__name__}: {exc}"})
-            return
-        ok = detail.pop("_ok")
-        suites.append({"name": name, "status": PASS if ok else FAIL, "detail": detail})
+    last = state.evolve_to(t_deep + 3).frontier
 
     # -- exact suites ------------------------------------------------------
 
     def evolution_consistency():
         ok = True
         checked = 0
-        for t in range(max(state.i_min + M, state.v_min + K), state.frontier + 1):
+        for t in range(max(state.i_min + M, state.v_min + K), last + 1):
             a, b = state.i_slice(t - M), state.v_slice(t - K)
             x, y = state.i_slice(t), state.v_slice(t)
             for i in range(n):
@@ -82,9 +96,8 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
         return {"_ok": bool(ok and checked), "steps_checked": checked}
 
     def invariant_constancy():
-        u0 = state.site_invariants()
-        state.evolve_to(state.frontier + 3)
-        u1 = state.site_invariants()
+        u0 = state.site_invariants(t_deep)
+        u1 = state.site_invariants(t_deep + 3)
         return {
             "_ok": u0 == u1,
             "values": [format_rational(u) for u in u0],
@@ -156,7 +169,7 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
         return {"_ok": rep.ok, "ratio": repr(rep.ratio)}
 
     def hidden_invariant():
-        rep = hidden_invariant_check(state, steps=20)
+        rep = hidden_invariant_check(state, steps=20, start=t_deep)
         return {
             "_ok": rep.constant,
             "value": format_rational(rep.value),
@@ -169,26 +182,21 @@ def run_verification(state: LatticeState, seed: int = 0) -> dict:
         d = fn(state, t_deep)
         return {"_ok": d.passed, "diag": d.to_json_dict()}
 
-    run("evolution_consistency", evolution_consistency)
-    run("site_invariant_constancy", invariant_constancy)
-    run("isospectrality", isospectrality)
-    run("monodromy_form_equality", monodromy_forms)
-    run("shift_conjugations", shift_conjugations)
-    run("determinant_closed_forms", determinant_closed_forms)
-    run("special_points_on_curve", special_points_on_curve)
-    run("triangular_at_zero_fiber", triangular_at_zero)
-    run("band_method_agreement", band_methods)
-    run("word_append_rule", word_lemma)
-    run("spectral_duality", duality)
-    run("hidden_invariant", hidden_invariant)
-    run("special_point_kernels", lambda: diag(special_point_kernels))
-    run("infinity_asymptotics", lambda: diag(infinity_asymptotics))
-    run("case_b_structure", lambda: diag(case_b_structure))
-    run("psi_phi_ratios", lambda: diag(psi_phi_ratios))
-
-    return {
-        "params": {"M": M, "K": K, "N": n, "gcd_MKN_ok": params.gcd_mkn_ok},
-        "seed": seed,
-        "suites": suites,
-        "passed": all(s["status"] != FAIL for s in suites),
-    }
+    return [
+        ("evolution_consistency", evolution_consistency),
+        ("site_invariant_constancy", invariant_constancy),
+        ("isospectrality", isospectrality),
+        ("monodromy_form_equality", monodromy_forms),
+        ("shift_conjugations", shift_conjugations),
+        ("determinant_closed_forms", determinant_closed_forms),
+        ("special_points_on_curve", special_points_on_curve),
+        ("triangular_at_zero_fiber", triangular_at_zero),
+        ("band_method_agreement", band_methods),
+        ("word_append_rule", word_lemma),
+        ("spectral_duality", duality),
+        ("hidden_invariant", hidden_invariant),
+        ("special_point_kernels", lambda: diag(special_point_kernels)),
+        ("infinity_asymptotics", lambda: diag(infinity_asymptotics)),
+        ("case_b_structure", lambda: diag(case_b_structure)),
+        ("psi_phi_ratios", lambda: diag(psi_phi_ratios)),
+    ]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redkp.polymatrix
-from redkp import BiPoly, LeibnizGuard, PolyMatrix, matdet, rat
+from redkp import BiPoly, PolyMatrix, matdet, rat
 from redkp.cli import main
 from redkp.errors import ExactDivisionError
 from redkp.lax import build_factor, build_monodromy, default_time, shift_matrix, spectral_curve
@@ -16,7 +17,6 @@ from redkp.polymatrix import (
     _common_denominator,
     _det_bareiss,
     _det_berkowitz,
-    _det_leibniz,
     _exact_int_div,
 )
 from redkp.yform import shift_stars, spectral_duality
@@ -215,6 +215,30 @@ def test_from_records_reads_only_the_wire_form(record):
 
 # -- determinants ------------------------------------------------------------------
 
+LEIBNIZ_MAX = 8
+
+
+class LeibnizGuard(Exception):
+    """Leibniz expansion rejected: factorial cost beyond the guarded size."""
+
+
+def leibniz_det(m: PolyMatrix) -> BiPoly:
+    """The signed sum over all permutations: the determinant oracle."""
+    n = m.n
+    if n > LEIBNIZ_MAX:
+        raise LeibnizGuard(f"leibniz determinant limited to size {LEIBNIZ_MAX}")
+    rows = m.rows
+    total = BiPoly.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        term = rows[0][perm[0]]
+        for i in range(1, n):
+            term = term * rows[i][perm[i]]
+        total = total + (term if inversions % 2 == 0 else -term)
+    return total
+
 
 def test_det_identity():
     assert matdet(PolyMatrix.identity(3)) == BiPoly.one()
@@ -223,10 +247,10 @@ def test_det_identity():
 def test_det_corner_matrix():
     m = PolyMatrix([[BiPoly.zero(), BiPoly.one()], [BiPoly.y(), BiPoly.zero()]])
     assert matdet(m) == -BiPoly.y()
-    assert _det_leibniz(m) == -BiPoly.y()
+    assert leibniz_det(m) == -BiPoly.y()
 
 
-# 1/(2^89 - 1) pushes the common denominator past the integer path's 64 bits
+# 1/(2^89 - 1) pushes the common denominator past Berkowitz's 64 bits
 TALL_SCALE = rat(1, 2**89 - 1)
 
 
@@ -236,10 +260,9 @@ def full_denominator(m: PolyMatrix) -> int:
 
 
 def assert_bareiss_equals_leibniz(m: PolyMatrix):
-    """On m, over the integers, and on m scaled past 64 bits, over Q."""
-    for a, integer in ((m, True), (m.scale(TALL_SCALE), False)):
-        assert (_common_denominator(a) is not None) == integer
-        assert matdet(a) == _det_leibniz(a)
+    """On m, and on m scaled past 64 bits."""
+    for a in (m, m.scale(TALL_SCALE)):
+        assert matdet(a) == leibniz_det(a)
 
 
 def test_bareiss_equals_leibniz_4x4():
@@ -254,37 +277,34 @@ def test_bareiss_equals_leibniz_sizes(n):
     assert_bareiss_equals_leibniz(random_matrix(rng, n))
 
 
-def ring_det(m: PolyMatrix, d, monkeypatch) -> BiPoly:
-    """_det_bareiss(m, d), failing unless every quotient of the elimination
-    is an int map, and in the primitive ring (d None) one of content 1 with
-    a positive leading coefficient."""
+def ring_det(m: PolyMatrix, monkeypatch) -> BiPoly:
+    """_det_bareiss(m), failing unless every quotient of the elimination is
+    an int map of content 1 with a positive leading coefficient."""
     divide = redkp.polymatrix._divide_terms
 
     def checked_quotient(num, den, div):
         quot = divide(num, den, div)
         assert all(type(c) is int for c in quot.values())
-        if d is None:
-            assert math.gcd(*quot.values()) == 1 and quot[max(quot)] > 0
+        assert math.gcd(*quot.values()) == 1 and quot[max(quot)] > 0
         return quot
 
     with monkeypatch.context() as mp:
         mp.setattr(redkp.polymatrix, "_divide_terms", checked_quotient)
-        return _det_bareiss(m, d)
-
-
-def assert_rings_agree(m: PolyMatrix, monkeypatch):
-    """Z on full_denominator(m) * m, the primitive ring and Leibniz agree."""
-    det = ring_det(m, full_denominator(m), monkeypatch)
-    assert ring_det(m, None, monkeypatch) == det == _det_leibniz(m)
+        return _det_bareiss(m)
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
-def test_integer_bareiss_equals_rational_bareiss_on_curves(params, monkeypatch):
+def test_berkowitz_and_bareiss_equal_leibniz_on_curves(params, monkeypatch):
+    """Each curve through both paths, Berkowitz on its full common
+    denominator whatever its height, in the same term order."""
     state = random_state(*params, seed=3)
     t = default_time(state)
     n = params[2]
     m = build_monodromy(state, t) - PolyMatrix.identity(n).scale(BiPoly.x())
-    assert_rings_agree(m, monkeypatch)
+    berkowitz = _det_berkowitz(m, 0, full_denominator(m))
+    bareiss = ring_det(m, monkeypatch)
+    assert berkowitz == bareiss == leibniz_det(m)
+    assert list(berkowitz.items()) == list(bareiss.items())
 
 
 # Coefficient denominators of the primitive-ring draws: mixed, several past
@@ -345,7 +365,7 @@ def test_primitive_ring_equals_leibniz(n, monkeypatch):
     for _ in range(12 if n < 6 else 3):
         m = tall_matrix(rng, n)
         assert _common_denominator(m) is None
-        assert ring_det(m, None, monkeypatch) == matdet(m) == _det_leibniz(m)
+        assert ring_det(m, monkeypatch) == matdet(m) == leibniz_det(m)
     # at n = 2 the only update is of the swapped-in row, whose lead is 0
     expected = {"no content"} | ({"content", "cancelled"} if n > 2 else set())
     assert expected <= branches
@@ -353,16 +373,16 @@ def test_primitive_ring_equals_leibniz(n, monkeypatch):
 
 def route(monkeypatch) -> list:
     """The path of each determinant ``matdet`` takes from here on:
-    ("berkowitz", v, d) or ("bareiss", d)."""
+    ("berkowitz", v, d) or ("bareiss",)."""
     calls = []
 
     def traced_berkowitz(m, v, d):
         calls.append(("berkowitz", v, d))
         return _det_berkowitz(m, v, d)
 
-    def traced_bareiss(m, d):
-        calls.append(("bareiss", d))
-        return _det_bareiss(m, d)
+    def traced_bareiss(m):
+        calls.append(("bareiss",))
+        return _det_bareiss(m)
 
     monkeypatch.setattr(redkp.polymatrix, "_det_berkowitz", traced_berkowitz)
     monkeypatch.setattr(redkp.polymatrix, "_det_bareiss", traced_bareiss)
@@ -390,7 +410,7 @@ def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
         lambda *args: primitive_updates.append(args) or update(*args),
     )
     assert spectral_curve(tall, tall.frontier).poly.degree_x == 3
-    assert calls == [("bareiss", None)] and primitive_updates
+    assert calls == [("bareiss",)] and primitive_updates
 
 
 # -- Berkowitz on m = A - vI ------------------------------------------------------
@@ -426,8 +446,8 @@ def test_berkowitz_equals_bareiss_and_leibniz(n, v, monkeypatch):
         calls.clear()
         det = matdet(m)
         assert calls == [("berkowitz", v, d)]
-        bareiss = _det_bareiss(m, d)
-        assert det == bareiss == _det_leibniz(m)
+        bareiss = _det_bareiss(m)
+        assert det == bareiss == leibniz_det(m)
         if n > 1:  # the same term order as Bareiss's quotients
             assert list(det.items()) == list(bareiss.items())
 
@@ -445,7 +465,7 @@ def test_characteristic_form_routes_by_denominator_height(v, monkeypatch):
             calls.clear()
             det = matdet(m)
             assert [call[0] for call in calls] == [path]
-            assert det == _det_leibniz(m) == _det_berkowitz(m, v, den)
+            assert det == leibniz_det(m) == _det_berkowitz(m, v, den)
 
 
 def test_near_characteristic_matrices_reach_bareiss(monkeypatch):
@@ -467,16 +487,25 @@ def test_near_characteristic_matrices_reach_bareiss(monkeypatch):
     calls = route(monkeypatch)
     for m in near:
         calls.clear()
-        assert matdet(m) == _det_leibniz(m)
+        assert matdet(m) == leibniz_det(m)
         assert [call[0] for call in calls] == ["bareiss"]
 
 
 def test_each_determinant_caller_takes_its_path(monkeypatch):
     """The curve, the leading branch and det(Y - yI) take Berkowitz; the
-    stars and the cofactor matrices of the leading form take Bareiss."""
+    stars and the cofactor matrices of the leading form take Bareiss, each
+    equal to the Leibniz expansion."""
     state = random_state(2, 1, 5, seed=6)  # gcd(M+K, N) = 1: a unique branch
     t, t_deep = default_time(state), default_time(state, deep=True)
     calls = route(monkeypatch)
+    traced_bareiss = redkp.polymatrix._det_bareiss
+
+    def bareiss_equal_to_leibniz(m):
+        det = traced_bareiss(m)
+        assert det == leibniz_det(m)
+        return det
+
+    monkeypatch.setattr(redkp.polymatrix, "_det_bareiss", bareiss_equal_to_leibniz)
     spectral_curve(state, t)
     assert [call[:2] for call in calls] == [("berkowitz", 0)]
     calls.clear()
@@ -488,7 +517,7 @@ def test_each_determinant_caller_takes_its_path(monkeypatch):
     assert [call[:2] for call in calls] == [("berkowitz", 1)]
     calls.clear()
     for star in shift_stars(state, t_deep):
-        assert matdet(star) == _det_leibniz(star)
+        matdet(star)
     assert [call[0] for call in calls] == ["bareiss"] * 3
 
 
@@ -507,12 +536,12 @@ def test_det_with_zero_pivot_row_swap(monkeypatch):
     assert matdet(singular).is_zero()
     for scale in (1, rat(2, 3), TALL_SCALE):
         for a in (m.scale(scale), singular.scale(scale)):
-            assert_rings_agree(a, monkeypatch)
+            assert ring_det(a, monkeypatch) == leibniz_det(a)
 
 
 def test_leibniz_size_guard():
     with pytest.raises(LeibnizGuard):
-        _det_leibniz(PolyMatrix.identity(9))
+        leibniz_det(PolyMatrix.identity(9))
 
 
 def test_adjugate_inverse_relation():

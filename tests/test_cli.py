@@ -25,7 +25,7 @@ from redkp import (
 )
 from redkp.cli import main
 from redkp.lax import default_time
-from redkp.verify import run_verification
+from redkp.verify import _run, _suites, run_verification
 from redkp.yform import verify_word_append_rule
 from conftest import random_state
 
@@ -272,6 +272,55 @@ def test_verify_enumerates_all_suites(tmp_path, classic_file):
         "case_b_structure",
         "psi_phi_ratios",
     ]
+
+
+def _classic_corrupted(classic_state):
+    # one V value off the orbit inside the checked window: the site
+    # invariants and the hidden sum then differ between times
+    st = classic_state.copy()
+    t = default_time(st, deep=True) + 1
+    st.evolve_to(t)
+    vals = list(st._v[t])
+    vals[0] *= rat(3, 2)
+    st._v[t] = tuple(vals)
+    return st
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda classic: classic,
+        _classic_corrupted,
+        lambda classic: random_state(1, 1, 3, seed=3),
+        lambda classic: random_state(3, 2, 5, seed=4),
+    ],
+    ids=["classic", "classic_corrupted", "113", "325"],
+)
+def test_each_suite_reads_fixed_times(classic_state, make, monkeypatch):
+    """A suite's entry is the same run alone on its own copy of the state as
+    in the full list, in either order.  Verify evolves to t + 3 (the curves
+    and invariants), t + MK (the kernels) or, on (1,1,2), t + 20 (the hidden
+    sum), and no further."""
+    st = make(classic_state)
+    reached = []
+    step = LatticeState.step
+
+    def traced_step(self):
+        reached.append(self.frontier + 1)
+        return step(self)
+
+    monkeypatch.setattr(LatticeState, "step", traced_step)
+    full = run_verification(st)["suites"]
+    t_deep = default_time(st, deep=True)
+    M, K, N = st.params.M, st.params.K, st.params.N
+    hidden = (M, K, N) == (1, 1, 2)
+    reach = t_deep + (20 if hidden else max(3, M * K))
+    assert max(reached, default=st.frontier) == max(st.frontier, reach)
+    assert [_run(*_suites(st)[i]) for i in range(len(full))] == full
+    assert [_run(name, check) for name, check in reversed(_suites(st))][::-1] == full
+    by_name = {s["name"]: s for s in full}
+    if hidden:
+        assert by_name["hidden_invariant"]["detail"]["times"] == 21
 
 
 @pytest.mark.parametrize(

@@ -101,7 +101,7 @@ def test_eigenvector_rejects_off_curve_point():
 
 def test_kernels_classic(classic_state):
     diag = special_point_kernels(classic_state, 0)
-    assert diag.passed and diag.tolerance == 0
+    assert diag.passed
     assert {p: m for p, m, _ in diag.samples} == {"rank:Q1": 1, "rank:A0": 1, "rank:B0": 1}
 
 
@@ -308,7 +308,7 @@ def test_infinity_asymptotics_equals_full_cofactor_oracle(M, K, N, seed):
     st = random_state(M, K, N, seed=seed)
     t = default_time(st, deep=True)
     diag = infinity_asymptotics(st, t)
-    assert diag.passed and diag.tolerance == 0
+    assert diag.passed
     assert _samples(diag) == _oracle_infinity(st, t)
 
 
@@ -524,7 +524,7 @@ def test_diag_json_keys(diagnostic, uniform_113):
     t = default_time(uniform_113, deep=True)
     uniform_113.evolve_to(t + 3)
     doc = diagnostic(uniform_113, t).to_json_dict()
-    assert set(doc) == {"name", "passed", "tolerance", "samples"}
+    assert set(doc) == {"name", "passed", "samples"}
     assert json.loads(json.dumps(doc)) == doc
 
 
