@@ -7,6 +7,7 @@ banded matrix products stay sparse.  Values are immutable after construction.
 
 from __future__ import annotations
 
+import math
 import operator
 
 from .errors import ExactDivisionError
@@ -196,13 +197,23 @@ class BiPoly:
 
     def evaluate(self, x0, y0):
         """Exact value at a rational point; a ring homomorphism.  The terms a
-        zero coordinate kills are skipped (0**0 = 1 keeps the constant term),
-        and each power of x0 and y0 is taken once."""
+        zero coordinate kills are skipped (0**0 = 1 keeps the constant term).
+        With x0 = p/q, y0 = r/s, A and B the top live degrees and L the lcm of
+        the live denominators, the value is the integer sum of
+        c*L * p**a q**(A-a) * r**b s**(B-b) over L q**A s**B: one gcd per call,
+        and each power taken once."""
         x0, y0 = Rational(x0), Rational(y0)
         live = [(dx, dy, c) for (dx, dy), c in self._terms.items() if (x0 or not dx) and (y0 or not dy)]
-        xs = {dx: x0**dx for dx in {dx for dx, _, _ in live}}
-        ys = {dy: y0**dy for dy in {dy for _, dy, _ in live}}
-        return sum((c * xs[dx] * ys[dy] for dx, dy, c in live), _ZERO)
+        if not live:
+            return _ZERO
+        top_x = max(dx for dx, _, _ in live)
+        top_y = max(dy for _, dy, _ in live)
+        p, q, r, s = x0.numerator, x0.denominator, y0.numerator, y0.denominator
+        xs = {dx: p**dx * q ** (top_x - dx) for dx in {dx for dx, _, _ in live}}
+        ys = {dy: r**dy * s ** (top_y - dy) for dy in {dy for _, dy, _ in live}}
+        lcm = math.lcm(*(c.denominator for _, _, c in live))
+        total = sum(c.numerator * (lcm // c.denominator) * xs[dx] * ys[dy] for dx, dy, c in live)
+        return Rational(total, lcm * q**top_x * s**top_y)
 
     # -- serialization -------------------------------------------------------
 

@@ -3,10 +3,12 @@
 The monodromy at time t is the ordered product of K lower-family factors and
 M upper-family factors at the times ``LatticeParams.factor_times(t)``
 schedules; its characteristic polynomial is independent of t,
-which is the anchor identity of the whole package.  Conjugation by the corner
-matrix S or by a single factor realises the site shift and the two time
-shifts.  Each is checked as an exact intertwining Z a == a X_t between
-independently built monodromies, entirely in polynomial arithmetic.
+which is the anchor identity of the whole package.  It is built from the
+slices by column updates on rows of polynomials in y, with no ``PolyMatrix``
+factor or product.  Conjugation by the corner matrix S or by a single factor
+realises the site shift and the two time shifts.  Each is checked as an
+exact intertwining Z a == a X_t between independently built monodromies,
+entirely in polynomial arithmetic.
 
 The monodromy at each (t, form), and the curve and special points at each t,
 are built once per state, in its cache (``LatticeState.built``).
@@ -16,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _nonzero
 from .errors import NonPolynomialResult
 from .lattice import LatticeParams, LatticeState, default_time  # noqa: F401 (re-exported)
-from .polymatrix import PolyMatrix, matdet
+from .polymatrix import PolyMatrix, _add_univariate_product, matdet
 from .rational import Rational
 
 SHIFT_SIGMA = "sigma"
@@ -67,6 +69,12 @@ def build_monodromy(state: LatticeState, t: int, form: str = "standard") -> Poly
     alternate form is the provably equal product with every factor pushed
     through the exchange identity: the two blocks of the schedule at t-MK,
     upper factors first.  Built once per (t, form) and state.
+
+    Right-multiplying P by the factor with diagonal d is a column update of
+    each row: P'[i][j] = d_j P[i][j] + P[i][j-1] for j >= 1, and
+    P'[i][0] = d_0 P[i][0] + y P[i][N-1] through the corner (for N = 1, the
+    factor d + y).  Starting from I, the rows are ``{deg_y: Rational}`` maps,
+    wrapped as ``BiPoly`` entries once at the end.
     """
     return state.built(("monodromy", t, form), lambda: _build_monodromy(state, t, form))
 
@@ -76,13 +84,16 @@ def _build_monodromy(state: LatticeState, t: int, form: str) -> PolyMatrix:
         raise ValueError(f"unknown monodromy form: {form}")
     params = state.params
     i_times, v_times = params.factor_times(t if form == "standard" else t - params.M * params.K)
-    lower = [factor_l(state, s) for s in v_times]
-    upper = [factor_r(state, s) for s in i_times]
-    mats = lower + upper if form == "standard" else upper + lower
-    out = mats[0]
-    for m in mats[1:]:
-        out = out @ m
-    return out
+    lower = [state.v_slice(s) for s in v_times]
+    upper = [state.i_slice(s) for s in i_times]
+    rows = [[{0: Rational(1)} if i == j else {} for j in range(params.N)] for i in range(params.N)]
+    for d in lower + upper if form == "standard" else upper + lower:
+        for row in rows:
+            corner = {k + 1: c for k, c in row[-1].items()}  # y times the old last column
+            for j in range(params.N - 1, -1, -1):
+                prev = row[j - 1] if j else corner
+                row[j] = _nonzero(_add_univariate_product(dict(prev), {0: d[j]}, row[j]))
+    return PolyMatrix([[BiPoly._raw({(0, k): c for k, c in e.items()}) for e in row] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -161,9 +172,6 @@ class SpectralCurve:
     deg_x: int
     deg_y: int
     params: LatticeParams
-
-    def evaluate(self, x0, y0):
-        return self.poly.evaluate(x0, y0)
 
 
 def spectral_curve(state: LatticeState, t: int) -> SpectralCurve:

@@ -3,7 +3,10 @@
 The product skips the zero entries of both operands (a banded Lax factor has
 2N nonzero entries of N^2) and sums each output entry in one term map with
 ``bipoly._add_product``, the accumulator of ``BiPoly.__mul__`` and of Bareiss,
-dropping the sums that cancel.
+dropping the sums that cancel.  The monodromy is not built with it (``lax``
+updates columns instead); its callers are the intertwinings of
+``lax.apply_shift``, the companion product of ``yform`` and
+``lax.verify_compatibility``.
 
 The determinant is exact and runs over Z, by one of two algorithms that
 ``matdet`` chooses by the kind of matrix.  Let D be the common denominator of
@@ -250,7 +253,7 @@ def _characteristic_variable(m: PolyMatrix):
 
 
 def _add_univariate_product(acc: dict, p: dict, q: dict, c=1) -> dict:
-    """``bipoly._add_product`` on univariate ``{deg: int}`` maps."""
+    """``bipoly._add_product`` on univariate ``{deg: coefficient}`` maps."""
     get = acc.get
     for pd, pc in p.items():
         if c != 1:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redkp.polymatrix
-from redkp import BiPoly, PolyMatrix, matdet, rat
+from redkp import BiPoly, PolyMatrix, Rational, matdet, rat
 from redkp.cli import main
 from redkp.errors import ExactDivisionError
 from redkp.lax import build_factor, build_monodromy, default_time, shift_matrix, spectral_curve
@@ -125,17 +125,35 @@ def naive_value(p: BiPoly, x0, y0):
     return sum((c * x0**dx * y0**dy for (dx, dy), c in p.items()), rat(0))
 
 
+_TALL_X = rat(-(3**4000 + 2), 2**5000 + 1)  # 6.3k / 5k bits
+_TALL_Y = rat(7**3600 - 4, -(5**4000))  # 10.1k / 9.3k bits
+
+
 @pytest.mark.parametrize(
     "point",
-    [(0, rat(7, 3)), (rat(-5, 2), 0), (0, 0), (rat(3, 4), rat(-2, 9)), (rat(1, 3), rat(2**1000 + 1, 3**7))],
+    [
+        (0, rat(7, 3)),
+        (rat(-5, 2), 0),
+        (0, 0),
+        (rat(3, 4), rat(-2, 9)),
+        (rat(1, 3), rat(2**1000 + 1, 3**7)),
+        (_TALL_X, _TALL_Y),
+        (_TALL_X, 0),
+        (0, _TALL_Y),
+        (rat(-7), rat(-2, 5)),
+    ],
 )
 def test_evaluate_equals_naive_term_sum(point):
     rng = random.Random(53)
     polys = [random_bipoly(rng, max_deg=4) for _ in range(5)]
     polys.append(BiPoly({(0, 0): 5, (3, 0): 2, (0, 4): -1, (2, 2): rat(1, 7)}))
+    polys.append(BiPoly({(0, 3): -4, (2, 1): 9, (4, 0): 1, (1, 1): -3}))  # integer coefficients
+    polys.append(BiPoly.zero())
     for p in polys:
-        assert p.evaluate(*point) == naive_value(p, *point)
-    assert polys[-1].evaluate(0, 0) == 5  # 0**0 = 1 keeps the constant term
+        value = p.evaluate(*point)
+        assert type(value) is Rational
+        assert value == naive_value(p, *point)
+    assert polys[-3].evaluate(0, 0) == 5  # 0**0 = 1 keeps the constant term
 
 
 def test_constant_bipoly_hashes_as_its_scalar():

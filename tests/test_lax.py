@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from redkp import (
@@ -150,6 +152,77 @@ def test_standard_equals_alternate(M, K, N, seed):
     st = random_state(M, K, N, seed=seed)
     t = default_time(st, deep=True)
     assert build_monodromy(st, t, "standard") == build_monodromy(st, t, "alternate")
+
+
+def _monodromy_oracle(st, t, form):
+    """The scheduled factors multiplied as ``PolyMatrix`` products: the oracle
+    for the column updates of ``build_monodromy``."""
+    params = st.params
+    i_times, v_times = params.factor_times(t if form == "standard" else t - params.M * params.K)
+    lower = [factor_l(st, s) for s in v_times]
+    upper = [factor_r(st, s) for s in i_times]
+    mats = lower + upper if form == "standard" else upper + lower
+    out = mats[0]
+    for m in mats[1:]:
+        out = out @ m
+    return out
+
+
+def _assert_monodromies_match_oracle(st, t, monkeypatch):
+    """Both forms of X_t equal the oracle, are polynomials in y alone with no
+    stored zero, and are built with no PolyMatrix product or factor."""
+    forms = ("standard", "alternate")
+    expected = [_monodromy_oracle(st, t, form) for form in forms]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_monodromy must not multiply PolyMatrix factors")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PolyMatrix, "__matmul__", forbidden)
+        patch.setattr(lax, "build_factor", forbidden)
+        built = [build_monodromy(st, t, form) for form in forms]
+    for x_t, oracle in zip(built, expected):
+        assert x_t == oracle
+        for row in x_t.rows:
+            for e in row:
+                assert all(key[0] == 0 and c != 0 for key, c in e.items())
+    return built
+
+
+@pytest.mark.parametrize(
+    "M,K,N", [(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 3, 2), (2, 1, 3), (3, 2, 4), (2, 3, 5), (1, 2, 6)]
+)
+def test_monodromy_matches_factor_product_oracle(M, K, N, monkeypatch):
+    st = random_state(M, K, N, seed=40 + 10 * M + N)
+    t = default_time(st, deep=True)
+    _assert_monodromies_match_oracle(st, t, monkeypatch)
+    _assert_monodromies_match_oracle(st.rotated(), t, monkeypatch)
+
+
+def _signed_state(M, K, N, rng):
+    """Slices of +-1 and +-2 on windows long enough for both forms at t = 0."""
+    span = 2 * M * K + M + K
+
+    def window():
+        return {-r: [rat(rng.choice((-2, -1, 1, 2))) for _ in range(N)] for r in range(span)}
+
+    return new_state(LatticeParams(M, K, N), window(), window())
+
+
+@pytest.mark.parametrize("M,K,N", [(1, 1, 1), (1, 1, 2), (2, 1, 3), (1, 2, 4), (3, 2, 5)])
+def test_monodromy_matches_oracle_on_signed_slices(M, K, N, monkeypatch):
+    rng = random.Random(100 * M + 10 * K + N)
+    for _ in range(4):
+        st = _signed_state(M, K, N, rng)
+        _assert_monodromies_match_oracle(st, 0, monkeypatch)
+        _assert_monodromies_match_oracle(st.rotated(), 0, monkeypatch)
+
+
+def test_monodromy_entries_that_cancel_are_zero(monkeypatch):
+    # L = [[-1, 1], [y, -1]] and R = [[1, 1], [y, 1]]: X = (y - 1) I
+    st = new_state(LatticeParams(1, 1, 2), {-1: [1, 1], 0: [1, 1]}, {-1: [-1, -1], 0: [-1, -1]})
+    x_t, _ = _assert_monodromies_match_oracle(st, 0, monkeypatch)
+    assert x_t == PolyMatrix.identity(2).scale(BiPoly.y() - 1)
 
 
 def test_monodromy_insufficient_history():
