@@ -9,8 +9,11 @@ time step solves the cyclic one-step equations
 the step is affine, z_i = (1 + b_{i-1} z_{i-1}) / a_{i-1}, with slope
 prod(b)/prod(a) round the cycle.  One Horner pass gives its finite fixed
 point: the eigenvalue-prod(a) branch of the 2x2 monodromy (``monodromy_closure``).
-z = infinity (x = b) is the excluded trivial branch of prod(b).  Every step
-is exact, so the product conservation laws hold with zero error.
+The pass carries w = p s, s the image of z = 0 and p the partial product of
+a: w <- p + b_{i-1} w, then p <- p a_{i-1}.  So it makes no division and
+leaves prod(a) in p, and x_N = b_N + (prod(a) - prod(b)) / w.  z = infinity
+(x = b) is the excluded trivial branch of prod(b).  Every step is exact, so
+the product conservation laws hold with zero error.
 """
 
 from __future__ import annotations
@@ -251,19 +254,21 @@ class LatticeState:
         b = self._v[t1 - self.params.K]
         n = self.params.N
 
-        pa, pb = _product(a), _product(b)
+        # z = 1/(x - b) goes round the cycle to (pb/pa) z + s, fixed at s / (1 - pb/pa);
+        # the pass runs on w = pa*s with no division, and x - b = (pa - pb) / w
+        pa, w = 1, 0
+        for i in range(n):
+            w = pa + b[i - 1] * w
+            pa = pa * a[i - 1]
+        pb = _product(b)
         if pa == pb:
             raise DegenerateEvolution(
                 f"prod(I) == prod(V) == {format_rational(pa)} at step {t1}: "
                 "closure is not unique"
             )
-        # z = 1/(x - b) goes round the cycle to (pb/pa) z + s, fixed at s / (1 - pb/pa)
-        s = 0
-        for i in range(n):
-            s = (1 + b[i - 1] * s) / a[i - 1]
-        if s == 0:
+        if w == 0:
             raise DegenerateEvolution(f"closure fixed point at infinity at step {t1}")
-        x_last = b[n - 1] + (1 - pb / pa) / s
+        x_last = b[n - 1] + (pa - pb) / w
 
         x = [None] * n
         y = [None] * n

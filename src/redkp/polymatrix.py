@@ -21,19 +21,32 @@ all coefficients.
   the wide curves (N 5-9, D 10-24 bits) it runs 3.3-12x as fast as Bareiss.
 * Bareiss fraction-free elimination (``_det_bareiss``) on every other
   matrix: the stars of ``yform``, the cofactor matrices of ``numeric`` and
-  every matrix with D past 64 bits.  Each entry is a Rational scalar times
+  every matrix with D past the cut.  Each entry is a Rational scalar times
   an ``int`` term map of content 1 with a positive leading coefficient.  By
   Gauss's lemma a product of primitive parts is primitive and their
   quotient is exact over Z (one ``bipoly._divide_terms``), so only a
   difference of two products takes a content gcd.
 
-Both paths give the identical polynomial.  Past 64 bits Berkowitz on D*A ran
-1.9-3.7x slower than primitive Bareiss on tall N = 5 curves (D 3.6k-25k
-bits), though 1.0-1.5x as fast at N = 3 and 4 (Python 3.11.7,
-``Fraction``).  The primitive ring is 6x faster than the Q[x,y] elimination
-it replaced.  On the small stars and cofactor matrices (N 2-7, D of at most
-64 bits) it runs 1.3-1.6x slower than Bareiss on D*m over ``int`` did,
-about 0.2 ms per ``verify``, which does not pay for a second ring.
+Both paths give the identical polynomial.  The cut sits below the crossover
+of Berkowitz's time over Bareiss's on characteristic matrices of rising D
+(two samples of 11 and 5 systems with N 5-9, one draw each, Python 3.11.7,
+``Fraction``):
+
+    D (bits)      Berkowitz / Bareiss
+    below 500     0.09-0.45
+    500-1024      at most 0.85
+    1300-4000     the first ratio of 1 or more; the lowest: (2,1,9) at
+                  1300, (1,1,9) at 1350, (1,1,8) at 1374, (1,1,6) at 1388
+    3.6k-25k      1.9-3.7 on tall N = 5 curves (0.65-0.99 at N = 3 and 4,
+                  D 2.2k-19k, which would need a cut on N)
+
+So the curves ``verify`` builds on small-rational data, to t+3 past its
+anchor (D of 150-800 bits on (3,2,5) and (1,1,8)), take Berkowitz, and the
+tall windows of 1.5k bits and more keep Bareiss.  The primitive ring is 6x
+faster than the Q[x,y] elimination it replaced.  On the small stars and
+cofactor matrices (N 2-7, D of at most 64 bits) it runs 1.3-1.6x slower
+than Bareiss on D*m over ``int`` did, about 0.2 ms per ``verify``, which
+does not pay for a second ring.
 """
 
 from __future__ import annotations
@@ -44,8 +57,10 @@ from .bipoly import BiPoly, _add_product, _coerce, _divide_terms, _nonzero
 from .errors import ExactDivisionError, SizeMismatch
 from .rational import Rational
 
-# Largest common denominator, in bits, for which Berkowitz runs.
-_INTEGER_DENOMINATOR_BITS = 64
+# Largest common denominator, in bits, for which Berkowitz runs: below it
+# Berkowitz took at most 0.85x Bareiss's time on every sampled curve, and the
+# first ratio of 1 or more came at 1300 bits (see the module docstring).
+_INTEGER_DENOMINATOR_BITS = 1024
 
 
 class PolyMatrix:

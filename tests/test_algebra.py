@@ -14,6 +14,7 @@ from redkp.lax import build_factor, build_monodromy, default_time, shift_matrix,
 from redkp.bipoly import _divide_terms
 from redkp.numeric import _leading_form
 from redkp.polymatrix import (
+    _INTEGER_DENOMINATOR_BITS as CUT,
     _common_denominator,
     _det_bareiss,
     _det_berkowitz,
@@ -268,8 +269,8 @@ def test_det_corner_matrix():
     assert leibniz_det(m) == -BiPoly.y()
 
 
-# 1/(2^89 - 1) pushes the common denominator past Berkowitz's 64 bits
-TALL_SCALE = rat(1, 2**89 - 1)
+# 1/(2^(CUT+25) - 1) pushes the common denominator past Berkowitz's cut
+TALL_SCALE = rat(1, 2 ** (CUT + 25) - 1)
 
 
 def full_denominator(m: PolyMatrix) -> int:
@@ -278,9 +279,11 @@ def full_denominator(m: PolyMatrix) -> int:
 
 
 def assert_bareiss_equals_leibniz(m: PolyMatrix):
-    """On m, and on m scaled past 64 bits."""
-    for a in (m, m.scale(TALL_SCALE)):
-        assert matdet(a) == leibniz_det(a)
+    """On m, and on m scaled past the cut, whose determinant is
+    TALL_SCALE^n times that of m."""
+    expected = leibniz_det(m)
+    assert matdet(m) == expected
+    assert matdet(m.scale(TALL_SCALE)) == expected * TALL_SCALE**m.n
 
 
 def test_bareiss_equals_leibniz_4x4():
@@ -326,8 +329,8 @@ def test_berkowitz_and_bareiss_equal_leibniz_on_curves(params, monkeypatch):
 
 
 # Coefficient denominators of the primitive-ring draws: mixed, several past
-# 64 bits.
-TALL_DENOMINATORS = (1, 3, 2**61 - 1, 2**89 - 1, 2**107 - 1, 3**50)
+# the cut (3^(2 CUT/3) has 1.06 CUT bits).
+TALL_DENOMINATORS = (1, 3, 2**61 - 1, 2 ** (CUT + 25) - 1, 2 ** (CUT + 43) - 1, 3 ** (2 * CUT // 3))
 
 
 def tall_bipoly(rng):
@@ -346,7 +349,7 @@ def tall_matrix(rng, n):
     zero = BiPoly.zero()
     rows = [[tall_bipoly(rng) if rng.random() < 0.8 else zero for _ in range(n)] for _ in range(n)]
     # the first pivot, at (1,0), has a negative leading coefficient and a
-    # denominator past 64 bits
+    # denominator past the cut
     lead = tall_bipoly(rng) * TALL_SCALE
     if lead.coefficient(*max(k for k, _ in lead.items())) > 0:
         lead = -lead
@@ -414,12 +417,14 @@ def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
     path.write_text(low.dumps())
     assert main(["charpoly", str(path), "-o", str(tmp_path / "out.json")]) == 0
     assert [call[:2] for call in calls] == [("berkowitz", 0)]
-    assert type(calls[0][2]) is int and calls[0][2].bit_length() <= 64
+    assert type(calls[0][2]) is int and calls[0][2].bit_length() <= CUT
 
     calls.clear()
     tall = random_state(1, 1, 3, seed=5)
     while max(v.denominator.bit_length() for v in tall.i_slice(tall.frontier)) <= 1000:
         tall.step()
+    m = build_monodromy(tall, tall.frontier) - PolyMatrix.identity(3).scale(BiPoly.x())
+    assert full_denominator(m).bit_length() > CUT
     primitive_updates = []
     update = redkp.polymatrix._primitive_update
     monkeypatch.setattr(
@@ -429,6 +434,25 @@ def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
     )
     assert spectral_curve(tall, tall.frontier).poly.degree_x == 3
     assert calls == [("bareiss",)] and primitive_updates
+
+
+@pytest.mark.parametrize("params", [(3, 2, 5), (1, 1, 8)])
+def test_curves_past_the_anchor_take_berkowitz(params, monkeypatch):
+    """Curves three steps past ``verify``'s anchor, where D has 150-800
+    bits (226 and 654 here), past the old 64-bit cut, take Berkowitz and
+    equal Bareiss in value and term order."""
+    state = random_state(*params, seed=8)
+    t = default_time(state, deep=True) + 3
+    m = build_monodromy(state, t) - PolyMatrix.identity(params[2]).scale(BiPoly.x())
+    d = full_denominator(m)
+    assert 64 < d.bit_length() <= CUT
+    calls = route(monkeypatch)
+    det = matdet(m)
+    assert calls == [("berkowitz", 0, d)]
+    bareiss = _det_bareiss(m)
+    assert det == bareiss and list(det.items()) == list(bareiss.items())
+    if params[2] == 5:
+        assert det == leibniz_det(m)
 
 
 # -- Berkowitz on m = A - vI ------------------------------------------------------
@@ -472,10 +496,10 @@ def test_berkowitz_equals_bareiss_and_leibniz(n, v, monkeypatch):
 
 @pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
 def test_characteristic_form_routes_by_denominator_height(v, monkeypatch):
-    """D of 64 bits takes Berkowitz, D of 65 bits the primitive ring."""
+    """D of CUT bits takes Berkowitz, D of CUT + 1 bits the primitive ring."""
     rng = random.Random(950 + v)
     calls = route(monkeypatch)
-    for den, path in ((2**64 - 59, "berkowitz"), (2**64 + 13, "bareiss")):
+    for den, path in ((2**CUT - 1, "berkowitz"), (2**CUT + 1, "bareiss")):
         for n in (3, 5):
             corner = [[rat(-1, den) if (i, j) == (0, n - 1) else 0 for j in range(n)] for i in range(n)]
             m = characteristic_matrix(rng, n, v, dens=(1, den)) + PolyMatrix(corner)

@@ -197,14 +197,17 @@ def test_step_equals_monodromy_oracle_on_signed_inputs():
 
 
 def test_step_equals_monodromy_oracle_past_1000_bits():
-    st = random_state(2, 1, 3, seed=21)
-    bits = 0
-    while bits <= 1000:
-        t1 = st.frontier + 1
-        expected = monodromy_step_oracle(st.i_slice(t1 - 2), st.v_slice(t1 - 1), t1)
-        st.step()
-        assert (st.i_slice(t1), st.v_slice(t1)) == expected
-        bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in expected[0])
+    # the last two draws reach the heights of the benchmark's deep evolutions
+    for params, seed, height in (((2, 1, 3), 21, 1000), ((1, 1, 5), 22, 8000), ((1, 2, 4), 23, 8000)):
+        st = random_state(*params, seed=seed)
+        M, K, _ = params
+        bits = 0
+        while bits <= height:
+            t1 = st.frontier + 1
+            expected = monodromy_step_oracle(st.i_slice(t1 - M), st.v_slice(t1 - K), t1)
+            st.step()
+            assert (st.i_slice(t1), st.v_slice(t1)) == expected
+            bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in expected[0])
 
 
 def test_evolve_to_noop_and_uniform():
