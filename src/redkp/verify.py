@@ -11,15 +11,20 @@ so its detail does not depend on the suites run before it.
 
 Each identity is checked by one suite: the factor exchange is the lattice
 equations (``evolution_consistency``), the monodromy exchanges are the time
-shifts (``shift_conjugations``).  Identities that hold for every input, such
-as det S, are pinned by the tests instead.
+shifts (``shift_conjugations``).  Identities that hold for every input are
+pinned by the tests instead: det S, and over arbitrary slice windows the two
+routes to the band table (``band_coefficients``), the word append rule
+(``yform.verify_word_append_rule``), the x/y-form duality
+(``yform.spectral_duality``) and the orders at infinity
+(``numeric.infinity_asymptotics``), which read only the top-weight part of
+X_t, the same for every state.
 """
 
 from __future__ import annotations
 
 from .bipoly import BiPoly
 from .degeneration import hidden_invariant_check
-from .errors import GcdViolation, NotCaseB, WordGuard, WrongParams
+from .errors import GcdViolation, NotCaseB, WrongParams
 from .lattice import LatticeState
 from .lax import (
     SHIFT_MU_K,
@@ -31,21 +36,15 @@ from .lax import (
     special_points,
     spectral_curve,
 )
-from .numeric import case_b_structure, infinity_asymptotics, psi_phi_ratios, special_point_kernels
+from .numeric import case_b_structure, psi_phi_ratios, special_point_kernels
 from .polymatrix import matdet
 from .rational import Rational, format_rational
-from .yform import (
-    band_coefficients,
-    reassemble,
-    shift_stars,
-    spectral_duality,
-    verify_word_append_rule,
-)
+from .yform import shift_stars
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
 
 # raised by a suite's function when the state is outside the claim's domain
-PRECONDITIONS = (GcdViolation, NotCaseB, WordGuard, WrongParams)
+PRECONDITIONS = (GcdViolation, NotCaseB, WrongParams)
 
 
 def run_verification(state: LatticeState, seed: int = 0) -> dict:
@@ -154,20 +153,6 @@ def _suites(state: LatticeState) -> list:
                     ok &= val == u[i]
         return {"_ok": bool(ok)}
 
-    def band_methods():
-        bp = band_coefficients(state, t_deep, "product")
-        bw = band_coefficients(state, t_deep, "words")
-        ok = bp == bw and reassemble(bp) == build_monodromy(state, t_deep)
-        return {"_ok": bool(ok)}
-
-    def word_lemma():
-        rep = verify_word_append_rule(state, t_deep)
-        return {"_ok": rep.ok, "checked": rep.checked}
-
-    def duality():
-        rep = spectral_duality(state, t_deep)
-        return {"_ok": rep.ok, "ratio": repr(rep.ratio)}
-
     def hidden_invariant():
         rep = hidden_invariant_check(state, steps=20, start=t_deep)
         return {
@@ -191,12 +176,8 @@ def _suites(state: LatticeState) -> list:
         ("determinant_closed_forms", determinant_closed_forms),
         ("special_points_on_curve", special_points_on_curve),
         ("triangular_at_zero_fiber", triangular_at_zero),
-        ("band_method_agreement", band_methods),
-        ("word_append_rule", word_lemma),
-        ("spectral_duality", duality),
         ("hidden_invariant", hidden_invariant),
         ("special_point_kernels", lambda: diag(special_point_kernels)),
-        ("infinity_asymptotics", lambda: diag(infinity_asymptotics)),
         ("case_b_structure", lambda: diag(case_b_structure)),
         ("psi_phi_ratios", lambda: diag(psi_phi_ratios)),
     ]

@@ -9,6 +9,9 @@ factor conjugators get matching star realisations.
 Two independent routes compute the band coefficients: sequential application
 of the banded factors (polynomial time) and the two-letter word expansion
 (exponential, the literal recursive definition); they must agree exactly.
+The word route, its append rule and the x/y-form duality hold for any slice
+values, so no ``verify`` suite runs them: they are test oracles, checked over
+arbitrary slice windows by the tests.
 """
 
 from __future__ import annotations

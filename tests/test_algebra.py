@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redkp.polymatrix
-from redkp import BiPoly, PolyMatrix, Rational, matdet, rat
+from redkp import BiPoly, LatticeParams, LatticeState, PolyMatrix, Rational, matdet, new_state, rat
 from redkp.cli import main
 from redkp.errors import ExactDivisionError
 from redkp.lax import build_factor, build_monodromy, default_time, shift_matrix, spectral_curve
@@ -20,6 +20,7 @@ from redkp.polymatrix import (
     _det_berkowitz,
     _exact_int_div,
 )
+from redkp.verify import _suites
 from redkp.yform import shift_stars, spectral_duality
 from conftest import PARAM_SETS, random_state
 
@@ -453,6 +454,22 @@ def test_curves_past_the_anchor_take_berkowitz(params, monkeypatch):
     assert det == bareiss and list(det.items()) == list(bareiss.items())
     if params[2] == 5:
         assert det == leibniz_det(m)
+
+
+def test_verify_past_the_cut_takes_bareiss(monkeypatch):
+    """``verify`` of the tall (1,1,3) stepping window at t = 30 anchors at 31,
+    on 4.5k-bit slices: each curve ``isospectrality`` builds has D past the
+    cut and takes the primitive Bareiss ring."""
+    tall = new_state(LatticeParams(1, 1, 3), {0: [2, rat(3, 2), 5]}, {0: [1, rat(7, 3), 4]})
+    window = LatticeState.loads(tall.evolve_to(30).prune_below(30).dumps())
+    t = default_time(window, deep=True)
+    assert t == 31
+    for s in range(t, t + 4):
+        m = build_monodromy(window, s) - PolyMatrix.identity(3).scale(BiPoly.x())
+        assert full_denominator(m).bit_length() > CUT
+    calls = route(monkeypatch)
+    assert dict(_suites(window))["isospectrality"]() == {"_ok": True, "times": 4}
+    assert calls == [("bareiss",)] * 4
 
 
 # -- Berkowitz on m = A - vI ------------------------------------------------------

@@ -208,8 +208,8 @@ def test_verify_gcd_gating_reports_skipped(tmp_path, classic_file):
     assert run_cli("verify", classic_file, "-o", str(out)) == 0
     doc = json.loads(out.read_text())
     by_name = {s["name"]: s for s in doc["suites"]}
-    assert by_name["infinity_asymptotics"]["status"] == "skipped"
-    assert "gcd" in by_name["infinity_asymptotics"]["reason"]
+    assert by_name["case_b_structure"]["status"] == "skipped"
+    assert "gcd" in by_name["case_b_structure"]["reason"]
     assert doc["passed"] is True
     statuses = {s["status"] for s in doc["suites"]}
     assert statuses <= {"pass", "skipped"}
@@ -222,7 +222,7 @@ def test_verify_reports_crashing_suite_as_fail(tmp_path, classic_state, classic_
     monkeypatch.setattr(redkp.verify, "spectral_curve", broken_curve)
     report = run_verification(classic_state, seed=7)
     statuses = {s["name"]: s["status"] for s in report["suites"]}
-    assert len(statuses) == 16
+    assert len(statuses) == 12
     assert [name for name, status in statuses.items() if status == "fail"] == ["isospectrality"]
     by_name = {s["name"]: s for s in report["suites"]}
     assert by_name["isospectrality"]["reason"] == "AssertionError: unexpected curve degrees"
@@ -263,15 +263,59 @@ def test_verify_enumerates_all_suites(tmp_path, classic_file):
         "determinant_closed_forms",
         "special_points_on_curve",
         "triangular_at_zero_fiber",
-        "band_method_agreement",
-        "word_append_rule",
-        "spectral_duality",
         "hidden_invariant",
         "special_point_kernels",
-        "infinity_asymptotics",
         "case_b_structure",
         "psi_phi_ratios",
     ]
+
+
+# One slice value times 3/2 on which each suite fails: (suite, base, family,
+# time, site).  Each base is evolved to verify's anchor plus 3 first, so the
+# corrupted slice is stored history that verify reads and does not recompute.
+CORRUPTION_BASES = {
+    "113": lambda: random_state(1, 1, 3, seed=113),
+    "112": lambda: random_state(1, 1, 2, seed=112),
+    "case_b": lambda: new_state(LatticeParams(1, 1, 3), {0: [2, 3, 4]}, {0: [3, 2, rat(3, 2)]}),
+}
+CORRUPTIONS = [
+    ("evolution_consistency", "113", "I", 3, 0),
+    ("site_invariant_constancy", "113", "I", 4, 1),
+    ("isospectrality", "113", "V", 3, 2),
+    ("monodromy_form_equality", "113", "I", 0, 1),
+    ("shift_conjugations", "113", "I", 2, 2),
+    ("determinant_closed_forms", "113", "V", 0, 0),
+    ("special_points_on_curve", "113", "I", 4, 2),
+    ("triangular_at_zero_fiber", "113", "V", 4, 1),
+    ("hidden_invariant", "112", "I", 3, 0),
+    ("special_point_kernels", "113", "V", 2, 0),
+    ("case_b_structure", "case_b", "I", 1, 2),
+    ("psi_phi_ratios", "case_b", "V", 2, 1),
+]
+
+
+def test_every_suite_has_a_corruption(classic_state):
+    assert [row[0] for row in CORRUPTIONS] == [name for name, _ in _suites(classic_state)]
+
+
+@pytest.mark.parametrize("suite,base,family,t,site", CORRUPTIONS, ids=[row[0] for row in CORRUPTIONS])
+def test_each_suite_fails_on_its_corruption(suite, base, family, t, site):
+    def status(state):
+        return {s["name"]: s["status"] for s in run_verification(state, seed=7)["suites"]}[suite]
+
+    st = CORRUPTION_BASES[base]()
+    st.evolve_to(default_time(st, deep=True) + 3)
+    assert status(st) == "pass"
+    _corrupt(st, family, t, site)
+    assert status(st) == "fail"
+
+
+def _corrupt(state, family, t, site):
+    """Multiply the stored value at (family, t, site) by 3/2."""
+    hist = state._i if family == "I" else state._v
+    vals = list(hist[t])
+    vals[site] *= rat(3, 2)
+    hist[t] = tuple(vals)
 
 
 def _classic_corrupted(classic_state):
@@ -280,9 +324,7 @@ def _classic_corrupted(classic_state):
     st = classic_state.copy()
     t = default_time(st, deep=True) + 1
     st.evolve_to(t)
-    vals = list(st._v[t])
-    vals[0] *= rat(3, 2)
-    st._v[t] = tuple(vals)
+    _corrupt(st, "V", t, 0)
     return st
 
 
@@ -344,7 +386,12 @@ def test_verify_skip_reason_is_the_precondition_error(params, suite, call, error
         call(evolved, t)
     exc = info.value
     by_name = {s["name"]: s for s in run_verification(st, seed=7)["suites"]}
-    assert by_name[suite] == {"name": suite, "status": "skipped", "reason": f"{type(exc).__name__}: {exc}"}
+    if suite in ("word_append_rule", "infinity_asymptotics"):
+        # identities of any slice values: tests/test_identities.py pins them
+        # and verify does not run them, so only the function's guard is left
+        assert suite not in by_name
+    else:
+        assert by_name[suite] == {"name": suite, "status": "skipped", "reason": f"{type(exc).__name__}: {exc}"}
 
 
 def test_verify_case_b_runs_every_suite(tmp_path):
@@ -358,7 +405,6 @@ def test_verify_case_b_runs_every_suite(tmp_path):
     statuses = {s["name"]: s["status"] for s in doc["suites"]}
     assert statuses["psi_phi_ratios"] == "pass"
     assert statuses["case_b_structure"] == "pass"
-    assert statuses["infinity_asymptotics"] == "pass"
     skipped = [n for n, s in statuses.items() if s == "skipped"]
     assert skipped == ["hidden_invariant"]
 
@@ -473,19 +519,6 @@ def test_evolve_backward_rejected(tmp_path, classic_file):
     fwd = tmp_path / "fwd.json"
     run_cli("evolve", classic_file, "--to", "3", "-o", str(fwd))
     assert run_cli("evolve", str(fwd), "--to", "1") == 2
-
-
-@pytest.mark.parametrize("M,K,N", [(1, 2, 7), (2, 3, 7)])
-def test_verify_large_n_runs_infinity_asymptotics(tmp_path, M, K, N):
-    # the orders at infinity are exact, so N = 7 is checked like N = 3
-    st = random_state(M, K, N, seed=3)
-    path = tmp_path / "big.json"
-    path.write_text(st.dumps())
-    out = tmp_path / "rep.json"
-    assert run_cli("verify", str(path), "-o", str(out)) == 0
-    doc = json.loads(out.read_text())
-    by_name = {s["name"]: s for s in doc["suites"]}
-    assert by_name["infinity_asymptotics"]["status"] == "pass"
 
 
 # -- without numpy --------------------------------------------------------------------

@@ -1,0 +1,86 @@
+"""Identities of products of banded factors that hold for any slice values.
+
+``verify`` checks claims about the one state it is given.  The identities
+here hold for every window of nonzero slice values, lattice orbit or not, so
+the tests pin them over arbitrary signed windows instead: the two routes to
+the band table, the word append rule, the x/y-form duality and the orders at
+infinity, which read only the top-weight part of X_t.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from redkp import (
+    BiPoly,
+    GcdViolation,
+    LatticeParams,
+    band_coefficients,
+    build_monodromy,
+    infinity_asymptotics,
+    new_state,
+    rat,
+    spectral_duality,
+    verify_word_append_rule,
+)
+from redkp.lax import default_time
+from redkp.yform import reassemble
+
+# (1,1,2) to (3,4,5); every width M+K is within the word routes' limit of 8
+PARAM_SETS = [
+    (1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3), (2, 1, 3),
+    (1, 2, 5), (3, 1, 4), (3, 2, 5), (2, 3, 5), (3, 4, 5),
+]
+
+values = st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def windows(draw):
+    """A state of arbitrary nonzero signed slices ending at t = 0, long enough
+    for X_0 and its alternate form, so that the anchor
+    ``default_time(deep=True)`` is 0 and no check steps the state."""
+    M, K, N = draw(st.sampled_from(PARAM_SETS))
+
+    def slices(count):
+        return {-r: [draw(values) for _ in range(N)] for r in range(count)}
+
+    state = new_state(LatticeParams(M, K, N), slices(2 * M * K - K + 1), slices(2 * M * K - M + 1))
+    assert default_time(state, deep=True) == state.frontier == 0
+    return state
+
+
+@given(state=windows())
+@settings(max_examples=40, deadline=None)
+def test_band_routes_agree_on_any_window(state):
+    product = band_coefficients(state, 0, "product")
+    assert band_coefficients(state, 0, "words") == product
+    assert reassemble(product) == build_monodromy(state, 0)
+    assert state.frontier == 0
+
+
+@given(state=windows())
+@settings(max_examples=40, deadline=None)
+def test_word_append_rule_on_any_window(state):
+    rep = verify_word_append_rule(state, 0)
+    assert rep.ok and rep.checked > 0
+    assert state.frontier == 0
+
+
+@given(state=windows())
+@settings(max_examples=40, deadline=None)
+def test_spectral_duality_on_any_window(state):
+    rep = spectral_duality(state, 0)
+    assert rep.ok and rep.ratio in (BiPoly.one(), -BiPoly.one())
+    assert state.frontier == 0
+
+
+@given(state=windows())
+@settings(max_examples=60, deadline=None)
+def test_orders_at_infinity_on_any_window(state):
+    if state.params.gcd_mkn_ok:
+        assert infinity_asymptotics(state, 0).passed
+    else:
+        with pytest.raises(GcdViolation):
+            infinity_asymptotics(state, 0)
+    assert state.frontier == 0

@@ -405,8 +405,8 @@ def test_case_b_structure_nonuniform(case_b_113):
 
 
 def test_verify_builds_each_leading_form_once(case_b_113, monkeypatch):
-    # infinity_asymptotics and case_b_structure build the two forms at t_deep;
-    # psi_phi_ratios reads those again and adds both at t_deep + K and t_deep - M
+    # case_b_structure builds the form at Q at t_deep; psi_phi_ratios reads it
+    # again and adds the one at infinity, and both at t_deep + K and t_deep - M
     calls = []
     real = redkp.numeric._build_leading_form
 
@@ -417,8 +417,7 @@ def test_verify_builds_each_leading_form_once(case_b_113, monkeypatch):
     monkeypatch.setattr(redkp.numeric, "_build_leading_form", counted)
     report = run_verification(case_b_113, seed=7)
     statuses = {s["name"]: s["status"] for s in report["suites"]}
-    names = ("infinity_asymptotics", "case_b_structure", "psi_phi_ratios")
-    assert [statuses[name] for name in names] == ["pass"] * 3
+    assert [statuses[name] for name in ("case_b_structure", "psi_phi_ratios")] == ["pass"] * 2
     t = default_time(case_b_113, deep=True)
     assert sorted(calls) == sorted((s, q) for s in (t - 1, t, t + 1) for q in (False, True))
 
@@ -552,8 +551,15 @@ def test_multiple_eigenvalue_guard():
         _eigvec(np.eye(3, dtype=complex), 1.0)
 
 
+@pytest.mark.parametrize("M,K,N", [(1, 2, 7), (2, 3, 7)])
+def test_infinity_asymptotics_seven_sites(M, K, N):
+    # the orders at infinity are exact, so N = 7 is checked like N = 3
+    st = random_state(M, K, N, seed=3)
+    assert infinity_asymptotics(st, default_time(st, deep=True)).passed
+
+
 def test_infinity_asymptotics_five_sites():
-    # no size gate: N = 5, and N = 7 in the verify tests, are exact as well
+    # no size gate: N = 5, and N = 7 above, are exact as well
     st = random_state(2, 1, 5, seed=3)
     diag = infinity_asymptotics(st, default_time(st, deep=True))
     assert diag.passed

@@ -128,8 +128,7 @@ def test_reassembly_reproduces_monodromy(M, K, N, seed):
 
 
 def test_verify_builds_the_band_table_once(monkeypatch):
-    # band_method_agreement, determinant_closed_forms (via shift_stars) and
-    # spectral_duality all read the product table at the same time
+    # determinant_closed_forms reads the product table through shift_stars
     calls = []
     real = redkp.yform._bands_product
 
