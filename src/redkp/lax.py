@@ -3,25 +3,27 @@
 The monodromy at time t is the ordered product of K lower-family factors and
 M upper-family factors at the times ``LatticeParams.factor_times(t)``
 schedules; its characteristic polynomial is independent of t,
-which is the anchor identity of the whole package.  It is built from the
-slices by column updates on rows of polynomials in y, with no ``PolyMatrix``
-factor or product.  Conjugation by the corner matrix S or by a single factor
-realises the site shift and the two time shifts.  Each is checked as an
-exact intertwining Z a == a X_t between independently built monodromies,
-entirely in polynomial arithmetic.
+which is the anchor identity of the whole package.  X_t is built as its band
+rows, one left update per factor, with no ``PolyMatrix`` product, and folded
+into the N x N matrix over Q[y]; ``yform`` reads the rows as its band table.
+Conjugation by the corner matrix S (the factor with diagonal 0) or by a
+single factor realises the site shift and the two time shifts.  Each is
+checked as an exact intertwining Z a == a X_t between independently built
+monodromies: a right update of Z's rows against a left update of X_t's.
 
-The monodromy at each (t, form), and the curve and special points at each t,
-are built once per state, in its cache (``LatticeState.built``).
+The band rows and the monodromy at each (t, form), and the curve and special
+points at each t, are built once per state, in its cache
+(``LatticeState.built``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly, _nonzero
+from .bipoly import BiPoly
 from .errors import NonPolynomialResult
 from .lattice import LatticeParams, LatticeState, default_time  # noqa: F401 (re-exported)
-from .polymatrix import PolyMatrix, _add_univariate_product, matdet
+from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
 
 SHIFT_SIGMA = "sigma"
@@ -31,26 +33,13 @@ SHIFT_MU_MINUS_M = "mu_minus_M"
 
 def build_factor(values) -> PolyMatrix:
     """Banded factor: given values on the diagonal, 1 on the superdiagonal,
-    the indeterminate y in the lower-left corner."""
-    vals = [Rational(v) for v in values]
-    n = len(vals)
-    rows = [[BiPoly.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = BiPoly.constant(vals[i])
-        if i + 1 < n:
-            rows[i][i + 1] = BiPoly.one()
-    corner = rows[n - 1][0] + BiPoly.y()
-    rows[n - 1][0] = corner
-    return PolyMatrix(rows)
+    the indeterminate y in the lower-left corner (band rows (d_i, 1))."""
+    return _fold(tuple((Rational(v), Rational(1)) for v in values))
 
 
 def shift_matrix(n: int) -> PolyMatrix:
-    """The corner matrix S: superdiagonal ones, y in the corner."""
-    rows = [[BiPoly.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = BiPoly.one()
-    rows[n - 1][0] = BiPoly.y()
-    return PolyMatrix(rows)
+    """The corner matrix S: the factor with diagonal 0."""
+    return build_factor([0] * n)
 
 
 def factor_r(state: LatticeState, t: int) -> PolyMatrix:
@@ -61,39 +50,76 @@ def factor_l(state: LatticeState, t: int) -> PolyMatrix:
     return build_factor(state.v_slice(t))
 
 
-def build_monodromy(state: LatticeState, t: int, form: str = "standard") -> PolyMatrix:
-    """Ordered product of the K lower and M upper factors feeding time t.
+def factor_slices(state: LatticeState, t: int, form: str = "standard") -> list:
+    """The diagonals of the factors of X_t in product order, leftmost first.
 
     The standard form is the product ``LatticeParams.factor_times(t)``
-    schedules: the lower factors to the left of the upper ones.  The
-    alternate form is the provably equal product with every factor pushed
-    through the exchange identity: the two blocks of the schedule at t-MK,
-    upper factors first.  Built once per (t, form) and state.
-
-    Right-multiplying P by the factor with diagonal d is a column update of
-    each row: P'[i][j] = d_j P[i][j] + P[i][j-1] for j >= 1, and
-    P'[i][0] = d_0 P[i][0] + y P[i][N-1] through the corner (for N = 1, the
-    factor d + y).  Starting from I, the rows are ``{deg_y: Rational}`` maps,
-    wrapped as ``BiPoly`` entries once at the end.
-    """
-    return state.built(("monodromy", t, form), lambda: _build_monodromy(state, t, form))
-
-
-def _build_monodromy(state: LatticeState, t: int, form: str) -> PolyMatrix:
+    schedules: the lower factors (V-slices) to the left of the upper ones
+    (I-slices).  The alternate form is the provably equal product with every
+    factor pushed through the exchange identity: the two blocks of the
+    schedule at t-MK, upper factors first."""
     if form not in ("standard", "alternate"):
         raise ValueError(f"unknown monodromy form: {form}")
     params = state.params
     i_times, v_times = params.factor_times(t if form == "standard" else t - params.M * params.K)
     lower = [state.v_slice(s) for s in v_times]
     upper = [state.i_slice(s) for s in i_times]
-    rows = [[{0: Rational(1)} if i == j else {} for j in range(params.N)] for i in range(params.N)]
-    for d in lower + upper if form == "standard" else upper + lower:
-        for row in rows:
-            corner = {k + 1: c for k, c in row[-1].items()}  # y times the old last column
-            for j in range(params.N - 1, -1, -1):
-                prev = row[j - 1] if j else corner
-                row[j] = _nonzero(_add_univariate_product(dict(prev), {0: d[j]}, row[j]))
-    return PolyMatrix([[BiPoly._raw({(0, k): c for k, c in e.items()}) for e in row] for row in rows])
+    return lower + upper if form == "standard" else upper + lower
+
+
+def left_update(rows, d) -> tuple:
+    """The band rows of F P, for P's band rows and F the factor with diagonal
+    d: a'_{i,k} = d_i a_{i,k} + a_{i+1,k-1}, one column wider.  The first and
+    last columns take one term each: a padding int zero would send every sum
+    through ``Fraction``'s slow reflected operators."""
+    n = len(rows)
+    out = []
+    for i, row in enumerate(rows):
+        below = rows[(i + 1) % n]
+        out.append((d[i] * row[0], *[d[i] * a + b for a, b in zip(row[1:], below)], below[-1]))
+    return tuple(out)
+
+
+def right_update(rows, d) -> tuple:
+    """The band rows of P F: a'_{i,k} = d_{(i+k) mod N} a_{i,k} + a_{i,k-1}."""
+    n = len(rows)
+    out = []
+    for i, row in enumerate(rows):
+        inner = [d[(i + k) % n] * a + b for k, (a, b) in enumerate(zip(row[1:], row), 1)]
+        out.append((d[i] * row[0], *inner, row[-1]))
+    return tuple(out)
+
+
+def monodromy_bands(state: LatticeState, t: int, form: str = "standard") -> tuple:
+    """The band rows a_{i,k}, k = 0..M+K, of X_t: entry (i, (i+k) mod N)
+    holds a_{i,k} y^((i+k) div N).  Built once per (t, form) and state, by
+    left updates from the identity, rightmost factor first."""
+    return state.built(("bands", t, form), lambda: _build_bands(state, t, form))
+
+
+def _build_bands(state: LatticeState, t: int, form: str) -> tuple:
+    rows = ((Rational(1),),) * state.params.N
+    for d in reversed(factor_slices(state, t, form)):
+        rows = left_update(rows, d)
+    return rows
+
+
+def build_monodromy(state: LatticeState, t: int, form: str = "standard") -> PolyMatrix:
+    """X_t in the given form (``factor_slices``), its band rows folded into
+    the N x N matrix over Q[y].  Built once per (t, form) and state."""
+    return state.built(("monodromy", t, form), lambda: _fold(monodromy_bands(state, t, form)))
+
+
+def _fold(rows) -> PolyMatrix:
+    """The N x N matrix over Q[y] of band rows of Rational values."""
+    n = len(rows)
+    entries = [[{} for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for k, a in enumerate(row):
+            if a:
+                wrap, col = divmod(i + k, n)
+                entries[i][col][(0, wrap)] = a
+    return PolyMatrix([[BiPoly._raw(e) for e in row] for row in entries])
 
 
 @dataclass(frozen=True)
@@ -145,23 +171,24 @@ def apply_shift(state: LatticeState, t: int, which: str) -> PolyMatrix:
 
     The image Z is built on its own: the monodromy at t+K for mu_K, at t-M
     for mu_minus_M, and for sigma the monodromy at t of the history rotated
-    by one site.  Z is returned only once ``Z a == a X_t`` holds exactly;
-    ``a`` is invertible over Q(y), so that equality is the conjugation.
-    Raises NonPolynomialResult when it does not hold.
+    by one site.  Z is returned only once ``Z a == a X_t`` holds exactly, as
+    a right and a left update of band rows by a's diagonal (S is the factor
+    with diagonal 0); ``a`` is invertible over Q(y), so that equality is the
+    conjugation.  Raises NonPolynomialResult when it does not hold.
     """
     M, K = state.params.M, state.params.K
     t_upper, t_lower = conjugator_times(state, t)
     if which == SHIFT_SIGMA:
-        conj, image = shift_matrix(state.params.N), build_monodromy(state.rotated(), t)
+        image, t_image, d = state.rotated(), t, (Rational(0),) * state.params.N
     elif which == SHIFT_MU_K:
-        conj, image = factor_r(state, t_upper), build_monodromy(state, t + K)
+        image, t_image, d = state, t + K, state.i_slice(t_upper)
     elif which == SHIFT_MU_MINUS_M:
-        conj, image = factor_l(state, t_lower), build_monodromy(state, t - M)
+        image, t_image, d = state, t - M, state.v_slice(t_lower)
     else:
         raise ValueError(f"unknown shift: {which}")
-    if image @ conj != conj @ build_monodromy(state, t):
+    if right_update(monodromy_bands(image, t_image), d) != left_update(monodromy_bands(state, t), d):
         raise NonPolynomialResult(f"{which} intertwining failed at t = {t}")
-    return image
+    return build_monodromy(image, t_image)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@
 The product skips the zero entries of both operands (a banded Lax factor has
 2N nonzero entries of N^2) and sums each output entry in one term map with
 ``bipoly._add_product``, the accumulator of ``BiPoly.__mul__`` and of Bareiss,
-dropping the sums that cancel.  The monodromy is not built with it (``lax``
-updates columns instead); its callers are the intertwinings of
-``lax.apply_shift``, the companion product of ``yform`` and
-``lax.verify_compatibility``.
+dropping the sums that cancel.  Neither the monodromy nor the intertwinings
+of ``lax.apply_shift`` use it (``lax`` updates band rows instead); its callers
+are the companion product of ``yform`` and ``lax.verify_compatibility``.
 
 The determinant is exact and runs over Z, by one of two algorithms that
 ``matdet`` chooses by the kind of matrix.  Let D be the common denominator of
@@ -267,25 +266,20 @@ def _characteristic_variable(m: PolyMatrix):
     return None
 
 
-def _add_univariate_product(acc: dict, p: dict, q: dict, c=1) -> dict:
-    """``bipoly._add_product`` on univariate ``{deg: coefficient}`` maps."""
-    get = acc.get
-    for pd, pc in p.items():
-        if c != 1:
-            pc *= c
-        for qd, qc in q.items():
-            key = pd + qd
-            cur = get(key)
-            acc[key] = pc * qc if cur is None else cur + pc * qc
-    return acc
-
-
 def _dot(ps, qs, c=1) -> dict:
-    """Sum of c*p*q over the pairs of two lists of univariate maps."""
+    """Sum of c*p*q over the pairs of two lists of univariate ``{deg:
+    coefficient}`` maps."""
     acc = {}
+    get = acc.get
     for p, q in zip(ps, qs):
         if p and q:
-            _add_univariate_product(acc, p, q, c)
+            for pd, pc in p.items():
+                if c != 1:
+                    pc *= c
+                for qd, qc in q.items():
+                    key = pd + qd
+                    cur = get(key)
+                    acc[key] = pc * qc if cur is None else cur + pc * qc
     return _nonzero(acc)
 
 

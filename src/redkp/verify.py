@@ -12,8 +12,9 @@ so its detail does not depend on the suites run before it.
 Each identity is checked by one suite: the factor exchange is the lattice
 equations (``evolution_consistency``), the monodromy exchanges are the time
 shifts (``shift_conjugations``).  Identities that hold for every input are
-pinned by the tests instead: det S, and over arbitrary slice windows the two
-routes to the band table (``band_coefficients``), the word append rule
+pinned by the tests instead: det S, and over arbitrary slice windows the site
+shift (``lax.apply_shift`` by S), the word expansion of the band table
+(``band_coefficients``), the word append rule
 (``yform.verify_word_append_rule``), the x/y-form duality
 (``yform.spectral_duality``) and the orders at infinity
 (``numeric.infinity_asymptotics``), which read only the top-weight part of
@@ -29,7 +30,6 @@ from .lattice import LatticeState
 from .lax import (
     SHIFT_MU_K,
     SHIFT_MU_MINUS_M,
-    SHIFT_SIGMA,
     apply_shift,
     build_monodromy,
     default_time,
@@ -113,7 +113,7 @@ def _suites(state: LatticeState) -> list:
         return {"_ok": std == alt}
 
     def shift_conjugations():
-        for which in (SHIFT_MU_K, SHIFT_MU_MINUS_M, SHIFT_SIGMA):
+        for which in (SHIFT_MU_K, SHIFT_MU_MINUS_M):
             apply_shift(state, t_deep, which)  # raises if an intertwining fails
         return {"_ok": True}
 

@@ -6,12 +6,12 @@ the same recursion as an eigenproblem in y yields an (M+K) x (M+K) matrix
 built as an ordered product of per-row companion matrices; the corner and
 factor conjugators get matching star realisations.
 
-Two independent routes compute the band coefficients: sequential application
-of the banded factors (polynomial time) and the two-letter word expansion
-(exponential, the literal recursive definition); they must agree exactly.
-The word route, its append rule and the x/y-form duality hold for any slice
-values, so no ``verify`` suite runs them: they are test oracles, checked over
-arbitrary slice windows by the tests.
+The band table is the band rows of X_t that ``lax`` builds the monodromy
+from, so one builder serves both forms.  The two-letter word expansion (the
+literal recursive definition, exponential in M+K) and its append rule hold
+for any slice values, as does the x/y-form duality, so no ``verify`` suite
+runs them: the tests check them over arbitrary slice windows, with the
+word expansion of the whole table as their oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bipoly import BiPoly
 from .errors import ExactDivisionError, SizeMismatch, WordGuard
 from .lattice import LatticeState
-from .lax import conjugator_times, spectral_curve
+from .lax import conjugator_times, factor_slices, monodromy_bands, spectral_curve
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
 
@@ -48,8 +48,7 @@ class BandCoefficients:
 
 def _levels(state: LatticeState, t: int) -> list:
     """The factor slices of X_t, rightmost (level 1) to leftmost (level M+K)."""
-    i_times, v_times = state.params.factor_times(t)
-    return [state.i_slice(s) for s in i_times[::-1]] + [state.v_slice(s) for s in v_times[::-1]]
+    return factor_slices(state, t)[::-1]
 
 
 def _word_levels(state: LatticeState, t: int) -> list:
@@ -58,27 +57,9 @@ def _word_levels(state: LatticeState, t: int) -> list:
     return _levels(state, t)
 
 
-def _bands_product(state: LatticeState, t: int) -> tuple:
-    """Apply the factors level by level: a factor maps row i of the table to
-    its diagonal value times row i plus row i+1 moved up one column."""
-    n = state.params.N
-    levels = _levels(state, t)
-    rows = [[Rational(1)] + [Rational(0)] * len(levels) for _ in range(n)]
-    for mults in levels:
-        rows = [
-            [mults[i] * a + b for a, b in zip(rows[i], [0] + rows[(i + 1) % n][:-1])]
-            for i in range(n)
-        ]
-    return tuple(tuple(row) for row in rows)
-
-
-def word_value(state: LatticeState, t: int, word: str, site: int):
+def _word_value(levels: list, word: str, site: int):
     """Value of one {s,m}-word at a row index; the letter written first is the
     outermost (last applied) factor."""
-    return _word_value(_levels(state, t), word, site)
-
-
-def _word_value(levels: list, word: str, site: int):
     val = Rational(1)
     for ch, mults in zip(word, reversed(levels[: len(word)]), strict=True):
         if ch == "m":
@@ -90,41 +71,12 @@ def _word_value(levels: list, word: str, site: int):
     return val
 
 
-def _bands_words(state: LatticeState, t: int) -> tuple:
-    n = state.params.N
-    levels = _word_levels(state, t)
-    acc = [[Rational(0)] * (len(levels) + 1) for _ in range(n)]
-    for letters in itertools.product("sm", repeat=len(levels)):
-        word = "".join(letters)
-        k = word.count("s")
-        for i in range(n):
-            acc[i][k] += _word_value(levels, word, i)
-    return tuple(tuple(row) for row in acc)
-
-
-def band_coefficients(state: LatticeState, t: int, method: str = "product") -> BandCoefficients:
-    """The band table at t; the product route is built once per t and state."""
-    if method == "product":
-        rows = state.built(("bands", t), lambda: _bands_product(state, t))
-    elif method == "words":
-        rows = _bands_words(state, t)
-    else:
-        raise ValueError(f"unknown band method: {method}")
+def band_coefficients(state: LatticeState, t: int) -> BandCoefficients:
+    """The band table at t: the band rows of the standard form of X_t
+    (``lax.monodromy_bands``), built once per t and state."""
     return BandCoefficients(
-        n_sites=state.params.N, width=state.params.M + state.params.K, rows=rows
+        n_sites=state.params.N, width=state.params.M + state.params.K, rows=monodromy_bands(state, t)
     )
-
-
-def reassemble(bc: BandCoefficients) -> PolyMatrix:
-    """Fold the band table back into the N x N matrix (y powers carry the wrap)."""
-    n, width = bc.n_sites, bc.width
-    rows = [[BiPoly.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(width + 1):
-            col = (i + k) % n
-            wrap = (i + k) // n
-            rows[i][col] = rows[i][col] + BiPoly.monomial(0, wrap, bc.rows[i][k])
-    return PolyMatrix(rows)
 
 
 def _companion(row, width: int) -> PolyMatrix:

@@ -1,8 +1,21 @@
+import itertools
 import random
 
 import pytest
 
-from redkp import DegenerateEvolution, LatticeParams, LatticeState, new_state, rat, uniform_state
+from redkp import (
+    BiPoly,
+    DegenerateEvolution,
+    LatticeParams,
+    LatticeState,
+    PolyMatrix,
+    build_factor,
+    new_state,
+    rat,
+    uniform_state,
+)
+from redkp.lax import factor_slices
+from redkp.yform import _levels, _word_levels, _word_value
 
 PARAM_SETS = [(1, 1, 3), (2, 1, 3), (1, 2, 3), (3, 2, 5), (2, 3, 5)]
 
@@ -33,6 +46,46 @@ def random_state(M, K, N, seed=0, probe=40):
             seed += 1000003  # fixed stride keeps the retry deterministic
             continue
         return state
+
+
+def word_value(state, t, word, site):
+    """Value of one {s,m}-word of X_t at a row index."""
+    return _word_value(_levels(state, t), word, site)
+
+
+def bands_words(state, t):
+    """The band rows of X_t by the word expansion: a_{i,k} sums the values at
+    row i of the words of M+K letters with k letters s.  The literal
+    recursive definition, exponential in M+K; the oracle for
+    ``band_coefficients``."""
+    n = state.params.N
+    levels = _word_levels(state, t)
+    acc = [[rat(0)] * (len(levels) + 1) for _ in range(n)]
+    for letters in itertools.product("sm", repeat=len(levels)):
+        word = "".join(letters)
+        for i in range(n):
+            acc[i][word.count("s")] += _word_value(levels, word, i)
+    return tuple(tuple(row) for row in acc)
+
+
+def fold_bands(rows):
+    """The N x N matrix over Q[y] of a band table: a_{i,k} adds to entry
+    (i, (i+k) mod N) at y^((i+k) div N)."""
+    n = len(rows)
+    out = [[BiPoly.zero() for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for k, a in enumerate(row):
+            out[i][(i + k) % n] += BiPoly.monomial(0, (i + k) // n, a)
+    return PolyMatrix(out)
+
+
+def dense_monodromy(state, t, form="standard"):
+    """X_t as the dense ``PolyMatrix`` product of its factor matrices."""
+    factors = [build_factor(d) for d in factor_slices(state, t, form)]
+    out = factors[0]
+    for f in factors[1:]:
+        out = out @ f
+    return out
 
 
 @pytest.fixture(autouse=True)

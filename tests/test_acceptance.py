@@ -38,7 +38,7 @@ from redkp.cli import main as cli_main
 from redkp.degeneration import curve_closed_form_112, curve_closed_form_212, seed_large_zeta
 from redkp.lax import SHIFT_MU_K, apply_shift, default_time
 from redkp.yform import shift_stars
-from conftest import PARAM_SETS, random_state
+from conftest import PARAM_SETS, bands_words, random_state
 from test_yform import companion_reference_report
 
 
@@ -214,7 +214,7 @@ def test_criterion_7_band_expansion_and_duality():
     ]:
         st = random_state(M, K, N, seed=seed)
         t = default_time(st, deep=True)
-        ok &= band_coefficients(st, t, "words") == band_coefficients(st, t, "product")
+        ok &= bands_words(st, t) == band_coefficients(st, t).rows
         ok &= verify_word_append_rule(st, t).ok
         dual = spectral_duality(st, t)
         ok &= dual.ok and dual.ratio in (BiPoly.one(), -BiPoly.one())

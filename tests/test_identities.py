@@ -2,9 +2,10 @@
 
 ``verify`` checks claims about the one state it is given.  The identities
 here hold for every window of nonzero slice values, lattice orbit or not, so
-the tests pin them over arbitrary signed windows instead: the two routes to
-the band table, the word append rule, the x/y-form duality and the orders at
-infinity, which read only the top-weight part of X_t.
+the tests pin them over arbitrary signed windows instead: the band table
+against its word expansion and the monodromy against the dense product of
+its factors, the site shift, the word append rule, the x/y-form duality and
+the orders at infinity, which read only the top-weight part of X_t.
 """
 
 import pytest
@@ -20,16 +21,18 @@ from redkp import (
     infinity_asymptotics,
     new_state,
     rat,
+    shift_matrix,
     spectral_duality,
     verify_word_append_rule,
 )
-from redkp.lax import default_time
-from redkp.yform import reassemble
+from redkp.lax import SHIFT_SIGMA, apply_shift, default_time
+from conftest import bands_words, dense_monodromy, fold_bands
 
-# (1,1,2) to (3,4,5); every width M+K is within the word routes' limit of 8
+# (1,1,2) to (3,4,5) and (2,3,7); every width M+K is within the word routes'
+# limit of 8
 PARAM_SETS = [
     (1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3), (2, 1, 3),
-    (1, 2, 5), (3, 1, 4), (3, 2, 5), (2, 3, 5), (3, 4, 5),
+    (1, 2, 5), (3, 1, 4), (3, 2, 5), (2, 3, 5), (3, 4, 5), (2, 3, 7),
 ]
 
 values = st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 5))
@@ -53,9 +56,21 @@ def windows(draw):
 @given(state=windows())
 @settings(max_examples=40, deadline=None)
 def test_band_routes_agree_on_any_window(state):
-    product = band_coefficients(state, 0, "product")
-    assert band_coefficients(state, 0, "words") == product
-    assert reassemble(product) == build_monodromy(state, 0)
+    bands = band_coefficients(state, 0).rows
+    assert bands == bands_words(state, 0)
+    assert fold_bands(bands) == build_monodromy(state, 0) == dense_monodromy(state, 0)
+    assert build_monodromy(state, 0, "alternate") == dense_monodromy(state, 0, "alternate")
+    assert state.frontier == 0
+
+
+@given(state=windows())
+@settings(max_examples=40, deadline=None)
+def test_site_shift_intertwines_on_any_window(state):
+    # S X_0 == X_0(rotated) S for any slices, so ``verify`` does not check it
+    rotated = build_monodromy(state.rotated(), 0)
+    assert apply_shift(state, 0, SHIFT_SIGMA) == rotated
+    s = shift_matrix(state.params.N)
+    assert s @ build_monodromy(state, 0) == rotated @ s
     assert state.frontier == 0
 
 

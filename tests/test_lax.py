@@ -385,11 +385,14 @@ def test_apply_shift_matches_adjugate_oracle(M, K, N, monkeypatch):
     expected = {which: _adjugate_oracle(_conjugator(st, t, which), x_t) for which in SHIFTS}
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("apply_shift must not take determinants or adjugates")
+        raise AssertionError("apply_shift must not take products, determinants or adjugates")
 
     monkeypatch.setattr(PolyMatrix, "adjugate", forbidden)
+    monkeypatch.setattr(PolyMatrix, "__matmul__", forbidden)
     monkeypatch.setattr(polymatrix, "matdet", forbidden)
     monkeypatch.setattr(lax, "matdet", forbidden)
+    monkeypatch.setattr(lax, "build_factor", forbidden)
+    monkeypatch.setattr(lax, "shift_matrix", forbidden)
     for which in SHIFTS:
         assert apply_shift(st, t, which) == expected[which]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import redkp.lax
 import redkp.yform
 from redkp import (
     BiPoly,
@@ -20,8 +21,8 @@ from redkp import (
 from redkp.numeric import eigenvector_at, fiber_x, matrix_eval
 from redkp.lax import default_time
 from redkp.verify import run_verification
-from redkp.yform import BandCoefficients, reassemble
-from conftest import random_state
+from redkp.yform import BandCoefficients
+from conftest import bands_words, dense_monodromy, fold_bands, random_state, word_value
 
 
 def eigen_extension(state, t, point):
@@ -67,7 +68,7 @@ def companion_reference_report() -> dict:
     matches = {f"{i}{j}": y_matrix.entry(i, j) == expected[(i, j)] for (i, j) in expected}
     # duality check for both sign variants of the lower-right entry; the raw
     # x-form characteristic polynomial is what the companion form reproduces
-    x_char = matdet(reassemble(bc) - PolyMatrix.identity(3).scale(BiPoly.x()))
+    x_char = matdet(fold_bands(bc.rows) - PolyMatrix.identity(3).scale(BiPoly.x()))
     verdicts = {}
     for label, entry in (("plus_x", plus_22), ("minus_x", minus_22)):
         rows_m = y_matrix.rows
@@ -110,36 +111,42 @@ def test_first_band_is_site_invariant(M, K, N, seed):
     assert tuple(bc.rows[i][0] for i in range(N)) == u
 
 
-@pytest.mark.parametrize(
-    "M,K,N,seed", [(1, 1, 2, 4), (2, 1, 3, 5), (2, 3, 7, 6), (3, 2, 5, 7)]
-)
-def test_product_method_equals_word_method(M, K, N, seed):
-    st = random_state(M, K, N, seed=seed)
-    t = default_time(st, deep=True)
-    assert band_coefficients(st, t, "product") == band_coefficients(st, t, "words")
-
-
 @pytest.mark.parametrize("M,K,N,seed", [(1, 1, 2, 8), (2, 1, 3, 9), (3, 2, 5, 10)])
 def test_reassembly_reproduces_monodromy(M, K, N, seed):
     st = random_state(M, K, N, seed=seed)
     t = default_time(st)
     bc = band_coefficients(st, t)
-    assert reassemble(bc) == build_monodromy(st, t)
+    assert fold_bands(bc.rows) == build_monodromy(st, t) == dense_monodromy(st, t)
+
+
+def _count_band_builds(monkeypatch):
+    calls = []
+    real = redkp.lax._build_bands
+
+    def counted(state, t, form):
+        calls.append((t, form))
+        return real(state, t, form)
+
+    monkeypatch.setattr(redkp.lax, "_build_bands", counted)
+    return calls
 
 
 def test_verify_builds_the_band_table_once(monkeypatch):
-    # determinant_closed_forms reads the product table through shift_stars
-    calls = []
-    real = redkp.yform._bands_product
-
-    def counted(state, t):
-        calls.append(t)
-        return real(state, t)
-
-    monkeypatch.setattr(redkp.yform, "_bands_product", counted)
+    # the monodromies, curves, stars and shifts of every suite share one
+    # band table per (t, form)
+    calls = _count_band_builds(monkeypatch)
     report = run_verification(random_state(2, 1, 3, seed=5), seed=7)
     assert report["passed"] is True
-    assert len(calls) == 1
+    assert calls and len(set(calls)) == len(calls)
+
+
+def test_monodromy_and_band_table_share_one_build(monkeypatch):
+    calls = _count_band_builds(monkeypatch)
+    st = random_state(3, 2, 5, seed=5)
+    t = default_time(st)
+    x_t = build_monodromy(st, t)
+    assert fold_bands(band_coefficients(st, t).rows) == x_t
+    assert calls == [(t, "standard")]
 
 
 def test_word_routes_read_the_factor_slices_once_per_call(monkeypatch):
@@ -154,14 +161,12 @@ def test_word_routes_read_the_factor_slices_once_per_call(monkeypatch):
     monkeypatch.setattr(redkp.yform, "_levels", counted)
     st = random_state(2, 3, 5, seed=13)
     t = default_time(st, deep=True)
-    assert band_coefficients(st, t, "words") == band_coefficients(st, t, "product")
+    assert bands_words(st, t) == band_coefficients(st, t).rows
     assert verify_word_append_rule(st, t).ok
-    assert calls == [t] * 3
+    assert calls == [t] * 2
 
 
 def test_word_value_rejects_a_word_longer_than_the_product(classic_state):
-    from redkp.yform import word_value
-
     with pytest.raises(ValueError):
         word_value(classic_state, 0, "mmm", 0)
 
@@ -170,7 +175,7 @@ def test_word_guard():
     st = random_state(5, 4, 3, seed=11)
     t = default_time(st, deep=True)
     with pytest.raises(WordGuard):
-        band_coefficients(st, t, "words")
+        bands_words(st, t)
     with pytest.raises(WordGuard):
         verify_word_append_rule(st, t)
 
@@ -189,8 +194,6 @@ def test_word_append_rule(M, K, N, seed):
 def test_word_append_rule_base_case():
     st = random_state(2, 1, 2, seed=15)
     t = default_time(st, deep=True)
-    from redkp.yform import word_value
-
     i_ref = st.i_slice(t - (st.params.M - 1) * st.params.K)
     for i in range(2):
         # chi = "s": <sm> = <ss> * I^-_{i+1}
