@@ -15,10 +15,8 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .bipoly import BiPoly
 from .errors import EmptyIndexSet, WrongParams
 from .lattice import LatticeParams, LatticeState
-from .lax import spectral_curve
 from .rational import Rational
 
 REDUCE_M = "reduce_M"
@@ -176,38 +174,7 @@ def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
     return ConvergenceTable(direction=plan.direction, horizon=plan.horizon, rows=tuple(rows), slope=slope)
 
 
-# -- small-case closed forms and the hidden invariant ------------------------------
-
-
-def curve_closed_form_112(i_values, v_values) -> BiPoly:
-    """Curve polynomial of the (1,1,2) system straight from the slice data."""
-    i1, i2 = (Rational(v) for v in i_values)
-    v1, v2 = (Rational(v) for v in v_values)
-    u1 = i1 * i2 + v1 * v2
-    u2 = v1 * i1 + v2 * i2
-    u3 = i1 * i2 * v1 * v2
-    x, y = BiPoly.x(), BiPoly.y()
-    return y * y - y * (x * 2 + BiPoly.constant(u1)) + x * x - x * u2 + BiPoly.constant(u3)
-
-
-def curve_closed_form_212(zeta, i_values, v_values) -> BiPoly:
-    """Curve polynomial of the (2,1,2) system seeded with a constant slice."""
-    z = Rational(zeta)
-    i1, i2 = (Rational(v) for v in i_values)
-    v1, v2 = (Rational(v) for v in v_values)
-    u1 = i1 * i2 + v1 * v2
-    u2 = v1 * i1 + v2 * i2
-    u3 = i1 * i2 * v1 * v2
-    u4 = i1 + i2 + v1 + v2
-    x, y = BiPoly.x(), BiPoly.y()
-    return (
-        -(y ** 3)
-        + (y * y) * (z * z + u1)
-        - y * (x * (2 * z + u4) + BiPoly.constant(z * z * u1 + u3))
-        + x * x
-        - x * (z * u2)
-        + BiPoly.constant(z * z * u3)
-    )
+# -- the (1,1,2) hidden invariant ---------------------------------------------------
 
 
 def hidden_sum(state: LatticeState, t: int):
@@ -240,37 +207,3 @@ def hidden_invariant_check(
         times_checked=len(values),
         constant=all(v == values[0] for v in values),
     )
-
-
-def companion_with_same_curve(state: LatticeState, p) -> LatticeState:
-    """A (1,1,2) state with the same spectral curve but generally a different
-    hidden-sum value: the curve fixes the four products i1*i2, v1*v2, v1*i1,
-    v2*i2, and p reparametrises the one-parameter family they leave free."""
-    if (state.params.M, state.params.K, state.params.N) != (1, 1, 2):
-        raise WrongParams("companion construction is specific to (1,1,2)")
-    p = Rational(p)
-    if p == 0:
-        raise WrongParams("parameter must be nonzero")
-    t = state.frontier
-    i, v = state.i_slice(t), state.v_slice(t)
-    a = i[0] * i[1]
-    q1, q2 = v[0] * i[0], v[1] * i[1]
-    new_i = (p, a / p)
-    new_v = (q1 / p, q2 * p / a)
-    return LatticeState.create(state.params, {t: new_i}, {t: new_v})
-
-
-def find_hidden_invariant_pair(rng, attempts: int = 200):
-    """Randomized search, drawing from ``rng.randint`` (a ``random.Random``):
-    two states with exactly equal curves but different hidden sums,
-    witnessing that the sum is independent of the curve data."""
-    for _ in range(attempts):
-        vals = [Rational(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(4)]
-        base = LatticeState.create(LatticeParams(1, 1, 2), {0: vals[:2]}, {0: vals[2:]})
-        p = Rational(rng.randint(1, 8), rng.randint(1, 4))
-        other = companion_with_same_curve(base, p)
-        if spectral_curve(base, 0).poly != spectral_curve(other, 0).poly:
-            raise AssertionError("companion construction changed the curve")
-        if hidden_sum(base, 0) != hidden_sum(other, 0):
-            return base, other
-    raise RuntimeError("no witness pair found")

@@ -2,19 +2,19 @@
 at the coincident point, exact ranks at the finite special points.
 
 The claims at infinity and at the coincident point Q are exact.  Give the
-term y^a of entry (r, c) of a monodromy the weight (c - r) + aN.  Weights
-add under matrix products, and every factor and S has top weight 1 (its
-superdiagonal and corner y) and bottom weight 0 (its diagonal), so X_t has
-weights 0..M+K.  At infinity x takes the top weight of X_t; at Q, in case
-(b), x' = x - U takes the bottom weight of X_t - U.  The extreme-weight part
-of X_t - xI is then a matrix of monomials: the Newton-polygon argument
-(Duval, "Rational Puiseux expansions", 1989) taken on leading parts only
-(Murota, "Computing the degree of determinants via combinatorial
-relaxation", 1995).  Its determinant is the leading part of the curve, its
-cofactor column holds the leading forms of the eigenvector components, and
-a leading form of weight w grows like k^-w along y = k^-N at infinity and
-vanishes like k^w along y = k^N at Q.  Orders are ints and limits are
-rationals, compared with ``==``.
+term y^a of entry (r, c) of a monodromy the weight (c - r) + aN: weight =
+band index, the k of the band row a_{r,k} of ``lax.monodromy_bands`` that
+the term holds, so X_t has weights 0..M+K.  At infinity x takes the top
+weight M+K, whose band row is all ones (the superdiagonals of the factors);
+at Q, in case (b), x' = x - U takes the first band row of X_t - U that is
+not all zero.  That band of X_t - xI is a matrix of monomials: the
+Newton-polygon argument (Duval, "Rational Puiseux expansions", 1989) taken
+on leading parts only (Murota, "Computing the degree of determinants via
+combinatorial relaxation", 1995).  Its determinant is the leading part of
+the curve, its cofactor column holds the leading forms of the eigenvector
+components, and a leading form of weight w grows like k^-w along y = k^-N
+at infinity and vanishes like k^w along y = k^N at Q.  Orders are ints and
+limits are rationals, compared with ``==``.
 
 The special points Q1, A_j and B_i of ``lax.special_points`` are rational,
 so the uniqueness of the eigenvector there is an exact rank over Q.
@@ -43,11 +43,10 @@ from .errors import (
 from .lattice import CASE_B, LatticeState
 from .lax import (
     SpectralCurve,
+    _fold,
     build_monodromy,
     conjugator_times,
-    factor_l,
-    factor_r,
-    shift_matrix,
+    monodromy_bands,
     special_points,
 )
 from .polymatrix import PolyMatrix, matdet
@@ -223,25 +222,6 @@ def special_point_kernels(state: LatticeState, t: int) -> NumericDiag:
 # -- exact leading forms -------------------------------------------------------------
 
 
-def _extreme_part(m: PolyMatrix, top: bool):
-    """The largest (``top``) or smallest weight among the terms of m, whose
-    entries are polynomials in y alone, and the matrix of the terms of that
-    weight."""
-    n = m.n
-    terms = [
-        (c - r + key[1] * n, r, c, key, v)
-        for r in range(n)
-        for c in range(n)
-        for key, v in m.entry(r, c).items()
-    ]
-    w = (max if top else min)(term[0] for term in terms)
-    rows = [[{} for _ in range(n)] for _ in range(n)]
-    for weight, r, c, key, v in terms:
-        if weight == w:
-            rows[r][c][key] = v
-    return w, PolyMatrix([[BiPoly(e) for e in row] for row in rows])
-
-
 def _branch_point(det: BiPoly, n: int):
     """A point (1, rho) of the leading branch when det is c x^N + c' y^a:
     c' rho^a = -c has the rational root rho = -c/c' for a = 1, and rho = 1
@@ -258,9 +238,9 @@ def _branch_point(det: BiPoly, n: int):
 
 @dataclass(frozen=True)
 class _LeadingForm:
-    """Extreme-weight part of X_t - xI at infinity, or of X_t - (U + x)I at
-    the coincident point (x standing for x' = x - U), and the leading forms
-    read off it."""
+    """Extreme band of X_t - xI at infinity, or of X_t - (U + x)I at the
+    coincident point (x standing for x' = x - U), and the leading forms read
+    off it."""
 
     matrix: PolyMatrix
     x_weight: int
@@ -299,10 +279,13 @@ def _leading_form(state: LatticeState, t: int, at_infinity: bool) -> _LeadingFor
 
 def _build_leading_form(state: LatticeState, t: int, at_infinity: bool) -> _LeadingForm:
     n = state.params.N
-    x_t = build_monodromy(state, t)
-    if not at_infinity:
-        x_t = x_t - PolyMatrix.identity(n).scale(state.site_invariants()[0])
-    w, part = _extreme_part(x_t, top=at_infinity)
+    bands = list(zip(*monodromy_bands(state, t)))  # bands[k][i] = a_{i,k}
+    if at_infinity:
+        w = len(bands) - 1
+    else:
+        bands[0] = tuple(a - state.site_invariants()[0] for a in bands[0])
+        w = next(k for k, band in enumerate(bands) if any(band))
+    part = _fold(tuple((Rational(0),) * w + (a,) for a in bands[w]))
     matrix = part - PolyMatrix.identity(n).scale(BiPoly.x())
     # the cofactors of the last row: det with that row replaced by e_i
     rows = matrix.rows[:-1]
@@ -329,25 +312,20 @@ def infinity_asymptotics(state: LatticeState, t: int) -> NumericDiag:
 
     Requires a unique infinity branch, i.e. gcd(M+K, N) = 1.  Samples: the
     pole order of x, the orders v_i/v_N ~ k^{N-i}, and the one-order growth
-    of S v, R v, L v relative to v.  A sample whose leading form vanishes on
-    the branch reads None and fails.
+    of S v, R v, L v relative to v.  The three growth samples share one top
+    part, S itself: band 1 of S and of every factor is all ones.  A sample
+    whose leading form vanishes on the branch reads None and fails.
     """
     M, K, n = state.params.M, state.params.K, state.params.N
     lead = _leading_form(state, t, at_infinity=True)
     v = lead.column
-    t_upper, t_lower = conjugator_times(state, t)
     pole = None if lead.point is None else lead.sign * lead.x_weight
     samples = [("x_pole_order", pole, -(M + K))]
     for i in range(n - 1):
         samples.append((f"v{i + 1}/v{n}_order", lead.relative_order([v[i]], [v[-1]]), n - 1 - i))
-    for name, factor in (
-        ("corner_shift_growth", shift_matrix(n)),
-        ("upper_factor_growth", factor_r(state, t_upper)),
-        ("lower_factor_growth", factor_l(state, t_lower)),
-    ):
-        _, top = _extreme_part(factor, top=True)
-        image = [sum((top.entry(r, c) * v[c] for c in range(n)), BiPoly.zero()) for r in range(n)]
-        samples.append((name, lead.relative_order(image, v), -1))
+    growth = lead.relative_order([*v[1:], v[0] * BiPoly.y()], v)  # S v
+    for name in ("corner_shift_growth", "upper_factor_growth", "lower_factor_growth"):
+        samples.append((name, growth, -1))
     return _exact_diag("infinity_asymptotics", samples)
 
 
@@ -372,17 +350,13 @@ def case_b_structure(state: LatticeState, t: int) -> NumericDiag:
 
 def _ratio_limit(state, t, t_other):
     """The limit of (v_1/v_N at t) / (v_1/v_N at t_other) at the coincident
-    point over its limit at infinity, in wire form; None unless the leading
-    forms fix both."""
-    limits = []
-    for at_infinity in (False, True):
-        a, b = (_leading_form(state, s, at_infinity) for s in (t, t_other))
-        orders = [f.relative_order([f.column[0]], [f.column[-1]]) for f in (a, b)]
-        if None in orders or (a.x_weight, a.point, orders[0]) != (b.x_weight, b.point, orders[1]):
-            return None
-        a1, an, b1, bn = (f.column[i].evaluate(*a.point) for f in (a, b) for i in (0, -1))
-        limits.append(a1 * bn / (an * b1))
-    return format_rational(limits[0] / limits[1])
+    point, in wire form; None unless the leading forms fix it."""
+    a, b = (_leading_form(state, s, at_infinity=False) for s in (t, t_other))
+    orders = [f.relative_order([f.column[0]], [f.column[-1]]) for f in (a, b)]
+    if None in orders or (a.x_weight, a.point, orders[0]) != (b.x_weight, b.point, orders[1]):
+        return None
+    a1, an, b1, bn = (f.column[i].evaluate(*a.point) for f in (a, b) for i in (0, -1))
+    return format_rational(a1 * bn / (an * b1))
 
 
 def psi_phi_ratios(state: LatticeState, t: int) -> NumericDiag:
@@ -390,8 +364,9 @@ def psi_phi_ratios(state: LatticeState, t: int) -> NumericDiag:
 
     With w(p) the ratio built from times (t, t+K), the coincident-point limit
     over the infinity limit equals I_N/I_1 of the slice at t-(M-1)K; the
-    (t, t-M) analogue gives V_N/V_1 of the slice at t-MK.  Both limits are
-    exact rationals read off the leading forms at the two points.
+    (t, t-M) analogue gives V_N/V_1 of the slice at t-MK.  The limit at
+    infinity is 1, as the leading form there is the same at every time, so
+    each sample is the exact rational read off the leading forms at Q.
     """
     M, K, n = state.params.M, state.params.K, state.params.N
     t_upper, t_lower = conjugator_times(state, t)

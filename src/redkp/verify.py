@@ -17,8 +17,9 @@ shift (``lax.apply_shift`` by S), the word expansion of the band table
 (``band_coefficients``), the word append rule
 (``yform.verify_word_append_rule``), the x/y-form duality
 (``yform.spectral_duality``) and the orders at infinity
-(``numeric.infinity_asymptotics``), which read only the top-weight part of
-X_t, the same for every state.
+(``numeric.infinity_asymptotics``), which read only the top band row of X_t,
+all ones on every state.  For the same reason ``psi_phi_ratios`` builds no
+leading form at infinity: each of its limits there is 1.
 """
 
 from __future__ import annotations

@@ -79,6 +79,37 @@ def fold_bands(rows):
     return PolyMatrix(out)
 
 
+def curve_closed_form_112(i_values, v_values):
+    """Curve polynomial of the (1,1,2) system straight from the slice data."""
+    i1, i2 = (rat(v) for v in i_values)
+    v1, v2 = (rat(v) for v in v_values)
+    u1 = i1 * i2 + v1 * v2
+    u2 = v1 * i1 + v2 * i2
+    u3 = i1 * i2 * v1 * v2
+    x, y = BiPoly.x(), BiPoly.y()
+    return y * y - y * (x * 2 + BiPoly.constant(u1)) + x * x - x * u2 + BiPoly.constant(u3)
+
+
+def curve_closed_form_212(zeta, i_values, v_values):
+    """Curve polynomial of the (2,1,2) system seeded with a constant slice."""
+    z = rat(zeta)
+    i1, i2 = (rat(v) for v in i_values)
+    v1, v2 = (rat(v) for v in v_values)
+    u1 = i1 * i2 + v1 * v2
+    u2 = v1 * i1 + v2 * i2
+    u3 = i1 * i2 * v1 * v2
+    u4 = i1 + i2 + v1 + v2
+    x, y = BiPoly.x(), BiPoly.y()
+    return (
+        -(y ** 3)
+        + (y * y) * (z * z + u1)
+        - y * (x * (2 * z + u4) + BiPoly.constant(z * z * u1 + u3))
+        + x * x
+        - x * (z * u2)
+        + BiPoly.constant(z * z * u3)
+    )
+
+
 def dense_monodromy(state, t, form="standard"):
     """X_t as the dense ``PolyMatrix`` product of its factor matrices."""
     factors = [build_factor(d) for d in factor_slices(state, t, form)]

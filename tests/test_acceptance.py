@@ -35,10 +35,10 @@ from redkp import (
     verify_word_append_rule,
 )
 from redkp.cli import main as cli_main
-from redkp.degeneration import curve_closed_form_112, curve_closed_form_212, seed_large_zeta
+from redkp.degeneration import seed_large_zeta
 from redkp.lax import SHIFT_MU_K, apply_shift, default_time
 from redkp.yform import shift_stars
-from conftest import PARAM_SETS, bands_words, random_state
+from conftest import PARAM_SETS, bands_words, curve_closed_form_112, curve_closed_form_212, random_state
 from test_yform import companion_reference_report
 
 

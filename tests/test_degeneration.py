@@ -8,6 +8,7 @@ from redkp import (
     DegenerationPlan,
     EmptyIndexSet,
     LatticeParams,
+    LatticeState,
     WrongParams,
     ZeroValue,
     hidden_invariant_check,
@@ -21,15 +22,8 @@ from redkp import (
     xi_set,
 )
 from redkp.cli import main
-from redkp.degeneration import (
-    _float_diff,
-    companion_with_same_curve,
-    curve_closed_form_112,
-    curve_closed_form_212,
-    find_hidden_invariant_pair,
-    hidden_sum,
-)
-from conftest import random_state
+from redkp.degeneration import _float_diff, hidden_sum
+from conftest import curve_closed_form_112, curve_closed_form_212, random_state
 
 
 # -- index sets -----------------------------------------------------------------
@@ -186,6 +180,40 @@ def test_hidden_invariant_wrong_params():
     st = random_state(1, 1, 3, seed=1)
     with pytest.raises(WrongParams):
         hidden_invariant_check(st)
+
+
+def companion_with_same_curve(state, p):
+    """A (1,1,2) state with the same spectral curve but generally a different
+    hidden-sum value: the curve fixes the four products i1*i2, v1*v2, v1*i1,
+    v2*i2, and p reparametrises the one-parameter family they leave free."""
+    if (state.params.M, state.params.K, state.params.N) != (1, 1, 2):
+        raise WrongParams("companion construction is specific to (1,1,2)")
+    p = rat(p)
+    if p == 0:
+        raise WrongParams("parameter must be nonzero")
+    t = state.frontier
+    i, v = state.i_slice(t), state.v_slice(t)
+    a = i[0] * i[1]
+    q1, q2 = v[0] * i[0], v[1] * i[1]
+    new_i = (p, a / p)
+    new_v = (q1 / p, q2 * p / a)
+    return LatticeState.create(state.params, {t: new_i}, {t: new_v})
+
+
+def find_hidden_invariant_pair(rng, attempts=200):
+    """Randomized search, drawing from ``rng.randint`` (a ``random.Random``):
+    two states with exactly equal curves but different hidden sums,
+    witnessing that the sum is independent of the curve data."""
+    for _ in range(attempts):
+        vals = [rat(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(4)]
+        base = LatticeState.create(LatticeParams(1, 1, 2), {0: vals[:2]}, {0: vals[2:]})
+        p = rat(rng.randint(1, 8), rng.randint(1, 4))
+        other = companion_with_same_curve(base, p)
+        if spectral_curve(base, 0).poly != spectral_curve(other, 0).poly:
+            raise AssertionError("companion construction changed the curve")
+        if hidden_sum(base, 0) != hidden_sum(other, 0):
+            return base, other
+    raise RuntimeError("no witness pair found")
 
 
 def test_companion_same_curve_different_sum(classic_state):

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import redkp.numeric
 from redkp import (
@@ -29,6 +30,7 @@ from redkp.lax import build_monodromy, default_time, factor_l, factor_r
 from redkp.numeric import ON_CURVE_TOL, ComplexPoint, _leading_form, _rank, matrix_eval
 from redkp.verify import run_verification
 from conftest import random_state
+from test_identities import windows
 
 
 # -- fibers ------------------------------------------------------------------
@@ -330,6 +332,70 @@ def test_case_b_suites_equal_full_cofactor_oracle(fixture, request):
     }
 
 
+# -- leading forms: the weight-scan oracle ------------------------------------------
+#
+# ``_leading_form`` reads one band row of X_t (of X_t - U at Q).  The oracle
+# scans every term of the folded N x N matrix for its weight instead.
+
+
+def _extreme_part(m, top):
+    """The largest (``top``) or smallest weight (c - r) + aN among the terms
+    y^a of the entries (r, c) of m, and the matrix of the terms of that
+    weight."""
+    n = m.n
+    terms = [
+        (c - r + key[1] * n, r, c, key, v)
+        for r in range(n)
+        for c in range(n)
+        for key, v in m.entry(r, c).items()
+    ]
+    w = (max if top else min)(term[0] for term in terms)
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for weight, r, c, key, v in terms:
+        if weight == w:
+            rows[r][c][key] = v
+    return w, PolyMatrix([[BiPoly(e) for e in row] for row in rows])
+
+
+def _assert_leading_form_is_the_weight_scan(st, t, at_infinity):
+    n = st.params.N
+    x_t = build_monodromy(st, t)
+    if not at_infinity:
+        x_t = x_t - PolyMatrix.identity(n).scale(st.site_invariants()[0])
+    w, part = _extreme_part(x_t, top=at_infinity)
+    lead = _leading_form(st, t, at_infinity)
+    assert lead.matrix == part - PolyMatrix.identity(n).scale(BiPoly.x())
+    assert lead.x_weight == w
+
+
+@pytest.fixture
+def case_b_214():
+    """A (2,1,4) state with all site invariants equal."""
+    return LatticeState.loads(
+        '{"M":2,"K":1,"N":4,"frontier":0,"I":{"-1":["1","4","2","1"],"0":["5","3","3","5"]},'
+        '"V":{"0":["12/5","1","2","12/5"]}}'
+    )
+
+
+@given(state=windows().filter(lambda state: state.params.gcd_mkn_ok))
+@settings(max_examples=40, deadline=None)
+def test_leading_form_at_infinity_is_the_top_weight_scan(state):
+    _assert_leading_form_is_the_weight_scan(state, 0, at_infinity=True)
+    assert state.frontier == 0
+
+
+@pytest.mark.parametrize("fixture", ["case_b_113", "uniform_113", "uniform_212", "case_b_214"])
+def test_leading_form_at_q_is_the_bottom_weight_scan(fixture, request):
+    # at the three times psi_phi_ratios reads: t - M, t and t + K
+    st = request.getfixturevalue(fixture)
+    M, K = st.params.M, st.params.K
+    assert st.classify_case() == "case_b"
+    t = default_time(st, deep=True)
+    st.evolve_to(t + K)
+    for s in (t - M, t, t + K):
+        _assert_leading_form_is_the_weight_scan(st, s, at_infinity=False)
+
+
 # -- infinity branch ------------------------------------------------------------------
 
 
@@ -406,7 +472,8 @@ def test_case_b_structure_nonuniform(case_b_113):
 
 def test_verify_builds_each_leading_form_once(case_b_113, monkeypatch):
     # case_b_structure builds the form at Q at t_deep; psi_phi_ratios reads it
-    # again and adds the one at infinity, and both at t_deep + K and t_deep - M
+    # again and adds the ones at t_deep + K and t_deep - M.  No form at
+    # infinity is built: the limit there is 1 on every state
     calls = []
     real = redkp.numeric._build_leading_form
 
@@ -419,7 +486,7 @@ def test_verify_builds_each_leading_form_once(case_b_113, monkeypatch):
     statuses = {s["name"]: s["status"] for s in report["suites"]}
     assert [statuses[name] for name in ("case_b_structure", "psi_phi_ratios")] == ["pass"] * 2
     t = default_time(case_b_113, deep=True)
-    assert sorted(calls) == sorted((s, q) for s in (t - 1, t, t + 1) for q in (False, True))
+    assert sorted(calls) == [(s, False) for s in (t - 1, t, t + 1)]
 
 
 def test_case_b_rejects_case_a():
