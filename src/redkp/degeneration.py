@@ -196,9 +196,8 @@ def hidden_invariant_check(
     state: LatticeState, steps: int = 50, start: int | None = None
 ) -> HiddenInvariantReport:
     """The four-value sum is exactly constant along the (1,1,2) evolution, at
-    every time from ``start`` (by default the frontier) to ``start + steps``."""
-    if (state.params.M, state.params.K, state.params.N) != (1, 1, 2):
-        raise WrongParams("hidden invariant is specific to (M,K,N) = (1,1,2)")
+    every time from ``start`` (by default the frontier) to ``start + steps``;
+    ``hidden_sum`` raises ``WrongParams`` off (1,1,2)."""
     if start is None:
         start = state.frontier
     values = [hidden_sum(state, t) for t in range(start, start + steps + 1)]

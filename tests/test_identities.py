@@ -4,8 +4,11 @@
 here hold for every window of nonzero slice values, lattice orbit or not, so
 the tests pin them over arbitrary signed windows instead: the band table
 against its word expansion and the monodromy against the dense product of
-its factors, the site shift, the word append rule, the x/y-form duality and
-the orders at infinity, which read only the top-weight part of X_t.
+its factors, the site shift, the word append rule, the x/y-form duality,
+the orders at infinity, which read only the top-weight part of X_t, and the
+structure of X_t at y = 0: triangular with the site invariants on its
+diagonal, the special points on the curve and the closed forms of det S* and
+det R*.
 """
 
 import pytest
@@ -19,9 +22,12 @@ from redkp import (
     band_coefficients,
     build_monodromy,
     infinity_asymptotics,
+    matdet,
     new_state,
     rat,
     shift_matrix,
+    shift_stars,
+    special_points,
     spectral_duality,
     verify_word_append_rule,
 )
@@ -98,4 +104,24 @@ def test_orders_at_infinity_on_any_window(state):
     else:
         with pytest.raises(GcdViolation):
             infinity_asymptotics(state, 0)
+    assert state.frontier == 0
+
+
+@given(state=windows())
+@settings(max_examples=40, deadline=None)
+def test_zero_fiber_structure_on_any_window(state):
+    # X_0(0) is upper triangular with the site invariants on its diagonal, as
+    # lax._fold puts every entry left of the diagonal at y^1 or higher
+    n = state.params.N
+    x0 = build_monodromy(state, 0)
+    u = state.site_invariants(0)
+    for i in range(n):
+        for j in range(i + 1):
+            assert x0.entry(i, j).evaluate(0, 0) == (u[i] if i == j else 0)
+    special_points(state, 0)  # raises if an A, B or Q point is off the curve
+    # S* is a companion matrix and R* a bidiagonal one, whatever the slices
+    sign = 1 if (state.params.M + state.params.K) % 2 == 0 else -1
+    s_star, r_star, _ = shift_stars(state, 0)
+    assert matdet(s_star) == (BiPoly.constant(u[0]) - BiPoly.x()) * rat(sign)
+    assert matdet(r_star) == BiPoly.monomial(1, 0, -sign)
     assert state.frontier == 0
