@@ -62,10 +62,8 @@ from .numeric import (
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational, format_rational, parse_rational, rat
 from .yform import (
-    BandCoefficients,
     band_coefficients,
     build_companions,
-    build_shift_stars,
     shift_stars,
     spectral_duality,
     verify_word_append_rule,

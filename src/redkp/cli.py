@@ -115,15 +115,15 @@ def cmd_charpoly(args) -> int:
 def cmd_yform(args) -> int:
     state = _load_state(args.input)
     t = args.time if args.time is not None else default_time(state, deep=True)
-    bc = band_coefficients(state, t)
+    rows = band_coefficients(state, t).rows
     s_star, r_star, l_star = shift_stars(state, t)
-    _, y_matrix = build_companions(bc)
+    _, y_matrix = build_companions(rows)
     doc = {
         "time": t,
         "bands": [
-            {"i": i + 1, "k": k, "a": format_rational(bc.rows[i][k])}
-            for i in range(bc.n_sites)
-            for k in range(bc.width + 1)
+            {"i": i + 1, "k": k, "a": format_rational(a)}
+            for i, row in enumerate(rows)
+            for k, a in enumerate(row)
         ],
         "S_star": _matrix_records(s_star),
         "R_star": _matrix_records(r_star),

@@ -11,9 +11,8 @@ single factor realises the site shift and the two time shifts.  Each is
 checked as an exact intertwining Z a == a X_t between independently built
 monodromies: a right update of Z's rows against a left update of X_t's.
 
-The band rows and the monodromy at each (t, form), and the curve and special
-points at each t, are built once per state, in its cache
-(``LatticeState.built``).
+The band rows and the monodromy at each (t, form), and the curve at each t,
+are built once per state, in its cache (``LatticeState.built``).
 """
 
 from __future__ import annotations
@@ -242,12 +241,8 @@ def special_points(state: LatticeState, t: int) -> SpecialPoints:
 
     The y-coordinates are the exact roots of the factor determinants
     (product of the slice plus (-1)^{N+1} y), so they carry the (-1)^N
-    factor for odd N.  Built once per t and state.
+    factor for odd N.
     """
-    return state.built(("special_points", t), lambda: _special_points(state, t))
-
-
-def _special_points(state: LatticeState, t: int) -> SpecialPoints:
     params = state.params
     curve = spectral_curve(state, t)
     sign = Rational(1) if params.N % 2 == 0 else Rational(-1)

@@ -7,11 +7,13 @@ built as an ordered product of per-row companion matrices; the corner and
 factor conjugators get matching star realisations.
 
 The band table is the band rows of X_t that ``lax`` builds the monodromy
-from, so one builder serves both forms.  The two-letter word expansion (the
-literal recursive definition, exponential in M+K) and its append rule hold
-for any slice values, as does the x/y-form duality, so no ``verify`` suite
-runs them: the tests check them over arbitrary slice windows, with the
-word expansion of the whole table as their oracle.
+from, so one builder serves both forms; the companions read the rows
+directly, each M+K+1 long.  The two-letter word expansion (the literal
+recursive definition, exponential in M+K) and its append rule hold for any
+slice values, as does the x/y-form duality, so no ``verify`` suite runs
+them: one property test each checks them over arbitrary slice windows of
+every parameter set, with the word expansion of the whole table as their
+oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bipoly import BiPoly
-from .errors import ExactDivisionError, SizeMismatch, WordGuard
+from .errors import ExactDivisionError, WordGuard
 from .lattice import LatticeState
 from .lax import conjugator_times, factor_slices, monodromy_bands, spectral_curve
 from .polymatrix import PolyMatrix, matdet
@@ -33,17 +35,7 @@ WORD_MAX_WIDTH = 8
 class BandCoefficients:
     """Cyclic band table a_{i,k}: N rows, columns k = 0..M+K."""
 
-    n_sites: int
-    width: int  # M + K
     rows: tuple  # rows[i][k]
-
-    def __post_init__(self):
-        if len(self.rows) != self.n_sites or any(
-            len(r) != self.width + 1 for r in self.rows
-        ):
-            raise SizeMismatch("band table must be N x (M+K+1)")
-        if any(r[self.width] != 1 for r in self.rows):
-            raise AssertionError("leading band coefficient must be 1")
 
 
 def _levels(state: LatticeState, t: int) -> list:
@@ -74,12 +66,11 @@ def _word_value(levels: list, word: str, site: int):
 def band_coefficients(state: LatticeState, t: int) -> BandCoefficients:
     """The band table at t: the band rows of the standard form of X_t
     (``lax.monodromy_bands``), built once per t and state."""
-    return BandCoefficients(
-        n_sites=state.params.N, width=state.params.M + state.params.K, rows=monodromy_bands(state, t)
-    )
+    return BandCoefficients(rows=monodromy_bands(state, t))
 
 
-def _companion(row, width: int) -> PolyMatrix:
+def _companion(row) -> PolyMatrix:
+    width = len(row) - 1
     rows = [[BiPoly.zero() for _ in range(width)] for _ in range(width)]
     for r in range(width - 1):
         rows[r][r + 1] = BiPoly.one()
@@ -89,43 +80,36 @@ def _companion(row, width: int) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-def build_companions(bc: BandCoefficients):
-    """Per-row companion matrices C_1..C_N and their ordered product Y = C_N...C_1.
+def build_companions(rows):
+    """Per-row companion matrices C_1..C_N of band rows and their ordered
+    product Y = C_N...C_1.
 
     C_i advances the window (g_i, ..., g_{i+W-1}) by one site; the full cycle
     multiplies the window by y, so Y w = y w on the curve.  C_1 is the star
     realisation of the corner matrix.
     """
-    companions = tuple(_companion(row, bc.width) for row in bc.rows)
+    companions = tuple(_companion(row) for row in rows)
     y_matrix = companions[0]
     for c in companions[1:]:
         y_matrix = c @ y_matrix
     return companions, y_matrix
 
 
-def build_shift_stars(bc: BandCoefficients, i_values, v_values):
-    """Star realisations (S*, R*, L*) of the corner matrix and the two factor
-    conjugators.  S* is the first companion C_1; R* and L* add the
-    conjugating slice along its diagonal, whose site values wrap cyclically
-    when M+K exceeds N."""
-    width = bc.width
-    s_star = _companion(bc.rows[0], width)
+def shift_stars(state: LatticeState, t: int):
+    """Star realisations (S*, R*, L*) at time t of the corner matrix and the
+    two factor conjugators.  S* is the first companion C_1; R* and L* add the
+    conjugating slice (at ``conjugator_times``) along its diagonal, whose
+    site values wrap cyclically when M+K exceeds N."""
+    t_upper, t_lower = conjugator_times(state, t)
+    s_star = _companion(monodromy_bands(state, t)[0])
 
     def plus_diagonal(values):
-        vals = [Rational(v) for v in values]
         rows = s_star.rows
-        for r in range(width):
-            rows[r][r] = rows[r][r] + BiPoly.constant(vals[r % len(vals)])
+        for r in range(s_star.n):
+            rows[r][r] = rows[r][r] + BiPoly.constant(values[r % len(values)])
         return PolyMatrix(rows)
 
-    return s_star, plus_diagonal(i_values), plus_diagonal(v_values)
-
-
-def shift_stars(state: LatticeState, t: int):
-    """Stars at time t, fetching the conjugating factor slices from history."""
-    t_upper, t_lower = conjugator_times(state, t)
-    bc = band_coefficients(state, t)
-    return build_shift_stars(bc, state.i_slice(t_upper), state.v_slice(t_lower))
+    return s_star, plus_diagonal(state.i_slice(t_upper)), plus_diagonal(state.v_slice(t_lower))
 
 
 @dataclass(frozen=True)
@@ -178,10 +162,8 @@ def spectral_duality(state: LatticeState, t: int) -> DualityReport:
     """det(Y - yE) must equal det(X - xE) up to a single-term unit; in practice
     the companion product reproduces the normalised curve polynomial exactly."""
     curve = spectral_curve(state, t).poly
-    bc = band_coefficients(state, t)
-    _, y_matrix = build_companions(bc)
-    width = bc.width
-    char_y = matdet(y_matrix - PolyMatrix.identity(width).scale(BiPoly.y()))
+    _, y_matrix = build_companions(monodromy_bands(state, t))
+    char_y = matdet(y_matrix - PolyMatrix.identity(y_matrix.n).scale(BiPoly.y()))
     ratio = None
     for num, den in ((char_y, curve), (curve, char_y)):
         try:

@@ -9,6 +9,10 @@ the orders at infinity, which read only the top-weight part of X_t, and the
 structure of X_t at y = 0: triangular with the site invariants on its
 diagonal, the special points on the curve and the closed forms of det S* and
 det R*.
+
+Each identity has one property test here and no other test of the same
+claim; each runs every entry of ``PARAM_SETS`` on every run, with the same
+number of windows per set.
 """
 
 import pytest
@@ -45,11 +49,10 @@ values = st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 5))
 
 
 @st.composite
-def windows(draw):
-    """A state of arbitrary nonzero signed slices ending at t = 0, long enough
-    for X_0 and its alternate form, so that the anchor
+def windows(draw, M, K, N):
+    """An (M, K, N) state of arbitrary nonzero signed slices ending at t = 0,
+    long enough for X_0 and its alternate form, so that the anchor
     ``default_time(deep=True)`` is 0 and no check steps the state."""
-    M, K, N = draw(st.sampled_from(PARAM_SETS))
 
     def slices(count):
         return {-r: [draw(values) for _ in range(N)] for r in range(count)}
@@ -59,9 +62,11 @@ def windows(draw):
     return state
 
 
-@given(state=windows())
-@settings(max_examples=40, deadline=None)
-def test_band_routes_agree_on_any_window(state):
+@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_band_routes_agree_on_any_window(M, K, N, data):
+    state = data.draw(windows(M, K, N))
     bands = band_coefficients(state, 0).rows
     assert bands == bands_words(state, 0)
     assert fold_bands(bands) == build_monodromy(state, 0) == dense_monodromy(state, 0)
@@ -69,9 +74,11 @@ def test_band_routes_agree_on_any_window(state):
     assert state.frontier == 0
 
 
-@given(state=windows())
-@settings(max_examples=40, deadline=None)
-def test_site_shift_intertwines_on_any_window(state):
+@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_site_shift_intertwines_on_any_window(M, K, N, data):
+    state = data.draw(windows(M, K, N))
     # S X_0 == X_0(rotated) S for any slices, so ``verify`` does not check it
     rotated = build_monodromy(state.rotated(), 0)
     assert apply_shift(state, 0, SHIFT_SIGMA) == rotated
@@ -80,25 +87,31 @@ def test_site_shift_intertwines_on_any_window(state):
     assert state.frontier == 0
 
 
-@given(state=windows())
-@settings(max_examples=40, deadline=None)
-def test_word_append_rule_on_any_window(state):
+@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_word_append_rule_on_any_window(M, K, N, data):
+    state = data.draw(windows(M, K, N))
     rep = verify_word_append_rule(state, 0)
     assert rep.ok and rep.checked > 0
     assert state.frontier == 0
 
 
-@given(state=windows())
-@settings(max_examples=40, deadline=None)
-def test_spectral_duality_on_any_window(state):
+@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_spectral_duality_on_any_window(M, K, N, data):
+    state = data.draw(windows(M, K, N))
     rep = spectral_duality(state, 0)
     assert rep.ok and rep.ratio in (BiPoly.one(), -BiPoly.one())
     assert state.frontier == 0
 
 
-@given(state=windows())
-@settings(max_examples=60, deadline=None)
-def test_orders_at_infinity_on_any_window(state):
+@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_orders_at_infinity_on_any_window(M, K, N, data):
+    state = data.draw(windows(M, K, N))
     if state.params.gcd_mkn_ok:
         assert infinity_asymptotics(state, 0).passed
     else:
@@ -107,9 +120,11 @@ def test_orders_at_infinity_on_any_window(state):
     assert state.frontier == 0
 
 
-@given(state=windows())
-@settings(max_examples=40, deadline=None)
-def test_zero_fiber_structure_on_any_window(state):
+@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_zero_fiber_structure_on_any_window(M, K, N, data):
+    state = data.draw(windows(M, K, N))
     # X_0(0) is upper triangular with the site invariants on its diagonal, as
     # lax._fold puts every entry left of the diagonal at y^1 or higher
     n = state.params.N

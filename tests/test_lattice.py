@@ -219,20 +219,6 @@ def test_evolve_to_noop_and_uniform():
     assert st.i_slice(10) == (rat(3),) * 3
 
 
-@pytest.mark.parametrize("M,K,N", [(1, 1, 2), (2, 1, 3), (1, 2, 3), (3, 2, 5)])
-def test_evolution_residuals_and_conservation(M, K, N):
-    st = random_state(M, K, N, seed=M * 100 + K * 10 + N)
-    st.evolve_to(8)
-    for t in range(1, 9):
-        a, b = st.i_slice(t - M), st.v_slice(t - K)
-        x, y = st.i_slice(t), st.v_slice(t)
-        for n in range(N):
-            assert x[n] == a[n - 1] + b[n] - y[n - 1]
-            assert y[n] * x[n] == a[n] * b[n]
-        assert products(x) == products(a)
-        assert products(y) == products(b)
-
-
 def test_monodromy_identities_random():
     rng = random.Random(3)
     for _ in range(20):
@@ -277,14 +263,6 @@ def test_site_invariants_classic(classic_state):
     # the two invariants are the roots of z^2 - 17 z + 30
     for z in u:
         assert z * z - 17 * z + 30 == 0
-
-
-@pytest.mark.parametrize("M,K,N", [(1, 1, 2), (2, 1, 3), (2, 3, 5), (3, 2, 5)])
-def test_site_invariants_constant_under_evolution(M, K, N):
-    st = random_state(M, K, N, seed=7)
-    u0 = st.site_invariants()
-    st.evolve_to(st.frontier + 5)
-    assert st.site_invariants() == u0
 
 
 def test_classify_cases(classic_state):
@@ -402,14 +380,13 @@ def test_rotated_moves_every_slice_by_one_site():
     assert rot.v_slice(rot.frontier + 5) == v[1:] + v[:1]
 
 
-@given(
-    data=st.data(),
-    params=st.sampled_from([(1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 3)]),
+@pytest.mark.parametrize(
+    "M,K,N", [(1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 3), (2, 3, 5), (3, 2, 5)]
 )
-@settings(max_examples=40, deadline=None)
-def test_lattice_properties_hypothesis(data, params):
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_lattice_properties_hypothesis(M, K, N, data):
     """Residuals, conservation and invariant constancy for arbitrary data."""
-    M, K, N = params
     draw_q = st.builds(rat, st.integers(1, 30), st.integers(1, 10))
     i_slices = {
         -r: [data.draw(draw_q) for _ in range(N)] for r in range(M)
