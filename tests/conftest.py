@@ -19,6 +19,25 @@ from redkp.yform import _levels, _word_levels, _word_value
 
 PARAM_SETS = [(1, 1, 3), (2, 1, 3), (1, 2, 3), (3, 2, 5), (2, 3, 5)]
 
+
+
+def on_every_set(param_sets):
+    """Run a hypothesis property ``prop(M, K, N, data)`` on each of
+    ``param_sets`` in turn, as one test under the property's own name, so
+    that every set runs its ``max_examples`` on every run."""
+
+    def wrap(prop):
+        def test():
+            for M, K, N in param_sets:
+                prop(M=M, K=K, N=N)
+
+        test.__name__ = test.__qualname__ = prop.__name__
+        test.__doc__ = prop.__doc__
+        return test
+
+    return wrap
+
+
 # bit height a stepped slice may reach in a test; see ``bounded_steps``
 STEP_MAX_BITS = 100_000
 

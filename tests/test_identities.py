@@ -36,7 +36,7 @@ from redkp import (
     verify_word_append_rule,
 )
 from redkp.lax import SHIFT_SIGMA, apply_shift, default_time
-from conftest import bands_words, dense_monodromy, fold_bands
+from conftest import bands_words, dense_monodromy, fold_bands, on_every_set
 
 # (1,1,2) to (3,4,5) and (2,3,7); every width M+K is within the word routes'
 # limit of 8
@@ -62,7 +62,7 @@ def windows(draw, M, K, N):
     return state
 
 
-@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@on_every_set(PARAM_SETS)
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_band_routes_agree_on_any_window(M, K, N, data):
@@ -74,7 +74,7 @@ def test_band_routes_agree_on_any_window(M, K, N, data):
     assert state.frontier == 0
 
 
-@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@on_every_set(PARAM_SETS)
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_site_shift_intertwines_on_any_window(M, K, N, data):
@@ -87,7 +87,7 @@ def test_site_shift_intertwines_on_any_window(M, K, N, data):
     assert state.frontier == 0
 
 
-@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@on_every_set(PARAM_SETS)
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_word_append_rule_on_any_window(M, K, N, data):
@@ -97,7 +97,7 @@ def test_word_append_rule_on_any_window(M, K, N, data):
     assert state.frontier == 0
 
 
-@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@on_every_set(PARAM_SETS)
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_spectral_duality_on_any_window(M, K, N, data):
@@ -107,7 +107,7 @@ def test_spectral_duality_on_any_window(M, K, N, data):
     assert state.frontier == 0
 
 
-@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@on_every_set(PARAM_SETS)
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
 def test_orders_at_infinity_on_any_window(M, K, N, data):
@@ -120,7 +120,7 @@ def test_orders_at_infinity_on_any_window(M, K, N, data):
     assert state.frontier == 0
 
 
-@pytest.mark.parametrize("M,K,N", PARAM_SETS)
+@on_every_set(PARAM_SETS)
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_zero_fiber_structure_on_any_window(M, K, N, data):

@@ -21,7 +21,7 @@ from redkp import (
     rat,
     uniform_state,
 )
-from conftest import random_state
+from conftest import on_every_set, random_state
 
 
 def products(values):
@@ -380,9 +380,7 @@ def test_rotated_moves_every_slice_by_one_site():
     assert rot.v_slice(rot.frontier + 5) == v[1:] + v[:1]
 
 
-@pytest.mark.parametrize(
-    "M,K,N", [(1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 3), (2, 3, 5), (3, 2, 5)]
-)
+@on_every_set([(1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 3), (2, 3, 5), (3, 2, 5)])
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
 def test_lattice_properties_hypothesis(M, K, N, data):

@@ -29,7 +29,7 @@ from redkp import (
 from redkp.lax import build_monodromy, default_time, factor_l, factor_r
 from redkp.numeric import ON_CURVE_TOL, ComplexPoint, _leading_form, _rank, matrix_eval
 from redkp.verify import run_verification
-from conftest import random_state
+from conftest import on_every_set, random_state
 from test_identities import PARAM_SETS, windows
 
 
@@ -376,7 +376,7 @@ def case_b_214():
     )
 
 
-@pytest.mark.parametrize("M,K,N", [p for p in PARAM_SETS if LatticeParams(*p).gcd_mkn_ok])
+@on_every_set([p for p in PARAM_SETS if LatticeParams(*p).gcd_mkn_ok])
 @given(data=strategies.data())
 @settings(max_examples=8, deadline=None)
 def test_leading_form_at_infinity_is_the_top_weight_scan(M, K, N, data):
