@@ -63,7 +63,7 @@ from .polymatrix import PolyMatrix, matdet
 from .rational import Rational, format_rational, parse_rational, rat
 from .yform import (
     band_coefficients,
-    build_companions,
+    companion_product,
     shift_stars,
     spectral_duality,
     verify_word_append_rule,

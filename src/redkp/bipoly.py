@@ -172,19 +172,6 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "BiPoly":
-        if exponent < 0:
-            raise ValueError("negative power")
-        result = BiPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def exact_div(self, divisor: "BiPoly") -> "BiPoly":
         """Exact quotient over Q; raises ExactDivisionError on remainder.  Over Z
         ``_divide_terms`` runs ``polymatrix``'s Bareiss on primitive parts."""

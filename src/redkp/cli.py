@@ -28,7 +28,7 @@ from .lax import default_time, special_points, spectral_curve
 from .polymatrix import PolyMatrix
 from .rational import format_rational
 from .verify import run_verification
-from .yform import band_coefficients, build_companions, shift_stars
+from .yform import band_coefficients, companion_product, shift_stars
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -115,9 +115,8 @@ def cmd_charpoly(args) -> int:
 def cmd_yform(args) -> int:
     state = _load_state(args.input)
     t = args.time if args.time is not None else default_time(state, deep=True)
-    rows = band_coefficients(state, t).rows
+    rows = band_coefficients(state, t)
     s_star, r_star, l_star = shift_stars(state, t)
-    _, y_matrix = build_companions(rows)
     doc = {
         "time": t,
         "bands": [
@@ -128,7 +127,7 @@ def cmd_yform(args) -> int:
         "S_star": _matrix_records(s_star),
         "R_star": _matrix_records(r_star),
         "L_star": _matrix_records(l_star),
-        "Y": _matrix_records(y_matrix),
+        "Y": _matrix_records(companion_product(rows)),
     }
     _write(json.dumps(doc, indent=2), args.output)
     return EXIT_OK

@@ -373,13 +373,9 @@ def new_state(params: LatticeParams, i_slices, v_slices) -> LatticeState:
     return LatticeState.create(params, i_slices, v_slices)
 
 
-def uniform_state(params: LatticeParams, i_value, v_value, frontier: int = 0) -> LatticeState:
-    """All-sites-equal data; handy fixed point of the evolution."""
+def uniform_state(params: LatticeParams, i_value, v_value) -> LatticeState:
+    """All-sites-equal data ending at t = 0; handy fixed point of the evolution."""
     i_val, v_val = Rational(i_value), Rational(v_value)
-    i_slices = {
-        frontier - r: [i_val] * params.N for r in range(params.M)
-    }
-    v_slices = {
-        frontier - r: [v_val] * params.N for r in range(params.K)
-    }
+    i_slices = {-r: [i_val] * params.N for r in range(params.M)}
+    v_slices = {-r: [v_val] * params.N for r in range(params.K)}
     return LatticeState.create(params, i_slices, v_slices)

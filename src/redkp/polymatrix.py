@@ -3,9 +3,10 @@
 The product skips the zero entries of both operands (a banded Lax factor has
 2N nonzero entries of N^2) and sums each output entry in one term map with
 ``bipoly._add_product``, the accumulator of ``BiPoly.__mul__`` and of Bareiss,
-dropping the sums that cancel.  Neither the monodromy nor the intertwinings
-of ``lax.apply_shift`` use it (``lax`` updates band rows instead); its callers
-are the companion product of ``yform`` and ``lax.verify_compatibility``.
+dropping the sums that cancel.  No command calls it: the monodromy, the
+intertwinings of ``lax.apply_shift`` and the companion product of ``yform``
+are all row updates of band rows.  Its one caller in the package is
+``lax.verify_compatibility``; the tests use it as the dense oracle.
 
 The determinant is exact and runs over Z, by one of two algorithms that
 ``matdet`` chooses by the kind of matrix.  Let D be the common denominator of

@@ -18,7 +18,7 @@ except ImportError:  # pragma: no cover
 
 __all__ = ["Rational", "rat", "parse_rational", "format_rational"]
 
-_WIRE_FORM = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_WIRE_FORM = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def rat(numerator, denominator=1):
@@ -27,14 +27,14 @@ def rat(numerator, denominator=1):
 
 
 def parse_rational(text: str):
-    """Parse the wire form ``"p/q"`` (denominator omitted when 1) and nothing
-    else: no exponent, decimal point, underscore, plus sign or whitespace."""
-    if not isinstance(text, str) or not _WIRE_FORM.fullmatch(text):
-        raise ValueError(f"not a rational: {text!r}")
-    try:
-        return Rational(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    """Parse the wire form ``"p/q"`` (denominator omitted when 1) exactly as
+    ``format_rational`` writes it: no exponent, decimal point, underscore,
+    plus sign, whitespace, leading zero, ``"-0"`` or unreduced fraction."""
+    if isinstance(text, str) and _WIRE_FORM.fullmatch(text):
+        value = Rational(text)
+        if format_rational(value) == text:
+            return value
+    raise ValueError(f"not a rational: {text!r}")
 
 
 def format_rational(value) -> str:

@@ -3,12 +3,13 @@
 The N x N eigenproblem in x unfolds into an infinite banded recursion of
 width M+K whose cyclic coefficients a_{i,k} are rational numbers.  Reading
 the same recursion as an eigenproblem in y yields an (M+K) x (M+K) matrix
-built as an ordered product of per-row companion matrices; the corner and
-factor conjugators get matching star realisations.
+Y = C_N...C_1, the ordered product of per-row companion matrices; the corner
+and factor conjugators get matching star realisations.
 
 The band table is the band rows of X_t that ``lax`` builds the monodromy
-from, so one builder serves both forms; the companions read the rows
-directly, each M+K+1 long.  The two-letter word expansion (the literal
+from, so one builder serves both forms.  Y is built from the rows as X_t is:
+one row update per band row (``companion_product``), with no ``PolyMatrix``
+product.  The two-letter word expansion (the literal
 recursive definition, exponential in M+K) and its append rule hold for any
 slice values, as does the x/y-form duality, so no ``verify`` suite runs
 them: one property test each checks them over arbitrary slice windows of
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _add_product, _nonzero
 from .errors import ExactDivisionError, WordGuard
 from .lattice import LatticeState
 from .lax import conjugator_times, factor_slices, monodromy_bands, spectral_curve
@@ -29,13 +30,6 @@ from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
 
 WORD_MAX_WIDTH = 8
-
-
-@dataclass(frozen=True)
-class BandCoefficients:
-    """Cyclic band table a_{i,k}: N rows, columns k = 0..M+K."""
-
-    rows: tuple  # rows[i][k]
 
 
 def _levels(state: LatticeState, t: int) -> list:
@@ -63,36 +57,32 @@ def _word_value(levels: list, word: str, site: int):
     return val
 
 
-def band_coefficients(state: LatticeState, t: int) -> BandCoefficients:
-    """The band table at t: the band rows of the standard form of X_t
-    (``lax.monodromy_bands``), built once per t and state."""
-    return BandCoefficients(rows=monodromy_bands(state, t))
+def band_coefficients(state: LatticeState, t: int) -> tuple:
+    """The band table a_{i,k}, k = 0..M+K, at t: the band rows of the standard
+    form of X_t (``lax.monodromy_bands``), built once per t and state."""
+    return monodromy_bands(state, t)
 
 
-def _companion(row) -> PolyMatrix:
-    width = len(row) - 1
-    rows = [[BiPoly.zero() for _ in range(width)] for _ in range(width)]
-    for r in range(width - 1):
-        rows[r][r + 1] = BiPoly.one()
-    rows[width - 1][0] = BiPoly.x() - BiPoly.constant(row[0])
-    for k in range(1, width):
-        rows[width - 1][k] = BiPoly.constant(-row[k])
-    return PolyMatrix(rows)
-
-
-def build_companions(rows):
-    """Per-row companion matrices C_1..C_N of band rows and their ordered
-    product Y = C_N...C_1.
-
-    C_i advances the window (g_i, ..., g_{i+W-1}) by one site; the full cycle
-    multiplies the window by y, so Y w = y w on the curve.  C_1 is the star
-    realisation of the corner matrix.
-    """
-    companions = tuple(_companion(row) for row in rows)
-    y_matrix = companions[0]
-    for c in companions[1:]:
-        y_matrix = c @ y_matrix
-    return companions, y_matrix
+def companion_product(rows) -> PolyMatrix:
+    """Y = C_N...C_1, C_i the companion matrix of band row i = (a_0, ..., a_W),
+    by row updates from the W x W identity: C_i advances the window
+    (g_i, ..., g_{i+W-1}) by one site, so it shifts the rows r up by one and
+    appends (x - a_0) r_0 - a_1 r_1 - ... - a_{W-1} r_{W-1}, each entry summed
+    in one term map, the y-side twin of ``lax.left_update``.  The full cycle
+    multiplies the window by y, so Y w = y w on the curve; the product of the
+    first row alone is C_1."""
+    width = len(rows[0]) - 1
+    terms = [[{(0, 0): Rational(1)} if i == j else {} for j in range(width)] for i in range(width)]
+    for a in rows:
+        coeffs = [{(1, 0): Rational(1), (0, 0): -a[0]}, *({(0, 0): -c} for c in a[1:width])]
+        last = []
+        for j in range(width):
+            acc = {}
+            for c, r in zip(coeffs, terms):
+                _add_product(acc, c, r[j])
+            last.append(_nonzero(acc))
+        terms = terms[1:] + [last]
+    return PolyMatrix([[BiPoly._raw(e) for e in row] for row in terms])
 
 
 def shift_stars(state: LatticeState, t: int):
@@ -101,7 +91,7 @@ def shift_stars(state: LatticeState, t: int):
     conjugating slice (at ``conjugator_times``) along its diagonal, whose
     site values wrap cyclically when M+K exceeds N."""
     t_upper, t_lower = conjugator_times(state, t)
-    s_star = _companion(monodromy_bands(state, t)[0])
+    s_star = companion_product(monodromy_bands(state, t)[:1])
 
     def plus_diagonal(values):
         rows = s_star.rows
@@ -162,7 +152,7 @@ def spectral_duality(state: LatticeState, t: int) -> DualityReport:
     """det(Y - yE) must equal det(X - xE) up to a single-term unit; in practice
     the companion product reproduces the normalised curve polynomial exactly."""
     curve = spectral_curve(state, t).poly
-    _, y_matrix = build_companions(monodromy_bands(state, t))
+    y_matrix = companion_product(monodromy_bands(state, t))
     char_y = matdet(y_matrix - PolyMatrix.identity(y_matrix.n).scale(BiPoly.y()))
     ratio = None
     for num, den in ((char_y, curve), (curve, char_y)):

@@ -120,7 +120,7 @@ def curve_closed_form_212(zeta, i_values, v_values):
     u4 = i1 + i2 + v1 + v2
     x, y = BiPoly.x(), BiPoly.y()
     return (
-        -(y ** 3)
+        -(y * y * y)
         + (y * y) * (z * z + u1)
         - y * (x * (2 * z + u4) + BiPoly.constant(z * z * u1 + u3))
         + x * x

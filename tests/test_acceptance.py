@@ -214,7 +214,7 @@ def test_criterion_7_band_expansion_and_duality():
     ]:
         st = random_state(M, K, N, seed=seed)
         t = default_time(st, deep=True)
-        ok &= bands_words(st, t) == band_coefficients(st, t).rows
+        ok &= bands_words(st, t) == band_coefficients(st, t)
         ok &= verify_word_append_rule(st, t).ok
         dual = spectral_duality(st, t)
         ok &= dual.ok and dual.ratio in (BiPoly.one(), -BiPoly.one())

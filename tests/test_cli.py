@@ -94,7 +94,9 @@ def test_evolve_max_bits_at_the_final_height_writes_the_default_output(tmp_path,
     assert budget.read_bytes() == default.read_bytes()
 
 
-@pytest.mark.parametrize("text", ["1e3", "1.5", "1_000", "+3", "1e999999999"])
+@pytest.mark.parametrize(
+    "text", ["1e3", "1.5", "1_000", "+3", "1e999999999", "4/2", "3/1", "007", "-0/5"]
+)
 def test_evolve_rejects_rationals_outside_wire_form(tmp_path, classic_state, text, capsys):
     data = classic_state.to_json_dict()
     data["V"]["0"][0] = text

@@ -46,18 +46,28 @@ PARAM_SETS = [
 ]
 
 values = st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+# sums of products of +-1 and +-2 cancel often, so these windows' band rows
+# hold exact zeros, which ``lax._fold`` must not store
+units = st.sampled_from([rat(v) for v in (-2, -1, 1, 2)])
 
 
 @st.composite
 def windows(draw, M, K, N):
-    """An (M, K, N) state of arbitrary nonzero signed slices ending at t = 0,
-    long enough for X_0 and its alternate form, so that the anchor
-    ``default_time(deep=True)`` is 0 and no check steps the state."""
+    """The I- and V-slices of an (M, K, N) window of arbitrary nonzero signed
+    values ending at t = 0, long enough for X_0 and its alternate form.  Plain
+    dicts, so that a failing example prints its values."""
+    pool = draw(st.sampled_from((values, units)))
 
     def slices(count):
-        return {-r: [draw(values) for _ in range(N)] for r in range(count)}
+        return {-r: [draw(pool) for _ in range(N)] for r in range(count)}
 
-    state = new_state(LatticeParams(M, K, N), slices(2 * M * K - K + 1), slices(2 * M * K - M + 1))
+    return slices(2 * M * K - K + 1), slices(2 * M * K - M + 1)
+
+
+def window_state(M, K, N, data):
+    """The state of a drawn window, whose anchor ``default_time(deep=True)``
+    is 0, so that no check steps it."""
+    state = new_state(LatticeParams(M, K, N), *data.draw(windows(M, K, N)))
     assert default_time(state, deep=True) == state.frontier == 0
     return state
 
@@ -66,8 +76,8 @@ def windows(draw, M, K, N):
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_band_routes_agree_on_any_window(M, K, N, data):
-    state = data.draw(windows(M, K, N))
-    bands = band_coefficients(state, 0).rows
+    state = window_state(M, K, N, data)
+    bands = band_coefficients(state, 0)
     assert bands == bands_words(state, 0)
     assert fold_bands(bands) == build_monodromy(state, 0) == dense_monodromy(state, 0)
     assert build_monodromy(state, 0, "alternate") == dense_monodromy(state, 0, "alternate")
@@ -78,7 +88,7 @@ def test_band_routes_agree_on_any_window(M, K, N, data):
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_site_shift_intertwines_on_any_window(M, K, N, data):
-    state = data.draw(windows(M, K, N))
+    state = window_state(M, K, N, data)
     # S X_0 == X_0(rotated) S for any slices, so ``verify`` does not check it
     rotated = build_monodromy(state.rotated(), 0)
     assert apply_shift(state, 0, SHIFT_SIGMA) == rotated
@@ -91,7 +101,7 @@ def test_site_shift_intertwines_on_any_window(M, K, N, data):
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_word_append_rule_on_any_window(M, K, N, data):
-    state = data.draw(windows(M, K, N))
+    state = window_state(M, K, N, data)
     rep = verify_word_append_rule(state, 0)
     assert rep.ok and rep.checked > 0
     assert state.frontier == 0
@@ -101,7 +111,7 @@ def test_word_append_rule_on_any_window(M, K, N, data):
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_spectral_duality_on_any_window(M, K, N, data):
-    state = data.draw(windows(M, K, N))
+    state = window_state(M, K, N, data)
     rep = spectral_duality(state, 0)
     assert rep.ok and rep.ratio in (BiPoly.one(), -BiPoly.one())
     assert state.frontier == 0
@@ -111,7 +121,7 @@ def test_spectral_duality_on_any_window(M, K, N, data):
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
 def test_orders_at_infinity_on_any_window(M, K, N, data):
-    state = data.draw(windows(M, K, N))
+    state = window_state(M, K, N, data)
     if state.params.gcd_mkn_ok:
         assert infinity_asymptotics(state, 0).passed
     else:
@@ -124,7 +134,7 @@ def test_orders_at_infinity_on_any_window(M, K, N, data):
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_zero_fiber_structure_on_any_window(M, K, N, data):
-    state = data.draw(windows(M, K, N))
+    state = window_state(M, K, N, data)
     # X_0(0) is upper triangular with the site invariants on its diagonal, as
     # lax._fold puts every entry left of the diagonal at y^1 or higher
     n = state.params.N

@@ -298,7 +298,9 @@ def test_json_rejects_malformed():
         LatticeState.from_json_dict(bad)
 
 
-NON_WIRE_RATIONALS = ["1e3", "1.5", "1_000", "+3", " 3", "3/-4", "1e999999999"]
+NON_WIRE_RATIONALS = [
+    "1e3", "1.5", "1_000", "+3", " 3", "3/-4", "1e999999999", "4/2", "3/1", "007", "-0/5",
+]
 
 
 @pytest.mark.parametrize("text", NON_WIRE_RATIONALS)

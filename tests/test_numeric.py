@@ -30,7 +30,7 @@ from redkp.lax import build_monodromy, default_time, factor_l, factor_r
 from redkp.numeric import ON_CURVE_TOL, ComplexPoint, _leading_form, _rank, matrix_eval
 from redkp.verify import run_verification
 from conftest import on_every_set, random_state
-from test_identities import PARAM_SETS, windows
+from test_identities import PARAM_SETS, window_state
 
 
 # -- fibers ------------------------------------------------------------------
@@ -248,7 +248,8 @@ class _FullCofactors:
         self.wx = M + K if at_infinity else 1
         curve, _ = _extreme_form(matdet(a), self.wx, n, self.top)
         if at_infinity:
-            assert curve in (BiPoly.x() ** n - BiPoly.y() ** (M + K), BiPoly.y() ** (M + K) - BiPoly.x() ** n)
+            x_n, y_mk = BiPoly.monomial(n, 0), BiPoly.monomial(0, M + K)
+            assert curve in (x_n - y_mk, y_mk - x_n)
             self.point = (1, 1)
         else:
             c, c_y = curve.coefficient(n, 0), curve.coefficient(0, 1)
@@ -380,7 +381,7 @@ def case_b_214():
 @given(data=strategies.data())
 @settings(max_examples=8, deadline=None)
 def test_leading_form_at_infinity_is_the_top_weight_scan(M, K, N, data):
-    state = data.draw(windows(M, K, N))
+    state = window_state(M, K, N, data)
     _assert_leading_form_is_the_weight_scan(state, 0, at_infinity=True)
     assert state.frontier == 0
 
@@ -409,7 +410,7 @@ def test_top_weight_part_is_the_corner_power(M, K, N):
     corner = PolyMatrix.identity(N)
     for _ in range(M + K):
         corner = corner @ shift_matrix(N)
-    x_n, y_mk = BiPoly.x() ** N, BiPoly.y() ** (M + K)
+    x_n, y_mk = BiPoly.monomial(N, 0), BiPoly.monomial(0, M + K)
     assert lead.matrix == corner - PolyMatrix.identity(N).scale(BiPoly.x())
     assert matdet(lead.matrix) in (x_n - y_mk, y_mk - x_n)
     assert lead.x_weight == M + K
@@ -436,7 +437,7 @@ def test_case_b_structure_nonuniform(case_b_113):
     # the bottom-weight part is cyclic: superdiagonal of X_t(0), the corner's
     # y coefficient and -x' on the diagonal
     lead = _leading_form(case_b_113, t, at_infinity=False)
-    assert matdet(lead.matrix) == BiPoly.monomial(0, 1, 126) - BiPoly.x() ** 3
+    assert matdet(lead.matrix) == BiPoly.monomial(0, 1, 126) - BiPoly.monomial(3, 0)
     x0 = build_monodromy(case_b_113, t)
     for r in range(3):
         for c in range(3):

@@ -8,8 +8,8 @@ from redkp import (
     PolyMatrix,
     WordGuard,
     band_coefficients,
-    build_companions,
     build_monodromy,
+    companion_product,
     matdet,
     rat,
     shift_stars,
@@ -51,7 +51,7 @@ def companion_reference_report() -> dict:
         (b1, b2, rat(1)),
         (c1, c2, rat(1)),
     )
-    _, y_matrix = build_companions(rows)
+    y_matrix = companion_product(rows)
     x = BiPoly.x()
     expected = {
         (0, 0): b2 * (BiPoly.constant(a1) - x),
@@ -92,9 +92,9 @@ def test_bands_smallest_case(classic_state):
     i_vals, v_vals = classic_state.i_slice(0), classic_state.v_slice(0)
     n = 2
     for i in range(n):
-        assert bc.rows[i][0] == v_vals[i] * i_vals[i]
-        assert bc.rows[i][1] == v_vals[i] + i_vals[(i + 1) % n]
-        assert bc.rows[i][2] == 1
+        assert bc[i][0] == v_vals[i] * i_vals[i]
+        assert bc[i][1] == v_vals[i] + i_vals[(i + 1) % n]
+        assert bc[i][2] == 1
 
 
 def _count_band_builds(monkeypatch):
@@ -123,7 +123,7 @@ def test_monodromy_and_band_table_share_one_build(monkeypatch):
     st = random_state(3, 2, 5, seed=5)
     t = default_time(st)
     x_t = build_monodromy(st, t)
-    assert fold_bands(band_coefficients(st, t).rows) == x_t
+    assert fold_bands(band_coefficients(st, t)) == x_t
     assert calls == [(t, "standard")]
 
 
@@ -139,7 +139,7 @@ def test_word_routes_read_the_factor_slices_once_per_call(monkeypatch):
     monkeypatch.setattr(redkp.yform, "_levels", counted)
     st = random_state(2, 3, 5, seed=13)
     t = default_time(st, deep=True)
-    assert bands_words(st, t) == band_coefficients(st, t).rows
+    assert bands_words(st, t) == band_coefficients(st, t)
     assert verify_word_append_rule(st, t).ok
     assert calls == [t] * 2
 
@@ -186,7 +186,7 @@ def test_companion_eigen_relation_numeric():
     st = random_state(2, 1, 3, seed=20)
     t = default_time(st)
     curve = spectral_curve(st, t)
-    _, y_sym = build_companions(band_coefficients(st, t).rows)
+    y_sym = companion_product(band_coefficients(st, t))
     for y0 in (0.7 + 0.2j, 1.3 - 0.5j):
         for pt in fiber_x(curve, y0):
             w = eigen_extension(st, t, pt)
@@ -201,8 +201,8 @@ def test_star_shapes_smallest(classic_state):
     t = 1  # stars need the factor slice one step below the band time
     bc = band_coefficients(classic_state, t)
     s_star, r_star, l_star = shift_stars(classic_state, t)
-    e1 = BiPoly.x() - BiPoly.constant(bc.rows[0][0])
-    e2 = BiPoly.constant(-bc.rows[0][1])
+    e1 = BiPoly.x() - BiPoly.constant(bc[0][0])
+    e2 = BiPoly.constant(-bc[0][1])
     assert s_star.entry(0, 0).is_zero() and s_star.entry(0, 1) == BiPoly.one()
     assert s_star.entry(1, 0) == e1 and s_star.entry(1, 1) == e2
     # det S* = -E_1 = a_{1,0} - x = U_1 - x for width 2
@@ -222,10 +222,10 @@ def test_star_wraps_when_width_exceeds_period():
     assert r_star.entry(1, 1) == BiPoly.constant(i_vals[1])
     # wrapped diagonal value on the closing row
     assert r_star.entry(2, 2) == BiPoly.constant(i_vals[0]) + BiPoly.constant(
-        -bc.rows[0][2]
+        -bc[0][2]
     )
     assert l_star.entry(2, 2) == BiPoly.constant(v_vals[0]) + BiPoly.constant(
-        -bc.rows[0][2]
+        -bc[0][2]
     )
 
 
@@ -235,9 +235,9 @@ def test_star_transport_numeric():
     st = random_state(1, 1, 3, seed=27)
     t = default_time(st, deep=True)
     curve = spectral_curve(st, t)
-    _, y_t = build_companions(band_coefficients(st, t).rows)
-    _, y_up = build_companions(band_coefficients(st, t + st.params.K).rows)
-    _, y_dn = build_companions(band_coefficients(st, t - st.params.M).rows)
+    y_t = companion_product(band_coefficients(st, t))
+    y_up = companion_product(band_coefficients(st, t + st.params.K))
+    y_dn = companion_product(band_coefficients(st, t - st.params.M))
     s_star, r_star, l_star = shift_stars(st, t)
     for y0 in (0.9 + 0.3j, 1.7 - 0.8j):
         for pt in fiber_x(curve, y0):
