@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -165,7 +166,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_fail(argparse.ArgumentError(None, message), EXIT_VALIDATION))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, and each
+    ``main`` call parses into a fresh namespace."""
     parser = _Parser(
         prog="redkp",
         description="Exact evolution and spectral analysis of the reduced discrete periodic KP lattice",
@@ -209,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except _EVOLUTION_ERRORS as exc:

@@ -17,7 +17,8 @@ at infinity and vanishes like k^w along y = k^N at Q.  Orders are ints and
 limits are rationals, compared with ``==``.
 
 The special points Q1, A_j and B_i of ``lax.special_points`` are rational,
-so the uniqueness of the eigenvector there is an exact rank over Q.
+so the uniqueness of the eigenvector there is an exact rank over Q, of a
+matrix of rationals read straight off the band rows (``lax.fold_at``).
 
 ``fiber_x`` and ``eigenvector_at`` work in complex floating point and no
 suite calls them: they remain only as the tests' float oracles and as
@@ -46,6 +47,7 @@ from .lax import (
     _fold,
     build_monodromy,
     conjugator_times,
+    fold_at,
     monodromy_bands,
     special_points,
 )
@@ -199,7 +201,8 @@ def special_point_kernels(state: LatticeState, t: int) -> NumericDiag:
     t' is the time at which the point's factor is the rightmost one of the
     monodromy (``conjugator_times``): t for the corner point Q1 = (U_1, 0),
     the standard form for an upper factor and the alternate form, which ends
-    in a lower factor, for a lower one.
+    in a lower factor, for a lower one.  X_{t'}(y0) is read off the band rows
+    at t' (``lax.fold_at``), the values its fold over Q[y] takes at y0.
     """
     n = state.params.N
     sp = special_points(state, t)
@@ -210,11 +213,9 @@ def special_point_kernels(state: LatticeState, t: int) -> NumericDiag:
     points += [(f"B{i}", s - low, p) for i, (s, p) in enumerate(zip(v_times[::-1], sp.b_points))]
     samples = []
     for label, t_shift, (x0, y0) in points:
-        x_t = build_monodromy(state, t_shift)
-        rows = [
-            [x_t.entry(r, c).evaluate(x0, y0) - (x0 if r == c else 0) for c in range(n)]
-            for r in range(n)
-        ]
+        rows = fold_at(monodromy_bands(state, t_shift), y0)
+        for r in range(n):
+            rows[r][r] -= x0
         samples.append((f"rank:{label}", _rank(rows), n - 1))
     return _exact_diag("special_point_kernels", samples)
 
@@ -286,7 +287,7 @@ def _build_leading_form(state: LatticeState, t: int, at_infinity: bool) -> _Lead
         bands[0] = tuple(a - state.site_invariants()[0] for a in bands[0])
         w = next(k for k, band in enumerate(bands) if any(band))
     part = _fold(tuple((Rational(0),) * w + (a,) for a in bands[w]))
-    matrix = part - PolyMatrix.identity(n).scale(BiPoly.x())
+    matrix = part.minus_diagonal(BiPoly.x())
     # the cofactors of the last row: det with that row replaced by e_i
     rows = matrix.rows[:-1]
     column = tuple(matdet(PolyMatrix(rows + [[int(c == i) for c in range(n)]])) for i in range(n))

@@ -6,7 +6,10 @@ The product skips the zero entries of both operands (a banded Lax factor has
 dropping the sums that cancel.  No command calls it: the monodromy, the
 intertwinings of ``lax.apply_shift`` and the companion product of ``yform``
 are all row updates of band rows.  Its one caller in the package is
-``lax.verify_compatibility``; the tests use it as the dense oracle.
+``lax.verify_compatibility``; the tests use it as the dense oracle.  The
+characteristic matrices A - vI of the curve, the leading forms of ``numeric``
+and det(Y - yI) of ``yform`` are formed by ``minus_diagonal``, which
+subtracts v on the diagonal only and shares the other entries.
 
 The determinant is exact and runs over Z, by one of two algorithms that
 ``matdet`` chooses by the kind of matrix.  Let D be the common denominator of
@@ -121,6 +124,15 @@ class PolyMatrix:
                 for i in range(self.n)
             ]
         )
+
+    def minus_diagonal(self, v) -> "PolyMatrix":
+        """self - v I with the off-diagonal entries shared: N subtractions in
+        place of N^2, each entry's terms in the order that
+        ``self - PolyMatrix.identity(n).scale(v)`` gives them."""
+        rows = [list(row) for row in self._rows]
+        for i, row in enumerate(rows):
+            row[i] = row[i] - v
+        return PolyMatrix(rows)
 
     def scale(self, factor) -> "PolyMatrix":
         factor = _coerce(factor)

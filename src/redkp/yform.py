@@ -153,7 +153,7 @@ def spectral_duality(state: LatticeState, t: int) -> DualityReport:
     the companion product reproduces the normalised curve polynomial exactly."""
     curve = spectral_curve(state, t).poly
     y_matrix = companion_product(monodromy_bands(state, t))
-    char_y = matdet(y_matrix - PolyMatrix.identity(y_matrix.n).scale(BiPoly.y()))
+    char_y = matdet(y_matrix.minus_diagonal(BiPoly.y()))
     ratio = None
     for num, den in ((char_y, curve), (curve, char_y)):
         try:

@@ -23,7 +23,7 @@ from redkp import (
     psi_phi_ratios,
     rat,
 )
-from redkp.cli import main
+from redkp.cli import build_parser, main
 from redkp.lax import default_time
 from redkp.verify import _run, _suites, run_verification
 from redkp.yform import verify_word_append_rule
@@ -529,6 +529,21 @@ def test_usage_errors_are_one_json_line(classic_file, argv, argument, capsys):
     assert len(err) == 1
     doc = json.loads(err[0])
     assert doc["error"] == "ArgumentError" and doc["message"].startswith(f"argument {argument}:")
+
+
+def test_one_parser_serves_every_call(tmp_path, classic_file, capsys):
+    assert build_parser() is build_parser()
+    seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
+    assert run_cli("verify", classic_file, "--seed", "7", "-o", str(seeded)) == 0
+    assert run_cli("verify", classic_file, "-o", str(unseeded)) == 0
+    # no value of one call leaks into the next as a default
+    assert json.loads(seeded.read_text())["seed"] == 7
+    assert json.loads(unseeded.read_text())["seed"] == 0
+    with pytest.raises(SystemExit) as info:
+        run_cli("evolve", classic_file, "--to", "abc")
+    assert info.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ArgumentError"
 
 
 def test_evolve_to_frontier_is_noop(tmp_path, classic_file):

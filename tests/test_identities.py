@@ -8,7 +8,9 @@ its factors, the site shift, the word append rule, the x/y-form duality,
 the orders at infinity, which read only the top-weight part of X_t, and the
 structure of X_t at y = 0: triangular with the site invariants on its
 diagonal, the special points on the curve and the closed forms of det S* and
-det R*.
+det R*.  Two of the package's shortcuts are pinned here against their
+slow forms too: ``PolyMatrix.minus_diagonal`` against the identity oracle,
+term order included, and ``lax.fold_at`` against the evaluated fold.
 
 Each identity has one property test here and no other test of the same
 claim; each runs every entry of ``PARAM_SETS`` on every run, with the same
@@ -23,8 +25,10 @@ from redkp import (
     BiPoly,
     GcdViolation,
     LatticeParams,
+    PolyMatrix,
     band_coefficients,
     build_monodromy,
+    companion_product,
     infinity_asymptotics,
     matdet,
     new_state,
@@ -35,7 +39,7 @@ from redkp import (
     spectral_duality,
     verify_word_append_rule,
 )
-from redkp.lax import SHIFT_SIGMA, apply_shift, default_time
+from redkp.lax import SHIFT_SIGMA, _fold, apply_shift, default_time, fold_at
 from conftest import bands_words, dense_monodromy, fold_bands, on_every_set
 
 # (1,1,2) to (3,4,5) and (2,3,7); every width M+K is within the word routes'
@@ -44,6 +48,10 @@ PARAM_SETS = [
     (1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3), (2, 1, 3),
     (1, 2, 5), (3, 1, 4), (3, 2, 5), (2, 3, 5), (3, 4, 5), (2, 3, 7),
 ]
+
+# sets with M+K >= N, where two band entries of a row share a matrix entry,
+# and N = 1, where every band wraps into the one entry
+FOLD_SETS = PARAM_SETS + [(1, 1, 1), (2, 1, 1)]
 
 values = st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 5))
 # sums of products of +-1 and +-2 cancel often, so these windows' band rows
@@ -149,4 +157,42 @@ def test_zero_fiber_structure_on_any_window(M, K, N, data):
     s_star, r_star, _ = shift_stars(state, 0)
     assert matdet(s_star) == (BiPoly.constant(u[0]) - BiPoly.x()) * rat(sign)
     assert matdet(r_star) == BiPoly.monomial(1, 0, -sign)
+    assert state.frontier == 0
+
+
+def _terms(m):
+    return [[list(e.items()) for e in row] for row in m.rows]
+
+
+@on_every_set(PARAM_SETS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_minus_diagonal_keeps_the_terms_of_the_identity_oracle(M, K, N, data):
+    state = window_state(M, K, N, data)
+    x, y = BiPoly.x(), BiPoly.y()
+    x_t = build_monodromy(state, 0)
+    y_matrix = companion_product(band_coefficients(state, 0))
+    plus = x_t.minus_diagonal(-x)  # X_t + xI
+    # v's key is absent from the diagonal of X_t (x) and of Y (y), present on
+    # Y's (x) once N >= M+K, and present and cancelling on that of X_t + xI (x)
+    for m, v in ((x_t, x), (y_matrix, y), (y_matrix, x), (plus, x)):
+        oracle = m - PolyMatrix.identity(m.n).scale(v)
+        assert _terms(m.minus_diagonal(v)) == _terms(oracle)
+        assert list(matdet(m.minus_diagonal(v)).items()) == list(matdet(oracle).items())
+    assert _terms(plus.minus_diagonal(x)) == _terms(x_t)
+    assert state.frontier == 0
+
+
+@on_every_set(FOLD_SETS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_band_rows_evaluate_as_their_fold_on_any_window(M, K, N, data):
+    state = window_state(M, K, N, data)
+    rows = band_coefficients(state, 0)
+    folded = _fold(rows)
+    drawn = data.draw(values), data.draw(values)
+    for x0, y0 in [*special_points(state, 0).all_points(), drawn]:
+        assert fold_at(rows, y0) == [
+            [folded.entry(r, c).evaluate(x0, y0) for c in range(N)] for r in range(N)
+        ]
     assert state.frontier == 0

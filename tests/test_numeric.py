@@ -26,7 +26,7 @@ from redkp import (
     spectral_curve,
     uniform_state,
 )
-from redkp.lax import build_monodromy, default_time, factor_l, factor_r
+from redkp.lax import build_monodromy, default_time, factor_l, factor_r, monodromy_bands
 from redkp.numeric import ON_CURVE_TOL, ComplexPoint, _leading_form, _rank, matrix_eval
 from redkp.verify import run_verification
 from conftest import on_every_set, random_state
@@ -127,9 +127,9 @@ def test_each_kernel_is_taken_where_its_factor_is_rightmost(M, K, N, seed, monke
 
     def recorded(state, s, form="standard"):
         times.append(s)
-        return build_monodromy(state, s, form)
+        return monodromy_bands(state, s, form)
 
-    monkeypatch.setattr(redkp.numeric, "build_monodromy", recorded)
+    monkeypatch.setattr(redkp.numeric, "monodromy_bands", recorded)
     special_point_kernels(st, t)
     # R(t-jK) ends X at t+(M-1-j)K; L(t-iM) ends the alternate form of X at t+(K-i)M
     assert times == [t] + [t + (M - 1 - j) * K for j in range(M)] + [
