@@ -69,8 +69,9 @@ def factor_slices(state: LatticeState, t: int, form: str = "standard") -> list:
 def left_update(rows, d) -> tuple:
     """The band rows of F P, for P's band rows and F the factor with diagonal
     d: a'_{i,k} = d_i a_{i,k} + a_{i+1,k-1}, one column wider.  The first and
-    last columns take one term each: a padding int zero would send every sum
-    through ``Fraction``'s slow reflected operators."""
+    last columns take one term each, as a_{i+1,-1} and a_{i,k} past the row
+    are zero: padding the rows with zeros would add a product and a sum per
+    row."""
     n = len(rows)
     out = []
     for i, row in enumerate(rows):
@@ -176,16 +177,17 @@ def conjugator_times(state: LatticeState, t: int) -> tuple:
     return params.factor_times(t)[0][-1], params.factor_times(t - params.M * params.K)[1][-1]
 
 
-def apply_shift(state: LatticeState, t: int, which: str) -> PolyMatrix:
-    """The monodromy at t conjugated by S (site shift) or a factor (time
-    shift), ``a X_t a^{-1}``.
+def apply_shift(state: LatticeState, t: int, which: str) -> tuple:
+    """The band rows of the monodromy at t conjugated by S (site shift) or a
+    factor (time shift), ``a X_t a^{-1}``; ``_fold`` makes them the matrix.
 
     The image Z is built on its own: the monodromy at t+K for mu_K, at t-M
     for mu_minus_M, and for sigma the monodromy at t of the history rotated
-    by one site.  Z is returned only once ``Z a == a X_t`` holds exactly, as
-    a right and a left update of band rows by a's diagonal (S is the factor
-    with diagonal 0); ``a`` is invertible over Q(y), so that equality is the
-    conjugation.  Raises NonPolynomialResult when it does not hold.
+    by one site.  Z's rows are returned only once ``Z a == a X_t`` holds
+    exactly, as a right and a left update of band rows by a's diagonal (S is
+    the factor with diagonal 0); ``a`` is invertible over Q(y), so that
+    equality is the conjugation.  Raises NonPolynomialResult when it does
+    not hold.
     """
     M, K = state.params.M, state.params.K
     t_upper, t_lower = conjugator_times(state, t)
@@ -197,9 +199,10 @@ def apply_shift(state: LatticeState, t: int, which: str) -> PolyMatrix:
         image, t_image, d = state, t - M, state.v_slice(t_lower)
     else:
         raise ValueError(f"unknown shift: {which}")
-    if right_update(monodromy_bands(image, t_image), d) != left_update(monodromy_bands(state, t), d):
+    z = monodromy_bands(image, t_image)
+    if right_update(z, d) != left_update(monodromy_bands(state, t), d):
         raise NonPolynomialResult(f"{which} intertwining failed at t = {t}")
-    return build_monodromy(image, t_image)
+    return z
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,171 @@
 """Exact rational scalars.
 
 Every lattice value, polynomial coefficient and invariant in this package is
-an arbitrary-precision rational.  ``gmpy2.mpq`` is used when available (its
-speed relative to ``Fraction`` on this package has not been measured); the
-stdlib ``fractions.Fraction`` is a drop-in fallback with identical semantics:
-always reduced, positive denominator, exact field arithmetic.
+an arbitrary-precision rational: always reduced, positive denominator, exact
+field arithmetic.  ``gmpy2.mpq`` is used when available (its speed relative
+to the fallback on this package has not been measured).
+
+The stdlib fallback is ``Rational``, a ``fractions.Fraction`` subclass whose
+``+ - * /``, unary ``-``, ``abs``, ``**`` by an int and ``==`` with a
+``Rational`` or ``int`` operand run straight on the ``_numerator`` and
+``_denominator`` slots and return a ``Rational``.  Each makes the gcd
+reductions of ``Fraction._add``, ``_sub``, ``_mul`` and ``_div`` (Knuth,
+TAOCP Vol. 2, 4.5.1), so every value is the one ``Fraction`` computes, but
+skips the operator-fallback dispatch, the ``numbers.Rational`` checks and
+``Fraction.__new__``.  Any other operand (``Fraction``, float, ...) takes
+``Fraction``'s own method and gets its result.  On small operands an
+operation takes 0.3 of ``Fraction``'s time (0.4 us against 1.3 us, Python
+3.11.7, x86-64); at 1000 bits 0.94, and at 10000 bits 1.0, where the gcds
+dominate.
 """
 
 from __future__ import annotations
 
 import re
-
-try:  # pragma: no cover - environment dependent
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rational
+from fractions import Fraction
+from math import gcd
 
 __all__ = ["Rational", "rat", "parse_rational", "format_rational"]
 
 _WIRE_FORM = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_new = object.__new__
+
+
+class Rational(Fraction):
+    """``Fraction`` with its field operations on the slots; see the module
+    docstring."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if type(b) is Rational:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        if type(b) is int:
+            return _sum(a._numerator, a._denominator, b, 1)
+        return Fraction.__add__(a, b)
+
+    def __radd__(b, a):
+        if type(a) is int:
+            return _sum(a, 1, b._numerator, b._denominator)
+        return Fraction.__radd__(b, a)
+
+    def __sub__(a, b):
+        if type(b) is Rational:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if type(b) is int:
+            return _sum(a._numerator, a._denominator, -b, 1)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(b, a):
+        if type(a) is int:
+            return _sum(a, 1, -b._numerator, b._denominator)
+        return Fraction.__rsub__(b, a)
+
+    def __mul__(a, b):
+        if type(b) is Rational:
+            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
+        if type(b) is int:
+            return _product(a._numerator, a._denominator, b, 1)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(b, a):
+        if type(a) is int:
+            return _product(a, 1, b._numerator, b._denominator)
+        return Fraction.__rmul__(b, a)
+
+    def __truediv__(a, b):
+        if type(b) is Rational:
+            return _product(a._numerator, a._denominator, b._denominator, b._numerator)
+        if type(b) is int:
+            return _product(a._numerator, a._denominator, 1, b)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(b, a):
+        if type(a) is int:
+            return _product(a, 1, b._denominator, b._numerator)
+        return Fraction.__rtruediv__(b, a)
+
+    def __neg__(a):
+        return _pair(-a._numerator, a._denominator)
+
+    def __abs__(a):
+        return _pair(abs(a._numerator), a._denominator)
+
+    def __pow__(a, b):
+        if type(b) is not int:
+            return Fraction.__pow__(a, b)
+        if b >= 0:
+            return _pair(a._numerator**b, a._denominator**b)
+        return _pair(a._denominator**-b, a._numerator**-b)
+
+    def __eq__(a, b):
+        if type(b) is Rational:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if type(b) is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    # defining __eq__ sets __hash__ to None; equal values keep equal hashes
+    __hash__ = Fraction.__hash__
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db, reduced as ``Fraction._add`` does: one gcd of the
+    denominators, and a second only when it is not 1."""
+    g = gcd(da, db)
+    if g == 1:
+        n, d = na * db + da * nb, da * db
+    else:
+        s = da // g
+        n = na * (db // g) + nb * s
+        g2 = gcd(n, g)
+        if g2 == 1:
+            d = s * db
+        else:
+            n, d = n // g2, s * (db // g2)
+    r = _new(Rational)
+    r._numerator, r._denominator = n, d
+    return r
+
+
+def _product(na, da, nb, db):
+    """(na/da)(nb/db), reduced as ``Fraction._mul`` does by the two cross
+    gcds.  A quotient passes its divisor inverted, so ``db`` may be negative
+    or zero; then it takes ``Fraction._div``'s sign fix and error."""
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    n, d = na * nb, db * da
+    # as _pair, inlined: the call would cost 15% of a small product
+    if d <= 0:
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        n, d = -n, -d
+    r = _new(Rational)
+    r._numerator, r._denominator = n, d
+    return r
+
+
+def _pair(n, d):
+    """The Rational n/d of a coprime pair, its sign moved to n."""
+    if d <= 0:
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        n, d = -n, -d
+    r = _new(Rational)
+    r._numerator, r._denominator = n, d
+    return r
+
+
+try:  # pragma: no cover - environment dependent
+    from gmpy2 import mpq as Rational  # noqa: F811
+except ImportError:  # pragma: no cover
+    pass
 
 
 def rat(numerator, denominator=1):

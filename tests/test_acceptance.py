@@ -36,7 +36,7 @@ from redkp import (
 )
 from redkp.cli import main as cli_main
 from redkp.degeneration import seed_large_zeta
-from redkp.lax import SHIFT_MU_K, apply_shift, default_time
+from redkp.lax import SHIFT_MU_K, _fold, apply_shift, default_time
 from redkp.yform import shift_stars
 from conftest import PARAM_SETS, bands_words, curve_closed_form_112, curve_closed_form_212, random_state
 from test_yform import companion_reference_report
@@ -159,7 +159,7 @@ def test_criterion_5_compatibility_and_conjugation():
         st = random_state(M, K, N, seed=11)
         t = default_time(st, deep=True)
         ok &= verify_compatibility(st, t).all_zero
-        ok &= apply_shift(st, t, SHIFT_MU_K) == build_monodromy(st, t + K)
+        ok &= _fold(apply_shift(st, t, SHIFT_MU_K)) == build_monodromy(st, t + K)
         s = shift_matrix(N)
         ok &= s @ build_monodromy(st, t) == build_monodromy(st.rotated(), t) @ s
     _report(

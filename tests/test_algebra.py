@@ -1,16 +1,27 @@
 import itertools
 import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redkp.polymatrix
 from redkp import BiPoly, LatticeParams, LatticeState, PolyMatrix, Rational, matdet, new_state, rat
 from redkp.cli import main
 from redkp.errors import ExactDivisionError
-from redkp.lax import build_factor, build_monodromy, default_time, shift_matrix, spectral_curve
+from redkp.lax import (
+    build_factor,
+    build_monodromy,
+    default_time,
+    fold_at,
+    monodromy_bands,
+    shift_matrix,
+    special_points,
+    spectral_curve,
+)
 from redkp.bipoly import _divide_terms
 from redkp.numeric import _leading_form
 from redkp.polymatrix import (
@@ -74,6 +85,115 @@ def test_rational_normal_form():
     assert q.numerator == 3 and q.denominator == 2
     assert rat(-2, 4).denominator == 2  # denominator stays positive
     assert rat(0, 7) == 0
+
+
+def _huge(bits, seed, sign):
+    """A reduced fraction of about ``bits`` bits whose denominator often
+    shares a factor with another's."""
+    rng = random.Random(seed)
+    return Fraction(sign * rng.getrandbits(bits), 12 * rng.getrandbits(bits) + 12)
+
+
+fraction_operands = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+    st.builds(_huge, st.integers(1000, 20000), st.integers(0, 2**32), st.sampled_from((1, -1))),
+)
+int_operands = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda f: f.numerator, fraction_operands),
+)
+FIELD_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+COMPARISONS = (operator.eq, operator.ne)
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except ArithmeticError as exc:
+        return exc
+
+
+def _same_as_fraction(op, *args):
+    """``op`` on the Rational copies of the ``Fraction`` arguments (the int
+    arguments as they are) against ``op`` on the arguments: the same value
+    as a ``Rational``, the same bool, or the same error."""
+    got = _outcome(op, *(Rational(a) if type(a) is Fraction else a for a in args))
+    want = _outcome(op, *args)
+    if isinstance(want, ArithmeticError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    elif isinstance(want, bool):
+        assert got is want
+    else:
+        assert type(got) is Rational
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.skipif(not issubclass(Rational, Fraction), reason="Rational is gmpy2.mpq")
+@given(a=fraction_operands, b=fraction_operands, k=int_operands, e=st.integers(-3, 3))
+@example(a=Fraction(1, 2), b=Fraction(1, 3), k=-2, e=-1)
+@example(a=Fraction(0), b=Fraction(0), k=0, e=-1)
+@settings(max_examples=150, deadline=None)
+def test_rational_arithmetic_equals_fractions(a, b, k, e):
+    """Every slot operator of the stdlib Rational against ``Fraction``:
+    both operands Rational, an int on either side, unary and power.  Caught
+    mutants: a missing sign fix in ``__truediv__`` (1/2 / -2), an ``==`` that
+    ignores the denominator (1/2 == 1/3) and ``__hash__`` left unset."""
+    for op in FIELD_OPS:
+        _same_as_fraction(op, a, b)
+        _same_as_fraction(op, a, k)
+        _same_as_fraction(op, k, a)
+    for op in COMPARISONS:
+        _same_as_fraction(op, a, b)
+        _same_as_fraction(op, a, k)
+        _same_as_fraction(op, k, a)
+    _same_as_fraction(operator.neg, a)
+    _same_as_fraction(abs, a)
+    _same_as_fraction(operator.pow, a, e)
+    assert hash(Rational(a)) == hash(a) and hash(Rational(k)) == hash(k)
+
+
+@pytest.mark.skipif(not issubclass(Rational, Fraction), reason="Rational is gmpy2.mpq")
+@given(a=fraction_operands, b=st.one_of(fraction_operands, st.sampled_from((0.0, 0.5, -2.25, 3.0))))
+@settings(max_examples=60, deadline=None)
+def test_rational_with_other_operands_gives_fractions_result(a, b):
+    """A ``Fraction`` or float operand takes ``Fraction``'s own method, on
+    either side, and gets its result and type."""
+    r = Rational(a)
+    for op in FIELD_OPS + COMPARISONS:
+        for got, want in ((_outcome(op, r, b), _outcome(op, a, b)), (_outcome(op, b, r), _outcome(op, b, a))):
+            if isinstance(want, ArithmeticError):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                assert type(got) is type(want) and got == want
+
+
+def _all_rational(values):
+    kinds = {type(v) for v in values}
+    assert kinds == {Rational}, kinds
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_hot_paths_stay_on_rational(params):
+    """Every value the step, the band rows, the site invariants, ``fold_at``
+    and the curve make is a ``Rational``, not an int or a ``Fraction``: a
+    silent fall-back keeps the values and loses the speed.  Caught mutant:
+    deleting ``Rational.__pow__``, which makes ``fold_at``'s ``y0**wrap`` a
+    ``Fraction``."""
+    state = random_state(*params, seed=31)
+    t = default_time(state, deep=True)
+    state.evolve_to(t + 3)
+    _all_rational(v for kind, get in (("I", state.i_slice), ("V", state.v_slice))
+                  for s in state.times(kind) for v in get(s))
+    _all_rational(state.site_invariants())
+    rows = monodromy_bands(state, t)
+    _all_rational(a for form in ("standard", "alternate")
+                  for row in monodromy_bands(state, t, form) for a in row)
+    points = special_points(state, t)
+    _all_rational(c for _, c in spectral_curve(state, t).poly.items())
+    _all_rational(v for point in points.all_points() for v in point)
+    for _, y0 in points.all_points():
+        _all_rational(v for row in fold_at(rows, y0) for v in row)
+    _all_rational(v for row in fold_at(rows, rat(-3, 2)) for v in row)
 
 
 # -- bipoly ring axioms and evaluation ---------------------------------------------

@@ -23,6 +23,7 @@ from redkp.lax import (
     SHIFT_MU_K,
     SHIFT_MU_MINUS_M,
     SHIFT_SIGMA,
+    _fold,
     apply_shift,
     default_time,
     factor_l,
@@ -360,7 +361,7 @@ def test_apply_shift_matches_adjugate_oracle(M, K, N, monkeypatch):
     monkeypatch.setattr(lax, "build_factor", forbidden)
     monkeypatch.setattr(lax, "shift_matrix", forbidden)
     for which in SHIFTS:
-        assert apply_shift(st, t, which) == expected[which]
+        assert _fold(apply_shift(st, t, which)) == expected[which]
 
 
 def _corrupted(st, t, kind="V"):
@@ -381,7 +382,7 @@ def test_corrupted_slice_breaks_time_shift_intertwinings():
         with pytest.raises(NonPolynomialResult, match="intertwining failed"):
             apply_shift(bad, t, which)
     # the site shift is an identity of the Lax structure, not of the dynamics
-    assert apply_shift(bad, t, SHIFT_SIGMA) == build_monodromy(bad.rotated(), t)
+    assert _fold(apply_shift(bad, t, SHIFT_SIGMA)) == build_monodromy(bad.rotated(), t)
 
 
 def test_corrupted_slice_fails_shift_conjugations_suite():
