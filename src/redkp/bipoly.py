@@ -8,7 +8,6 @@ banded matrix products stay sparse.  Values are immutable after construction.
 from __future__ import annotations
 
 import math
-import operator
 
 from .errors import ExactDivisionError
 from .rational import Rational, format_rational, parse_rational
@@ -17,10 +16,10 @@ _ZERO = Rational(0)
 _ONE = Rational(1)
 
 
-def _divide_terms(num: dict, den: dict, div) -> dict:
-    """Exact quotient of two term maps (nonzero coefficients, ``den`` not
-    empty) over any coefficient ring; ``div`` divides two coefficients and
-    raises ExactDivisionError when it cannot."""
+def _divide_terms(num: dict, den: dict) -> dict:
+    """Exact quotient over Q of two term maps (nonzero Rational
+    coefficients, ``den`` not empty); raises ExactDivisionError on a
+    remainder."""
     lead_d = max(den)  # lex order on (deg_x, deg_y)
     cd = den[lead_d]
     rest = [(key, c) for key, c in den.items() if key != lead_d]
@@ -31,7 +30,7 @@ def _divide_terms(num: dict, den: dict, div) -> dict:
         qx, qy = lead_r[0] - lead_d[0], lead_r[1] - lead_d[1]
         if qx < 0 or qy < 0:
             raise ExactDivisionError("leading term not divisible")
-        qc = div(rem.pop(lead_r), cd)
+        qc = rem.pop(lead_r) / cd
         quot[(qx, qy)] = qc
         for (dx, dy), c in rest:
             key = (dx + qx, dy + qy)
@@ -173,12 +172,11 @@ class BiPoly:
     __rmul__ = __mul__
 
     def exact_div(self, divisor: "BiPoly") -> "BiPoly":
-        """Exact quotient over Q; raises ExactDivisionError on remainder.  Over Z
-        ``_divide_terms`` runs ``polymatrix``'s Bareiss on primitive parts."""
+        """Exact quotient over Q; raises ExactDivisionError on remainder."""
         divisor = _coerce(divisor)
         if divisor.is_zero():
             raise ExactDivisionError("division by zero polynomial")
-        return BiPoly._raw(_divide_terms(self._terms, divisor._terms, operator.truediv))
+        return BiPoly._raw(_divide_terms(self._terms, divisor._terms))
 
     # -- evaluation ----------------------------------------------------------
 

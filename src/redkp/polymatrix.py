@@ -2,8 +2,8 @@
 
 The product skips the zero entries of both operands (a banded Lax factor has
 2N nonzero entries of N^2) and sums each output entry in one term map with
-``bipoly._add_product``, the accumulator of ``BiPoly.__mul__`` and of Bareiss,
-dropping the sums that cancel.  No command calls it: the monodromy, the
+``bipoly._add_product``, the accumulator of ``BiPoly.__mul__``, dropping the
+sums that cancel.  No command calls it: the monodromy, the
 intertwinings of ``lax.apply_shift`` and the companion product of ``yform``
 are all row updates of band rows.  Its one caller in the package is
 ``lax.verify_compatibility``; the tests use it as the dense oracle.  The
@@ -11,58 +11,50 @@ characteristic matrices A - vI of the curve, the leading forms of ``numeric``
 and det(Y - yI) of ``yform`` are formed by ``minus_diagonal``, which
 subtracts v on the diagonal only and shares the other entries.
 
-The determinant is exact and runs over Z, by one of two algorithms that
-``matdet`` chooses by the kind of matrix.  Let D be the common denominator of
-all coefficients.
+``matdet`` is one algorithm, Berkowitz's division-free one (Inf. Process.
+Lett. 18, 1984, ``_det_berkowitz``): row r, from the last up, turns the
+coefficients of det(zI - S), S the trailing submatrix below and right of
+row r, into those of the submatrix from row r.  It has two views.
 
-* Berkowitz's division-free algorithm (``_det_berkowitz``), when m = A - vI
-  with v = x or y and A free of v, and D fits in
-  ``_INTEGER_DENOMINATOR_BITS`` bits: the spectral curve det(X_t - xI), the
-  leading branch of ``numeric`` and det(Y - yI) of ``yform``.  It works on
-  ``{deg: int}`` maps of D*A in the other variable, with no gcd and no
-  division, and divides the coefficient of v^(n-k) by D^k at the end; on
-  the wide curves (N 5-9, D 10-24 bits) it runs 3.3-12x as fast as Bareiss.
-* Bareiss fraction-free elimination (``_det_bareiss``) on every other
-  matrix: the stars of ``yform``, the cofactor matrices of ``numeric`` and
-  every matrix with D past the cut.  Each entry is a Rational scalar times
-  an ``int`` term map of content 1 with a positive leading coefficient.  By
-  Gauss's lemma a product of primitive parts is primitive and their
-  quotient is exact over Z (one ``bipoly._divide_terms``), so only a
-  difference of two products takes a content gcd.
+* m = A - vI with v = x or y and A free of v (the spectral curve
+  det(X_t - xI), the leading branch of ``numeric``, det(Y - yI) of
+  ``yform``): z = v, so it runs on A's entries as univariate maps in the
+  other variable and reads det(m)'s terms off every coefficient.
+* Any other matrix (the stars of ``yform``, the cofactor matrices of
+  ``numeric``, ``verify``'s L*): z is an auxiliary variable, x^i y^j is the
+  int key i*base + j with base = n*max deg_y + 1 (a product of n entries
+  cannot carry into the next power of x), and det(m) is (-1)^n times the
+  constant coefficient.
 
-Both paths give the identical polynomial.  The cut sits below the crossover
-of Berkowitz's time over Bareiss's on characteristic matrices of rising D
-(two samples of 11 and 5 systems with N 5-9, one draw each, Python 3.11.7,
-``Fraction``):
+It has two rings, by the common denominator D of all coefficients: the
+ints of D*A, with the coefficient of z^(n-k) divided by D^k at the end,
+while D fits in ``_INTEGER_DENOMINATOR_BITS`` bits; reduced Rationals past
+it.  Both return the same polynomial, its terms lex-descending.  Rationals
+over ints, on the characteristic matrices of 12 systems from (1,1,3) to
+(4,5,9), two draws each, stepped until D passed 20k bits or the integer
+ring 0.5 s (328 curves, best of 3, Python 3.11.7, ``Fraction``):
 
-    D (bits)      Berkowitz / Bareiss
-    below 500     0.09-0.45
-    500-1024      at most 0.85
-    1300-4000     the first ratio of 1 or more; the lowest: (2,1,9) at
-                  1300, (1,1,9) at 1350, (1,1,8) at 1374, (1,1,6) at 1388
-    3.6k-25k      1.9-3.7 on tall N = 5 curves (0.65-0.99 at N = 3 and 4,
-                  D 2.2k-19k, which would need a cut on N)
+    D (bits)      N 3-4: median (range)   N 5-9: median (range)
+    below 500     1.50 (1.18-2.34)        2.59 (0.89-7.52)
+    500-1024      1.29 (1.10-1.97)        1.84 (0.83-2.34)
+    1025-2000     0.99 (0.79-2.05)        1.07 (0.38-2.14)
+    2000-5000     0.74 (0.41-1.83)        0.63 (0.18-1.27)
+    5000-20000    0.72 (0.43-1.54)        0.55 (0.07-1.36)
 
-So the curves ``verify`` builds on small-rational data, to t+3 past its
-anchor (D of 150-800 bits on (3,2,5) and (1,1,8)), take Berkowitz, and the
-tall windows of 1.5k bits and more keep Bareiss.  The primitive ring is 6x
-faster than the Q[x,y] elimination it replaced.  On the small stars and
-cofactor matrices (N 2-7, D of at most 64 bits) it runs 1.3-1.6x slower
-than Bareiss on D*m over ``int`` did, about 0.2 ms per ``verify``, which
-does not pay for a second ring.
+So the cut sits where the medians cross 1: the wide curves and those
+``verify`` builds take the ints, the tall windows the Rationals.
 """
 
 from __future__ import annotations
 
 import math
 
-from .bipoly import BiPoly, _add_product, _coerce, _divide_terms, _nonzero
-from .errors import ExactDivisionError, SizeMismatch
+from .bipoly import _ONE, BiPoly, _add_product, _coerce, _nonzero
+from .errors import SizeMismatch
 from .rational import Rational
 
-# Largest common denominator, in bits, for which Berkowitz runs: below it
-# Berkowitz took at most 0.85x Bareiss's time on every sampled curve, and the
-# first ratio of 1 or more came at 1300 bits (see the module docstring).
+# Largest common denominator, in bits, of the integer ring; past it the
+# rational ring runs (see the module docstring).
 _INTEGER_DENOMINATOR_BITS = 1024
 
 
@@ -78,11 +70,6 @@ class PolyMatrix:
             raise SizeMismatch("matrix must be square and non-empty")
         self.n = n
         self._rows = rows
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        one, zero = BiPoly.one(), BiPoly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def entry(self, i: int, j: int) -> BiPoly:
         return self._rows[i][j]
@@ -105,16 +92,6 @@ class PolyMatrix:
             out.append([BiPoly._raw(_nonzero(terms)) for terms in acc])
         return PolyMatrix(out)
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.n != other.n:
-            raise SizeMismatch("size mismatch in sum")
-        return PolyMatrix(
-            [
-                [self._rows[i][j] + other._rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.n != other.n:
             raise SizeMismatch("size mismatch in difference")
@@ -127,16 +104,12 @@ class PolyMatrix:
 
     def minus_diagonal(self, v) -> "PolyMatrix":
         """self - v I with the off-diagonal entries shared: N subtractions in
-        place of N^2, each entry's terms in the order that
-        ``self - PolyMatrix.identity(n).scale(v)`` gives them."""
+        place of N^2, each entry's terms in the order that subtracting v
+        times the identity matrix gives them."""
         rows = [list(row) for row in self._rows]
         for i, row in enumerate(rows):
             row[i] = row[i] - v
         return PolyMatrix(rows)
-
-    def scale(self, factor) -> "PolyMatrix":
-        factor = _coerce(factor)
-        return PolyMatrix([[e * factor for e in row] for row in self._rows])
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self._rows for e in row)
@@ -172,13 +145,6 @@ class PolyMatrix:
         return PolyMatrix(out)
 
 
-def _exact_int_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ExactDivisionError("coefficient not divisible")
-    return q
-
-
 def _common_denominator(m: PolyMatrix):
     """lcm of every coefficient's denominator, or None once it passes
     ``_INTEGER_DENOMINATOR_BITS``."""
@@ -192,77 +158,6 @@ def _common_denominator(m: PolyMatrix):
                     if d.bit_length() > _INTEGER_DENOMINATOR_BITS:
                         return None
     return d
-
-
-def _primitive(ints: dict, den: int):
-    """ints/den as a (Rational scalar, primitive int map) pair; None for 0."""
-    if not ints:
-        return None
-    g = 0
-    for c in ints.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if ints[max(ints)] < 0:
-        g = -g
-    if g != 1:
-        ints = {key: c // g for key, c in ints.items()}
-    return Rational(g, den), ints
-
-
-def _scaled(e: BiPoly, d: int) -> dict:
-    """The int term map of d*e, for d a multiple of e's denominators."""
-    return {key: c.numerator * (d // c.denominator) for key, c in e._terms.items()}
-
-
-def _primitive_entry(e: BiPoly):
-    den = math.lcm(*(c.denominator for c in e._terms.values()))
-    return _primitive(_scaled(e, den), den)
-
-
-def _primitive_update(pivot, a, lead, k, prev):
-    """The Bareiss update (pivot*a - lead*k) / prev on ``_primitive`` pairs,
-    with None for zero."""
-    if a and lead and k:
-        s1, s2 = pivot[0] * a[0], lead[0] * k[0]
-        den = math.lcm(s1.denominator, s2.denominator)
-        acc = _add_product({}, pivot[1], a[1], s1.numerator * (den // s1.denominator))
-        acc = _add_product(acc, lead[1], k[1], -s2.numerator * (den // s2.denominator))
-        entry = _primitive(_nonzero(acc), den)
-    elif a or (lead and k):  # one product of primitive parts: no gcd
-        s, p, q = (pivot[0] * a[0], pivot[1], a[1]) if a else (-lead[0] * k[0], lead[1], k[1])
-        entry = s, _nonzero(_add_product({}, p, q))
-    else:
-        entry = None
-    return entry and (entry[0] / prev[0], _divide_terms(entry[1], prev[1], _exact_int_div))
-
-
-def _det_bareiss(m: PolyMatrix) -> BiPoly:
-    """Bareiss elimination on the ``_primitive`` pairs of m, with None for a
-    zero entry."""
-    n = m.n
-    a = [[_primitive_entry(e) for e in row] for row in m._rows]
-    prev = Rational(1), {(0, 0): 1}
-    sign = 1
-    for k in range(n - 1):
-        pivot_row = k
-        while not a[pivot_row][k]:
-            pivot_row += 1
-            if pivot_row == n:
-                return BiPoly.zero()
-        if pivot_row != k:
-            a[pivot_row], a[k] = a[k], a[pivot_row]
-            sign = -sign
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = _primitive_update(pivot, row_i[j], lead, row_k[j], prev)
-        prev = pivot
-    scalar, terms = a[n - 1][n - 1] or (0, {})
-    return BiPoly._raw({key: sign * c * scalar for key, c in terms.items()})
 
 
 def _characteristic_variable(m: PolyMatrix):
@@ -280,8 +175,8 @@ def _characteristic_variable(m: PolyMatrix):
 
 
 def _dot(ps, qs, c=1) -> dict:
-    """Sum of c*p*q over the pairs of two lists of univariate ``{deg:
-    coefficient}`` maps."""
+    """Sum of c*p*q over the pairs of two lists of ``{key: coefficient}``
+    maps whose keys add as exponents do."""
     acc = {}
     get = acc.get
     for p, q in zip(ps, qs):
@@ -296,53 +191,58 @@ def _dot(ps, qs, c=1) -> dict:
     return _nonzero(acc)
 
 
-def _det_berkowitz(m: PolyMatrix, v: int, d: int) -> BiPoly:
-    """det(m) for m = A - vI with A free of v (``_characteristic_variable``)
-    and d a common denominator of A, by Berkowitz's division-free algorithm
-    (Inf. Process. Lett. 18, 1984) over Z[w], w the other variable.
-
-    A is taken as ``{deg_w: int}`` maps of d*A.  Row r, for r = n-1 down to 0,
-    turns the coefficients of det(vI - S), S the trailing principal submatrix
-    below and right of row r, into those of the submatrix from row r, by the
-    Toeplitz column 1, -a_rr, -R C, -R S C, -R S^2 C, ... (R and C the rest of
-    row and column r).  The coefficient of v^(n-k) of det(vI - d*A) is d^k
-    times that of det(vI - A), and det(m) = (-1)^n det(vI - A)."""
-    n, w = m.n, 1 - v
-    a = [
-        [{key[w]: c for key, c in _scaled(e, d).items() if not key[v]} for e in row]
-        for row in m._rows
-    ]
-    coeffs = [{0: 1}]  # of det(vI - S), leading first
+def _det_berkowitz(m: PolyMatrix, v, d) -> BiPoly:
+    """det(m) in view v, 0 or 1 when m = A - vI with A free of v
+    (``_characteristic_variable``) and None for the general view, and in
+    ring d, a common denominator of m for the ints or None for the
+    Rationals (see the module docstring).  Row r turns the coefficients of
+    det(zI - S) into those of the submatrix from row r by the Toeplitz
+    column 1, -a_rr, -R C, -R S C, -R S^2 C, ... (R and C the rest of row
+    and column r)."""
+    n = m.n
+    sign = -1 if n % 2 else 1
+    if v is None:  # z auxiliary, x^i y^j packed as i*base + j
+        base = n * max(0, *(e.degree_y for row in m._rows for e in row)) + 1
+        a = [[{dx * base + dy: c for (dx, dy), c in e._terms.items()} for e in row] for row in m._rows]
+    else:  # z = v, A's entries in the other variable w
+        w = 1 - v
+        a = [[{key[w]: c for key, c in e._terms.items() if not key[v]} for e in row] for row in m._rows]
+    if d is None:
+        one = _ONE
+    else:
+        one = 1
+        a = [[{key: c.numerator * (d // c.denominator) for key, c in e.items()} for e in row] for row in a]
+    coeffs = [{0: one}]  # of det(zI - S), leading first
     for r in range(n - 1, -1, -1):
         row, col, sub = a[r][r + 1 :], [s[r] for s in a[r + 1 :]], [s[r + 1 :] for s in a[r + 1 :]]
-        toeplitz = [{0: 1}, {deg: -c for deg, c in a[r][r].items()}]
+        toeplitz = [{0: one}, {key: -c for key, c in a[r][r].items()}]
         for power in range(n - 1 - r):
             if power:
                 col = [_dot(s, col) for s in sub]
             toeplitz.append(_dot(row, col, -1))
         coeffs = [_dot(toeplitz[i::-1], coeffs) for i in range(len(toeplitz))]
-    sign = -1 if n % 2 else 1
-    terms = {}
-    for k, c in enumerate(coeffs):
-        scale = d**k
-        for deg, value in c.items():
-            terms[(n - k, deg) if v == 0 else (deg, n - k)] = Rational(sign * value, scale)
-    # lex descending, as Bareiss's quotients leave them: float sums over the
-    # terms (``numeric``) stay bit-identical
+    # det(m) = (-1)^n det(zI - A) in the first view, (-1)^n times the
+    # constant coefficient in the second; the integer ring divides the
+    # coefficient of z^(n-k) of det(zI - d*A) by d^k
+    if v is None:
+        keyed = [(divmod(key, base), n, c) for key, c in coeffs[n].items()]
+    else:
+        keyed = [
+            ((n - k, key) if v == 0 else (key, n - k), k, c)
+            for k, terms in enumerate(coeffs)
+            for key, c in terms.items()
+        ]
+    if d is None:
+        terms = {key: sign * c for key, _, c in keyed}
+    else:
+        scales = [d**k for k in range(n + 1)]
+        terms = {key: Rational(sign * c, scales[k]) for key, k, c in keyed}
+    # lex descending: float sums over the terms (``numeric``) stay
+    # bit-identical
     return BiPoly._raw(dict(sorted(terms.items(), reverse=True)))
 
 
 def matdet(m: PolyMatrix) -> BiPoly:
-    """Exact determinant: by Berkowitz over the integers for m = A - vI
-    (v = x or y, A free of v) whose coefficients' common denominator fits in
-    ``_INTEGER_DENOMINATOR_BITS`` bits, and by Bareiss on primitive parts
-    otherwise."""
-    d = _common_denominator(m)
-    if d is not None:
-        v = _characteristic_variable(m)
-        if v is not None:
-            return _det_berkowitz(m, v, d)
-    try:
-        return _det_bareiss(m)
-    except ExactDivisionError as exc:  # cannot happen over an integral domain
-        raise AssertionError("fraction-free elimination failed") from exc
+    """Exact determinant by Berkowitz's division-free algorithm; see the
+    module docstring for its two views and two rings."""
+    return _det_berkowitz(m, _characteristic_variable(m), _common_denominator(m))

@@ -129,6 +129,20 @@ def curve_closed_form_212(zeta, i_values, v_values):
     )
 
 
+def identity(n: int) -> PolyMatrix:
+    return PolyMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def scale(m: PolyMatrix, factor) -> PolyMatrix:
+    """m times a polynomial or scalar factor, entry by entry: with
+    ``identity`` the oracle of ``PolyMatrix.minus_diagonal``."""
+    return PolyMatrix([[e * factor for e in row] for row in m.rows])
+
+
+def add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    return PolyMatrix([[p + q for p, q in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
 def dense_monodromy(state, t, form="standard"):
     """X_t as the dense ``PolyMatrix`` product of its factor matrices."""
     factors = [build_factor(d) for d in factor_slices(state, t, form)]

@@ -24,16 +24,10 @@ from redkp.lax import (
 )
 from redkp.bipoly import _divide_terms
 from redkp.numeric import _leading_form
-from redkp.polymatrix import (
-    _INTEGER_DENOMINATOR_BITS as CUT,
-    _common_denominator,
-    _det_bareiss,
-    _det_berkowitz,
-    _exact_int_div,
-)
+from redkp.polymatrix import _INTEGER_DENOMINATOR_BITS as CUT, _common_denominator, _det_berkowitz
 from redkp.verify import _suites
 from redkp.yform import shift_stars, spectral_duality
-from conftest import PARAM_SETS, random_state
+from conftest import PARAM_SETS, add, identity, random_state, scale
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 9))
 nonzero_rationals = st.builds(
@@ -313,15 +307,17 @@ def test_exact_division_remainder_raises():
 
 
 def test_integer_exact_division():
-    p = {(1, 0): 2, (0, 1): -3}  # 2x - 3y
-    q = {(1, 1): 5, (0, 0): -1}  # 5xy - 1
-    pq = {(2, 1): 10, (1, 2): -15, (1, 0): -2, (0, 1): 3}
-    assert _divide_terms(pq, q, _exact_int_div) == p
-    assert _divide_terms(pq, p, _exact_int_div) == q
+    """``_divide_terms`` divides over Q: a quotient of integer polynomials
+    may have fractions, and a leading term that does not divide raises."""
+    p = {(1, 0): rat(2), (0, 1): rat(-3)}  # 2x - 3y
+    q = {(1, 1): rat(5), (0, 0): rat(-1)}  # 5xy - 1
+    pq = {(2, 1): rat(10), (1, 2): rat(-15), (1, 0): rat(-2), (0, 1): rat(3)}
+    assert _divide_terms(pq, q) == p
+    assert _divide_terms(pq, p) == q
+    # (2x + 4) / 3
+    assert _divide_terms({(1, 0): rat(2), (0, 0): rat(4)}, {(0, 0): rat(3)}) == {(1, 0): rat(2, 3), (0, 0): rat(4, 3)}
     with pytest.raises(ExactDivisionError):
-        _divide_terms({(1, 0): 2, (0, 0): 4}, {(0, 0): 3}, _exact_int_div)  # (2x + 4) / 3
-    with pytest.raises(ExactDivisionError):
-        _divide_terms({(1, 0): 1, (0, 0): 1}, {(0, 1): 1}, _exact_int_div)  # (x + 1) / y
+        _divide_terms({(1, 0): rat(1), (0, 0): rat(1)}, {(0, 1): rat(1)})  # (x + 1) / y
 
 
 def test_serialization_roundtrip_and_order():
@@ -381,7 +377,7 @@ def leibniz_det(m: PolyMatrix) -> BiPoly:
 
 
 def test_det_identity():
-    assert matdet(PolyMatrix.identity(3)) == BiPoly.one()
+    assert matdet(identity(3)) == BiPoly.one()
 
 
 def test_det_corner_matrix():
@@ -390,7 +386,7 @@ def test_det_corner_matrix():
     assert leibniz_det(m) == -BiPoly.y()
 
 
-# 1/(2^(CUT+25) - 1) pushes the common denominator past Berkowitz's cut
+# 1/(2^(CUT+25) - 1) pushes the common denominator past the integer ring's cut
 TALL_SCALE = rat(1, 2 ** (CUT + 25) - 1)
 
 
@@ -399,58 +395,52 @@ def full_denominator(m: PolyMatrix) -> int:
     return math.lcm(*(c.denominator for row in m.rows for e in row for _, c in e.items()))
 
 
-def assert_bareiss_equals_leibniz(m: PolyMatrix):
-    """On m, and on m scaled past the cut, whose determinant is
-    TALL_SCALE^n times that of m."""
+def both_rings(m: PolyMatrix, v=None) -> BiPoly:
+    """det(m) in view v (None: the general view) in the integer ring, on the
+    full common denominator whatever its height, and in the rational ring:
+    the same polynomial in the same term order."""
+    by_ints = _det_berkowitz(m, v, full_denominator(m))
+    by_rationals = _det_berkowitz(m, v, None)
+    assert by_ints == by_rationals and list(by_ints.items()) == list(by_rationals.items())
+    return by_ints
+
+
+def assert_general_view_equals_leibniz(m: PolyMatrix):
+    """On m, in both rings, and on m scaled past the cut, whose determinant
+    is TALL_SCALE^n times that of m."""
     expected = leibniz_det(m)
-    assert matdet(m) == expected
-    assert matdet(m.scale(TALL_SCALE)) == expected * TALL_SCALE**m.n
+    assert matdet(m) == both_rings(m) == expected
+    assert matdet(scale(m, TALL_SCALE)) == expected * TALL_SCALE**m.n
 
 
 def test_bareiss_equals_leibniz_4x4():
+    """The general view, which took the place of Bareiss elimination."""
     rng = random.Random(11)
     for _ in range(8):
-        assert_bareiss_equals_leibniz(random_matrix(rng, 4))
+        assert_general_view_equals_leibniz(random_matrix(rng, 4))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_bareiss_equals_leibniz_sizes(n):
     rng = random.Random(100 + n)
-    assert_bareiss_equals_leibniz(random_matrix(rng, n))
-
-
-def ring_det(m: PolyMatrix, monkeypatch) -> BiPoly:
-    """_det_bareiss(m), failing unless every quotient of the elimination is
-    an int map of content 1 with a positive leading coefficient."""
-    divide = redkp.polymatrix._divide_terms
-
-    def checked_quotient(num, den, div):
-        quot = divide(num, den, div)
-        assert all(type(c) is int for c in quot.values())
-        assert math.gcd(*quot.values()) == 1 and quot[max(quot)] > 0
-        return quot
-
-    with monkeypatch.context() as mp:
-        mp.setattr(redkp.polymatrix, "_divide_terms", checked_quotient)
-        return _det_bareiss(m)
+    assert_general_view_equals_leibniz(random_matrix(rng, n))
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
-def test_berkowitz_and_bareiss_equal_leibniz_on_curves(params, monkeypatch):
-    """Each curve through both paths, Berkowitz on its full common
-    denominator whatever its height, in the same term order."""
+def test_berkowitz_and_bareiss_equal_leibniz_on_curves(params):
+    """Each curve in both views (the general one took Bareiss's place) and
+    both rings, in the same term order."""
     state = random_state(*params, seed=3)
     t = default_time(state)
     n = params[2]
-    m = build_monodromy(state, t) - PolyMatrix.identity(n).scale(BiPoly.x())
-    berkowitz = _det_berkowitz(m, 0, full_denominator(m))
-    bareiss = ring_det(m, monkeypatch)
-    assert berkowitz == bareiss == leibniz_det(m)
-    assert list(berkowitz.items()) == list(bareiss.items())
+    m = build_monodromy(state, t) - scale(identity(n), BiPoly.x())
+    characteristic, general = both_rings(m, 0), both_rings(m)
+    assert characteristic == general == leibniz_det(m)
+    assert list(characteristic.items()) == list(general.items())
 
 
-# Coefficient denominators of the primitive-ring draws: mixed, several past
-# the cut (3^(2 CUT/3) has 1.06 CUT bits).
+# Coefficient denominators of the tall draws: mixed, several past the cut
+# (3^(2 CUT/3) has 1.06 CUT bits).
 TALL_DENOMINATORS = (1, 3, 2**61 - 1, 2 ** (CUT + 25) - 1, 2 ** (CUT + 43) - 1, 3 ** (2 * CUT // 3))
 
 
@@ -463,71 +453,50 @@ def tall_bipoly(rng):
 
 
 def tall_matrix(rng, n):
-    """A random n x n matrix with a zero pivot at (0,0) (a row swap), a
-    first pivot with a negative leading coefficient, zero leads in column 0
-    (the branch without a content gcd), and rows that repeat a multiple of
-    the first pivot row on some columns (updates that cancel to zero)."""
+    """A random n x n matrix with D past the cut: a zero at (0,0), a
+    denominator past the cut at (1,0), zeros in column 0, and rows that
+    repeat a multiple of row 1 on some columns (products that cancel)."""
     zero = BiPoly.zero()
     rows = [[tall_bipoly(rng) if rng.random() < 0.8 else zero for _ in range(n)] for _ in range(n)]
-    # the first pivot, at (1,0), has a negative leading coefficient and a
-    # denominator past the cut
-    lead = tall_bipoly(rng) * TALL_SCALE
-    if lead.coefficient(*max(k for k, _ in lead.items())) > 0:
-        lead = -lead
-    rows[0][0], rows[1][0] = zero, lead
+    rows[0][0], rows[1][0] = zero, -tall_bipoly(rng) * TALL_SCALE
     pivot_row = rows[1]
     for i in range(2, n):
         r = rng.random()
         if r < 0.3:
             rows[i][0] = zero
         elif r < 0.7:
-            scale = rat(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice(TALL_DENOMINATORS))
-            rows[i][0] = pivot_row[0] * scale
+            factor = rat(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice(TALL_DENOMINATORS))
+            rows[i][0] = pivot_row[0] * factor
             for j in range(1, n):
                 if rng.random() < 0.6:
-                    rows[i][j] = pivot_row[j] * scale
+                    rows[i][j] = pivot_row[j] * factor
     return PolyMatrix(rows)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_primitive_ring_equals_leibniz(n, monkeypatch):
+    """Matrices past the cut take the general view in the rational ring,
+    which took the place of Bareiss's primitive ring."""
     rng = random.Random(700 + n)
-    update = redkp.polymatrix._primitive_update
-    branches = set()
-
-    def traced_update(pivot, a, lead, k, prev):
-        out = update(pivot, a, lead, k, prev)
-        if a and lead and k:
-            branches.add("cancelled" if out is None else "content")
-        elif a:
-            branches.add("no content")
-        return out
-
-    monkeypatch.setattr(redkp.polymatrix, "_primitive_update", traced_update)
+    calls = route(monkeypatch)
     for _ in range(12 if n < 6 else 3):
         m = tall_matrix(rng, n)
-        assert _common_denominator(m) is None
-        assert ring_det(m, monkeypatch) == matdet(m) == leibniz_det(m)
-    # at n = 2 the only update is of the swapped-in row, whose lead is 0
-    expected = {"no content"} | ({"content", "cancelled"} if n > 2 else set())
-    assert expected <= branches
+        calls.clear()
+        assert matdet(m) == leibniz_det(m) == both_rings(m)
+        assert calls == [(None, None)]
 
 
 def route(monkeypatch) -> list:
-    """The path of each determinant ``matdet`` takes from here on:
-    ("berkowitz", v, d) or ("bareiss",)."""
+    """The view and ring of each determinant ``matdet`` takes from here on:
+    (v, d), v = 0 or 1 for A - vI and None for the general view, d the
+    common denominator of the integer ring or None for the rational ring."""
     calls = []
 
-    def traced_berkowitz(m, v, d):
-        calls.append(("berkowitz", v, d))
+    def traced(m, v, d):
+        calls.append((v, d))
         return _det_berkowitz(m, v, d)
 
-    def traced_bareiss(m):
-        calls.append(("bareiss",))
-        return _det_bareiss(m)
-
-    monkeypatch.setattr(redkp.polymatrix, "_det_berkowitz", traced_berkowitz)
-    monkeypatch.setattr(redkp.polymatrix, "_det_bareiss", traced_bareiss)
+    monkeypatch.setattr(redkp.polymatrix, "_det_berkowitz", traced)
     return calls
 
 
@@ -537,41 +506,36 @@ def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
     path = tmp_path / "low.json"
     path.write_text(low.dumps())
     assert main(["charpoly", str(path), "-o", str(tmp_path / "out.json")]) == 0
-    assert [call[:2] for call in calls] == [("berkowitz", 0)]
-    assert type(calls[0][2]) is int and calls[0][2].bit_length() <= CUT
+    assert [v for v, _ in calls] == [0]
+    assert type(calls[0][1]) is int and calls[0][1].bit_length() <= CUT
 
     calls.clear()
     tall = random_state(1, 1, 3, seed=5)
     while max(v.denominator.bit_length() for v in tall.i_slice(tall.frontier)) <= 1000:
         tall.step()
-    m = build_monodromy(tall, tall.frontier) - PolyMatrix.identity(3).scale(BiPoly.x())
+    m = build_monodromy(tall, tall.frontier) - scale(identity(3), BiPoly.x())
     assert full_denominator(m).bit_length() > CUT
-    primitive_updates = []
-    update = redkp.polymatrix._primitive_update
-    monkeypatch.setattr(
-        redkp.polymatrix,
-        "_primitive_update",
-        lambda *args: primitive_updates.append(args) or update(*args),
-    )
     assert spectral_curve(tall, tall.frontier).poly.degree_x == 3
-    assert calls == [("bareiss",)] and primitive_updates
+    assert calls == [(0, None)]
 
 
 @pytest.mark.parametrize("params", [(3, 2, 5), (1, 1, 8)])
 def test_curves_past_the_anchor_take_berkowitz(params, monkeypatch):
     """Curves three steps past ``verify``'s anchor, where D has 150-800
-    bits (226 and 654 here), past the old 64-bit cut, take Berkowitz and
-    equal Bareiss in value and term order."""
+    bits (226 and 654 here), past the old 64-bit cut, take the integer
+    ring and equal the general view and the rational ring in value and
+    term order."""
     state = random_state(*params, seed=8)
     t = default_time(state, deep=True) + 3
-    m = build_monodromy(state, t) - PolyMatrix.identity(params[2]).scale(BiPoly.x())
+    m = build_monodromy(state, t) - scale(identity(params[2]), BiPoly.x())
     d = full_denominator(m)
     assert 64 < d.bit_length() <= CUT
     calls = route(monkeypatch)
     det = matdet(m)
-    assert calls == [("berkowitz", 0, d)]
-    bareiss = _det_bareiss(m)
-    assert det == bareiss and list(det.items()) == list(bareiss.items())
+    assert calls == [(0, d)]
+    general = _det_berkowitz(m, None, d)
+    assert det == general == _det_berkowitz(m, 0, None)
+    assert list(det.items()) == list(general.items())
     if params[2] == 5:
         assert det == leibniz_det(m)
 
@@ -579,17 +543,17 @@ def test_curves_past_the_anchor_take_berkowitz(params, monkeypatch):
 def test_verify_past_the_cut_takes_bareiss(monkeypatch):
     """``verify`` of the tall (1,1,3) stepping window at t = 30 anchors at 31,
     on 4.5k-bit slices: each curve ``isospectrality`` builds has D past the
-    cut and takes the primitive Bareiss ring."""
+    cut and takes the rational ring, where Bareiss's primitive ring was."""
     tall = new_state(LatticeParams(1, 1, 3), {0: [2, rat(3, 2), 5]}, {0: [1, rat(7, 3), 4]})
     window = LatticeState.loads(tall.evolve_to(30).prune_below(30).dumps())
     t = default_time(window, deep=True)
     assert t == 31
     for s in range(t, t + 4):
-        m = build_monodromy(window, s) - PolyMatrix.identity(3).scale(BiPoly.x())
+        m = build_monodromy(window, s) - scale(identity(3), BiPoly.x())
         assert full_denominator(m).bit_length() > CUT
     calls = route(monkeypatch)
     assert dict(_suites(window))["isospectrality"]() == {"_ok": True, "times": 4}
-    assert calls == [("bareiss",)] * 4
+    assert calls == [(0, None)] * 4
 
 
 # -- Berkowitz on m = A - vI ------------------------------------------------------
@@ -617,6 +581,8 @@ def characteristic_matrix(rng, n, v, dens=(1, 2, 3)) -> PolyMatrix:
 @pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_berkowitz_equals_bareiss_and_leibniz(n, v, monkeypatch):
+    """The characteristic view equals the general view (where Bareiss was)
+    and the oracle, in both rings and in the same term order."""
     rng = random.Random(900 + 10 * n + v)
     calls = route(monkeypatch)
     for _ in range(4 if n < 6 else 2):
@@ -624,30 +590,32 @@ def test_berkowitz_equals_bareiss_and_leibniz(n, v, monkeypatch):
         d = _common_denominator(m)
         calls.clear()
         det = matdet(m)
-        assert calls == [("berkowitz", v, d)]
-        bareiss = _det_bareiss(m)
-        assert det == bareiss == leibniz_det(m)
-        if n > 1:  # the same term order as Bareiss's quotients
-            assert list(det.items()) == list(bareiss.items())
+        assert calls == [(v, d)]
+        general = both_rings(m)
+        assert det == general == both_rings(m, v) == leibniz_det(m)
+        assert list(det.items()) == list(general.items())
 
 
 @pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
 def test_characteristic_form_routes_by_denominator_height(v, monkeypatch):
-    """D of CUT bits takes Berkowitz, D of CUT + 1 bits the primitive ring."""
+    """D of CUT bits takes the integer ring, D of CUT + 1 bits the rational
+    ring."""
     rng = random.Random(950 + v)
     calls = route(monkeypatch)
-    for den, path in ((2**CUT - 1, "berkowitz"), (2**CUT + 1, "bareiss")):
+    for den, ring in ((2**CUT - 1, 2**CUT - 1), (2**CUT + 1, None)):
         for n in (3, 5):
             corner = [[rat(-1, den) if (i, j) == (0, n - 1) else 0 for j in range(n)] for i in range(n)]
-            m = characteristic_matrix(rng, n, v, dens=(1, den)) + PolyMatrix(corner)
+            m = add(characteristic_matrix(rng, n, v, dens=(1, den)), PolyMatrix(corner))
             assert full_denominator(m) == den
             calls.clear()
             det = matdet(m)
-            assert [call[0] for call in calls] == [path]
+            assert calls == [(v, ring)]
             assert det == leibniz_det(m) == _det_berkowitz(m, v, den)
 
 
 def test_near_characteristic_matrices_reach_bareiss(monkeypatch):
+    """Matrices that are not A - vI with A free of v take the general view,
+    where Bareiss was."""
     x, y = BiPoly.x(), BiPoly.y()
     zero = BiPoly.zero()
     rng = random.Random(970)
@@ -655,49 +623,108 @@ def test_near_characteristic_matrices_reach_bareiss(monkeypatch):
     corner = PolyMatrix([[zero, zero, x], [zero] * 3, [zero] * 3])
     lead = PolyMatrix([[x, zero, zero], [zero] * 3, [zero] * 3])
     near = [
-        a.scale(2),  # -2x on the diagonal
-        a + corner,  # x off the diagonal
-        a + lead,  # one diagonal entry free of x
-        a + PolyMatrix.identity(3).scale(x * y),  # x y on the diagonal
-        a - PolyMatrix.identity(3).scale(x * x),  # x^2 on the diagonal
-        characteristic_matrix(rng, 3, 1) + corner.scale(y),  # A - yI, A not free of y
+        scale(a, 2),  # -2x on the diagonal
+        add(a, corner),  # x off the diagonal
+        add(a, lead),  # one diagonal entry free of x
+        add(a, scale(identity(3), x * y)),  # x y on the diagonal
+        a - scale(identity(3), x * x),  # x^2 on the diagonal
+        add(characteristic_matrix(rng, 3, 1), scale(corner, y)),  # A - yI, A not free of y
         random_matrix(rng, 3),
     ]
     calls = route(monkeypatch)
     for m in near:
         calls.clear()
         assert matdet(m) == leibniz_det(m)
-        assert [call[0] for call in calls] == ["bareiss"]
+        assert calls == [(None, _common_denominator(m))]
+
+
+# -- the general view: x^i y^j packed into one int key ---------------------------------
+
+
+def packing_matrix(rng, n, deg_y=3):
+    """Sparse entries with x-degree up to 2 and y-degree up to ``deg_y``,
+    each reaching both tops, so that products of n entries reach y^(n
+    deg_y), the last power the packing base n deg_y + 1 keeps apart from
+    the next power of x."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            terms = {(2, deg_y): rat(rng.randint(1, 5), rng.randint(1, 3)), (0, 0): rat(rng.randint(-5, 5))}
+            for _ in range(3):
+                terms[(rng.randint(0, 2), rng.randint(0, deg_y))] = rat(rng.randint(-5, 5), rng.randint(1, 3))
+            row.append(BiPoly(terms))
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_general_view_packs_bivariate_entries(n, monkeypatch):
+    """Entries of y-degree 2 and 3, in both rings and past the cut, equal
+    the oracle in value and in lex-descending term order."""
+    rng = random.Random(980 + n)
+    calls = route(monkeypatch)
+    for deg_y in (2, 3):
+        m = packing_matrix(rng, n, deg_y)
+        expected = leibniz_det(m)
+        assert expected.degree_y == n * deg_y
+        calls.clear()
+        det = matdet(m)
+        assert det == both_rings(m) == expected and calls == [(None, _common_denominator(m))]
+        assert list(det.items()) == sorted(det.items(), reverse=True)
+        tall = scale(m, TALL_SCALE)
+        calls.clear()
+        assert matdet(tall) == expected * TALL_SCALE**n and calls == [(None, None)]
+
+
+def test_general_view_on_singular_zero_and_single_entry_matrices():
+    rng = random.Random(990)
+    x = BiPoly.x()
+    for factor in (1, TALL_SCALE):
+        rows = scale(packing_matrix(rng, 3), factor).rows
+        rows[2] = [p * 2 - q for p, q in zip(rows[0], rows[1])]  # row 2 = 2 row 0 - row 1
+        singular = PolyMatrix(rows)
+        assert matdet(singular).is_zero() and both_rings(singular).is_zero()
+        entry = packing_matrix(rng, 1).entry(0, 0) * factor
+        single = PolyMatrix([[entry]])
+        assert matdet(single) == both_rings(single) == entry
+        assert list(matdet(single).items()) == sorted(entry.items(), reverse=True)
+        free_of_x = BiPoly({key: c for key, c in entry.items() if not key[0]})
+        assert matdet(PolyMatrix([[free_of_x - x]])) == both_rings(PolyMatrix([[free_of_x - x]]), 0) == free_of_x - x
+    for n in (1, 2, 3):
+        zero = PolyMatrix([[0] * n for _ in range(n)])
+        assert matdet(zero).is_zero() and both_rings(zero).is_zero()
 
 
 def test_each_determinant_caller_takes_its_path(monkeypatch):
-    """The curve, the leading branch and det(Y - yI) take Berkowitz; the
-    stars and the cofactor matrices of the leading form take Bareiss, each
-    equal to the Leibniz expansion."""
+    """The curve, the leading branch and det(Y - yI) take the characteristic
+    view; the stars and the cofactor matrices of the leading form take the
+    general view, each equal to the Leibniz expansion; all in the integer
+    ring."""
     state = random_state(2, 1, 5, seed=6)  # gcd(M+K, N) = 1: a unique branch
     t, t_deep = default_time(state), default_time(state, deep=True)
     calls = route(monkeypatch)
-    traced_bareiss = redkp.polymatrix._det_bareiss
+    traced = redkp.polymatrix._det_berkowitz
 
-    def bareiss_equal_to_leibniz(m):
-        det = traced_bareiss(m)
-        assert det == leibniz_det(m)
+    def general_equal_to_leibniz(m, v, d):
+        det = traced(m, v, d)
+        if v is None:
+            assert det == leibniz_det(m)
         return det
 
-    monkeypatch.setattr(redkp.polymatrix, "_det_bareiss", bareiss_equal_to_leibniz)
-    spectral_curve(state, t)
-    assert [call[:2] for call in calls] == [("berkowitz", 0)]
-    calls.clear()
-    _leading_form(state, t, at_infinity=True)
-    assert [call[:2] for call in calls[-1:]] == [("berkowitz", 0)]
-    assert [call[0] for call in calls[:-1]] == ["bareiss"] * 5
-    calls.clear()
-    assert spectral_duality(state, t).ok
-    assert [call[:2] for call in calls] == [("berkowitz", 1)]
-    calls.clear()
-    for star in shift_stars(state, t_deep):
-        matdet(star)
-    assert [call[0] for call in calls] == ["bareiss"] * 3
+    monkeypatch.setattr(redkp.polymatrix, "_det_berkowitz", general_equal_to_leibniz)
+    views = []
+    for build in (
+        lambda: spectral_curve(state, t),
+        lambda: _leading_form(state, t, at_infinity=True),
+        lambda: spectral_duality(state, t).ok,
+        lambda: [matdet(star) for star in shift_stars(state, t_deep)],
+    ):
+        calls.clear()
+        assert build()
+        assert all(type(d) is int for _, d in calls)
+        views.append([v for v, _ in calls])
+    assert views == [[0], [None] * 5 + [0], [1], [None] * 3]
 
 
 def test_det_multiplicative():
@@ -707,20 +734,20 @@ def test_det_multiplicative():
         assert matdet(a @ b) == matdet(a) * matdet(b)
 
 
-def test_det_with_zero_pivot_row_swap(monkeypatch):
+def test_det_with_zero_pivot_row_swap():
     zero, one = BiPoly.zero(), BiPoly.one()
     m = PolyMatrix([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
     assert matdet(m) == -BiPoly.one()
     singular = PolyMatrix([[zero, one], [zero, one]])
     assert matdet(singular).is_zero()
-    for scale in (1, rat(2, 3), TALL_SCALE):
-        for a in (m.scale(scale), singular.scale(scale)):
-            assert ring_det(a, monkeypatch) == leibniz_det(a)
+    for factor in (1, rat(2, 3), TALL_SCALE):
+        for a in (scale(m, factor), scale(singular, factor)):
+            assert matdet(a) == both_rings(a) == leibniz_det(a)
 
 
 def test_leibniz_size_guard():
     with pytest.raises(LeibnizGuard):
-        leibniz_det(PolyMatrix.identity(9))
+        leibniz_det(identity(9))
 
 
 def test_adjugate_inverse_relation():
@@ -728,7 +755,7 @@ def test_adjugate_inverse_relation():
     m = random_matrix(rng, 3)
     det = matdet(m)
     prod = m @ m.adjugate()
-    expected = PolyMatrix.identity(3).scale(det)
+    expected = scale(identity(3), det)
     assert prod == expected
 
 

@@ -25,7 +25,6 @@ from redkp import (
     BiPoly,
     GcdViolation,
     LatticeParams,
-    PolyMatrix,
     band_coefficients,
     build_monodromy,
     companion_product,
@@ -40,7 +39,7 @@ from redkp import (
     verify_word_append_rule,
 )
 from redkp.lax import SHIFT_SIGMA, _fold, apply_shift, default_time, fold_at
-from conftest import bands_words, dense_monodromy, fold_bands, on_every_set
+from conftest import bands_words, dense_monodromy, fold_bands, identity, on_every_set, scale
 
 # (1,1,2) to (3,4,5) and (2,3,7); every width M+K is within the word routes'
 # limit of 8
@@ -176,7 +175,7 @@ def test_minus_diagonal_keeps_the_terms_of_the_identity_oracle(M, K, N, data):
     # v's key is absent from the diagonal of X_t (x) and of Y (y), present on
     # Y's (x) once N >= M+K, and present and cancelling on that of X_t + xI (x)
     for m, v in ((x_t, x), (y_matrix, y), (y_matrix, x), (plus, x)):
-        oracle = m - PolyMatrix.identity(m.n).scale(v)
+        oracle = m - scale(identity(m.n), v)
         assert _terms(m.minus_diagonal(v)) == _terms(oracle)
         assert list(matdet(m.minus_diagonal(v)).items()) == list(matdet(oracle).items())
     assert _terms(plus.minus_diagonal(x)) == _terms(x_t)

@@ -30,7 +30,7 @@ from redkp.lax import (
     factor_r,
 )
 from redkp.verify import run_verification
-from conftest import PARAM_SETS, random_state
+from conftest import PARAM_SETS, identity, random_state, scale
 
 SHIFTS = (SHIFT_MU_K, SHIFT_MU_MINUS_M, SHIFT_SIGMA)
 
@@ -203,7 +203,7 @@ def test_monodromy_entries_that_cancel_are_zero(monkeypatch):
     # L = [[-1, 1], [y, -1]] and R = [[1, 1], [y, 1]]: X = (y - 1) I
     st = new_state(LatticeParams(1, 1, 2), {-1: [1, 1], 0: [1, 1]}, {-1: [-1, -1], 0: [-1, -1]})
     x_t, _ = _assert_monodromies_match_oracle(st, 0, monkeypatch)
-    assert x_t == PolyMatrix.identity(2).scale(BiPoly.y() - 1)
+    assert x_t == scale(identity(2), BiPoly.y() - 1)
 
 
 def test_monodromy_insufficient_history():

@@ -29,7 +29,7 @@ from redkp import (
 from redkp.lax import build_monodromy, default_time, factor_l, factor_r, monodromy_bands
 from redkp.numeric import ON_CURVE_TOL, ComplexPoint, _leading_form, _rank, matrix_eval
 from redkp.verify import run_verification
-from conftest import on_every_set, random_state
+from conftest import identity, on_every_set, random_state, scale
 from test_identities import PARAM_SETS, window_state
 
 
@@ -241,9 +241,9 @@ class _FullCofactors:
 
     def __init__(self, st, t, at_infinity):
         M, K, n = st.params.M, st.params.K, st.params.N
-        a = build_monodromy(st, t) - PolyMatrix.identity(n).scale(BiPoly.x())
+        a = build_monodromy(st, t) - scale(identity(n), BiPoly.x())
         if not at_infinity:
-            a = a - PolyMatrix.identity(n).scale(st.site_invariants()[0])
+            a = a - scale(identity(n), st.site_invariants()[0])
         self.n, self.top = n, at_infinity
         self.wx = M + K if at_infinity else 1
         curve, _ = _extreme_form(matdet(a), self.wx, n, self.top)
@@ -361,10 +361,10 @@ def _assert_leading_form_is_the_weight_scan(st, t, at_infinity):
     n = st.params.N
     x_t = build_monodromy(st, t)
     if not at_infinity:
-        x_t = x_t - PolyMatrix.identity(n).scale(st.site_invariants()[0])
+        x_t = x_t - scale(identity(n), st.site_invariants()[0])
     w, part = _extreme_part(x_t, top=at_infinity)
     lead = _leading_form(st, t, at_infinity)
-    assert lead.matrix == part - PolyMatrix.identity(n).scale(BiPoly.x())
+    assert lead.matrix == part - scale(identity(n), BiPoly.x())
     assert lead.x_weight == w
 
 
@@ -407,11 +407,11 @@ def test_leading_form_at_q_is_the_bottom_weight_scan(fixture, request):
 def test_top_weight_part_is_the_corner_power(M, K, N):
     st = random_state(M, K, N, seed=1)
     lead = _leading_form(st, default_time(st, deep=True), at_infinity=True)
-    corner = PolyMatrix.identity(N)
+    corner = identity(N)
     for _ in range(M + K):
         corner = corner @ shift_matrix(N)
     x_n, y_mk = BiPoly.monomial(N, 0), BiPoly.monomial(0, M + K)
-    assert lead.matrix == corner - PolyMatrix.identity(N).scale(BiPoly.x())
+    assert lead.matrix == corner - scale(identity(N), BiPoly.x())
     assert matdet(lead.matrix) in (x_n - y_mk, y_mk - x_n)
     assert lead.x_weight == M + K
 

@@ -19,7 +19,7 @@ from redkp import (
 from redkp.numeric import eigenvector_at, fiber_x, matrix_eval
 from redkp.lax import default_time
 from redkp.verify import run_verification
-from conftest import bands_words, fold_bands, random_state, word_value
+from conftest import bands_words, fold_bands, identity, random_state, scale, word_value
 
 
 def eigen_extension(state, t, point):
@@ -64,13 +64,13 @@ def companion_reference_report() -> dict:
     matches = {f"{i}{j}": y_matrix.entry(i, j) == expected[(i, j)] for (i, j) in expected}
     # duality check for both sign variants of the lower-right entry; the raw
     # x-form characteristic polynomial is what the companion form reproduces
-    x_char = matdet(fold_bands(rows) - PolyMatrix.identity(3).scale(BiPoly.x()))
+    x_char = matdet(fold_bands(rows) - scale(identity(3), BiPoly.x()))
     verdicts = {}
     for label, entry in (("plus_x", plus_22), ("minus_x", minus_22)):
         rows_m = y_matrix.rows
         rows_m[1][1] = entry
         variant = PolyMatrix(rows_m)
-        char_y = matdet(variant - PolyMatrix.identity(2).scale(BiPoly.y()))
+        char_y = matdet(variant - scale(identity(2), BiPoly.y()))
         verdicts[label] = char_y == x_char
     return {
         "entries_match_display": matches,
