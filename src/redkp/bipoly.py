@@ -187,8 +187,12 @@ class BiPoly:
         the live denominators, the value is the integer sum of
         c*L * p**a q**(A-a) * r**b s**(B-b) over L q**A s**B: one gcd per call,
         and each power taken once."""
-        x0, y0 = Rational(x0), Rational(y0)
-        live = [(dx, dy, c) for (dx, dy), c in self._terms.items() if (x0 or not dx) and (y0 or not dy)]
+        if type(x0) is not Rational:
+            x0 = Rational(x0)
+        if type(y0) is not Rational:
+            y0 = Rational(y0)
+        x_dead, y_dead = not x0, not y0
+        live = [(dx, dy, c) for (dx, dy), c in self._terms.items() if not (x_dead and dx or y_dead and dy)]
         if not live:
             return _ZERO
         top_x = max(dx for dx, _, _ in live)

@@ -24,7 +24,14 @@ from redkp.lax import (
 )
 from redkp.bipoly import _divide_terms
 from redkp.numeric import _leading_form
-from redkp.polymatrix import _INTEGER_DENOMINATOR_BITS as CUT, _common_denominator, _det_berkowitz
+from redkp.polymatrix import (
+    _INTEGER_DENOMINATOR_BITS as CUT,
+    _INTEGER_TERMS,
+    _PACKED,
+    _RATIONAL_TERMS,
+    _common_denominator,
+    _det_berkowitz,
+)
 from redkp.verify import _suites
 from redkp.yform import shift_stars, spectral_duality
 from conftest import PARAM_SETS, add, identity, random_state, scale
@@ -397,12 +404,19 @@ def full_denominator(m: PolyMatrix) -> int:
 
 def both_rings(m: PolyMatrix, v=None) -> BiPoly:
     """det(m) in view v (None: the general view) in the integer ring, on the
-    full common denominator whatever its height, and in the rational ring:
-    the same polynomial in the same term order."""
-    by_ints = _det_berkowitz(m, v, full_denominator(m))
+    full common denominator whatever its height, both as term maps and
+    packed, and in the rational ring: the same polynomial in the same term
+    order."""
+    d = full_denominator(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(redkp.polymatrix, "_PACKED_SLOT_BITS", 0)
+        by_int_terms = _det_berkowitz(m, v, d)
+        mp.setattr(redkp.polymatrix, "_PACKED_SLOT_BITS", math.inf)
+        by_packed_ints = _det_berkowitz(m, v, d)
     by_rationals = _det_berkowitz(m, v, None)
-    assert by_ints == by_rationals and list(by_ints.items()) == list(by_rationals.items())
-    return by_ints
+    for det in (by_int_terms, by_packed_ints):
+        assert det == by_rationals and list(det.items()) == list(by_rationals.items())
+    return by_rationals
 
 
 def assert_general_view_equals_leibniz(m: PolyMatrix):
@@ -561,16 +575,16 @@ def test_verify_past_the_cut_takes_bareiss(monkeypatch):
 VARIABLES = (BiPoly.x(), BiPoly.y())
 
 
-def characteristic_matrix(rng, n, v, dens=(1, 2, 3)) -> PolyMatrix:
-    """A - vI (v = 0 for x, 1 for y) with A random in the other variable:
-    about a third of its entries zero, negative coefficients, denominators
-    drawn from ``dens``."""
+def characteristic_matrix(rng, n, v, dens=(1, 2, 3), degree=2) -> PolyMatrix:
+    """A - vI (v = 0 for x, 1 for y) with A random in the other variable, of
+    degree up to ``degree``: about a third of its entries zero, negative
+    coefficients, denominators drawn from ``dens``."""
     rows = [[BiPoly.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if rng.random() < 0.7:
                 terms = {}
-                for deg in range(rng.randint(1, 3)):
+                for deg in range(rng.randint(1, degree + 1)):
                     key = (0, deg) if v == 0 else (deg, 0)
                     terms[key] = rat(rng.randint(-5, 5), rng.choice(dens))
                 rows[i][j] = BiPoly(terms)
@@ -694,6 +708,145 @@ def test_general_view_on_singular_zero_and_single_entry_matrices():
     for n in (1, 2, 3):
         zero = PolyMatrix([[0] * n for _ in range(n)])
         assert matdet(zero).is_zero() and both_rings(zero).is_zero()
+
+
+# -- the packed form of the integer ring -----------------------------------------
+
+FORMS = {id(_PACKED): "packed", id(_INTEGER_TERMS): "int terms", id(_RATIONAL_TERMS): "rational terms"}
+
+
+def forms(monkeypatch) -> list:
+    """The form of each Berkowitz loop from here on: "packed" ints, "int
+    terms" or "rational terms"."""
+    calls = []
+    loop = redkp.polymatrix._berkowitz
+
+    def traced(a, ring):
+        calls.append(FORMS[id(ring)])
+        return loop(a, ring)
+
+    monkeypatch.setattr(redkp.polymatrix, "_berkowitz", traced)
+    return calls
+
+
+def slot_bits(m: PolyMatrix, v=None) -> int:
+    """n bit_length(n e) + 2, e the largest coefficient 1-norm over the
+    entries of D A, A = m + vI in the characteristic view and m in the
+    general one."""
+    d = full_denominator(m)
+    norms = [
+        sum(abs(c.numerator) * (d // c.denominator) for key, c in e.items() if v is None or not key[v])
+        for row in m.rows
+        for e in row
+    ]
+    return m.n * (m.n * max(norms)).bit_length() + 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_form_equals_term_maps_on_random_matrices(n, monkeypatch):
+    """Negative coefficients, y-degree up to 3 and both keys in the general
+    view, x- or y-degree up to 3 in the characteristic one: the packed form
+    runs, and equals the term maps of both rings and the oracle in value and
+    term order."""
+    rng = random.Random(1000 + n)
+    calls = forms(monkeypatch)
+    for deg_y in (1, 2, 3):
+        for m, v in (
+            (packing_matrix(rng, n, deg_y), None),
+            (characteristic_matrix(rng, n, 0, degree=deg_y), 0),
+            (characteristic_matrix(rng, n, 1, degree=deg_y), 1),
+        ):
+            assert slot_bits(m, v) <= redkp.polymatrix._PACKED_SLOT_BITS
+            calls.clear()
+            det = matdet(m)
+            assert calls == ["packed"]
+            by_every_ring = both_rings(m, v)
+            assert det == by_every_ring == leibniz_det(m)
+            assert list(det.items()) == list(by_every_ring.items())
+
+
+def test_packed_form_on_zero_single_entry_and_singular_matrices(monkeypatch):
+    rng = random.Random(1010)
+    x, y = BiPoly.x(), BiPoly.y()
+    calls = forms(monkeypatch)
+    for n in (1, 2, 3):
+        zero = PolyMatrix([[0] * n for _ in range(n)])
+        sign = rat((-1) ** n)
+        for m, v, expected in (
+            (zero, None, BiPoly.zero()),
+            (zero.minus_diagonal(x), 0, BiPoly({(n, 0): sign})),
+            (zero.minus_diagonal(y), 1, BiPoly({(0, n): sign})),
+        ):
+            calls.clear()
+            det = matdet(m)
+            assert calls == ["packed"] and det == both_rings(m) == both_rings(m, v) == expected
+    entry = BiPoly({(0, 3): rat(-7, 2), (0, 1): rat(5, 3), (0, 0): rat(-1)})
+    for m in (PolyMatrix([[entry]]), PolyMatrix([[entry - x]]), PolyMatrix([[entry * x]])):
+        calls.clear()
+        det = matdet(m)
+        assert calls == ["packed"] and det == both_rings(m) == m.entry(0, 0)
+    rows = characteristic_matrix(rng, 4, 0).rows
+    rows[3] = [p * 3 - q for p, q in zip(rows[0], rows[1])]  # row 3 = 3 row 0 - row 1
+    singular = PolyMatrix(rows)
+    calls.clear()
+    det = matdet(singular)
+    assert calls == ["packed"] and det.is_zero() and both_rings(singular).is_zero()
+
+
+def hadamard(n: int) -> list:
+    """Sylvester's n x n matrix of signs, n a power of 2, with |det| =
+    n^(n/2), the largest a matrix of signs reaches."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-s for s in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_packed_slot_holds_hadamard_determinants(n, monkeypatch):
+    """c H p with p = 1 + y, 1 + x (characteristic views, minus x or y on
+    the diagonal) and 1 + x + y (general view), whose determinant c^n
+    det(H) p^n has a coefficient of more than half the slot's bits: the
+    packed form keeps it whole."""
+    c = 2**40 - 3
+    x, y = BiPoly.x(), BiPoly.y()
+    calls = forms(monkeypatch)
+    for p, v in ((1 + y, 0), (1 + x, 1), (1 + x + y, None)):
+        a = PolyMatrix([[p * (s * c) for s in row] for row in hadamard(n)])
+        m = a if v is None else a.minus_diagonal(VARIABLES[v])
+        slot = slot_bits(m, v)
+        calls.clear()
+        det = matdet(m)
+        assert calls == ["packed"]
+        assert det == both_rings(m, v) == leibniz_det(m)
+        assert 2 * max(abs(coefficient.numerator) for _, coefficient in det.items()).bit_length() > slot
+
+
+@pytest.mark.parametrize("v", [None, 0, 1], ids=["general", "x", "y"])
+def test_packing_routes_by_slot_width(v, monkeypatch):
+    """Scaled by 2^k, the same matrix takes the packed form while its slot
+    fits ``_PACKED_SLOT_BITS`` and the int term maps once it does not; both
+    equal the oracle.  At n = 2 the slot steps by 2 with k, so an even
+    limit is met exactly."""
+    rng = random.Random(1020 + (v or 0))
+    base = packing_matrix(rng, 2, 2) if v is None else characteristic_matrix(rng, 2, v, dens=(1, 3))
+
+    def scaled(k):
+        if v is None:
+            return scale(base, 2**k)
+        return add(scale(base, 2**k), scale(identity(2), VARIABLES[v] * (2**k - 1)))
+
+    limit = redkp.polymatrix._PACKED_SLOT_BITS
+    k = 0
+    while slot_bits(scaled(k + 1), v) <= limit:
+        k += 1
+    calls = forms(monkeypatch)
+    for m, form in ((scaled(k), "packed"), (scaled(k + 1), "int terms")):
+        assert (slot_bits(m, v) <= limit) == (form == "packed")
+        calls.clear()
+        det = matdet(m)
+        assert calls == [form]
+        assert det == leibniz_det(m) == both_rings(m, v)
 
 
 def test_each_determinant_caller_takes_its_path(monkeypatch):

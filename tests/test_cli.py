@@ -27,7 +27,7 @@ from redkp.cli import build_parser, main
 from redkp.lax import default_time
 from redkp.verify import _run, _suites, run_verification
 from redkp.yform import verify_word_append_rule
-from conftest import random_state
+from conftest import PARAM_SETS, random_state
 
 
 @pytest.fixture
@@ -92,6 +92,35 @@ def test_evolve_max_bits_at_the_final_height_writes_the_default_output(tmp_path,
     assert run_cli("evolve", tall_file, "--to", "20", "-o", str(default)) == 0
     assert run_cli("evolve", tall_file, "--to", "20", "--max-bits", "1997", "-o", str(budget)) == 0
     assert budget.read_bytes() == default.read_bytes()
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_evolve_writes_the_bytes_of_json_dumps(params, tmp_path, capsys):
+    """The file holds json.dumps(state, indent=2) byte for byte, and stdout
+    the same text and a newline."""
+    state = random_state(*params, seed=2)
+    src, out = tmp_path / "state.json", tmp_path / "out.json"
+    src.write_text(state.dumps())
+    expected = json.dumps(state.evolve_to(4).to_json_dict(), indent=2)
+    assert run_cli("evolve", str(src), "--to", "4", "-o", str(out)) == 0
+    assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+    assert run_cli("evolve", str(src), "--to", "4") == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_evolve_past_the_digit_cap_exits_2_before_opening_the_output(tmp_path, tall_file, capsys):
+    """At CPython's lowest int-to-str cap, 640 digits, the slices at t = 22
+    cannot be written: exit 2 with no output file."""
+    out = tmp_path / "out.json"
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_cli("evolve", tall_file, "--to", "22", "-o", str(out)) == 2
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 @pytest.mark.parametrize(
