@@ -84,17 +84,7 @@ def cmd_evolve(args) -> int:
             raise HeightBudgetExceeded(
                 f"t = {t} reaches {bits} bits, over --max-bits {args.max_bits}"
             )
-    # formatting raises the int-to-str digit cap's ValueError before the
-    # output is opened; the text of json.dumps(doc, indent=2) is then written
-    # slice by slice as the encoder yields it, never joined
-    doc = state.to_json_dict()
-    slices = json.JSONEncoder(indent=2).iterencode(doc)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.writelines(slices)
-    else:
-        sys.stdout.writelines(slices)
-        sys.stdout.write("\n")  # as _write ends it: JSON text never ends in a newline
+    _write(json.dumps(state.to_json_dict(), indent=2), args.output)
     return EXIT_OK
 
 

@@ -64,8 +64,12 @@ best of 3, Python 3.11.7, ``Fraction``):
     600-1200      1.01 (0.82-2.24)    19 of 41
     past 1200     2.25 (0.81-5.81)    4 of 171
 
-The wide curves (B about 100-400) are packed; the curves ``verify`` builds
-past its anchor on (1,1,8) and (2,3,7) (B past 600) stay term maps.
+Each form has a workload.  The wide curves (B about 100-400) are packed.
+In the ten ``verify`` ops of a ``check-claims`` pass (seeds 5-7), 21-22 of
+the 50 determinants have B past 600 (at most 8186): 8-9 of 20 on (3,2,5),
+9 of 15 on (1,1,8) and 4 of 5 on (2,3,7).  Packing those too took their
+``matdet`` time 1.32-1.36 times and the ops' 1.10-1.37 times on (1,1,8)
+and 1.17-1.22 on (2,3,7) (in process, seeds 5 and 6, best of 10).
 """
 
 from __future__ import annotations

@@ -849,6 +849,29 @@ def test_packing_routes_by_slot_width(v, monkeypatch):
         assert det == leibniz_det(m) == both_rings(m, v)
 
 
+# the wide and widest states whose charpoly CI pins
+WIDE_CI_STATE = '{"M":3,"K":2,"N":5,"frontier":0,"I":{"-2":["1/4","4/3","1/4","3/2","2"],"-1":["1","1","9/2","2","4"],"0":["9/2","2","1","2","4"]},"V":{"-1":["5/4","2","8","5/3","3"],"0":["3","1/4","2","3/2","7/2"]}}'
+WIDEST_CI_STATE = '{"M":4,"K":5,"N":9,"frontier":0,"I":{"-3":["9/4","1/2","4","6","5/3","7","1/3","2","7"],"-2":["1/2","3/4","5","9/4","3/2","2","3/2","1","4"],"-1":["4","7/4","4/3","1","5/4","4","9","9","7/3"],"0":["3/4","1/2","2","2","2/3","1","1","1/2","1"]},"V":{"-4":["2","9/2","7/3","9/2","2","5/4","8/3","9","3/2"],"-3":["3/4","7/4","5/2","2","1","1","7/2","2","7"],"-2":["4","1","8","5/3","2/3","1","5/4","3/2","7/2"],"-1":["3/4","7/3","1/3","1","7","7/3","1","2","3/2"],"0":["3","1","1/3","1/2","1/2","4","1/3","5","3/2"]}}'
+
+
+@pytest.mark.parametrize(
+    "state, time, form",
+    [(WIDE_CI_STATE, None, "packed"), (WIDEST_CI_STATE, None, "packed"), (WIDE_CI_STATE, "13", "int terms")],
+    ids=["wide", "widest", "wide-t13"],
+)
+def test_ci_charpoly_pins_cover_both_integer_forms(state, time, form, tmp_path, monkeypatch):
+    """The curves of the CI charpoly pins: the wide and widest states at
+    their default times are packed, and the wide state at t = 13 (D about
+    235 bits) has a slot past ``_PACKED_SLOT_BITS`` and runs the int term
+    maps."""
+    path = tmp_path / "state.json"
+    path.write_text(state)
+    calls = forms(monkeypatch)
+    argv = ["charpoly", str(path), "-o", str(tmp_path / "out.json")]
+    assert main(argv + (["--time", time] if time else [])) == 0
+    assert calls == [form]
+
+
 def test_each_determinant_caller_takes_its_path(monkeypatch):
     """The curve, the leading branch and det(Y - yI) take the characteristic
     view; the stars and the cofactor matrices of the leading form take the

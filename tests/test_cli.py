@@ -111,7 +111,7 @@ def test_evolve_writes_the_bytes_of_json_dumps(params, tmp_path, capsys):
 
 def test_evolve_past_the_digit_cap_exits_2_before_opening_the_output(tmp_path, tall_file, capsys):
     """At CPython's lowest int-to-str cap, 640 digits, the slices at t = 22
-    cannot be written: exit 2 with no output file."""
+    cannot be formatted: exit 2 with no output file."""
     out = tmp_path / "out.json"
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
