@@ -24,8 +24,8 @@ from .errors import (
     RedkpError,
     SingularStep,
 )
-from .lattice import LatticeState
-from .lax import default_time, special_points, spectral_curve
+from .lattice import LatticeState, default_time
+from .lax import special_points, spectral_curve
 from .polymatrix import PolyMatrix
 from .rational import format_rational
 from .verify import run_verification

@@ -11,8 +11,9 @@ single factor realises the site shift and the two time shifts.  Each is
 checked as an exact intertwining Z a == a X_t between independently built
 monodromies: a right update of Z's rows against a left update of X_t's.
 
-The band rows and the monodromy at each (t, form), and the curve at each t,
-are built once per state, in its cache (``LatticeState.built``).
+The band rows at each (t, form) and the curve at each t are built once per
+state, in its cache (``LatticeState.built``).  The monodromy matrix is not
+cached: the curve, its one caller on a command's path, is.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly
 from .errors import NonPolynomialResult
-from .lattice import LatticeParams, LatticeState, default_time  # noqa: F401 (re-exported)
+from .lattice import LatticeParams, LatticeState
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
 
@@ -106,8 +107,8 @@ def _build_bands(state: LatticeState, t: int, form: str) -> tuple:
 
 def build_monodromy(state: LatticeState, t: int, form: str = "standard") -> PolyMatrix:
     """X_t in the given form (``factor_slices``), its band rows folded into
-    the N x N matrix over Q[y].  Built once per (t, form) and state."""
-    return state.built(("monodromy", t, form), lambda: _fold(monodromy_bands(state, t, form)))
+    the N x N matrix over Q[y]."""
+    return _fold(monodromy_bands(state, t, form))
 
 
 def _fold(rows) -> PolyMatrix:

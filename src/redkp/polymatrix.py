@@ -7,9 +7,9 @@ sums that cancel.  No command calls it: the monodromy, the
 intertwinings of ``lax.apply_shift`` and the companion product of ``yform``
 are all row updates of band rows.  Its one caller in the package is
 ``lax.verify_compatibility``; the tests use it as the dense oracle.  The
-characteristic matrices A - vI of the curve, the leading forms of ``numeric``
-and det(Y - yI) of ``yform`` are formed by ``minus_diagonal``, which
-subtracts v on the diagonal only and shares the other entries.
+characteristic matrices A - xI of the curve and the leading forms of
+``numeric``, and Y - yI of ``yform``, are formed by ``minus_diagonal``, which
+subtracts the variable on the diagonal only and shares the other entries.
 
 ``matdet`` is one algorithm, Berkowitz's division-free one (Inf. Process.
 Lett. 18, 1984, ``_berkowitz``): row r, from the last up, turns the
@@ -17,15 +17,15 @@ coefficients of det(zI - S), S the trailing submatrix below and right of
 row r, into those of the submatrix from row r.  The loop is written once
 over a ring's unit, negation and dot product.  It has two views.
 
-* m = A - vI with v = x or y and A free of v (the spectral curve
-  det(X_t - xI), the leading branch of ``numeric``, det(Y - yI) of
-  ``yform``): z = v, so it runs on A's entries as univariate maps in the
-  other variable and reads det(m)'s terms off every coefficient.
+* m = A - xI with A free of x (the spectral curve det(X_t - xI) and the
+  leading branch of ``numeric``): z = x, so it runs on A's entries as
+  univariate maps in y and reads det(m)'s terms off every coefficient.
 * Any other matrix (the stars of ``yform``, the cofactor matrices of
-  ``numeric``, ``verify``'s L*): z is an auxiliary variable, x^i y^j is the
-  int key i*base + j with base = n*max deg_y + 1 (a product of n entries
-  cannot carry into the next power of x), and det(m) is (-1)^n times the
-  constant coefficient.
+  ``numeric``, ``verify``'s L*, and Y - yI of ``yform.spectral_duality``,
+  which no command runs): z is an auxiliary variable, x^i y^j is the int
+  key i*base + j with base = n*max deg_y + 1 (a product of n entries cannot
+  carry into the next power of x), and det(m) is (-1)^n times the constant
+  coefficient.
 
 It has two rings, by the common denominator D of all coefficients: the
 ints of D*A, with the coefficient of z^(n-k) divided by D^k at the end,
@@ -137,7 +137,9 @@ class PolyMatrix:
     def minus_diagonal(self, v) -> "PolyMatrix":
         """self - v I with the off-diagonal entries shared: N subtractions in
         place of N^2, each entry's terms in the order that subtracting v
-        times the identity matrix gives them."""
+        times the identity matrix gives them.  For v = x and self free of x,
+        ``matdet`` takes its characteristic view; any other v takes the
+        general one."""
         rows = [list(row) for row in self._rows]
         for i, row in enumerate(rows):
             row[i] = row[i] - v
@@ -193,16 +195,15 @@ def _common_denominator(m: PolyMatrix):
 
 
 def _characteristic_variable(m: PolyMatrix):
-    """v, 0 for x or 1 for y, when m = A - vI with A free of v; else None."""
+    """0 when m = A - xI with A free of x; else None."""
     n, rows = m.n, m._rows
-    for v, unit in ((0, (1, 0)), (1, (0, 1))):
-        if all(rows[i][i]._terms.get(unit) == -1 for i in range(n)) and all(
-            not key[v] or (i == j and key == unit)
-            for i in range(n)
-            for j in range(n)
-            for key in rows[i][j]._terms
-        ):
-            return v
+    if all(rows[i][i]._terms.get((1, 0)) == -1 for i in range(n)) and all(
+        not key[0] or (i == j and key == (1, 0))
+        for i in range(n)
+        for j in range(n)
+        for key in rows[i][j]._terms
+    ):
+        return 0
     return None
 
 
@@ -276,7 +277,7 @@ def _unpack(p: int, slot: int) -> dict:
 
 
 def _det_berkowitz(m: PolyMatrix, v, d) -> BiPoly:
-    """det(m) in view v, 0 or 1 when m = A - vI with A free of v
+    """det(m) in view v, 0 when m = A - xI with A free of x
     (``_characteristic_variable``) and None for the general view, and in
     ring d, a common denominator of m for the ints or None for the
     Rationals; the ints are packed when their slot fits
@@ -286,9 +287,8 @@ def _det_berkowitz(m: PolyMatrix, v, d) -> BiPoly:
     if v is None:  # z auxiliary, x^i y^j packed as i*base + j
         base = n * max(0, *(e.degree_y for row in m._rows for e in row)) + 1
         a = [[{dx * base + dy: c for (dx, dy), c in e._terms.items()} for e in row] for row in m._rows]
-    else:  # z = v, A's entries in the other variable w
-        w = 1 - v
-        a = [[{key[w]: c for key, c in e._terms.items() if not key[v]} for e in row] for row in m._rows]
+    else:  # z = x, A's entries in y
+        a = [[{key[1]: c for key, c in e._terms.items() if not key[0]} for e in row] for row in m._rows]
     if d is None:
         ring = _RATIONAL_TERMS
     else:
@@ -303,17 +303,13 @@ def _det_berkowitz(m: PolyMatrix, v, d) -> BiPoly:
     coeffs = _berkowitz(a, ring)
     if ring is _PACKED:
         coeffs = [_unpack(p, slot) for p in coeffs]
-    # det(m) = (-1)^n det(zI - A) in the first view, (-1)^n times the
-    # constant coefficient in the second; the integer ring divides the
-    # coefficient of z^(n-k) of det(zI - d*A) by d^k
+    # det(m) = (-1)^n det(zI - A) in the characteristic view, (-1)^n times
+    # the constant coefficient in the general one; the integer ring divides
+    # the coefficient of z^(n-k) of det(zI - d*A) by d^k
     if v is None:
         keyed = [(divmod(key, base), n, c) for key, c in coeffs[n].items()]
     else:
-        keyed = [
-            ((n - k, key) if v == 0 else (key, n - k), k, c)
-            for k, terms in enumerate(coeffs)
-            for key, c in terms.items()
-        ]
+        keyed = [((n - k, key), k, c) for k, terms in enumerate(coeffs) for key, c in terms.items()]
     if d is None:
         terms = {key: sign * c for key, _, c in keyed}
     else:

@@ -14,9 +14,9 @@ TAOCP Vol. 2, 4.5.1), so every value is the one ``Fraction`` computes, but
 skips the operator-fallback dispatch, the ``numbers.Rational`` checks and
 ``Fraction.__new__``.  Any other operand (``Fraction``, float, ...) takes
 ``Fraction``'s own method and gets its result.  On small operands an
-operation takes 0.3 of ``Fraction``'s time (0.4 us against 1.3 us, Python
-3.11.7, x86-64); at 1000 bits 0.94, and at 10000 bits 1.0, where the gcds
-dominate.
+operation takes 0.3 of ``Fraction``'s time (0.3-0.4 us against 1.1-1.2 us
+for + - * / of two values, best of 24 runs, Python 3.11.7, x86-64); at 1000
+bits 0.94, and at 10000 bits 1.0, where the gcds dominate.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ class Rational(Fraction):
             return _sum(a._numerator, a._denominator, b, 1)
         return Fraction.__add__(a, b)
 
-    def __radd__(b, a):
-        if type(a) is int:
-            return _sum(a, 1, b._numerator, b._denominator)
-        return Fraction.__radd__(b, a)
+    # addition and multiplication commute, so each is its own reflection
+    __radd__ = __add__
 
     def __sub__(a, b):
         if type(b) is Rational:
@@ -68,10 +66,7 @@ class Rational(Fraction):
             return _product(a._numerator, a._denominator, b, 1)
         return Fraction.__mul__(a, b)
 
-    def __rmul__(b, a):
-        if type(a) is int:
-            return _product(a, 1, b._numerator, b._denominator)
-        return Fraction.__rmul__(b, a)
+    __rmul__ = __mul__
 
     def __truediv__(a, b):
         if type(b) is Rational:

@@ -30,13 +30,12 @@ from __future__ import annotations
 from .bipoly import BiPoly
 from .degeneration import hidden_invariant_check
 from .errors import GcdViolation, NotCaseB, WrongParams
-from .lattice import LatticeState
+from .lattice import LatticeState, default_time
 from .lax import (
     SHIFT_MU_K,
     SHIFT_MU_MINUS_M,
     apply_shift,
     build_monodromy,  # noqa: F401 (bench/tests checks the tracer rebinds it here)
-    default_time,
     monodromy_bands,
     spectral_curve,
 )

@@ -36,7 +36,8 @@ from redkp import (
 )
 from redkp.cli import main as cli_main
 from redkp.degeneration import seed_large_zeta
-from redkp.lax import SHIFT_MU_K, _fold, apply_shift, default_time
+from redkp.lattice import default_time
+from redkp.lax import SHIFT_MU_K, _fold, apply_shift
 from redkp.yform import shift_stars
 from conftest import PARAM_SETS, bands_words, curve_closed_form_112, curve_closed_form_212, random_state
 from test_yform import companion_reference_report

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,10 @@ import redkp.polymatrix
 from redkp import BiPoly, LatticeParams, LatticeState, PolyMatrix, Rational, matdet, new_state, rat
 from redkp.cli import main
 from redkp.errors import ExactDivisionError
+from redkp.lattice import default_time
 from redkp.lax import (
     build_factor,
     build_monodromy,
-    default_time,
     fold_at,
     monodromy_bands,
     shift_matrix,
@@ -110,7 +111,7 @@ COMPARISONS = (operator.eq, operator.ne)
 def _outcome(op, *args):
     try:
         return op(*args)
-    except ArithmeticError as exc:
+    except (ArithmeticError, TypeError) as exc:
         return exc
 
 
@@ -153,17 +154,21 @@ def test_rational_arithmetic_equals_fractions(a, b, k, e):
     assert hash(Rational(a)) == hash(a) and hash(Rational(k)) == hash(k)
 
 
+OTHER_OPERANDS = (0.0, 0.5, -2.25, 3.0, 0j, 1.5 - 2j, 3 + 0j, Decimal(0), Decimal("1.5"), Decimal(-2))
+
+
 @pytest.mark.skipif(not issubclass(Rational, Fraction), reason="Rational is gmpy2.mpq")
-@given(a=fraction_operands, b=st.one_of(fraction_operands, st.sampled_from((0.0, 0.5, -2.25, 3.0))))
+@given(a=fraction_operands, b=st.one_of(fraction_operands, st.sampled_from(OTHER_OPERANDS)))
 @settings(max_examples=60, deadline=None)
 def test_rational_with_other_operands_gives_fractions_result(a, b):
-    """A ``Fraction`` or float operand takes ``Fraction``'s own method, on
-    either side, and gets its result and type."""
+    """A ``Fraction``, float, complex or ``Decimal`` operand takes
+    ``Fraction``'s own method, on either side, and gets its result and type,
+    or its error (``Decimal`` arithmetic is a TypeError)."""
     r = Rational(a)
     for op in FIELD_OPS + COMPARISONS:
         for got, want in ((_outcome(op, r, b), _outcome(op, a, b)), (_outcome(op, b, r), _outcome(op, b, a))):
-            if isinstance(want, ArithmeticError):
-                assert (type(got), str(got)) == (type(want), str(want))
+            if isinstance(want, Exception):
+                assert (type(got), str(got).replace("Rational", "Fraction")) == (type(want), str(want))
             else:
                 assert type(got) is type(want) and got == want
 
@@ -403,19 +408,15 @@ def full_denominator(m: PolyMatrix) -> int:
 
 
 def both_rings(m: PolyMatrix, v=None) -> BiPoly:
-    """det(m) in view v (None: the general view) in the integer ring, on the
-    full common denominator whatever its height, both as term maps and
-    packed, and in the rational ring: the same polynomial in the same term
-    order."""
+    """det(m) in view v (0, or None for the general view) in the rational
+    ring and, while the full common denominator fits the cut, in the form
+    of the integer ring that ``_det_berkowitz`` takes for it (packed or
+    term maps): the same polynomial in the same term order."""
     d = full_denominator(m)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(redkp.polymatrix, "_PACKED_SLOT_BITS", 0)
-        by_int_terms = _det_berkowitz(m, v, d)
-        mp.setattr(redkp.polymatrix, "_PACKED_SLOT_BITS", math.inf)
-        by_packed_ints = _det_berkowitz(m, v, d)
     by_rationals = _det_berkowitz(m, v, None)
-    for det in (by_int_terms, by_packed_ints):
-        assert det == by_rationals and list(det.items()) == list(by_rationals.items())
+    if d.bit_length() <= CUT:
+        by_ints = _det_berkowitz(m, v, d)
+        assert by_ints == by_rationals and list(by_ints.items()) == list(by_rationals.items())
     return by_rationals
 
 
@@ -502,7 +503,7 @@ def test_primitive_ring_equals_leibniz(n, monkeypatch):
 
 def route(monkeypatch) -> list:
     """The view and ring of each determinant ``matdet`` takes from here on:
-    (v, d), v = 0 or 1 for A - vI and None for the general view, d the
+    (v, d), v = 0 for A - xI and None for the general view, d the
     common denominator of the integer ring or None for the rational ring."""
     calls = []
 
@@ -573,6 +574,8 @@ def test_verify_past_the_cut_takes_bareiss(monkeypatch):
 # -- Berkowitz on m = A - vI ------------------------------------------------------
 
 VARIABLES = (BiPoly.x(), BiPoly.y())
+# matdet's view of A - xI (the characteristic one) and of A - yI (the general one)
+VIEWS = (0, None)
 
 
 def characteristic_matrix(rng, n, v, dens=(1, 2, 3), degree=2) -> PolyMatrix:
@@ -595,8 +598,9 @@ def characteristic_matrix(rng, n, v, dens=(1, 2, 3), degree=2) -> PolyMatrix:
 @pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_berkowitz_equals_bareiss_and_leibniz(n, v, monkeypatch):
-    """The characteristic view equals the general view (where Bareiss was)
-    and the oracle, in both rings and in the same term order."""
+    """A - xI takes the characteristic view, A - yI the general view (where
+    Bareiss was); each equals the other view and the oracle, in both rings
+    and in the same term order."""
     rng = random.Random(900 + 10 * n + v)
     calls = route(monkeypatch)
     for _ in range(4 if n < 6 else 2):
@@ -604,16 +608,17 @@ def test_berkowitz_equals_bareiss_and_leibniz(n, v, monkeypatch):
         d = _common_denominator(m)
         calls.clear()
         det = matdet(m)
-        assert calls == [(v, d)]
+        assert calls == [(VIEWS[v], d)]
         general = both_rings(m)
-        assert det == general == both_rings(m, v) == leibniz_det(m)
+        assert det == general == both_rings(m, VIEWS[v]) == leibniz_det(m)
         assert list(det.items()) == list(general.items())
 
 
 @pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
 def test_characteristic_form_routes_by_denominator_height(v, monkeypatch):
     """D of CUT bits takes the integer ring, D of CUT + 1 bits the rational
-    ring."""
+    ring, in the characteristic view for A - xI and the general one for
+    A - yI."""
     rng = random.Random(950 + v)
     calls = route(monkeypatch)
     for den, ring in ((2**CUT - 1, 2**CUT - 1), (2**CUT + 1, None)):
@@ -623,12 +628,12 @@ def test_characteristic_form_routes_by_denominator_height(v, monkeypatch):
             assert full_denominator(m) == den
             calls.clear()
             det = matdet(m)
-            assert calls == [(v, ring)]
-            assert det == leibniz_det(m) == _det_berkowitz(m, v, den)
+            assert calls == [(VIEWS[v], ring)]
+            assert det == leibniz_det(m) == _det_berkowitz(m, VIEWS[v], den)
 
 
 def test_near_characteristic_matrices_reach_bareiss(monkeypatch):
-    """Matrices that are not A - vI with A free of v take the general view,
+    """Matrices that are not A - xI with A free of x take the general view,
     where Bareiss was."""
     x, y = BiPoly.x(), BiPoly.y()
     zero = BiPoly.zero()
@@ -644,6 +649,7 @@ def test_near_characteristic_matrices_reach_bareiss(monkeypatch):
         a - scale(identity(3), x * x),  # x^2 on the diagonal
         add(characteristic_matrix(rng, 3, 1), scale(corner, y)),  # A - yI, A not free of y
         random_matrix(rng, 3),
+        characteristic_matrix(rng, 3, 1),  # A - yI
     ]
     calls = route(monkeypatch)
     for m in near:
@@ -731,8 +737,8 @@ def forms(monkeypatch) -> list:
 
 def slot_bits(m: PolyMatrix, v=None) -> int:
     """n bit_length(n e) + 2, e the largest coefficient 1-norm over the
-    entries of D A, A = m + vI in the characteristic view and m in the
-    general one."""
+    entries of D A, A = m + xI in the characteristic view (v = 0) and m in
+    the general one."""
     d = full_denominator(m)
     norms = [
         sum(abs(c.numerator) * (d // c.denominator) for key, c in e.items() if v is None or not key[v])
@@ -745,16 +751,16 @@ def slot_bits(m: PolyMatrix, v=None) -> int:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_packed_form_equals_term_maps_on_random_matrices(n, monkeypatch):
     """Negative coefficients, y-degree up to 3 and both keys in the general
-    view, x- or y-degree up to 3 in the characteristic one: the packed form
-    runs, and equals the term maps of both rings and the oracle in value and
-    term order."""
+    view (A - yI with A of x-degree up to 3 among them), y-degree up to 3
+    in the characteristic one: the packed form runs, and equals the
+    rational ring's term maps and the oracle in value and term order."""
     rng = random.Random(1000 + n)
     calls = forms(monkeypatch)
     for deg_y in (1, 2, 3):
         for m, v in (
             (packing_matrix(rng, n, deg_y), None),
             (characteristic_matrix(rng, n, 0, degree=deg_y), 0),
-            (characteristic_matrix(rng, n, 1, degree=deg_y), 1),
+            (characteristic_matrix(rng, n, 1, degree=deg_y), None),
         ):
             assert slot_bits(m, v) <= redkp.polymatrix._PACKED_SLOT_BITS
             calls.clear()
@@ -775,7 +781,7 @@ def test_packed_form_on_zero_single_entry_and_singular_matrices(monkeypatch):
         for m, v, expected in (
             (zero, None, BiPoly.zero()),
             (zero.minus_diagonal(x), 0, BiPoly({(n, 0): sign})),
-            (zero.minus_diagonal(y), 1, BiPoly({(0, n): sign})),
+            (zero.minus_diagonal(y), None, BiPoly({(0, n): sign})),
         ):
             calls.clear()
             det = matdet(m)
@@ -804,16 +810,15 @@ def hadamard(n: int) -> list:
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_packed_slot_holds_hadamard_determinants(n, monkeypatch):
-    """c H p with p = 1 + y, 1 + x (characteristic views, minus x or y on
-    the diagonal) and 1 + x + y (general view), whose determinant c^n
-    det(H) p^n has a coefficient of more than half the slot's bits: the
-    packed form keeps it whole."""
+    """c H p with p = 1 + y minus x on the diagonal (characteristic view),
+    1 + x minus y on the diagonal and 1 + x + y (general view), whose
+    determinant c^n det(H) p^n has a coefficient of more than half the
+    slot's bits: the packed form keeps it whole."""
     c = 2**40 - 3
     x, y = BiPoly.x(), BiPoly.y()
     calls = forms(monkeypatch)
-    for p, v in ((1 + y, 0), (1 + x, 1), (1 + x + y, None)):
-        a = PolyMatrix([[p * (s * c) for s in row] for row in hadamard(n)])
-        m = a if v is None else a.minus_diagonal(VARIABLES[v])
+    for p, diagonal, v in ((1 + y, x, 0), (1 + x, y, None), (1 + x + y, 0, None)):
+        m = PolyMatrix([[p * (s * c) for s in row] for row in hadamard(n)]).minus_diagonal(diagonal)
         slot = slot_bits(m, v)
         calls.clear()
         det = matdet(m)
@@ -827,8 +832,9 @@ def test_packing_routes_by_slot_width(v, monkeypatch):
     """Scaled by 2^k, the same matrix takes the packed form while its slot
     fits ``_PACKED_SLOT_BITS`` and the int term maps once it does not; both
     equal the oracle.  At n = 2 the slot steps by 2 with k, so an even
-    limit is met exactly."""
+    limit is met exactly.  A - yI takes the general view."""
     rng = random.Random(1020 + (v or 0))
+    view = None if v is None else VIEWS[v]
     base = packing_matrix(rng, 2, 2) if v is None else characteristic_matrix(rng, 2, v, dens=(1, 3))
 
     def scaled(k):
@@ -838,15 +844,15 @@ def test_packing_routes_by_slot_width(v, monkeypatch):
 
     limit = redkp.polymatrix._PACKED_SLOT_BITS
     k = 0
-    while slot_bits(scaled(k + 1), v) <= limit:
+    while slot_bits(scaled(k + 1), view) <= limit:
         k += 1
     calls = forms(monkeypatch)
     for m, form in ((scaled(k), "packed"), (scaled(k + 1), "int terms")):
-        assert (slot_bits(m, v) <= limit) == (form == "packed")
+        assert (slot_bits(m, view) <= limit) == (form == "packed")
         calls.clear()
         det = matdet(m)
         assert calls == [form]
-        assert det == leibniz_det(m) == both_rings(m, v)
+        assert det == leibniz_det(m) == both_rings(m, view)
 
 
 # the wide and widest states whose charpoly CI pins
@@ -873,10 +879,10 @@ def test_ci_charpoly_pins_cover_both_integer_forms(state, time, form, tmp_path, 
 
 
 def test_each_determinant_caller_takes_its_path(monkeypatch):
-    """The curve, the leading branch and det(Y - yI) take the characteristic
-    view; the stars and the cofactor matrices of the leading form take the
-    general view, each equal to the Leibniz expansion; all in the integer
-    ring."""
+    """The curve and the leading branch take the characteristic view;
+    det(Y - yI), the stars and the cofactor matrices of the leading form
+    take the general view, each equal to the Leibniz expansion; all in the
+    integer ring."""
     state = random_state(2, 1, 5, seed=6)  # gcd(M+K, N) = 1: a unique branch
     t, t_deep = default_time(state), default_time(state, deep=True)
     calls = route(monkeypatch)
@@ -900,7 +906,7 @@ def test_each_determinant_caller_takes_its_path(monkeypatch):
         assert build()
         assert all(type(d) is int for _, d in calls)
         views.append([v for v, _ in calls])
-    assert views == [[0], [None] * 5 + [0], [1], [None] * 3]
+    assert views == [[0], [None] * 5 + [0], [None], [None] * 3]
 
 
 def test_det_multiplicative():

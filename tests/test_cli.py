@@ -24,7 +24,7 @@ from redkp import (
     rat,
 )
 from redkp.cli import build_parser, main
-from redkp.lax import default_time
+from redkp.lattice import default_time
 from redkp.verify import _run, _suites, run_verification
 from redkp.yform import verify_word_append_rule
 from conftest import PARAM_SETS, random_state

@@ -38,7 +38,8 @@ from redkp import (
     spectral_duality,
     verify_word_append_rule,
 )
-from redkp.lax import SHIFT_SIGMA, _fold, apply_shift, default_time, fold_at
+from redkp.lattice import default_time
+from redkp.lax import SHIFT_SIGMA, _fold, apply_shift, fold_at
 from conftest import bands_words, dense_monodromy, fold_bands, identity, on_every_set, scale
 
 # (1,1,2) to (3,4,5) and (2,3,7); every width M+K is within the word routes'

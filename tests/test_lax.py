@@ -18,14 +18,14 @@ from redkp import (
     uniform_state,
     verify_compatibility,
 )
-from redkp import cli, lattice, lax, polymatrix
+from redkp import cli, lax, polymatrix
+from redkp.lattice import default_time
 from redkp.lax import (
     SHIFT_MU_K,
     SHIFT_MU_MINUS_M,
     SHIFT_SIGMA,
     _fold,
     apply_shift,
-    default_time,
     factor_l,
     factor_r,
 )
@@ -118,7 +118,6 @@ def test_monodromy_is_the_scheduled_product():
 @pytest.mark.parametrize("long_family", ["I", "V"])
 @pytest.mark.parametrize("M,K,N", [(1, 1, 2), (2, 1, 3), (1, 2, 3), (2, 3, 5), (3, 2, 5)])
 def test_default_time_is_the_earliest_buildable(M, K, N, long_family, tmp_path):
-    assert lax.default_time is lattice.default_time
     src = random_state(M, K, N, seed=3).evolve_to(8)
     # one family keeps nine slices, the other only its stepping window
     i_from = 0 if long_family == "I" else 9 - M

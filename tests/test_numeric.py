@@ -26,7 +26,8 @@ from redkp import (
     spectral_curve,
     uniform_state,
 )
-from redkp.lax import build_monodromy, default_time, factor_l, factor_r, monodromy_bands
+from redkp.lattice import default_time
+from redkp.lax import build_monodromy, factor_l, factor_r, monodromy_bands
 from redkp.numeric import ON_CURVE_TOL, ComplexPoint, _leading_form, _rank, matrix_eval
 from redkp.verify import run_verification
 from conftest import identity, on_every_set, random_state, scale

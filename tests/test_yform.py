@@ -17,7 +17,7 @@ from redkp import (
     verify_word_append_rule,
 )
 from redkp.numeric import eigenvector_at, fiber_x, matrix_eval
-from redkp.lax import default_time
+from redkp.lattice import default_time
 from redkp.verify import run_verification
 from conftest import bands_words, fold_bands, identity, random_state, scale, word_value
 
