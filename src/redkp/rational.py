@@ -41,7 +41,9 @@ class Rational(Fraction):
         if type(b) is Rational:
             return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
         if type(b) is int:
-            return _sum(a._numerator, a._denominator, b, 1)
+            # the int first: _sum's gcd(1, d) returns at once on CPython
+            # 3.10-3.12, where gcd(d, 1) takes a pass over d
+            return _sum(b, 1, a._numerator, a._denominator)
         return Fraction.__add__(a, b)
 
     # addition and multiplication commute, so each is its own reflection
