@@ -153,8 +153,8 @@ def cmd_degenerate(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["zeta", "max_err", "fitted_slope"])
-    for row in table.csv_rows():
-        writer.writerow(row)
+    for row in table.rows:
+        writer.writerow((row.zeta, row.max_err, table.slope))
     _write(buf.getvalue(), args.output)
     return EXIT_OK
 

@@ -195,15 +195,6 @@ class LatticeState:
     def copy(self) -> "LatticeState":
         return LatticeState(self.params, self._i, self._v, self.frontier)
 
-    def rotated(self) -> "LatticeState":
-        """The same history shifted by one site: new site n holds old site n+1."""
-        return LatticeState(
-            self.params,
-            {t: v[1:] + v[:1] for t, v in self._i.items()},
-            {t: v[1:] + v[:1] for t, v in self._v.items()},
-            self.frontier,
-        )
-
     # -- access ---------------------------------------------------------------
 
     @property

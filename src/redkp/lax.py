@@ -6,10 +6,11 @@ schedules; its characteristic polynomial is independent of t,
 which is the anchor identity of the whole package.  X_t is built as its band
 rows, one left update per factor, with no ``PolyMatrix`` product, and folded
 into the N x N matrix over Q[y]; ``yform`` reads the rows as its band table.
-Conjugation by the corner matrix S (the factor with diagonal 0) or by a
-single factor realises the site shift and the two time shifts.  Each is
+Conjugation by a single factor realises the two time shifts.  Each is
 checked as an exact intertwining Z a == a X_t between independently built
 monodromies: a right update of Z's rows against a left update of X_t's.
+The site shift, conjugation by the corner matrix S (the factor with diagonal
+0), holds for any slice values, so the tests pin it and no command checks it.
 
 The band rows at each (t, form) and the curve at each t are built once per
 state, in its cache (``LatticeState.built``).  The monodromy matrix is not
@@ -22,11 +23,10 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly
 from .errors import NonPolynomialResult
-from .lattice import LatticeParams, LatticeState
+from .lattice import LatticeState
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
 
-SHIFT_SIGMA = "sigma"
 SHIFT_MU_K = "mu_K"
 SHIFT_MU_MINUS_M = "mu_minus_M"
 
@@ -179,28 +179,24 @@ def conjugator_times(state: LatticeState, t: int) -> tuple:
 
 
 def apply_shift(state: LatticeState, t: int, which: str) -> tuple:
-    """The band rows of the monodromy at t conjugated by S (site shift) or a
-    factor (time shift), ``a X_t a^{-1}``; ``_fold`` makes them the matrix.
+    """The band rows of the monodromy at t conjugated by a factor (time
+    shift), ``a X_t a^{-1}``; ``_fold`` makes them the matrix.
 
-    The image Z is built on its own: the monodromy at t+K for mu_K, at t-M
-    for mu_minus_M, and for sigma the monodromy at t of the history rotated
-    by one site.  Z's rows are returned only once ``Z a == a X_t`` holds
-    exactly, as a right and a left update of band rows by a's diagonal (S is
-    the factor with diagonal 0); ``a`` is invertible over Q(y), so that
-    equality is the conjugation.  Raises NonPolynomialResult when it does
-    not hold.
+    The image Z is built on its own: the monodromy at t+K for mu_K and at t-M
+    for mu_minus_M.  Z's rows are returned only once ``Z a == a X_t`` holds
+    exactly, as a right and a left update of band rows by a's diagonal; ``a``
+    is invertible over Q(y), so that equality is the conjugation.  Raises
+    NonPolynomialResult when it does not hold.
     """
     M, K = state.params.M, state.params.K
     t_upper, t_lower = conjugator_times(state, t)
-    if which == SHIFT_SIGMA:
-        image, t_image, d = state.rotated(), t, (Rational(0),) * state.params.N
-    elif which == SHIFT_MU_K:
-        image, t_image, d = state, t + K, state.i_slice(t_upper)
+    if which == SHIFT_MU_K:
+        t_image, d = t + K, state.i_slice(t_upper)
     elif which == SHIFT_MU_MINUS_M:
-        image, t_image, d = state, t - M, state.v_slice(t_lower)
+        t_image, d = t - M, state.v_slice(t_lower)
     else:
         raise ValueError(f"unknown shift: {which}")
-    z = monodromy_bands(image, t_image)
+    z = monodromy_bands(state, t_image)
     if right_update(z, d) != left_update(monodromy_bands(state, t), d):
         raise NonPolynomialResult(f"{which} intertwining failed at t = {t}")
     return z
@@ -213,7 +209,6 @@ class SpectralCurve:
     poly: BiPoly
     deg_x: int
     deg_y: int
-    params: LatticeParams
 
 
 def spectral_curve(state: LatticeState, t: int) -> SpectralCurve:
@@ -231,7 +226,7 @@ def _build_curve(state: LatticeState, t: int) -> SpectralCurve:
     lead = char.coefficient(n, 0)
     if lead != 1:
         raise AssertionError(f"x^{n} coefficient is {lead}, expected 1")
-    curve = SpectralCurve(poly=char, deg_x=char.degree_x, deg_y=char.degree_y, params=params)
+    curve = SpectralCurve(poly=char, deg_x=char.degree_x, deg_y=char.degree_y)
     if curve.deg_x != n or curve.deg_y != params.M + params.K:
         raise AssertionError(
             f"unexpected curve degrees ({curve.deg_x}, {curve.deg_y})"

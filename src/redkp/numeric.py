@@ -284,7 +284,8 @@ def _build_leading_form(state: LatticeState, t: int, at_infinity: bool) -> _Lead
     if at_infinity:
         w = len(bands) - 1
     else:
-        bands[0] = tuple(a - state.site_invariants()[0] for a in bands[0])
+        u = state.site_invariants()[0]
+        bands[0] = tuple(a - u for a in bands[0])
         w = next(k for k, band in enumerate(bands) if any(band))
     part = _fold(tuple((Rational(0),) * w + (a,) for a in bands[w]))
     matrix = part.minus_diagonal(BiPoly.x())

@@ -53,7 +53,7 @@ class Rational(Fraction):
         if type(b) is Rational:
             return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
         if type(b) is int:
-            return _sum(a._numerator, a._denominator, -b, 1)
+            return _sum(-b, 1, a._numerator, a._denominator)
         return Fraction.__sub__(a, b)
 
     def __rsub__(b, a):
@@ -65,7 +65,7 @@ class Rational(Fraction):
         if type(b) is Rational:
             return _product(a._numerator, a._denominator, b._numerator, b._denominator)
         if type(b) is int:
-            return _product(a._numerator, a._denominator, b, 1)
+            return _product(b, 1, a._numerator, a._denominator)
         return Fraction.__mul__(a, b)
 
     __rmul__ = __mul__
@@ -74,7 +74,7 @@ class Rational(Fraction):
         if type(b) is Rational:
             return _product(a._numerator, a._denominator, b._denominator, b._numerator)
         if type(b) is int:
-            return _product(a._numerator, a._denominator, 1, b)
+            return _product(1, b, a._numerator, a._denominator)
         return Fraction.__truediv__(a, b)
 
     def __rtruediv__(b, a):
@@ -127,13 +127,14 @@ def _sum(na, da, nb, db):
 
 def _product(na, da, nb, db):
     """(na/da)(nb/db), reduced as ``Fraction._mul`` does by the two cross
-    gcds.  A quotient passes its divisor inverted, so ``db`` may be negative
-    or zero; then it takes ``Fraction._div``'s sign fix and error."""
+    gcds.  A quotient passes its divisor inverted, so ``da`` or ``db`` may be
+    negative or zero; then it takes ``Fraction._div``'s sign fix and error.
+    An int operand goes first, for the reason ``Rational.__add__`` gives."""
     g1 = gcd(na, db)
     if g1 > 1:
         na //= g1
         db //= g1
-    g2 = gcd(nb, da)
+    g2 = gcd(da, nb)
     if g2 > 1:
         nb //= g2
         da //= g2

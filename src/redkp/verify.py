@@ -16,7 +16,7 @@ shifts (``shift_conjugations``), the diagonal of X_t(0) and the special points
 ``special_point_kernels`` builds the A, B and Q points, failing if one is off
 the curve.  Identities that hold for every input are pinned by the tests
 instead, over arbitrary slice windows: det S, det S* and det R*, the zeros
-below the diagonal of X_t(0), the site shift (``lax.apply_shift`` by S), the
+below the diagonal of X_t(0), the site shift S X_t = X_t(rotated) S, the
 word expansion of the band table (``band_coefficients``), the word append rule
 (``yform.verify_word_append_rule``), the x/y-form duality
 (``yform.spectral_duality``) and the orders at infinity

@@ -143,6 +143,16 @@ def add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix([[p + q for p, q in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
 
 
+def rotated(state):
+    """The same history shifted by one site: new site n holds old site n+1."""
+    return LatticeState(
+        state.params,
+        {t: state.i_slice(t)[1:] + state.i_slice(t)[:1] for t in state.times("I")},
+        {t: state.v_slice(t)[1:] + state.v_slice(t)[:1] for t in state.times("V")},
+        state.frontier,
+    )
+
+
 def dense_monodromy(state, t, form="standard"):
     """X_t as the dense ``PolyMatrix`` product of its factor matrices."""
     factors = [build_factor(d) for d in factor_slices(state, t, form)]

@@ -1,0 +1,76 @@
+"""Compare ``redkp.rational.Rational`` with ``fractions.Fraction`` on + - * /.
+
+``Rational`` runs ``Fraction``'s field operations on its private slots, and
+the order of its gcd arguments is tuned to CPython's ``math.gcd``, so this
+check runs on every supported Python, with only the standard library and
+redkp installed:
+
+    python tests/fraction_parity.py
+
+Each operator is applied to every ordered pair of operands in which at least
+one is a ``Rational`` and the other a ``Rational`` or an int, from 0 and +-1
+to about 1400 bits.  It must give the value ``Fraction`` gives, as a
+``Rational``, or raise ``ZeroDivisionError`` where ``Fraction`` does (on
+Python 3.12 and later ``Fraction`` words some of the messages differently).
+Exits 1 and lists the mismatches if there are any.
+"""
+
+import operator
+import random
+import sys
+from fractions import Fraction
+
+from redkp.rational import Rational
+
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def operands(rng):
+    big = [rng.getrandbits(bits) | 1 for bits in (64, 700, 1400)]
+    ints = [0, 1, -1, 3, -12, 2**61 - 1, big[1], -big[2]]
+    rationals = [
+        Rational(0),
+        Rational(1),
+        Rational(-5, 3),
+        Rational(big[0], 6),
+        Rational(-3, big[0]),
+        Rational(big[2], rng.getrandbits(1400) | 1),
+        Rational(-big[1], 2**700),
+        Rational(big[2] * 3, 3 * big[1] + 3),
+    ]
+    return ints, rationals
+
+
+def outcome(op, a, b):
+    try:
+        return op(a, b)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def main():
+    ints, rationals = operands(random.Random(33))
+    pairs = [(a, b) for a in ints + rationals for b in ints + rationals]
+    pairs = [(a, b) for a, b in pairs if Rational in (type(a), type(b))]
+    bad = []
+    for a, b in pairs:
+        fa, fb = (Fraction(x) if type(x) is Rational else x for x in (a, b))
+        for op in OPERATORS:
+            got, want = outcome(op, a, b), outcome(op, fa, fb)
+            if want is ZeroDivisionError:
+                same = got is ZeroDivisionError
+            else:
+                same = type(got) is Rational and (got.numerator, got.denominator) == (
+                    want.numerator,
+                    want.denominator,
+                )
+            if not same:
+                bad.append(f"{op.__name__}({a!r}, {b!r}): {got!r}, Fraction gives {want!r}")
+    print(f"{len(pairs) * len(OPERATORS)} cases, {len(bad)} mismatches on Python {sys.version.split()[0]}")
+    for line in bad:
+        print(line)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,7 +39,14 @@ from redkp.degeneration import seed_large_zeta
 from redkp.lattice import default_time
 from redkp.lax import SHIFT_MU_K, _fold, apply_shift
 from redkp.yform import shift_stars
-from conftest import PARAM_SETS, bands_words, curve_closed_form_112, curve_closed_form_212, random_state
+from conftest import (
+    PARAM_SETS,
+    bands_words,
+    curve_closed_form_112,
+    curve_closed_form_212,
+    random_state,
+    rotated,
+)
 from test_yform import companion_reference_report
 
 
@@ -162,7 +169,7 @@ def test_criterion_5_compatibility_and_conjugation():
         ok &= verify_compatibility(st, t).all_zero
         ok &= _fold(apply_shift(st, t, SHIFT_MU_K)) == build_monodromy(st, t + K)
         s = shift_matrix(N)
-        ok &= s @ build_monodromy(st, t) == build_monodromy(st.rotated(), t) @ s
+        ok &= s @ build_monodromy(st, t) == build_monodromy(rotated(st), t) @ s
     _report(
         5,
         "exchange identities have zero residual matrices, the (+K)-conjugation "
@@ -283,7 +290,8 @@ def test_criterion_9_degeneration_convergence():
     for base in (base_112, base_213):
         plan = DegenerationPlan("reduce_M", base, horizon=12)
         table = limit_compare(plan, sweep)
-        ok &= table.strictly_decreasing
+        errs = [r.max_err for r in table.rows]
+        ok &= all(a > b for a, b in zip(errs, errs[1:]))
         ok &= -1.3 <= table.slope <= -0.7
     elapsed = time.monotonic() - start
     _report(

@@ -428,8 +428,8 @@ def assert_general_view_equals_leibniz(m: PolyMatrix):
     assert matdet(scale(m, TALL_SCALE)) == expected * TALL_SCALE**m.n
 
 
-def test_bareiss_equals_leibniz_4x4():
-    """The general view, which took the place of Bareiss elimination."""
+def test_general_view_equals_leibniz_4x4():
+    """The general view of 4 x 4 matrices, in both rings and past the cut."""
     rng = random.Random(11)
     for _ in range(8):
         assert_general_view_equals_leibniz(random_matrix(rng, 4))
@@ -437,14 +437,14 @@ def test_bareiss_equals_leibniz_4x4():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_bareiss_equals_leibniz_sizes(n):
+    """The general view of n x n matrices, in both rings and past the cut."""
     rng = random.Random(100 + n)
     assert_general_view_equals_leibniz(random_matrix(rng, n))
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_berkowitz_and_bareiss_equal_leibniz_on_curves(params):
-    """Each curve in both views (the general one took Bareiss's place) and
-    both rings, in the same term order."""
+    """Each curve in both views and both rings, in the same term order."""
     state = random_state(*params, seed=3)
     t = default_time(state)
     n = params[2]
@@ -490,8 +490,7 @@ def tall_matrix(rng, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_primitive_ring_equals_leibniz(n, monkeypatch):
-    """Matrices past the cut take the general view in the rational ring,
-    which took the place of Bareiss's primitive ring."""
+    """Matrices past the cut take the general view in the rational ring."""
     rng = random.Random(700 + n)
     calls = route(monkeypatch)
     for _ in range(12 if n < 6 else 3):
@@ -555,10 +554,10 @@ def test_curves_past_the_anchor_take_berkowitz(params, monkeypatch):
         assert det == leibniz_det(m)
 
 
-def test_verify_past_the_cut_takes_bareiss(monkeypatch):
+def test_verify_past_the_cut_takes_the_rational_ring(monkeypatch):
     """``verify`` of the tall (1,1,3) stepping window at t = 30 anchors at 31,
     on 4.5k-bit slices: each curve ``isospectrality`` builds has D past the
-    cut and takes the rational ring, where Bareiss's primitive ring was."""
+    cut and takes the rational ring."""
     tall = new_state(LatticeParams(1, 1, 3), {0: [2, rat(3, 2), 5]}, {0: [1, rat(7, 3), 4]})
     window = LatticeState.loads(tall.evolve_to(30).prune_below(30).dumps())
     t = default_time(window, deep=True)
@@ -598,9 +597,9 @@ def characteristic_matrix(rng, n, v, dens=(1, 2, 3), degree=2) -> PolyMatrix:
 @pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_berkowitz_equals_bareiss_and_leibniz(n, v, monkeypatch):
-    """A - xI takes the characteristic view, A - yI the general view (where
-    Bareiss was); each equals the other view and the oracle, in both rings
-    and in the same term order."""
+    """A - xI takes the characteristic view, A - yI the general view; each
+    equals the other view and the oracle, in both rings and in the same term
+    order."""
     rng = random.Random(900 + 10 * n + v)
     calls = route(monkeypatch)
     for _ in range(4 if n < 6 else 2):
@@ -632,9 +631,8 @@ def test_characteristic_form_routes_by_denominator_height(v, monkeypatch):
             assert det == leibniz_det(m) == _det_berkowitz(m, VIEWS[v], den)
 
 
-def test_near_characteristic_matrices_reach_bareiss(monkeypatch):
-    """Matrices that are not A - xI with A free of x take the general view,
-    where Bareiss was."""
+def test_near_characteristic_matrices_take_the_general_view(monkeypatch):
+    """Matrices that are not A - xI with A free of x take the general view."""
     x, y = BiPoly.x(), BiPoly.y()
     zero = BiPoly.zero()
     rng = random.Random(970)

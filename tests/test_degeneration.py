@@ -103,12 +103,40 @@ def test_plan_validation(classic_state):
 # -- convergence --------------------------------------------------------------------
 
 
+def reduce_k_base():
+    return new_state(LatticeParams(1, 2, 3), {0: [2, 3, 5]}, {-1: [1, 4, 2], 0: [3, 1, 2]})
+
+
+def off_set_deviations(plan, zeta):
+    """At the big times up to the last kept one that the index set leaves
+    out: the largest change of the frozen family against its slice one step
+    of that family back (V under reduce_M, I under reduce_K), and the largest
+    |value/zeta - 1| of the family seeded with zeta."""
+    big = plan.big_params
+    reduce_m = plan.direction == "reduce_M"
+    index_set = lambda_set if reduce_m else xi_set
+    kept = index_set(big.M, big.K, plan.horizon * (big.M + big.K))[: plan.horizon]
+    state = seed_large_zeta(plan, zeta).evolve_to(kept[-1])
+    freeze = scale = 0.0
+    for t in range(big.K if reduce_m else big.M, kept[-1] + 1):
+        if t in kept:
+            continue
+        if reduce_m:
+            now, prev, scaled = state.v_slice(t), state.v_slice(t - big.K), state.i_slice(t)
+        else:
+            now, prev, scaled = state.i_slice(t), state.i_slice(t - big.M), state.v_slice(t)
+        for n in range(big.N):
+            freeze = max(freeze, abs(float(now[n] - prev[n])))
+            scale = max(scale, abs(float(scaled[n]) / zeta - 1.0))
+    return freeze, scale
+
+
 def test_limit_compare_212(classic_state):
     plan = DegenerationPlan("reduce_M", classic_state, horizon=10)
     table = limit_compare(plan, [1e2, 1e3, 1e4])
     errs = [r.max_err for r in table.rows]
     assert all(e > 0 for e in errs)
-    assert table.strictly_decreasing
+    assert errs[0] > errs[1] > errs[2]
     # roughly one decade of error per decade of zeta
     assert errs[0] / errs[1] > 3 and errs[1] / errs[2] > 3
     assert -1.3 <= table.slope <= -0.7
@@ -121,20 +149,23 @@ def test_limit_compare_212(classic_state):
 
 
 def test_limit_compare_off_set_behaviour(classic_state):
-    plan = DegenerationPlan("reduce_M", classic_state, horizon=8)
-    table = limit_compare(plan, [1e2, 1e3])
-    # frozen family: V carries over between kept times, deviation shrinks with zeta
-    assert table.rows[0].freeze_err > table.rows[1].freeze_err
-    # designated family stays pinned to zeta: |I/zeta - 1| -> 0
-    assert table.rows[0].scale_dev > table.rows[1].scale_dev
-    assert table.rows[1].scale_dev < 0.1
+    for plan in (
+        DegenerationPlan("reduce_M", classic_state, horizon=8),
+        DegenerationPlan("reduce_K", reduce_k_base(), horizon=8),
+    ):
+        (freeze_1, scale_1), (freeze_2, scale_2) = (off_set_deviations(plan, z) for z in (1e2, 1e3))
+        # frozen family: carries over between kept times, deviation shrinks with zeta
+        assert freeze_1 > freeze_2
+        # designated family stays pinned to zeta: |value/zeta - 1| -> 0
+        assert scale_1 > scale_2
+        assert scale_2 < 0.1
 
 
 def test_limit_compare_reduce_k():
-    base = new_state(LatticeParams(1, 2, 3), {0: [2, 3, 5]}, {-1: [1, 4, 2], 0: [3, 1, 2]})
-    plan = DegenerationPlan("reduce_K", base, horizon=8)
+    plan = DegenerationPlan("reduce_K", reduce_k_base(), horizon=8)
     table = limit_compare(plan, [1e2, 1e3, 1e4])
-    assert table.strictly_decreasing
+    errs = [r.max_err for r in table.rows]
+    assert errs[0] > errs[1] > errs[2]
     assert -1.3 <= table.slope <= -0.7
 
 

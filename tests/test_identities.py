@@ -39,8 +39,8 @@ from redkp import (
     verify_word_append_rule,
 )
 from redkp.lattice import default_time
-from redkp.lax import SHIFT_SIGMA, _fold, apply_shift, fold_at
-from conftest import bands_words, dense_monodromy, fold_bands, identity, on_every_set, scale
+from redkp.lax import _fold, fold_at
+from conftest import bands_words, dense_monodromy, fold_bands, identity, on_every_set, rotated, scale
 
 # (1,1,2) to (3,4,5) and (2,3,7); every width M+K is within the word routes'
 # limit of 8
@@ -98,10 +98,8 @@ def test_band_routes_agree_on_any_window(M, K, N, data):
 def test_site_shift_intertwines_on_any_window(M, K, N, data):
     state = window_state(M, K, N, data)
     # S X_0 == X_0(rotated) S for any slices, so ``verify`` does not check it
-    rotated = build_monodromy(state.rotated(), 0)
-    assert _fold(apply_shift(state, 0, SHIFT_SIGMA)) == rotated
     s = shift_matrix(state.params.N)
-    assert s @ build_monodromy(state, 0) == rotated @ s
+    assert s @ build_monodromy(state, 0) == build_monodromy(rotated(state), 0) @ s
     assert state.frontier == 0
 
 

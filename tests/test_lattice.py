@@ -21,7 +21,7 @@ from redkp import (
     rat,
     uniform_state,
 )
-from conftest import on_every_set, random_state
+from conftest import on_every_set, random_state, rotated
 
 
 def products(values):
@@ -370,7 +370,7 @@ def test_loads_rejects_repeated_json_keys():
 
 def test_rotated_moves_every_slice_by_one_site():
     st = random_state(2, 1, 3, seed=21)
-    rot = st.rotated()
+    rot = rotated(st)
     for t in st.times("I"):
         v = st.i_slice(t)
         assert rot.i_slice(t) == v[1:] + v[:1]

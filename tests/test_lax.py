@@ -23,16 +23,15 @@ from redkp.lattice import default_time
 from redkp.lax import (
     SHIFT_MU_K,
     SHIFT_MU_MINUS_M,
-    SHIFT_SIGMA,
     _fold,
     apply_shift,
     factor_l,
     factor_r,
 )
 from redkp.verify import run_verification
-from conftest import PARAM_SETS, identity, random_state, scale
+from conftest import PARAM_SETS, identity, random_state, rotated, scale
 
-SHIFTS = (SHIFT_MU_K, SHIFT_MU_MINUS_M, SHIFT_SIGMA)
+SHIFTS = (SHIFT_MU_K, SHIFT_MU_MINUS_M)
 
 
 # -- factors ------------------------------------------------------------------
@@ -195,7 +194,7 @@ def test_monodromy_matches_factor_product_oracle(M, K, N, monkeypatch):
     st = random_state(M, K, N, seed=40 + 10 * M + N)
     t = default_time(st, deep=True)
     _assert_monodromies_match_oracle(st, t, monkeypatch)
-    _assert_monodromies_match_oracle(st.rotated(), t, monkeypatch)
+    _assert_monodromies_match_oracle(rotated(st), t, monkeypatch)
 
 
 def test_monodromy_entries_that_cancel_are_zero(monkeypatch):
@@ -323,14 +322,12 @@ def test_sigma_intertwines_site_rotation():
         x_t = build_monodromy(st, t)
         back = st
         for _ in range(N - 1):
-            back = back.rotated()
+            back = rotated(back)
         assert s @ x_t != build_monodromy(back, t) @ s
 
 
 def _conjugator(st, t, which):
     M, K = st.params.M, st.params.K
-    if which == SHIFT_SIGMA:
-        return shift_matrix(st.params.N)
     if which == SHIFT_MU_K:
         return factor_r(st, t - (M - 1) * K)
     return factor_l(st, t - M * K)
@@ -380,8 +377,6 @@ def test_corrupted_slice_breaks_time_shift_intertwinings():
     for which in (SHIFT_MU_K, SHIFT_MU_MINUS_M):
         with pytest.raises(NonPolynomialResult, match="intertwining failed"):
             apply_shift(bad, t, which)
-    # the site shift is an identity of the Lax structure, not of the dynamics
-    assert _fold(apply_shift(bad, t, SHIFT_SIGMA)) == build_monodromy(bad.rotated(), t)
 
 
 def test_corrupted_slice_fails_shift_conjugations_suite():
