@@ -3,7 +3,9 @@
 State files are JSON with every rational as a "p/q" string; diagnostic
 outputs may contain floats.  Exit codes: 0 success / all checks passed,
 1 failed checks, 2 input validation error, 3 evolution error.  Errors are
-reported as one JSON object on stderr.
+reported as one JSON object on stderr.  Every JSON output is the text of
+``json.dumps(doc, indent=2)`` (``sort_keys`` for verify), written by
+``_json_text``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .degeneration import DegenerationPlan, limit_compare
 from .errors import (
@@ -48,6 +51,43 @@ def _fail(exc: Exception, code: int) -> int:
 def _load_state(path: str) -> LatticeState:
     with open(path, "r", encoding="utf-8") as fh:
         return LatticeState.loads(fh.read())
+
+
+def _json_text(doc, sort_keys: bool = False) -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=sort_keys)`` for a
+    tree of str-keyed dicts and lists (or tuples): strings by
+    ``encode_basestring_ascii``, ints by ``int.__repr__`` and every other
+    value (float, bool, None) by ``json.dumps``, all collected in one list
+    and joined once.  ``json.dumps`` with an indent runs the pure-Python
+    encoder's generators instead."""
+    parts = []
+    _emit(doc, "\n", sort_keys, parts.append)
+    return "".join(parts)
+
+
+def _emit(value, newline: str, sort_keys: bool, put) -> None:
+    if isinstance(value, str):
+        put(_encode_str(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        put(int.__repr__(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        put(json.dumps(value))
+    elif not value:
+        put("{}" if isinstance(value, dict) else "[]")
+    else:
+        inner = newline + "  "
+        is_dict = isinstance(value, dict)
+        items = (sorted(value.items()) if sort_keys else value.items()) if is_dict else value
+        put("{" if is_dict else "[")
+        sep, comma = inner, "," + inner
+        for item in items:
+            put(sep)
+            sep = comma
+            if is_dict:
+                put(_encode_str(item[0]) + ": ")
+                item = item[1]
+            _emit(item, inner, sort_keys, put)
+        put(newline + ("}" if is_dict else "]"))
 
 
 def _write(text: str, output: str | None) -> None:
@@ -84,7 +124,7 @@ def cmd_evolve(args) -> int:
             raise HeightBudgetExceeded(
                 f"t = {t} reaches {bits} bits, over --max-bits {args.max_bits}"
             )
-    _write(json.dumps(state.to_json_dict(), indent=2), args.output)
+    _write(_json_text(state.to_json_dict()), args.output)
     return EXIT_OK
 
 
@@ -109,7 +149,7 @@ def cmd_charpoly(args) -> int:
             ),
         },
     }
-    _write(json.dumps(doc, indent=2), args.output)
+    _write(_json_text(doc), args.output)
     return EXIT_OK
 
 
@@ -130,14 +170,14 @@ def cmd_yform(args) -> int:
         "L_star": _matrix_records(l_star),
         "Y": _matrix_records(companion_product(rows)),
     }
-    _write(json.dumps(doc, indent=2), args.output)
+    _write(_json_text(doc), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     state = _load_state(args.input)
     report = run_verification(state, seed=args.seed)
-    _write(json.dumps(report, indent=2, sort_keys=True), args.output)
+    _write(_json_text(report, sort_keys=True), args.output)
     return EXIT_OK if report["passed"] else EXIT_CHECKS_FAILED
 
 

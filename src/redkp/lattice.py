@@ -74,7 +74,7 @@ def default_time(state: LatticeState, deep: bool = False) -> int:
 
 
 def _check_values(values, n: int, label: str) -> tuple:
-    vals = tuple(Rational(v) for v in values)
+    vals = tuple(v if type(v) is Rational else Rational(v) for v in values)
     if len(vals) != n:
         raise SizeMismatch(f"{label}: expected {n} values, got {len(vals)}")
     if any(v == 0 for v in vals):

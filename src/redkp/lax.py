@@ -12,6 +12,10 @@ monodromies: a right update of Z's rows against a left update of X_t's.
 The site shift, conjugation by the corner matrix S (the factor with diagonal
 0), holds for any slice values, so the tests pin it and no command checks it.
 
+The special points A, B (x = 0) and Q (y = 0) are checked on the curve's x^0
+column and y^0 row, the only terms their zero coordinate keeps, by one
+integer Horner pass per point.
+
 The band rows at each (t, form) and the curve at each t are built once per
 state, in its cache (``LatticeState.built``).  The monodromy matrix is not
 cached: the curve, its one caller on a command's path, is.
@@ -19,6 +23,7 @@ cached: the curve, its one caller on a command's path, is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bipoly import BiPoly
@@ -252,7 +257,9 @@ def special_points(state: LatticeState, t: int) -> SpecialPoints:
 
     The y-coordinates are the exact roots of the factor determinants
     (product of the slice plus (-1)^{N+1} y), so they carry the (-1)^N
-    factor for odd N.
+    factor for odd N.  Each point is checked on the one edge of the curve
+    its zero coordinate keeps (``_edge``, ``_vanishes``): the x^0 column for
+    A and B, the y^0 row for Q.
     """
     params = state.params
     curve = spectral_curve(state, t)
@@ -262,8 +269,35 @@ def special_points(state: LatticeState, t: int) -> SpecialPoints:
     a_pts = tuple((zero, sign * state.i_product(s)) for s in i_times)
     b_pts = tuple((zero, sign * state.v_product(s)) for s in reversed(v_times))
     q_pts = tuple((u, zero) for u in state.site_invariants())
-    for (x0, y0) in (*a_pts, *b_pts, *q_pts):
-        if curve.poly.evaluate(x0, y0) != 0:
-            raise AssertionError(f"special point ({x0}, {y0}) not on curve")
+    column, row = _edge(curve.poly, 0), _edge(curve.poly, 1)
+    for points, edge, coordinate in ((a_pts + b_pts, column, 1), (q_pts, row, 0)):
+        for point in points:
+            if not _vanishes(edge, point[coordinate]):
+                raise AssertionError(f"special point ({point[0]}, {point[1]}) not on curve")
     p_branch = (params.M + params.K, params.N) if params.gcd_mkn_ok else None
     return SpecialPoints(a_points=a_pts, b_points=b_pts, q_points=q_pts, p_branch=p_branch)
+
+
+def _edge(poly: BiPoly, axis: int) -> list:
+    """The terms of ``poly`` whose exponent at ``axis`` is 0 (0: the x^0
+    column, a polynomial in y; 1: the y^0 row, in x), as the integers
+    L c_k for k = 0 to the top degree, L the lcm of their denominators."""
+    terms = {key[1 - axis]: c for key, c in poly.items() if not key[axis]}
+    if not terms:
+        return []
+    lcm = math.lcm(*(c.denominator for c in terms.values()))
+    return [
+        terms[k].numerator * (lcm // terms[k].denominator) if k in terms else 0
+        for k in range(max(terms) + 1)
+    ]
+
+
+def _vanishes(edge: list, value) -> bool:
+    """Whether the edge polynomial is zero at value = r/s: the sum of
+    C_k r^k s^(top-k) by one integer Horner pass from the top degree."""
+    r, s = value.numerator, value.denominator
+    total, s_power = 0, 1
+    for c in reversed(edge):
+        total = total * r + c * s_power
+        s_power *= s
+    return total == 0

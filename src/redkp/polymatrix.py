@@ -28,7 +28,8 @@ over a ring's unit, negation and dot product.  It has two views.
   coefficient.
 
 It has two rings, by the common denominator D of all coefficients: the
-ints of D*A, with the coefficient of z^(n-k) divided by D^k at the end,
+ints of D*A, with the coefficient of z^(n-k) divided by D^k at the end
+(one gcd per term, the reduced pair built by ``rational.from_coprime``),
 while D fits in ``_INTEGER_DENOMINATOR_BITS`` bits; reduced Rationals past
 it.  Both return the same polynomial, its terms lex-descending.  Rationals
 over ints, on the characteristic matrices of 12 systems from (1,1,3) to
@@ -79,7 +80,7 @@ from operator import mul, neg
 
 from .bipoly import _ONE, BiPoly, _add_product, _coerce, _nonzero
 from .errors import SizeMismatch
-from .rational import Rational
+from .rational import from_coprime
 
 # Largest common denominator, in bits, of the integer ring; past it the
 # rational ring runs (see the module docstring).
@@ -314,7 +315,11 @@ def _det_berkowitz(m: PolyMatrix, v, d) -> BiPoly:
         terms = {key: sign * c for key, _, c in keyed}
     else:
         scales = [d**k for k in range(n + 1)]
-        terms = {key: Rational(sign * c, scales[k]) for key, k, c in keyed}
+        terms = {}
+        for key, k, c in keyed:
+            # the scale first, for the reason ``Rational.__add__`` gives
+            g = math.gcd(scales[k], c)
+            terms[key] = from_coprime(sign * c // g, scales[k] // g)
     # lex descending: float sums over the terms (``numeric``) stay
     # bit-identical
     return BiPoly._raw(dict(sorted(terms.items(), reverse=True)))

@@ -16,7 +16,13 @@ skips the operator-fallback dispatch, the ``numbers.Rational`` checks and
 ``Fraction``'s own method and gets its result.  On small operands an
 operation takes 0.3 of ``Fraction``'s time (0.3-0.4 us against 1.1-1.2 us
 for + - * / of two values, best of 24 runs, Python 3.11.7, x86-64); at 1000
-bits 0.94, and at 10000 bits 1.0, where the gcds dominate.
+bits 0.94, and at 10000 bits 1.0, where the gcds dominate.  A quotient by
+zero takes ``Fraction``'s own method, so it raises the running Python's
+``ZeroDivisionError`` message.
+
+``from_coprime`` builds a reduced pair by setting its slots, with no gcd
+(``mpq`` under gmpy2); ``parse_rational`` and the determinant coefficients
+of ``polymatrix`` use it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from math import gcd
 
 __all__ = ["Rational", "rat", "parse_rational", "format_rational"]
 
-_WIRE_FORM = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_WIRE_FORM = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 _new = object.__new__
 
 
@@ -70,15 +76,18 @@ class Rational(Fraction):
 
     __rmul__ = __mul__
 
+    # a zero divisor takes Fraction's own method, and so the running
+    # Python's ZeroDivisionError message
+
     def __truediv__(a, b):
-        if type(b) is Rational:
+        if type(b) is Rational and b._numerator:
             return _product(a._numerator, a._denominator, b._denominator, b._numerator)
-        if type(b) is int:
+        if type(b) is int and b:
             return _product(1, b, a._numerator, a._denominator)
         return Fraction.__truediv__(a, b)
 
     def __rtruediv__(b, a):
-        if type(a) is int:
+        if type(a) is int and b._numerator:
             return _product(a, 1, b._denominator, b._numerator)
         return Fraction.__rtruediv__(b, a)
 
@@ -127,9 +136,9 @@ def _sum(na, da, nb, db):
 
 def _product(na, da, nb, db):
     """(na/da)(nb/db), reduced as ``Fraction._mul`` does by the two cross
-    gcds.  A quotient passes its divisor inverted, so ``da`` or ``db`` may be
-    negative or zero; then it takes ``Fraction._div``'s sign fix and error.
-    An int operand goes first, for the reason ``Rational.__add__`` gives."""
+    gcds.  A quotient passes its nonzero divisor inverted, so ``da`` or
+    ``db`` may be negative; then it takes ``Fraction._div``'s sign fix.  An
+    int operand goes first, for the reason ``Rational.__add__`` gives."""
     g1 = gcd(na, db)
     if g1 > 1:
         na //= g1
@@ -140,9 +149,7 @@ def _product(na, da, nb, db):
         da //= g2
     n, d = na * nb, db * da
     # as _pair, inlined: the call would cost 15% of a small product
-    if d <= 0:
-        if not d:
-            raise ZeroDivisionError(f"Fraction({n}, 0)")
+    if d < 0:
         n, d = -n, -d
     r = _new(Rational)
     r._numerator, r._denominator = n, d
@@ -160,8 +167,19 @@ def _pair(n, d):
     return r
 
 
+def from_coprime(n, d):
+    """The Rational n/d of coprime ints n and d > 0, its slots set with no
+    gcd, sign or type check.  Under gmpy2 it is ``mpq``: ``_pair`` and this
+    fallback build only ``Rational``s."""
+    r = _new(Rational)
+    r._numerator, r._denominator = n, d
+    return r
+
+
 try:  # pragma: no cover - environment dependent
     from gmpy2 import mpq as Rational  # noqa: F811
+
+    from_coprime = Rational  # noqa: F811
 except ImportError:  # pragma: no cover
     pass
 
@@ -174,11 +192,17 @@ def rat(numerator, denominator=1):
 def parse_rational(text: str):
     """Parse the wire form ``"p/q"`` (denominator omitted when 1) exactly as
     ``format_rational`` writes it: no exponent, decimal point, underscore,
-    plus sign, whitespace, leading zero, ``"-0"`` or unreduced fraction."""
-    if isinstance(text, str) and _WIRE_FORM.fullmatch(text):
-        value = Rational(text)
-        if format_rational(value) == text:
-            return value
+    plus sign, whitespace, leading zero, ``"-0"`` or unreduced fraction.
+    One anchored match of ASCII digits, ``int`` on p and q, and a gcd when q
+    is written; the value is built by ``from_coprime``."""
+    match = _WIRE_FORM.fullmatch(text) if isinstance(text, str) else None
+    if match and text != "-0":
+        p, q = match.groups()
+        if q is None:
+            return from_coprime(int(p), 1)
+        p, q = int(p), int(q)
+        if q > 1 and gcd(p, q) == 1:
+            return from_coprime(p, q)
     raise ValueError(f"not a rational: {text!r}")
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redkp.lax
 import redkp.verify
@@ -23,6 +25,7 @@ from redkp import (
     psi_phi_ratios,
     rat,
 )
+from redkp import cli
 from redkp.cli import build_parser, main
 from redkp.lattice import default_time
 from redkp.verify import _run, _suites, run_verification
@@ -107,6 +110,56 @@ def test_evolve_writes_the_bytes_of_json_dumps(params, tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("evolve", str(src), "--to", "4") == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+@pytest.mark.parametrize("command", ["charpoly", "yform", "verify"])
+def test_commands_write_the_bytes_of_json_dumps(command, params, tmp_path, capsys, monkeypatch):
+    """charpoly, yform and verify write the bytes that json.dumps(doc,
+    indent=2) gives (sort_keys for verify), to a file and to stdout."""
+    src = tmp_path / "state.json"
+    src.write_text(random_state(*params, seed=2).dumps())
+    argv = [command, str(src)] + (["--seed", "7"] if command == "verify" else [])
+
+    def outputs():
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "-o", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        return out.read_bytes(), capsys.readouterr().out
+
+    written = outputs()
+    monkeypatch.setattr(
+        cli, "_json_text", lambda doc, sort_keys=False: json.dumps(doc, indent=2, sort_keys=sort_keys)
+    )
+    assert written == outputs()
+    assert written[1] == written[0].decode() + "\n"
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+    st.integers(),
+    st.integers(-(2**300), 2**300),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(value=_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_equals_json_dumps(value):
+    """Nested str-keyed dicts and lists, empty ones too, of every JSON
+    scalar: the writer gives json.dumps's text with and without sort_keys."""
+    for sort_keys in (False, True):
+        assert cli._json_text(value, sort_keys) == json.dumps(value, indent=2, sort_keys=sort_keys)
 
 
 def test_evolve_past_the_digit_cap_exits_2_before_opening_the_output(tmp_path, tall_file, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from math import isqrt
 
 import pytest
@@ -12,12 +13,14 @@ from redkp import (
     InsufficientHistory,
     LatticeParams,
     LatticeState,
+    Rational,
     SingularStep,
     SizeMismatch,
     ZeroValue,
     format_rational,
     monodromy_closure,
     new_state,
+    parse_rational,
     rat,
     uniform_state,
 )
@@ -300,6 +303,9 @@ def test_json_rejects_malformed():
 
 NON_WIRE_RATIONALS = [
     "1e3", "1.5", "1_000", "+3", " 3", "3/-4", "1e999999999", "4/2", "3/1", "007", "-0/5",
+    "-0", "0/1", "0/7", "00", "-01", "1/01", "3/4\n",
+    # Unicode digits, which int() alone accepts
+    "\u0663", "\uff13/\uff14", "1\u0663", "3/1\uff14",
 ]
 
 
@@ -309,6 +315,35 @@ def test_json_rejects_rationals_outside_wire_form(text):
     data["I"]["0"][1] = text
     with pytest.raises(SizeMismatch, match="not a rational"):
         LatticeState.from_json_dict(data)
+
+
+def test_json_numerator_past_the_digit_cap_is_a_malformed_state():
+    """CPython's int-from-str cap raises ValueError, reported as a malformed
+    state file."""
+    cap = sys.get_int_max_str_digits()
+    if not cap:
+        pytest.skip("no int-from-str digit cap")
+    data = random_state(1, 1, 2, seed=2).to_json_dict()
+    data["I"]["0"][1] = "7" * (cap + 1) + "/3"
+    with pytest.raises(SizeMismatch, match="malformed state file: Exceeds the limit"):
+        LatticeState.from_json_dict(data)
+
+
+# magnitudes from 0 and past 1000 bits
+_MAGNITUDES = st.one_of(st.integers(0, 1000), st.integers(2**1000, 2**1200))
+
+
+@given(
+    sign=st.sampled_from((1, -1)),
+    p=_MAGNITUDES,
+    q=st.one_of(st.just(1), st.integers(1, 1000), st.integers(2**1000, 2**1200)),
+)
+@settings(max_examples=200, deadline=None)
+def test_parse_rational_inverts_format_rational(sign, p, q):
+    value = rat(sign * p, q)
+    parsed = parse_rational(format_rational(value))
+    assert type(parsed) is Rational
+    assert (parsed.numerator, parsed.denominator) == (value.numerator, value.denominator)
 
 
 def test_json_wire_form_accepted_and_zero_denominator_rejected():

@@ -523,6 +523,40 @@ def test_special_points_case_b_coincide():
     assert sp.p_branch == (2, 3)
 
 
+# A coefficient the zero coordinate of each kind of point keeps: y^1 in the
+# x^0 column (A and B), x^1 in the y^0 row (Q), and one it kills on both.
+CURVE_CHANGES = {"column": (0, 1), "row": (1, 0), "interior": (1, 1)}
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+@pytest.mark.parametrize("change", sorted(CURVE_CHANGES))
+def test_special_points_check_the_curve_in_the_cache(change, params):
+    """With one curve coefficient changed by 1 in ``LatticeState.built``, a
+    column change fails the first A point and a row change the first Q
+    point; an interior change passes, as the full ``BiPoly.evaluate`` at
+    each point would.  Mutants each case catches: A and B points left
+    unchecked (column, the only test that does), Q points left unchecked
+    (row), and a check of the whole cached curve against a rebuilt one
+    (interior)."""
+    state = random_state(*params, seed=4)
+    t = default_time(state)
+    genuine = special_points(state.copy(), t)
+    curve = spectral_curve(state.copy(), t)
+    terms = dict(curve.poly.items())
+    key = CURVE_CHANGES[change]
+    terms[key] = terms.get(key, 0) + 1
+    changed = lax.SpectralCurve(BiPoly(terms), curve.deg_x, curve.deg_y)
+    state.built(("curve", t), lambda: changed)
+    assert all(changed.poly.evaluate(x0, y0) == 0 for x0, y0 in genuine.all_points()) is (change == "interior")
+    if change == "interior":
+        assert special_points(state, t) == genuine
+        return
+    x0, y0 = (genuine.a_points if change == "column" else genuine.q_points)[0]
+    with pytest.raises(AssertionError) as raised:
+        special_points(state, t)
+    assert str(raised.value) == f"special point ({x0}, {y0}) not on curve"
+
+
 def test_product_of_factor_determinants():
     st = random_state(2, 1, 3, seed=14)
     t = default_time(st)
