@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     DegenerateEvolution,
@@ -31,7 +31,7 @@ from .errors import (
     SizeMismatch,
     ZeroValue,
 )
-from .rational import Rational, format_rational, parse_rational
+from .rational import Rational, format_rational, from_coprime, parse_rational
 
 CASE_A = "case_a"
 CASE_B = "case_b"
@@ -83,10 +83,13 @@ def _check_values(values, n: int, label: str) -> tuple:
 
 
 def _product(values):
-    p = Rational(1)
-    for v in values:
-        p *= v
-    return p
+    """The product of a slice's values, reduced once: a slice's factors
+    cancel only when the cycle closes, so one gcd of the numerators'
+    product with the denominators' beats a reduction per factor."""
+    n = prod(v.numerator for v in values)
+    d = prod(v.denominator for v in values)
+    g = gcd(n, d)
+    return from_coprime(n // g, d // g)
 
 
 def monodromy_closure(a, b):
@@ -310,7 +313,9 @@ class LatticeState:
             t = self.evolve_to(default_time(self)).frontier
         i_times, v_times = self.params.factor_times(t)
         slices = [self.i_slice(s) for s in i_times] + [self.v_slice(s) for s in v_times]
-        return tuple(_product(v[j] for v in slices) for j in range(self.params.N))
+        # reduced factor by factor: a site column's neighbours cancel
+        # pairwise, so each partial product stays short
+        return tuple(prod((v[j] for v in slices), start=Rational(1)) for j in range(self.params.N))
 
     def classify_case(self) -> str:
         u = self.site_invariants()

@@ -128,18 +128,6 @@ def _fold(rows) -> PolyMatrix:
     return PolyMatrix([[BiPoly._raw(e) for e in row] for row in entries])
 
 
-def fold_at(rows, y0) -> list:
-    """The N x N matrix of rationals ``_fold(rows)`` takes at y = y0: a_{i,k}
-    adds to entry (i, (i+k) mod N) times y0^((i+k) div N)."""
-    n = len(rows)
-    out = [[Rational(0)] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        for k, a in enumerate(row):
-            wrap, col = divmod(i + k, n)
-            out[i][col] += a * y0**wrap
-    return out
-
-
 @dataclass(frozen=True)
 class CompatibilityReport:
     """Exact residual matrices of the three exchange identities at one time."""

@@ -17,8 +17,9 @@ at infinity and vanishes like k^w along y = k^N at Q.  Orders are ints and
 limits are rationals, compared with ``==``.
 
 The special points Q1, A_j and B_i of ``lax.special_points`` are rational,
-so the uniqueness of the eigenvector there is an exact rank over Q, of a
-matrix of rationals read straight off the band rows (``lax.fold_at``).
+so the uniqueness of the eigenvector there is an exact rank, of a matrix of
+integers read straight off the band rows: each row of X(y0) - x0 I scaled by
+the lcm of its denominators.
 
 ``fiber_x`` and ``eigenvector_at`` work in complex floating point and no
 suite calls them: they remain only as the tests' float oracles and as
@@ -47,7 +48,6 @@ from .lax import (
     _fold,
     build_monodromy,
     conjugator_times,
-    fold_at,
     monodromy_bands,
     special_points,
 )
@@ -172,11 +172,9 @@ def eigenvector_at(state: LatticeState, t: int, point: ComplexPoint):
 
 
 def _rank(rows) -> int:
-    """Rank of a matrix of rationals, by fraction-free Gaussian elimination
-    over Z: each row is scaled by the lcm of its denominators, and each
-    updated row divided by its content."""
-    dens = [lcm(*(v.denominator for v in row)) for row in rows]
-    rows = [[v.numerator * (den // v.denominator) for v in row] for row, den in zip(rows, dens)]
+    """Rank of a matrix of integers, by fraction-free Gaussian elimination:
+    each updated row is divided by its content."""
+    rows = list(rows)
     rank = 0
     for c in range(len(rows[0])):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
@@ -194,15 +192,43 @@ def _rank(rows) -> int:
     return rank
 
 
+def _kernel_rows(rows, x0, y0) -> list:
+    """X(y0) - x0 I as rows of integers, X the fold of the band rows
+    ``rows``: each row is the rational row times a positive scale, the lcm
+    of its terms' denominators.  a_{i,k} adds a_{i,k} y0^w to entry
+    (i, (i+k) mod N), w = (i+k) div N, and each power of y0's numerator and
+    denominator is taken once."""
+    n = len(rows)
+    p, q = y0.numerator, y0.denominator
+    p_pow, q_pow = [1], [1]
+    for _ in range((n + len(rows[0]) - 2) // n):  # the largest w
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    out = []
+    for i, row in enumerate(rows):
+        terms = [(i, -x0.numerator, x0.denominator)]
+        for k, a in enumerate(row):
+            if a:
+                w, col = divmod(i + k, n)
+                terms.append((col, a.numerator * p_pow[w], a.denominator * q_pow[w]))
+        scale = lcm(*(den for _, _, den in terms))
+        line = [0] * n
+        for col, num, den in terms:
+            line[col] += num * (scale // den)
+        out.append(line)
+    return out
+
+
 def special_point_kernels(state: LatticeState, t: int) -> NumericDiag:
     """The eigenvector is unique up to scale at Q1 and at every A_j and B_i:
     X_{t'}(y0) - x0 I has rank N - 1 over Q at each of these rational points.
 
     t' is the time at which the point's factor is the rightmost one of the
     monodromy (``conjugator_times``): t for the corner point Q1 = (U_1, 0),
-    the standard form for an upper factor and the alternate form, which ends
-    in a lower factor, for a lower one.  X_{t'}(y0) is read off the band rows
-    at t' (``lax.fold_at``), the values its fold over Q[y] takes at y0.
+    the time whose standard form ends in an A point's upper factor, and the
+    time whose alternate form ends in a B point's lower factor.  Every point
+    reads the standard-form band rows at t', which equal the alternate-form
+    rows as matrices, as integer rows of X_{t'}(y0) - x0 I (``_kernel_rows``).
     """
     n = state.params.N
     sp = special_points(state, t)
@@ -213,10 +239,8 @@ def special_point_kernels(state: LatticeState, t: int) -> NumericDiag:
     points += [(f"B{i}", s - low, p) for i, (s, p) in enumerate(zip(v_times[::-1], sp.b_points))]
     samples = []
     for label, t_shift, (x0, y0) in points:
-        rows = fold_at(monodromy_bands(state, t_shift), y0)
-        for r in range(n):
-            rows[r][r] -= x0
-        samples.append((f"rank:{label}", _rank(rows), n - 1))
+        rank = _rank(_kernel_rows(monodromy_bands(state, t_shift), x0, y0))
+        samples.append((f"rank:{label}", rank, n - 1))
     return _exact_diag("special_point_kernels", samples)
 
 

@@ -8,10 +8,12 @@ to the fallback on this package has not been measured).
 The stdlib fallback is ``Rational``, a ``fractions.Fraction`` subclass whose
 ``+ - * /``, unary ``-``, ``abs``, ``**`` by an int and ``==`` with a
 ``Rational`` or ``int`` operand run straight on the ``_numerator`` and
-``_denominator`` slots and return a ``Rational``.  Each makes the gcd
-reductions of ``Fraction._add``, ``_sub``, ``_mul`` and ``_div`` (Knuth,
-TAOCP Vol. 2, 4.5.1), so every value is the one ``Fraction`` computes, but
-skips the operator-fallback dispatch, the ``numbers.Rational`` checks and
+``_denominator`` slots and return a ``Rational``.  Products and quotients
+make the gcd reductions of ``Fraction._mul`` and ``_div`` (Knuth, TAOCP
+Vol. 2, 4.5.1); sums and differences reach the reduced pair of
+``Fraction._add`` and ``_sub`` by one divmod where those take a second gcd
+and two divisions (``_sum``).  So every value is the one ``Fraction``
+computes, with no operator-fallback dispatch, ``numbers.Rational`` check or
 ``Fraction.__new__``.  Any other operand (``Fraction``, float, ...) takes
 ``Fraction``'s own method and gets its result.  On small operands an
 operation takes 0.3 of ``Fraction``'s time (0.3-0.4 us against 1.1-1.2 us
@@ -21,8 +23,8 @@ zero takes ``Fraction``'s own method, so it raises the running Python's
 ``ZeroDivisionError`` message.
 
 ``from_coprime`` builds a reduced pair by setting its slots, with no gcd
-(``mpq`` under gmpy2); ``parse_rational`` and the determinant coefficients
-of ``polymatrix`` use it.
+(``mpq`` under gmpy2); ``parse_rational``, the determinant coefficients of
+``polymatrix`` and the slice products of ``lattice`` use it.
 """
 
 from __future__ import annotations
@@ -116,22 +118,43 @@ class Rational(Fraction):
 
 
 def _sum(na, da, nb, db):
-    """na/da + nb/db, reduced as ``Fraction._add`` does: one gcd of the
-    denominators, and a second only when it is not 1."""
+    """na/da + nb/db as the reduced pair ``Fraction._add`` returns, with one
+    divmod by g = gcd(da, db) in place of its gcd(n, g) and two divisions by
+    that gcd.
+
+    With s, t = da/g, db/g, the sum is n/(s t g) for n = na t + nb s, and
+    gcd(n, s t) = 1.  Write n = q g + r, 0 <= r < g: gcd(n, g) = gcd(g, r) =
+    g2, and with h = g/g2 the reduced pair is (q, s t) when r = 0, (n, s db)
+    when g2 = 1, and (q h + r/g2, s t h) otherwise.  A zero sum has r = 0
+    and s = t = 1, as reduced operands with equal values share da = db.
+
+    Deep in an evolution g is large: each numerator and denominator is a
+    product of factors of about half the height, shared with neighbouring
+    values.  Over the eight sub-cap ``evolve-deep`` draws of bench seed 11,
+    g > 1 in 4135 of 5004 sums and gcd(n, g) > 1 in 3977; of the 2568 with
+    g > 1 and a denominator past 2000 bits, 937 divide out all of g and 2069
+    leave h of at most 64 bits.  There ``Fraction``'s gcd(n, g), n/g2 and
+    db/g2 took 21% of the step's time, and this branch takes 12%.  On
+    200-bit operands sharing a 100-bit factor a sum costs about 3% more."""
     g = gcd(da, db)
     if g == 1:
         n, d = na * db + da * nb, da * db
     else:
-        s = da // g
-        n = na * (db // g) + nb * s
-        g2 = gcd(n, g)
-        if g2 == 1:
-            d = s * db
+        s, t = da // g, db // g
+        n = na * t + nb * s
+        q, r = divmod(n, g)
+        if not r:
+            n, d = q, s * t
         else:
-            n, d = n // g2, s * (db // g2)
-    r = _new(Rational)
-    r._numerator, r._denominator = n, d
-    return r
+            g2 = gcd(g, r)
+            if g2 == 1:
+                d = s * db
+            else:
+                h = g // g2
+                n, d = q * h + r // g2, s * t * h
+    out = _new(Rational)
+    out._numerator, out._denominator = n, d
+    return out
 
 
 def _product(na, da, nb, db):

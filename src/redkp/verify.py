@@ -83,19 +83,26 @@ def _suites(state: LatticeState) -> list:
     # -- exact suites ------------------------------------------------------
 
     def evolution_consistency():
+        # both lattice equations by integer cross-multiplication of the
+        # reduced pairs, whose denominators are positive; each slice product
+        # is taken once
+        first = max(state.i_min + M, state.v_min + K)
+        times = range(first, last + 1)
+        i_prod = {t: state.i_product(t) for t in range(first - M, last + 1)}
+        v_prod = {t: state.v_product(t) for t in range(first - K, last + 1)}
         ok = True
-        checked = 0
-        for t in range(max(state.i_min + M, state.v_min + K), last + 1):
-            a, b = state.i_slice(t - M), state.v_slice(t - K)
-            x, y = state.i_slice(t), state.v_slice(t)
+        for t in times:
+            slices = state.i_slice(t - M), state.v_slice(t - K), state.i_slice(t), state.v_slice(t)
+            a, b, x, y = ([(v.numerator, v.denominator) for v in values] for values in slices)
             for i in range(n):
-                ok &= x[i] == a[i - 1] + b[i] - y[i - 1]
-                ok &= y[i] * x[i] == a[i] * b[i]
-            pa = state.i_product(t - M)
-            pb = state.v_product(t - K)
-            ok &= state.i_product(t) == pa and state.v_product(t) == pb
-            checked += 1
-        return {"_ok": bool(ok and checked), "steps_checked": checked}
+                # x_i = a_{i-1} + b_i - y_{i-1}
+                (an, ad), (bn, bd), (yn, yd), (xn, xd) = a[i - 1], b[i], y[i - 1], x[i]
+                ok &= xn * ad * bd * yd == xd * ((an * bd + bn * ad) * yd - yn * ad * bd)
+                # y_i x_i = a_i b_i
+                (an, ad), (bn, bd), (yn, yd) = a[i], b[i], y[i]
+                ok &= yn * xn * ad * bd == an * bn * yd * xd
+            ok &= i_prod[t] == i_prod[t - M] and v_prod[t] == v_prod[t - K]
+        return {"_ok": bool(ok and times), "steps_checked": len(times)}
 
     def invariant_constancy():
         u0 = state.site_invariants(t_deep)

@@ -98,6 +98,18 @@ def fold_bands(rows):
     return PolyMatrix(out)
 
 
+def fold_at(rows, y0) -> list:
+    """The N x N matrix of rationals ``lax._fold(rows)`` takes at y = y0:
+    a_{i,k} adds to entry (i, (i+k) mod N) times y0^((i+k) div N)."""
+    n = len(rows)
+    out = [[rat(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for k, a in enumerate(row):
+            wrap, col = divmod(i + k, n)
+            out[i][col] += a * y0**wrap
+    return out
+
+
 def curve_closed_form_112(i_values, v_values):
     """Curve polynomial of the (1,1,2) system straight from the slice data."""
     i1, i2 = (rat(v) for v in i_values)

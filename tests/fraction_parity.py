@@ -9,11 +9,12 @@ redkp installed:
 
 Each operator is applied to every ordered pair of operands in which at least
 one is a ``Rational`` and the other a ``Rational`` or an int, from 0 and +-1
-to about 1400 bits.  It must give the value ``Fraction`` gives, as a
-``Rational``, or raise ``ZeroDivisionError`` where ``Fraction`` does, with
-the message ``Fraction`` gives on the running Python (3.12 and later word
-some of them differently).  Exits 1 and lists the mismatches if there are
-any.
+to about 1400 bits, among them pairs whose denominators share a 607-bit
+prime, so that sums reach every branch of ``rational._sum``.  It must give
+the value ``Fraction`` gives, as a ``Rational``, or raise
+``ZeroDivisionError`` where ``Fraction`` does, with the message ``Fraction``
+gives on the running Python (3.12 and later word some of them differently).
+Exits 1 and lists the mismatches if there are any.
 """
 
 import operator
@@ -38,6 +39,17 @@ def operands(rng):
         Rational(big[2], rng.getrandbits(1400) | 1),
         Rational(-big[1], 2**700),
         Rational(big[2] * 3, 3 * big[1] + 3),
+    ]
+    # denominators sharing the prime f take every branch of rational._sum:
+    # (f-2)/2f + (f+3)/3f = 5/6 divides out all of g = f, their difference
+    # none of it, and 1/12f + 5/12f and 1/12f - 7/12f cancel 6 of g = 12f
+    f = 2**607 - 1
+    rationals += [
+        Rational(f - 2, 2 * f),
+        Rational(f + 3, 3 * f),
+        Rational(1, 12 * f),
+        Rational(5, 12 * f),
+        Rational(-7, 12 * f),
     ]
     return ints, rationals
 

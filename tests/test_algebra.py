@@ -17,7 +17,6 @@ from redkp.lattice import default_time
 from redkp.lax import (
     build_factor,
     build_monodromy,
-    fold_at,
     monodromy_bands,
     shift_matrix,
     special_points,
@@ -154,6 +153,52 @@ def test_rational_arithmetic_equals_fractions(a, b, k, e):
     assert hash(Rational(a)) == hash(a) and hash(Rational(k)) == hash(k)
 
 
+# a 607-bit prime shared by the denominators of the branch examples below
+SHARED_PRIME = 2**607 - 1
+
+
+@st.composite
+def shared_factor_pairs(draw):
+    """Two fractions whose denominators share a drawn factor f of up to 400
+    bits.  The second is free, the negative of the first, or w - a for a
+    drawn w whose denominator keeps all, part or none of f, so that the
+    sum's gcd(n, g) runs from 1 to g = gcd(da, db)."""
+    f = draw(st.integers(2, 2**400))
+    numerators = st.integers(-(2**400), 2**400)
+    a = Fraction(draw(numerators), f * draw(st.integers(1, 60)))
+    kind = draw(st.sampled_from(("free", "negative", "difference")))
+    if kind == "free":
+        return a, Fraction(draw(numerators), f * draw(st.integers(1, 60)))
+    if kind == "negative":
+        return a, -a
+    part = math.gcd(f, draw(st.integers(1, f)))
+    return a, Fraction(draw(numerators), part * draw(st.integers(1, 60))) - a
+
+
+@pytest.mark.skipif(not issubclass(Rational, Fraction), reason="Rational is gmpy2.mpq")
+@given(pair=shared_factor_pairs())
+# one example per branch of rational._sum, f the shared prime: g = 1; r = 0
+# (the sum is 5/6); g2 = 1; 1 < g2 < g (6 of 12f cancels), with positive and
+# negative numerators; a zero sum
+@example(pair=(Fraction(1, 2), Fraction(-1, 3)))
+@example(pair=(Fraction(SHARED_PRIME - 2, 2 * SHARED_PRIME), Fraction(SHARED_PRIME + 3, 3 * SHARED_PRIME)))
+@example(pair=(Fraction(SHARED_PRIME - 2, 2 * SHARED_PRIME), Fraction(1, 12 * SHARED_PRIME)))
+@example(pair=(Fraction(1, 12 * SHARED_PRIME), Fraction(5, 12 * SHARED_PRIME)))
+@example(pair=(Fraction(1, 12 * SHARED_PRIME), Fraction(-7, 12 * SHARED_PRIME)))
+@example(pair=(Fraction(-3, 7 * SHARED_PRIME), Fraction(3, 7 * SHARED_PRIME)))
+@settings(max_examples=150, deadline=None)
+def test_sums_of_shared_factor_operands_equal_fractions(pair):
+    """Sums and differences of operands whose denominators share a large
+    factor, in both orders: the slots ``rational._sum`` sets are the reduced
+    pair ``Fraction`` gives, on every branch of its divmod.  Caught mutants:
+    the denominator s*db for s*t*h, the numerator q for q*h + r/g2, and
+    (q, s*db) for r = 0."""
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        for op in (operator.add, operator.sub):
+            _same_as_fraction(op, x, y)
+
+
 OTHER_OPERANDS = (0.0, 0.5, -2.25, 3.0, 0j, 1.5 - 2j, 3 + 0j, Decimal(0), Decimal("1.5"), Decimal(-2))
 
 
@@ -180,26 +225,22 @@ def _all_rational(values):
 
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_hot_paths_stay_on_rational(params):
-    """Every value the step, the band rows, the site invariants, ``fold_at``
-    and the curve make is a ``Rational``, not an int or a ``Fraction``: a
-    silent fall-back keeps the values and loses the speed.  Caught mutant:
-    deleting ``Rational.__pow__``, which makes ``fold_at``'s ``y0**wrap`` a
-    ``Fraction``."""
+    """Every value the step, the band rows, the site invariants, the slice
+    products and the curve make is a ``Rational``, not an int or a
+    ``Fraction``: a silent fall-back keeps the values and loses the speed."""
     state = random_state(*params, seed=31)
     t = default_time(state, deep=True)
     state.evolve_to(t + 3)
     _all_rational(v for kind, get in (("I", state.i_slice), ("V", state.v_slice))
                   for s in state.times(kind) for v in get(s))
     _all_rational(state.site_invariants())
-    rows = monodromy_bands(state, t)
+    _all_rational(get(s) for kind, get in (("I", state.i_product), ("V", state.v_product))
+                  for s in state.times(kind))
     _all_rational(a for form in ("standard", "alternate")
                   for row in monodromy_bands(state, t, form) for a in row)
     points = special_points(state, t)
     _all_rational(c for _, c in spectral_curve(state, t).poly.items())
     _all_rational(v for point in points.all_points() for v in point)
-    for _, y0 in points.all_points():
-        _all_rational(v for row in fold_at(rows, y0) for v in row)
-    _all_rational(v for row in fold_at(rows, rat(-3, 2)) for v in row)
 
 
 # -- bipoly ring axioms and evaluation ---------------------------------------------
@@ -436,7 +477,7 @@ def test_general_view_equals_leibniz_4x4():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_bareiss_equals_leibniz_sizes(n):
+def test_berkowitz_equals_leibniz_sizes(n):
     """The general view of n x n matrices, in both rings and past the cut."""
     rng = random.Random(100 + n)
     assert_general_view_equals_leibniz(random_matrix(rng, n))

@@ -10,7 +10,8 @@ structure of X_t at y = 0: triangular with the site invariants on its
 diagonal, the special points on the curve and the closed forms of det S* and
 det R*.  Two of the package's shortcuts are pinned here against their
 slow forms too: ``PolyMatrix.minus_diagonal`` against the identity oracle,
-term order included, and ``lax.fold_at`` against the evaluated fold.
+term order included, and the integer rows of ``numeric._kernel_rows``
+against the evaluated fold.
 
 Each identity has one property test here and no other test of the same
 claim; each runs every entry of ``PARAM_SETS`` on every run, with the same
@@ -39,8 +40,9 @@ from redkp import (
     verify_word_append_rule,
 )
 from redkp.lattice import default_time
-from redkp.lax import _fold, fold_at
-from conftest import bands_words, dense_monodromy, fold_bands, identity, on_every_set, rotated, scale
+from redkp.lax import _fold
+from redkp.numeric import _kernel_rows
+from conftest import bands_words, dense_monodromy, fold_at, fold_bands, identity, on_every_set, rotated, scale
 
 # (1,1,2) to (3,4,5) and (2,3,7); every width M+K is within the word routes'
 # limit of 8
@@ -185,12 +187,19 @@ def test_minus_diagonal_keeps_the_terms_of_the_identity_oracle(M, K, N, data):
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_band_rows_evaluate_as_their_fold_on_any_window(M, K, N, data):
+    """Each integer row of ``numeric._kernel_rows`` is the row of X(y0) -
+    x0 I times a positive scale, X(y0) read by ``fold_at`` and evaluated
+    from the fold, at every special point and at a drawn point."""
     state = window_state(M, K, N, data)
     rows = band_coefficients(state, 0)
     folded = _fold(rows)
     drawn = data.draw(values), data.draw(values)
     for x0, y0 in [*special_points(state, 0).all_points(), drawn]:
-        assert fold_at(rows, y0) == [
-            [folded.entry(r, c).evaluate(x0, y0) for c in range(N)] for r in range(N)
-        ]
+        matrix = fold_at(rows, y0)
+        assert matrix == [[folded.entry(r, c).evaluate(x0, y0) for c in range(N)] for r in range(N)]
+        for r, (got, want) in enumerate(zip(_kernel_rows(rows, x0, y0), matrix)):
+            want = [v - x0 if c == r else v for c, v in enumerate(want)]
+            scale = next((g / w for g, w in zip(got, want) if w), None)
+            assert all(type(g) is int for g in got)
+            assert got == [0] * N if scale is None else scale > 0 and got == [scale * w for w in want]
     assert state.frontier == 0

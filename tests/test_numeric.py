@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -167,7 +168,17 @@ def test_verify_fails_on_a_rank_drop(text, sample, rank):
     ],
 )
 def test_rank(rows, rank):
-    assert _rank([[rat(v) for v in row] for row in rows]) == rank
+    assert _rank(integer_rows([[rat(v) for v in row] for row in rows])) == rank
+
+
+def integer_rows(rows):
+    """Each row of rationals times the lcm of its denominators, the input
+    ``_rank`` takes."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (den // v.denominator) for v in row])
+    return out
 
 
 def fraction_rank(rows) -> int:
@@ -203,7 +214,7 @@ def test_rank_equals_fraction_elimination():
         left = [[value() for _ in range(r)] for _ in range(n)]
         right = [[value() for _ in range(m)] for _ in range(r)]
         rows = [[sum((a * b for a, b in zip(row, col)), rat(0)) for col in zip(*right)] for row in left]
-        rank = _rank(rows)
+        rank = _rank(integer_rows(rows))
         assert rank == fraction_rank(rows) <= r
         ranks.add((rank, min(n, m)))
     assert any(rank < full for rank, full in ranks) and any(rank == full for rank, full in ranks)
