@@ -160,6 +160,12 @@ class LatticeState:
     """History of I/V slices with an advancing frontier, plus a cache of the
     objects derived from it (``built``), valid until ``prune_below``.
 
+    The cache holds the slice products and site invariants, each under its
+    own time, so the special points, ``classify_case`` and ``verify`` share
+    them.  A slice never changes once written, so an entry stays right
+    until pruning; the step neither reads nor fills the cache, so no value
+    is carried from one time to the next.
+
     A state is exclusively owned while being advanced.  ``copy()`` snapshots
     may be read concurrently; reading one fills its own cache, so two readers
     may build the same object twice.
@@ -225,17 +231,19 @@ class LatticeState:
         return self._get(self._v, "V", t)
 
     def i_product(self, t: int):
-        return _product(self.i_slice(t))
+        return self.built(("i_product", t), lambda: _product(self.i_slice(t)))
 
     def v_product(self, t: int):
-        return _product(self.v_slice(t))
+        return self.built(("v_product", t), lambda: _product(self.v_slice(t)))
 
     def times(self, kind: str):
         hist = self._i if kind == "I" else self._v
         return sorted(hist)
 
     def built(self, key, build):
-        """The derived object under ``key``, made by ``build()`` on first use."""
+        """The derived object under ``key``, made by ``build()`` on first use.
+        A key names everything the object depends on, its times included;
+        ``copy()`` starts empty and ``prune_below`` clears it."""
         if key not in self._built:
             self._built[key] = build()
         return self._built[key]
@@ -243,10 +251,18 @@ class LatticeState:
     # -- evolution --------------------------------------------------------------
 
     def step(self) -> "LatticeState":
+        """Write the slices at frontier + 1 (module docstring).  The a_i b_i
+        are formed once, for y and, when M = K = 1, for prod(b) =
+        prod(ab) / prod(a): there they are the site invariants, so this
+        spares a product of N values of the slices' height.  Other (M, K)
+        keep prod(b): there the a_i b_i are as tall as the slices, and the
+        quotient measured no faster.  The step neither reads nor fills the
+        ``built`` cache."""
         t1 = self.frontier + 1
         a = self._i[t1 - self.params.M]
         b = self._v[t1 - self.params.K]
         n = self.params.N
+        ab = [ai * bi for ai, bi in zip(a, b)]
 
         # z = 1/(x - b) goes round the cycle to (pb/pa) z + s, fixed at s / (1 - pb/pa);
         # the pass runs on w = pa*s with no division, and x - b = (pa - pb) / w
@@ -254,7 +270,7 @@ class LatticeState:
         for i in range(n):
             w = pa + b[i - 1] * w
             pa = pa * a[i - 1]
-        pb = _product(b)
+        pb = _product(ab) / pa if self.params.M == self.params.K == 1 else _product(b)
         if pa == pb:
             raise DegenerateEvolution(
                 f"prod(I) == prod(V) == {format_rational(pa)} at step {t1}: "
@@ -269,13 +285,13 @@ class LatticeState:
         if x_last == 0:
             raise SingularStep(f"x_{n} = 0 at step {t1}")
         x[n - 1] = x_last
-        y[n - 1] = a[n - 1] * b[n - 1] / x_last
+        y[n - 1] = ab[n - 1] / x_last
         for i in range(n - 1):
             xi = a[i - 1] + b[i] - y[i - 1]
             if xi == 0:
                 raise SingularStep(f"x_{i + 1} = 0 at step {t1}")
             x[i] = xi
-            y[i] = a[i] * b[i] / xi
+            y[i] = ab[i] / xi
 
         self._i[t1] = tuple(x)
         self._v[t1] = tuple(y)
@@ -307,10 +323,13 @@ class LatticeState:
         U_j multiplies the site-j values of every factor slice of X_t
         (``LatticeParams.factor_times``), at t or by default at the frontier;
         this product is exactly invariant in t, so any time from
-        ``default_time`` on gives the same tuple.
+        ``default_time`` on gives the same tuple.  Cached under its time.
         """
         if t is None:
             t = self.evolve_to(default_time(self)).frontier
+        return self.built(("site_invariants", t), lambda: self._site_invariants(t))
+
+    def _site_invariants(self, t: int) -> tuple:
         i_times, v_times = self.params.factor_times(t)
         slices = [self.i_slice(s) for s in i_times] + [self.v_slice(s) for s in v_times]
         # reduced factor by factor: a site column's neighbours cancel

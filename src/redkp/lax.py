@@ -14,7 +14,9 @@ The site shift, conjugation by the corner matrix S (the factor with diagonal
 
 The special points A, B (x = 0) and Q (y = 0) are checked on the curve's x^0
 column and y^0 row, the only terms their zero coordinate keeps, by one
-integer Horner pass per point.
+integer Horner pass per point.  Their coordinates are the slice products and
+the site invariants, two groupings of the same factor entries, so one B
+product is read off the others.
 
 The band rows at each (t, form) and the curve at each t are built once per
 state, in its cache (``LatticeState.built``).  The monodromy matrix is not
@@ -248,14 +250,22 @@ def special_points(state: LatticeState, t: int) -> SpecialPoints:
     factor for odd N.  Each point is checked on the one edge of the curve
     its zero coordinate keeps (``_edge``, ``_vanishes``): the x^0 column for
     A and B, the y^0 row for Q.
+
+    The B product at the earliest lower factor time, t-(K-1)M, is the
+    product of the site invariants at t over the other slice products: both
+    multiply every factor entry of X_t, so the quotient is exact for any
+    slice values, and it spares a product of N values of the slices' height.
     """
     params = state.params
     curve = spectral_curve(state, t)
     sign = Rational(1) if params.N % 2 == 0 else Rational(-1)
     zero = Rational(0)
     i_times, v_times = params.factor_times(t)
-    a_pts = tuple((zero, sign * state.i_product(s)) for s in i_times)
-    b_pts = tuple((zero, sign * state.v_product(s)) for s in reversed(v_times))
+    a_prods = [state.i_product(s) for s in i_times]
+    b_prods = [state.v_product(s) for s in reversed(v_times[1:])]
+    rest = math.prod(state.site_invariants(t)) / math.prod(a_prods + b_prods)
+    a_pts = tuple((zero, sign * p) for p in a_prods)
+    b_pts = tuple((zero, sign * p) for p in b_prods + [rest])
     q_pts = tuple((u, zero) for u in state.site_invariants())
     column, row = _edge(curve.poly, 0), _edge(curve.poly, 1)
     for points, edge, coordinate in ((a_pts + b_pts, column, 1), (q_pts, row, 0)):

@@ -84,12 +84,10 @@ def _suites(state: LatticeState) -> list:
 
     def evolution_consistency():
         # both lattice equations by integer cross-multiplication of the
-        # reduced pairs, whose denominators are positive; each slice product
-        # is taken once
+        # reduced pairs, whose denominators are positive; the state caches
+        # each slice product under its time
         first = max(state.i_min + M, state.v_min + K)
         times = range(first, last + 1)
-        i_prod = {t: state.i_product(t) for t in range(first - M, last + 1)}
-        v_prod = {t: state.v_product(t) for t in range(first - K, last + 1)}
         ok = True
         for t in times:
             slices = state.i_slice(t - M), state.v_slice(t - K), state.i_slice(t), state.v_slice(t)
@@ -101,7 +99,8 @@ def _suites(state: LatticeState) -> list:
                 # y_i x_i = a_i b_i
                 (an, ad), (bn, bd), (yn, yd) = a[i], b[i], y[i]
                 ok &= yn * xn * ad * bd == an * bn * yd * xd
-            ok &= i_prod[t] == i_prod[t - M] and v_prod[t] == v_prod[t - K]
+            ok &= state.i_product(t) == state.i_product(t - M)
+            ok &= state.v_product(t) == state.v_product(t - K)
         return {"_ok": bool(ok and times), "steps_checked": len(times)}
 
     def invariant_constancy():

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from redkp import (
     BiPoly,
@@ -36,6 +37,25 @@ def on_every_set(param_sets):
         return test
 
     return wrap
+
+
+values = st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+# sums of products of +-1 and +-2 cancel often, so these windows' band rows
+# hold exact zeros, which ``lax._fold`` must not store
+units = st.sampled_from([rat(v) for v in (-2, -1, 1, 2)])
+
+
+@st.composite
+def windows(draw, M, K, N):
+    """The I- and V-slices of an (M, K, N) window of arbitrary nonzero signed
+    values ending at t = 0, long enough for X_0 and its alternate form.  Plain
+    dicts, so that a failing example prints its values."""
+    pool = draw(st.sampled_from((values, units)))
+
+    def slices(count):
+        return {-r: [draw(pool) for _ in range(N)] for r in range(count)}
+
+    return slices(2 * M * K - K + 1), slices(2 * M * K - M + 1)
 
 
 # bit height a stepped slice may reach in a test; see ``bounded_steps``

@@ -484,7 +484,7 @@ def test_berkowitz_equals_leibniz_sizes(n):
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
-def test_berkowitz_and_bareiss_equal_leibniz_on_curves(params):
+def test_berkowitz_equals_leibniz_on_curves(params):
     """Each curve in both views and both rings, in the same term order."""
     state = random_state(*params, seed=3)
     t = default_time(state)

@@ -42,7 +42,18 @@ from redkp import (
 from redkp.lattice import default_time
 from redkp.lax import _fold
 from redkp.numeric import _kernel_rows
-from conftest import bands_words, dense_monodromy, fold_at, fold_bands, identity, on_every_set, rotated, scale
+from conftest import (
+    bands_words,
+    dense_monodromy,
+    fold_at,
+    fold_bands,
+    identity,
+    on_every_set,
+    rotated,
+    scale,
+    values,
+    windows,
+)
 
 # (1,1,2) to (3,4,5) and (2,3,7); every width M+K is within the word routes'
 # limit of 8
@@ -54,25 +65,6 @@ PARAM_SETS = [
 # sets with M+K >= N, where two band entries of a row share a matrix entry,
 # and N = 1, where every band wraps into the one entry
 FOLD_SETS = PARAM_SETS + [(1, 1, 1), (2, 1, 1)]
-
-values = st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 5))
-# sums of products of +-1 and +-2 cancel often, so these windows' band rows
-# hold exact zeros, which ``lax._fold`` must not store
-units = st.sampled_from([rat(v) for v in (-2, -1, 1, 2)])
-
-
-@st.composite
-def windows(draw, M, K, N):
-    """The I- and V-slices of an (M, K, N) window of arbitrary nonzero signed
-    values ending at t = 0, long enough for X_0 and its alternate form.  Plain
-    dicts, so that a failing example prints its values."""
-    pool = draw(st.sampled_from((values, units)))
-
-    def slices(count):
-        return {-r: [draw(pool) for _ in range(N)] for r in range(count)}
-
-    return slices(2 * M * K - K + 1), slices(2 * M * K - M + 1)
-
 
 def window_state(M, K, N, data):
     """The state of a drawn window, whose anchor ``default_time(deep=True)``

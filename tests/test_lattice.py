@@ -24,7 +24,8 @@ from redkp import (
     rat,
     uniform_state,
 )
-from conftest import on_every_set, random_state, rotated
+from redkp.lattice import default_time
+from conftest import PARAM_SETS, on_every_set, random_state, rotated
 
 
 def products(values):
@@ -273,6 +274,71 @@ def test_classify_cases(classic_state):
     assert classic_state.classify_case() == "case_a"
     mixed = new_state(LatticeParams(1, 1, 3), {0: [1, 1, 1]}, {0: [3, 3, 7]})
     assert mixed.classify_case() == "mixed"
+
+
+# -- the per-time cache of slice products and site invariants ----------------------
+
+CACHED = ("i_product", "v_product", "site_invariants")
+
+
+def _fresh(state, t):
+    """The slice products and site invariants at t, multiplied out here."""
+    i_times, v_times = state.params.factor_times(t)
+    slices = [state.i_slice(s) for s in i_times] + [state.v_slice(s) for s in v_times]
+    u = tuple(products(v[j] for v in slices) for j in range(state.params.N))
+    return products(state.i_slice(t)), products(state.v_slice(t)), u
+
+
+def _cached(state, t):
+    return state.i_product(t), state.v_product(t), state.site_invariants(t)
+
+
+def _cached_keys(state):
+    return [key for key in state._built if key[0] in CACHED]
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_cached_products_equal_fresh_ones(params):
+    """At every time of the history and of the evolution, read twice; the
+    second read comes from the cache, which keys each entry by its time."""
+    state = random_state(*params, seed=6)
+    first = default_time(state)
+    for t in range(first, first + 6):
+        assert _cached(state, t) == _fresh(state, t)
+        assert _cached(state, t) == _fresh(state, t)
+    assert state.site_invariants() == _fresh(state, state.frontier)[2]
+
+
+def test_pruning_empties_the_cache():
+    state = random_state(2, 1, 3, seed=6)
+    t = default_time(state)
+    _cached(state, t)
+    state.evolve_to(t + 6).prune_below(t + 3)
+    assert _cached_keys(state) == []
+    with pytest.raises(InsufficientHistory):
+        state.i_product(t)
+    with pytest.raises(InsufficientHistory):
+        state.site_invariants(t)
+
+
+def test_a_copy_stepped_further_computes_its_own_products():
+    state = random_state(1, 2, 3, seed=6)
+    t = state.frontier
+    before = _cached(state, t)
+    other = state.copy()
+    assert _cached_keys(other) == []
+    other.evolve_to(t + 4)
+    assert _cached(other, t + 4) == _fresh(other, t + 4)
+    assert _cached(other, t) == before
+    # an entry the copy makes is its own
+    assert _cached_keys(state) == [(name, t) for name in CACHED]
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_evolution_leaves_no_product_in_the_cache(params):
+    state = random_state(*params, seed=6)
+    state.evolve_to(state.frontier + 8)
+    assert _cached_keys(state) == []
 
 
 # -- serialization ------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import redkp.numeric
 from redkp import (
     BiPoly,
+    DegenerateEvolution,
     InsufficientHistory,
     LatticeParams,
     NonPolynomialResult,
     PolyMatrix,
+    SingularStep,
     build_factor,
     build_monodromy,
     matdet,
@@ -19,7 +23,7 @@ from redkp import (
     verify_compatibility,
 )
 from redkp import cli, lax, polymatrix
-from redkp.lattice import default_time
+from redkp.lattice import _product, default_time
 from redkp.lax import (
     SHIFT_MU_K,
     SHIFT_MU_MINUS_M,
@@ -29,7 +33,7 @@ from redkp.lax import (
     factor_r,
 )
 from redkp.verify import run_verification
-from conftest import PARAM_SETS, identity, random_state, rotated, scale
+from conftest import PARAM_SETS, identity, on_every_set, random_state, rotated, scale, windows
 
 SHIFTS = (SHIFT_MU_K, SHIFT_MU_MINUS_M)
 
@@ -521,6 +525,36 @@ def test_special_points_case_b_coincide():
     sp = special_points(st, 0)
     assert len(set(sp.q_points)) == 1
     assert sp.p_branch == (2, 3)
+
+
+def _assert_ys_are_slice_products(state, t):
+    i_times, v_times = state.params.factor_times(t)
+    sign = 1 if state.params.N % 2 == 0 else -1
+    sp = special_points(state, t)
+    assert all(x0 == 0 for x0, _ in sp.a_points + sp.b_points)
+    assert [y0 for _, y0 in sp.a_points] == [sign * _product(state.i_slice(s)) for s in i_times]
+    # B_0 is the lower factor at t, as numeric.special_point_kernels pairs them
+    assert [y0 for _, y0 in sp.b_points] == [sign * _product(state.v_slice(s)) for s in reversed(v_times)]
+
+
+@on_every_set(PARAM_SETS)
+@given(data=hs.data())
+@settings(max_examples=4, deadline=None)
+def test_special_point_ys_are_the_slice_products(M, K, N, data):
+    """Each A and B y-coordinate is the sign times the product of its factor
+    slice, on an arbitrary window and again at the frontier after a few
+    steps, with the products of earlier times in the cache.  One B product
+    is read off the site invariants; mutants this catches: the B points in
+    the order of ``factor_times``, and that product with one divisor left
+    out."""
+    state = new_state(LatticeParams(M, K, N), *data.draw(windows(M, K, N)))
+    _assert_ys_are_slice_products(state, 0)
+    try:
+        for _ in range(data.draw(hs.integers(1, 3))):
+            state.step()
+    except (DegenerateEvolution, SingularStep):
+        pass  # a window need not be an orbit; check the frontier reached
+    _assert_ys_are_slice_products(state, state.frontier)
 
 
 # A coefficient the zero coordinate of each kind of point keeps: y^1 in the
