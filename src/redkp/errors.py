@@ -33,6 +33,10 @@ class InsufficientHistory(RedkpError):
     """A required slice predates the initial data and cannot be produced."""
 
 
+class OffCurve(RedkpError):
+    """A special point built from the state's slices is not on its spectral curve."""
+
+
 class NonPolynomialResult(RedkpError):
     """A shift conjugation's intertwining failed: Z a != a X_t for the rebuilt image Z."""
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .bipoly import BiPoly
-from .errors import NonPolynomialResult
+from .errors import NonPolynomialResult, OffCurve
 from .lattice import LatticeState
 from .polymatrix import PolyMatrix, matdet
 from .rational import Rational
@@ -243,7 +243,8 @@ class SpecialPoints:
 
 
 def special_points(state: LatticeState, t: int) -> SpecialPoints:
-    """Locate the x=0 and y=0 points and verify each on the curve exactly.
+    """Locate the x=0 and y=0 points and verify each on the curve exactly,
+    raising ``OffCurve`` for the first one that is not on it.
 
     The y-coordinates are the exact roots of the factor determinants
     (product of the slice plus (-1)^{N+1} y), so they carry the (-1)^N
@@ -271,7 +272,7 @@ def special_points(state: LatticeState, t: int) -> SpecialPoints:
     for points, edge, coordinate in ((a_pts + b_pts, column, 1), (q_pts, row, 0)):
         for point in points:
             if not _vanishes(edge, point[coordinate]):
-                raise AssertionError(f"special point ({point[0]}, {point[1]}) not on curve")
+                raise OffCurve(f"special point ({point[0]}, {point[1]}) not on curve")
     p_branch = (params.M + params.K, params.N) if params.gcd_mkn_ok else None
     return SpecialPoints(a_points=a_pts, b_points=b_pts, q_points=q_pts, p_branch=p_branch)
 

@@ -530,7 +530,7 @@ def tall_matrix(rng, n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_primitive_ring_equals_leibniz(n, monkeypatch):
+def test_general_view_rational_ring_equals_leibniz(n, monkeypatch):
     """Matrices past the cut take the general view in the rational ring."""
     rng = random.Random(700 + n)
     calls = route(monkeypatch)

@@ -260,6 +260,36 @@ def test_charpoly_p_branch_present(tmp_path):
     }
 
 
+# history before the frontier that is not one lattice orbit: the site
+# invariants at t = -1 (the curve's default time) and at t = 0 differ
+NON_ORBIT = (
+    '{"M":1,"K":1,"N":3,"frontier":0,"I":{"-1":["1","2","3"],"0":["2","3/2","5"]},'
+    '"V":{"-1":["4","1","2"],"0":["1","7/3","4"]}}'
+)
+
+
+def test_charpoly_off_curve_point_exits_2_with_one_json_line(tmp_path, capsys):
+    """A special point off the curve is one JSON error line and exit 2, not a
+    traceback, with no output file.  Verify fails the history's lattice
+    equations, and reports an off-curve point as a failed kernel suite."""
+    path = tmp_path / "non_orbit.json"
+    path.write_text(NON_ORBIT)
+    out = tmp_path / "curve.json"
+    assert run_cli("charpoly", str(path), "-o", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "OffCurve", "message": "special point (7/2, 0) not on curve"}
+    assert not out.exists()
+    by_name = {s["name"]: s for s in run_verification(LatticeState.loads(NON_ORBIT))["suites"]}
+    assert by_name["evolution_consistency"]["status"] == "fail"
+    st = CORRUPTION_BASES["113"]()
+    st.evolve_to(default_time(st, deep=True) + 3)
+    _corrupt(st, "I", 4, 2)
+    by_name = {s["name"]: s for s in run_verification(st)["suites"]}
+    assert by_name["special_point_kernels"]["status"] == "fail"
+    assert by_name["special_point_kernels"]["reason"].startswith("OffCurve: special point (")
+
+
 # -- yform -------------------------------------------------------------------------
 
 
@@ -306,7 +336,7 @@ def test_verify_reports_crashing_suite_as_fail(tmp_path, classic_state, classic_
     monkeypatch.setattr(redkp.verify, "spectral_curve", broken_curve)
     report = run_verification(classic_state, seed=7)
     statuses = {s["name"]: s["status"] for s in report["suites"]}
-    assert len(statuses) == 10
+    assert len(statuses) == 9
     assert [name for name, status in statuses.items() if status == "fail"] == ["isospectrality"]
     by_name = {s["name"]: s for s in report["suites"]}
     assert by_name["isospectrality"]["reason"] == "AssertionError: unexpected curve degrees"
@@ -345,7 +375,6 @@ def test_verify_enumerates_all_suites(tmp_path, classic_file):
         "monodromy_form_equality",
         "shift_conjugations",
         "determinant_closed_forms",
-        "hidden_invariant",
         "special_point_kernels",
         "case_b_structure",
         "psi_phi_ratios",
@@ -367,7 +396,6 @@ CORRUPTIONS = [
     ("monodromy_form_equality", "113", "I", 0, 1),
     ("shift_conjugations", "113", "I", 2, 2),
     ("determinant_closed_forms", "113", "V", 0, 0),
-    ("hidden_invariant", "112", "I", 3, 0),
     ("special_point_kernels", "113", "V", 2, 0),
     ("case_b_structure", "case_b", "I", 1, 2),
     ("psi_phi_ratios", "case_b", "V", 2, 1),
@@ -414,6 +442,30 @@ def test_no_two_suites_share_a_failure_set():
         assert corruption in failures["special_point_kernels"]
 
 
+def test_evolution_consistency_fails_on_every_corruption_of_112():
+    """Every x3/2 corruption of the stored (1,1,2) window fails
+    evolution_consistency.  Its x-equation, summed round the cycle, is the
+    (1,1,2) hidden sum, which verify does not check on its own."""
+    base = CORRUPTION_BASES["112"]()
+    base.evolve_to(default_time(base, deep=True) + 3)
+    corruptions = [
+        (family, t, site)
+        for family, hist in (("I", base._i), ("V", base._v))
+        for t in sorted(hist)
+        for site in range(base.params.N)
+    ]
+    assert len(corruptions) == 20 and ("I", 3, 0) in corruptions
+
+    def status(state):
+        return _run("evolution_consistency", dict(_suites(state))["evolution_consistency"])["status"]
+
+    assert status(base) == "pass"
+    for corruption in corruptions:
+        st = base.copy()
+        _corrupt(st, *corruption)
+        assert status(st) == "fail", corruption
+
+
 def _corrupt(state, family, t, site):
     """Multiply the stored value at (family, t, site) by 3/2."""
     hist = state._i if family == "I" else state._v
@@ -424,7 +476,7 @@ def _corrupt(state, family, t, site):
 
 def _classic_corrupted(classic_state):
     # one V value off the orbit inside the checked window: the site
-    # invariants and the hidden sum then differ between times
+    # invariants then differ between times
     st = classic_state.copy()
     t = default_time(st, deep=True) + 1
     st.evolve_to(t)
@@ -445,8 +497,7 @@ def _classic_corrupted(classic_state):
 def test_each_suite_reads_fixed_times(classic_state, make, monkeypatch):
     """A suite's entry is the same run alone on its own copy of the state as
     in the full list, in either order.  Verify evolves to t + 3 (the curves
-    and invariants), t + MK (the kernels) or, on (1,1,2), t + 20 (the hidden
-    sum), and no further."""
+    and invariants) or t + MK (the kernels), and no further."""
     st = make(classic_state)
     reached = []
     step = LatticeState.step
@@ -458,15 +509,10 @@ def test_each_suite_reads_fixed_times(classic_state, make, monkeypatch):
     monkeypatch.setattr(LatticeState, "step", traced_step)
     full = run_verification(st)["suites"]
     t_deep = default_time(st, deep=True)
-    M, K, N = st.params.M, st.params.K, st.params.N
-    hidden = (M, K, N) == (1, 1, 2)
-    reach = t_deep + (20 if hidden else max(3, M * K))
+    reach = t_deep + max(3, st.params.M * st.params.K)
     assert max(reached, default=st.frontier) == max(st.frontier, reach)
     assert [_run(*_suites(st)[i]) for i in range(len(full))] == full
     assert [_run(name, check) for name, check in reversed(_suites(st))][::-1] == full
-    by_name = {s["name"]: s for s in full}
-    if hidden:
-        assert by_name["hidden_invariant"]["detail"]["times"] == 21
 
 
 @pytest.mark.parametrize(
@@ -490,9 +536,10 @@ def test_verify_skip_reason_is_the_precondition_error(params, suite, call, error
         call(evolved, t)
     exc = info.value
     by_name = {s["name"]: s for s in run_verification(st, seed=7)["suites"]}
-    if suite in ("word_append_rule", "infinity_asymptotics"):
-        # identities of any slice values: tests/test_identities.py pins them
-        # and verify does not run them, so only the function's guard is left
+    if suite in ("word_append_rule", "infinity_asymptotics", "hidden_invariant"):
+        # identities of any slice values, which tests/test_identities.py pins,
+        # and the (1,1,2) sum, which evolution_consistency covers: verify does
+        # not run them, so only the function's guard is left
         assert suite not in by_name
     else:
         assert by_name[suite] == {"name": suite, "status": "skipped", "reason": f"{type(exc).__name__}: {exc}"}
@@ -510,7 +557,7 @@ def test_verify_case_b_runs_every_suite(tmp_path):
     assert statuses["psi_phi_ratios"] == "pass"
     assert statuses["case_b_structure"] == "pass"
     skipped = [n for n, s in statuses.items() if s == "skipped"]
-    assert skipped == ["hidden_invariant"]
+    assert skipped == []
 
 
 # -- degenerate ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from redkp import (
     verify_compatibility,
 )
 from redkp import cli, lax, polymatrix
+from redkp.errors import OffCurve
 from redkp.lattice import _product, default_time
 from redkp.lax import (
     SHIFT_MU_K,
@@ -586,7 +587,7 @@ def test_special_points_check_the_curve_in_the_cache(change, params):
         assert special_points(state, t) == genuine
         return
     x0, y0 = (genuine.a_points if change == "column" else genuine.q_points)[0]
-    with pytest.raises(AssertionError) as raised:
+    with pytest.raises(OffCurve) as raised:
         special_points(state, t)
     assert str(raised.value) == f"special point ({x0}, {y0}) not on curve"
 
