@@ -19,11 +19,13 @@ from .errors import (
     EmptyIndexSet,
     ExactDivisionError,
     GcdViolation,
+    HeightBudgetExceeded,
     IllConditioned,
     InsufficientHistory,
     MultipleEigenvalue,
     NonPolynomialResult,
     NotCaseB,
+    OffCurve,
     RedkpError,
     SingularStep,
     SizeMismatch,

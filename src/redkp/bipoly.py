@@ -229,7 +229,7 @@ class BiPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, BiPoly):
             return self._terms == other._terms
-        if isinstance(other, (int, type(_ONE))):
+        if isinstance(other, (int, Rational)):
             return self._terms == BiPoly.constant(other)._terms
         return NotImplemented
 

@@ -108,10 +108,9 @@ class ConvergenceTable:
 
 def _float_diff(a, b) -> float:
     """float(a - b), without reducing a - b: int true division rounds
-    correctly, so the quotient of the unreduced fraction is the same float
-    (``int`` keeps it a float for gmpy2's mpz as well)."""
+    correctly, so the quotient of the unreduced fraction is the same float."""
     num = a.numerator * b.denominator - b.numerator * a.denominator
-    return int(num) / int(a.denominator * b.denominator)
+    return num / (a.denominator * b.denominator)
 
 
 def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:

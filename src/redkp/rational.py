@@ -2,10 +2,9 @@
 
 Every lattice value, polynomial coefficient and invariant in this package is
 an arbitrary-precision rational: always reduced, positive denominator, exact
-field arithmetic.  ``gmpy2.mpq`` is used when available (its speed relative
-to the fallback on this package has not been measured).
+field arithmetic.
 
-The stdlib fallback is ``Rational``, a ``fractions.Fraction`` subclass whose
+The one number type is ``Rational``, a ``fractions.Fraction`` subclass whose
 ``+ - * /``, unary ``-``, ``abs``, ``**`` by an int and ``==`` with a
 ``Rational`` or ``int`` operand run straight on the ``_numerator`` and
 ``_denominator`` slots and return a ``Rational``.  Products and quotients
@@ -22,9 +21,9 @@ bits 0.94, and at 10000 bits 1.0, where the gcds dominate.  A quotient by
 zero takes ``Fraction``'s own method, so it raises the running Python's
 ``ZeroDivisionError`` message.
 
-``from_coprime`` builds a reduced pair by setting its slots, with no gcd
-(``mpq`` under gmpy2); ``parse_rational``, the determinant coefficients of
-``polymatrix`` and the slice products of ``lattice`` use it.
+``from_coprime`` builds a reduced pair by setting its slots, with no gcd;
+``parse_rational``, the determinant coefficients of ``polymatrix`` and the
+slice products of ``lattice`` use it.
 """
 
 from __future__ import annotations
@@ -192,19 +191,10 @@ def _pair(n, d):
 
 def from_coprime(n, d):
     """The Rational n/d of coprime ints n and d > 0, its slots set with no
-    gcd, sign or type check.  Under gmpy2 it is ``mpq``: ``_pair`` and this
-    fallback build only ``Rational``s."""
+    gcd, sign or type check."""
     r = _new(Rational)
     r._numerator, r._denominator = n, d
     return r
-
-
-try:  # pragma: no cover - environment dependent
-    from gmpy2 import mpq as Rational  # noqa: F811
-
-    from_coprime = Rational  # noqa: F811
-except ImportError:  # pragma: no cover
-    pass
 
 
 def rat(numerator, denominator=1):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import redkp.errors
 import redkp.lax
 import redkp.verify
 from redkp import (
@@ -724,3 +725,47 @@ def test_every_command_runs_without_numpy(tmp_path, classic_file):
     in_process = tmp_path / "verify.json"
     assert run_cli("verify", classic_file, "--seed", "7", "-o", str(in_process)) == 0
     assert (tmp_path / "verify.out").read_bytes() == in_process.read_bytes()
+
+
+# -- the one number type --------------------------------------------------------------
+
+_CI_STATE = '{"M":1,"K":1,"N":2,"frontier":0,"I":{"0":["2","3"]},"V":{"0":["1","5"]}}'
+
+_SLOT_RATIONAL = """
+from fractions import Fraction
+from redkp.rational import Rational
+
+assert Rational.__mro__[1] is Fraction, Rational.__mro__
+assert Rational.__add__ is not Fraction.__add__
+"""
+
+
+def test_an_importable_backend_module_leaves_the_rational_type(tmp_path):
+    """With a stand-in for the third-party rational module whose import once
+    replaced ``Rational`` first on the path, ``Rational`` is still the
+    ``Fraction`` subclass that runs on the slots, and ``charpoly`` of CI's
+    (1,1,2) state writes the same bytes as without it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(redkp.__file__)))
+    stand_in = tmp_path / "stand_in"
+    stand_in.mkdir()
+    (stand_in / "gmpy2.py").write_text("from fractions import Fraction as mpq\n")
+    state = tmp_path / "state.json"
+    state.write_text(_CI_STATE + "\n")
+    outputs = []
+    for path in (os.pathsep.join([str(stand_in), src]), src):
+        env = dict(os.environ, PYTHONPATH=path)
+        for argv in (["-c", _SLOT_RATIONAL], ["-m", "redkp.cli", "charpoly", str(state), "-o", str(tmp_path / "curve.json")]):
+            done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        outputs.append((tmp_path / "curve.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_every_error_class_is_exported():
+    """Each ``RedkpError`` subclass that ``redkp.errors`` defines is an
+    attribute of the package."""
+    missing = [
+        name for name, obj in vars(redkp.errors).items()
+        if isinstance(obj, type) and issubclass(obj, redkp.errors.RedkpError) and getattr(redkp, name, None) is not obj
+    ]
+    assert missing == []
