@@ -115,6 +115,53 @@ def monodromy_closure(a, b):
     return (t11, t12, t21, t22), _product(a), _product(b)
 
 
+def step_slices(a, b, t1, product=_product, ab_invariant=False) -> tuple:
+    """The slices (x, y) one step after a (the I-slice M steps back) and b
+    (the V-slice K steps back), the step at time t1 (module docstring).
+
+    Only + - * /, tests against zero and ``product``, the product of a
+    slice, are taken of the values, so any field serves; ``product``
+    defaults to the one-gcd product of ``Rational`` slices.  The a_i b_i are
+    formed once, for y and, with ``ab_invariant``, for prod(b) =
+    prod(ab) / prod(a): when M = K = 1 they are the site invariants, so this
+    spares a product of N values of the slices' height.  Other (M, K) keep
+    prod(b): there the a_i b_i are as tall as the slices, and the quotient
+    measured no faster.  Raises ``DegenerateEvolution`` when the closure is
+    not unique or lies at infinity, and ``SingularStep`` on a zero x_i."""
+    n = len(a)
+    ab = [ai * bi for ai, bi in zip(a, b)]
+
+    # z = 1/(x - b) goes round the cycle to (pb/pa) z + s, fixed at s / (1 - pb/pa);
+    # the pass runs on w = pa*s with no division, and x - b = (pa - pb) / w
+    pa, w = 1, 0
+    for i in range(n):
+        w = pa + b[i - 1] * w
+        pa = pa * a[i - 1]
+    pb = product(ab) / pa if ab_invariant else product(b)
+    if pa == pb:
+        raise DegenerateEvolution(
+            f"prod(I) == prod(V) == {format_rational(pa)} at step {t1}: "
+            "closure is not unique"
+        )
+    if w == 0:
+        raise DegenerateEvolution(f"closure fixed point at infinity at step {t1}")
+    x_last = b[n - 1] + (pa - pb) / w
+
+    x = [None] * n
+    y = [None] * n
+    if x_last == 0:
+        raise SingularStep(f"x_{n} = 0 at step {t1}")
+    x[n - 1] = x_last
+    y[n - 1] = ab[n - 1] / x_last
+    for i in range(n - 1):
+        xi = a[i - 1] + b[i] - y[i - 1]
+        if xi == 0:
+            raise SingularStep(f"x_{i + 1} = 0 at step {t1}")
+        x[i] = xi
+        y[i] = ab[i] / xi
+    return tuple(x), tuple(y)
+
+
 _TIME_KEY = re.compile(r"-?[0-9]+")
 
 
@@ -251,50 +298,13 @@ class LatticeState:
     # -- evolution --------------------------------------------------------------
 
     def step(self) -> "LatticeState":
-        """Write the slices at frontier + 1 (module docstring).  The a_i b_i
-        are formed once, for y and, when M = K = 1, for prod(b) =
-        prod(ab) / prod(a): there they are the site invariants, so this
-        spares a product of N values of the slices' height.  Other (M, K)
-        keep prod(b): there the a_i b_i are as tall as the slices, and the
-        quotient measured no faster.  The step neither reads nor fills the
-        ``built`` cache."""
+        """Write the slices at frontier + 1 by ``step_slices``.  The step
+        neither reads nor fills the ``built`` cache."""
         t1 = self.frontier + 1
-        a = self._i[t1 - self.params.M]
-        b = self._v[t1 - self.params.K]
-        n = self.params.N
-        ab = [ai * bi for ai, bi in zip(a, b)]
-
-        # z = 1/(x - b) goes round the cycle to (pb/pa) z + s, fixed at s / (1 - pb/pa);
-        # the pass runs on w = pa*s with no division, and x - b = (pa - pb) / w
-        pa, w = 1, 0
-        for i in range(n):
-            w = pa + b[i - 1] * w
-            pa = pa * a[i - 1]
-        pb = _product(ab) / pa if self.params.M == self.params.K == 1 else _product(b)
-        if pa == pb:
-            raise DegenerateEvolution(
-                f"prod(I) == prod(V) == {format_rational(pa)} at step {t1}: "
-                "closure is not unique"
-            )
-        if w == 0:
-            raise DegenerateEvolution(f"closure fixed point at infinity at step {t1}")
-        x_last = b[n - 1] + (pa - pb) / w
-
-        x = [None] * n
-        y = [None] * n
-        if x_last == 0:
-            raise SingularStep(f"x_{n} = 0 at step {t1}")
-        x[n - 1] = x_last
-        y[n - 1] = ab[n - 1] / x_last
-        for i in range(n - 1):
-            xi = a[i - 1] + b[i] - y[i - 1]
-            if xi == 0:
-                raise SingularStep(f"x_{i + 1} = 0 at step {t1}")
-            x[i] = xi
-            y[i] = ab[i] / xi
-
-        self._i[t1] = tuple(x)
-        self._v[t1] = tuple(y)
+        M, K = self.params.M, self.params.K
+        x, y = step_slices(self._i[t1 - M], self._v[t1 - K], t1, ab_invariant=M == K == 1)
+        self._i[t1] = x
+        self._v[t1] = y
         self.frontier = t1
         return self
 

@@ -1,7 +1,8 @@
 import json
 import random
 import sys
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from redkp import (
     rat,
     uniform_state,
 )
-from redkp.lattice import default_time
+from redkp.lattice import default_time, step_slices
 from conftest import PARAM_SETS, on_every_set, random_state, rotated
 
 
@@ -212,6 +213,20 @@ def test_step_equals_monodromy_oracle_past_1000_bits():
             st.step()
             assert (st.i_slice(t1), st.v_slice(t1)) == expected
             bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in expected[0])
+
+
+def test_step_kernel_on_fractions_equals_the_step():
+    """``step_slices`` takes only field operations of its values: on plain
+    ``Fraction`` slices with ``math.prod`` it returns ``Fraction``s equal to
+    the state's own steps, with or without ``ab_invariant``."""
+    for M, K, N in PARAM_SETS + [(1, 1, 2), (1, 1, 5)]:
+        st = random_state(M, K, N, seed=M + 3 * K + 7 * N)
+        for t1 in range(1, 9):
+            a, b = ([Fraction(v) for v in s] for s in (st.i_slice(t1 - M), st.v_slice(t1 - K)))
+            for ab_invariant in {M == K == 1, False}:
+                x, y = step_slices(a, b, t1, product=prod, ab_invariant=ab_invariant)
+                assert {type(v) for v in x + y} == {Fraction}
+                assert (x, y) == (st.i_slice(t1), st.v_slice(t1))
 
 
 def test_evolve_to_noop_and_uniform():
