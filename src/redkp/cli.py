@@ -27,7 +27,7 @@ from .errors import (
     RedkpError,
     SingularStep,
 )
-from .lattice import LatticeState, default_time
+from .lattice import LatticeState, default_time, height
 from .lax import special_points, spectral_curve
 from .polymatrix import PolyMatrix
 from .rational import format_rational
@@ -116,10 +116,7 @@ def cmd_evolve(args) -> int:
         t = state.step().frontier
         if args.max_bits is None:
             continue
-        bits = max(
-            max(v.numerator.bit_length(), v.denominator.bit_length())
-            for v in state.i_slice(t) + state.v_slice(t)
-        )
+        bits = height(state.i_slice(t) + state.v_slice(t))
         if bits > args.max_bits:
             raise HeightBudgetExceeded(
                 f"t = {t} reaches {bits} bits, over --max-bits {args.max_bits}"

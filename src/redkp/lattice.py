@@ -12,8 +12,22 @@ point: the eigenvalue-prod(a) branch of the 2x2 monodromy (``monodromy_closure``
 The pass carries w = p s, s the image of z = 0 and p the partial product of
 a: w <- p + b_{i-1} w, then p <- p a_{i-1}.  So it makes no division and
 leaves prod(a) in p, and x_N = b_N + (prod(a) - prod(b)) / w.  z = infinity
-(x = b) is the excluded trivial branch of prod(b).  Every step is exact, so
-the product conservation laws hold with zero error.
+(x = b) is the excluded trivial branch of prod(b).  ``step_slices`` is that
+step, the kernel, on any field.  Every step is exact, so the product
+conservation laws hold with zero error.
+
+For M = K = 1 the lattice is the discrete periodic Toda chain, and every
+value is a ratio of its τ functions, integers of about half the values'
+height.  A state with N >= 3 whose history is its stepping window at its
+first step anchors a τ chain there (``_TodaTau``): the anchor slices are
+the gauge, A = I_{t0}, B = V_{t0}, τ^{t0-1} = τ^{t0} = 1, and each step
+solves Hirota's bilinear equations for the next τ generation on integers
+and reads the slices off the last two, with no gcd of two full-height
+values.  The chain is dropped for good once τ^t outgrows the slices at
+t + 1 (as on a window anchored deep in its orbit); every other state and
+step, and any step with a zero τ, take the kernel, so an error keeps its
+type, message and step, and the slices stay the one source of truth.
+(1,1,2) keeps the kernel: its orbits have period 2.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import (
     DegenerateEvolution,
@@ -82,6 +96,11 @@ def _check_values(values, n: int, label: str) -> tuple:
     return vals
 
 
+def height(values) -> int:
+    """The largest numerator or denominator bit length of ``values``."""
+    return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values)
+
+
 def _product(values):
     """The product of a slice's values, reduced once: a slice's factors
     cancel only when the cycle closes, so one gcd of the numerators'
@@ -127,7 +146,8 @@ def step_slices(a, b, t1, product=_product, ab_invariant=False) -> tuple:
     spares a product of N values of the slices' height.  Other (M, K) keep
     prod(b): there the a_i b_i are as tall as the slices, and the quotient
     measured no faster.  Raises ``DegenerateEvolution`` when the closure is
-    not unique or lies at infinity, and ``SingularStep`` on a zero x_i."""
+    not unique or lies at infinity, and ``SingularStep`` on a zero x_i,
+    naming the step t1."""
     n = len(a)
     ab = [ai * bi for ai, bi in zip(a, b)]
 
@@ -160,6 +180,112 @@ def step_slices(a, b, t1, product=_product, ab_invariant=False) -> tuple:
         x[i] = xi
         y[i] = ab[i] / xi
     return tuple(x), tuple(y)
+
+
+def _exact_quotient(num, den):
+    """(q, f) with q = num f / den exact, f >= 1 the least such factor."""
+    q, r = divmod(num, den)
+    if not r:
+        return q, 1
+    f = abs(den) // gcd(r, den)
+    return num * f // den, f
+
+
+class _TodaTau:
+    """The τ functions of an M = K = 1, N >= 3 orbit, carried as integers.
+
+    Anchored at slices A = I_{t0}, B = V_{t0} with τ^{t0-1} = τ^{t0} = 1,
+    every later slice is read off two τ generations:
+
+        I^i_{t+1} = A_i τ^t_{j+1} τ^{t+1}_j / (τ^t_j τ^{t+1}_{j+1}),  j = 1 - i,
+        V^i_{t+1} = B_i over the same ratio,
+
+    (indices mod N), where each generation solves the bilinear equations
+    A_s τ^{t+1}_j τ^{t-1}_{j+1} - B_s τ^{t+1}_{j+1} τ^{t-1}_j = κ τ^t_j τ^t_{j+1},
+    s = 1 - j (Hirota's discrete Toda equation).  A scalar κ_t and one per
+    generation change no ratio, so the equations run on A, B times the lcm
+    of their denominators, and each generation is divided by its content.
+    The equations are a cyclic linear recursion in τ^{t+1}; round the cycle
+    it closes on τ^{t+1}_0 = S / ((prod A - prod B) prod τ^{t-1}), with S the
+    sum of one Horner pass, so κ = prod A - prod B and the rest follow by
+    division by B_s τ^{t-1}_j.  These divisions are exact up to small
+    factors (the Laurent phenomenon); where one is not, the generation and
+    κ are scaled by the least factor that makes it so.
+
+    The τ's stay near half the values' height, so a value is reduced by
+    gcds of half-height τ's: of adjacent τ^{t+1} and of τ^t_j with
+    τ^{t+1}_j, each shared by two values, and of the small gcds left."""
+
+    __slots__ = ("a", "b", "coef_a", "coef_b", "closure", "prev", "cur", "adj")
+
+    def __init__(self, a, b):
+        n = len(a)
+        d = lcm(*(v.denominator for v in a + b))
+        self.a = [(v.numerator, v.denominator) for v in a]
+        self.b = [(v.numerator, v.denominator) for v in b]
+        # the coefficients of equation j, at site s = 1 - j
+        self.coef_a = [a[1 - j].numerator * (d // a[1 - j].denominator) for j in range(n)]
+        self.coef_b = [b[1 - j].numerator * (d // b[1 - j].denominator) for j in range(n)]
+        self.closure = prod(self.coef_a) - prod(self.coef_b)
+        self.prev = self.cur = [1] * n
+        self.adj = [1] * n  # gcd(cur_j, cur_{j+1})
+
+    def step(self):
+        """The next slices (x, y) and the largest bit length of τ^t, the
+        older of the two generations they are formed of, or None when a τ
+        of the next generation is zero."""
+        p, q, ca, cb = self.prev, self.cur, self.coef_a, self.coef_b
+        n = len(q)
+        # indices mod n: j + 1 - n is j + 1's negative index
+        c = [q[j] * q[j + 1 - n] for j in range(n)]
+        # S = sum_j c_j prod_{k<j} cb_k p_k prod_{k>j} ca_k p_{k+1}
+        h, m = 0, 1
+        for j in range(n):
+            h = h * (ca[j] * p[j + 1 - n]) + c[j] * m
+            m = m * (cb[j] * p[j])
+        v, kappa = _exact_quotient(h, prod(p))
+        u = [v]
+        kappa *= self.closure
+        for j in range(n - 1):
+            v, f = _exact_quotient(ca[j] * p[j + 1] * u[j] - kappa * c[j], cb[j] * p[j])
+            if f > 1:
+                u = [w * f for w in u]
+                kappa *= f
+            u.append(v)
+        if 0 in u:
+            return None
+        adj = [gcd(u[j], u[j + 1 - n]) for j in range(n)]
+        g = 0
+        for w in adj:
+            g = gcd(g, w)
+        if g > 1:
+            u = [w // g for w in u]
+            adj = [w // g for w in adj]
+        same = [gcd(qj, uj) for qj, uj in zip(q, u)]
+
+        x, y = [None] * n, [None] * n
+        for i in range(n):
+            j, k = 1 - i, 2 - i  # in range(2 - n, 3) as n >= 3
+            # the ratio q_k u_j / (q_j u_k), reduced pair by pair, which is a
+            # full reduction; a pair's gcd divides its gcd before the
+            # reduction, which is known and small, so it is taken from that
+            parts = [q[k], u[j], q[j], u[k]]
+            for ia, ib, g in ((0, 2, self.adj[j]), (0, 3, same[k]), (1, 2, same[j]), (1, 3, adj[j])):
+                if g != 1:
+                    g = gcd(gcd(parts[ia], g), parts[ib])
+                    parts[ia] //= g
+                    parts[ib] //= g
+            rn, rd = parts[0] * parts[1], parts[2] * parts[3]
+            if rd < 0:
+                rn, rd = -rn, -rd
+            (an, ad), (bn, bd) = self.a[i], self.b[i]
+            g1, g2 = gcd(an, rd), gcd(rn, ad)
+            x[i] = from_coprime((an // g1) * (rn // g2), (ad // g2) * (rd // g1))
+            g1, g2 = gcd(bn, rn), gcd(rd, bd)
+            yn, yd = (bn // g1) * (rd // g2), (bd // g2) * (rn // g1)
+            y[i] = from_coprime(yn, yd) if yd > 0 else from_coprime(-yn, -yd)
+        self.prev, self.cur, self.adj = q, u, adj
+        return tuple(x), tuple(y), max(w.bit_length() for w in q)
 
 
 _TIME_KEY = re.compile(r"-?[0-9]+")
@@ -211,7 +337,8 @@ class LatticeState:
     own time, so the special points, ``classify_case`` and ``verify`` share
     them.  A slice never changes once written, so an entry stays right
     until pruning; the step neither reads nor fills the cache, so no value
-    is carried from one time to the next.
+    is carried from one time to the next.  The step's τ chain (module
+    docstring) carries τ's, which the slices are read off, and no value.
 
     A state is exclusively owned while being advanced.  ``copy()`` snapshots
     may be read concurrently; reading one fills its own cache, so two readers
@@ -224,6 +351,7 @@ class LatticeState:
         self._v = dict(v_hist)
         self.frontier = frontier
         self._built = {}
+        self._tau = None  # the τ chain: None before the first step, False off it
 
     # -- construction --------------------------------------------------------
 
@@ -298,11 +426,33 @@ class LatticeState:
     # -- evolution --------------------------------------------------------------
 
     def step(self) -> "LatticeState":
-        """Write the slices at frontier + 1 by ``step_slices``.  The step
-        neither reads nor fills the ``built`` cache."""
+        """Write the slices at frontier + 1.  An M = K = 1, N >= 3 state
+        whose history is its stepping window at its first step, with
+        prod(I) != prod(V), anchors a ``_TodaTau`` chain there and reads
+        each slice off it; the chain is dropped for good once a τ outgrows
+        the values it forms.  Every other state and step, and any step with
+        a zero τ, take ``step_slices``, so each error keeps its type,
+        message and step.  The step neither reads nor fills the ``built``
+        cache."""
         t1 = self.frontier + 1
         M, K = self.params.M, self.params.K
-        x, y = step_slices(self._i[t1 - M], self._v[t1 - K], t1, ab_invariant=M == K == 1)
+        a, b = self._i[t1 - M], self._v[t1 - K]
+        if self._tau is None:
+            self._tau = (
+                M == K == 1
+                and self.params.N >= 3
+                and len(self._i) == len(self._v) == 1
+                and _product(a) != _product(b)
+                and _TodaTau(a, b)
+            )
+        out = self._tau.step() if self._tau else None
+        if out is None:
+            self._tau = False
+            x, y = step_slices(a, b, t1, ab_invariant=M == K == 1)
+        else:
+            x, y, bits = out
+            if bits > height(x + y):
+                self._tau = False
         self._i[t1] = x
         self._v[t1] = y
         self.frontier = t1

@@ -15,6 +15,7 @@ from redkp import (
     rat,
     uniform_state,
 )
+from redkp.lattice import height
 from redkp.lax import factor_slices
 from redkp.yform import _levels, _word_levels, _word_value
 
@@ -204,10 +205,7 @@ def bounded_steps(monkeypatch):
 
     def bounded(self):
         t = step(self).frontier
-        bits = max(
-            max(v.numerator.bit_length(), v.denominator.bit_length())
-            for v in self.i_slice(t) + self.v_slice(t)
-        )
+        bits = height(self.i_slice(t) + self.v_slice(t))
         if bits > STEP_MAX_BITS:
             raise AssertionError(f"slice at t = {t} reaches {bits} bits, over {STEP_MAX_BITS}")
         return self
