@@ -429,8 +429,8 @@ class LatticeState:
         """Write the slices at frontier + 1.  An M = K = 1, N >= 3 state
         whose history is its stepping window at its first step, with
         prod(I) != prod(V), anchors a ``_TodaTau`` chain there and reads
-        each slice off it; the chain is dropped for good once a τ outgrows
-        the values it forms.  Every other state and step, and any step with
+        each slice off it; the chain is dropped for good once τ^t outgrows
+        the slices at t + 1.  Every other state and step, and any step with
         a zero τ, take ``step_slices``, so each error keeps its type,
         message and step.  The step neither reads nor fills the ``built``
         cache."""
