@@ -151,9 +151,10 @@ def test_chain_errors_equal_the_kernels(monkeypatch):
          "closure fixed point at infinity at step 3"),
         (["-3", "2", "3", "1"], ["-3", "-1", "-2", "-3"], SingularStep, "x_1 = 0 at step 3"),
     )
+    calls = count_kernel_steps(monkeypatch)
     for a, b, error, message in draws:
         a, b = [rat(int(v)) for v in a], [rat(int(v)) for v in b]
-        calls = count_kernel_steps(monkeypatch)
+        calls.clear()
         assert error_of(new_state(LatticeParams(1, 1, 4), {0: a}, {0: b}), 5) == (error, message, 3)
         assert calls == [3]  # steps 1 and 2 ran on the chain
         x, y = a, b
