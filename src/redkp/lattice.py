@@ -16,18 +16,27 @@ leaves prod(a) in p, and x_N = b_N + (prod(a) - prod(b)) / w.  z = infinity
 step, the kernel, on any field.  Every step is exact, so the product
 conservation laws hold with zero error.
 
-For M = K = 1 the lattice is the discrete periodic Toda chain, and every
-value is a ratio of its τ functions, integers of about half the values'
-height.  A state with N >= 3 whose history is its stepping window at its
-first step anchors a τ chain there (``_TodaTau``): the anchor slices are
-the gauge, A = I_{t0}, B = V_{t0}, τ^{t0-1} = τ^{t0} = 1, and each step
-solves Hirota's bilinear equations for the next τ generation on integers
-and reads the slices off the last two, with no gcd of two full-height
-values.  The chain is dropped for good once τ^t outgrows the slices at
-t + 1 (as on a window anchored deep in its orbit); every other state and
-step, and any step with a zero τ, take the kernel, so an error keeps its
-type, message and step, and the slices stay the one source of truth.
-(1,1,2) keeps the kernel: its orbits have period 2.
+Every value is also a ratio of four τ functions of the (M,K)-reduced
+Hirota-Miwa equation (Miwa, Proc. Japan Acad. 58A (1982) 9; for M = K = 1
+Hirota's discrete Toda equation, J. Phys. Soc. Jpn. 43 (1977) 2074),
+integers of about half the values' height.  A state with N >= 2 whose
+history is its stepping window at its first step anchors a τ chain there
+(``_TauChain``): with the window slices of t's phase as the gauge,
+A = A^(t mod M), B = B^(t mod K), and τ^s = 1 for the M + K generations up
+to the anchor,
+
+    I^i_t = A_i τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1}),
+    V^i_t = B_i τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j),   j = 1 - i,
+
+and each step solves A_s τ^t_j τ^{t-M-K}_{j+1} - B_s τ^{t-M-K}_j τ^t_{j+1}
+= κ_t τ^{t-K}_j τ^{t-M}_{j+1} (s = 1 - j, indices mod N) for the next τ
+generation on integers, with no gcd of two full-height values.  The chain
+is dropped for good once τ^{t-K} or τ^{t-M} outgrows the slices at t (as
+on a window anchored deep in its orbit, or on (1,1,2), whose orbits have
+period 2); every other state and step, any step whose phase has
+prod(A) = prod(B) and any step with a zero τ take the kernel, so an error
+keeps its type, message and step, and the slices stay the one source of
+truth.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import json
 import re
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import floordiv
 
 from .errors import (
     DegenerateEvolution,
@@ -191,53 +201,71 @@ def _exact_quotient(num, den):
     return num * f // den, f
 
 
-class _TodaTau:
-    """The τ functions of an M = K = 1, N >= 3 orbit, carried as integers.
+class _TauChain:
+    """The τ functions of an (M, K) orbit with N >= 2, carried as integers.
 
-    Anchored at slices A = I_{t0}, B = V_{t0} with τ^{t0-1} = τ^{t0} = 1,
-    every later slice is read off two τ generations:
+    Anchored at the window I_{t0-M+1..t0}, V_{t0-K+1..t0} with τ^s = 1 for
+    the M + K generations s = t0-M-K+1..t0, every later slice is read off
+    the τ generations t, t - K and t - M:
 
-        I^i_{t+1} = A_i τ^t_{j+1} τ^{t+1}_j / (τ^t_j τ^{t+1}_{j+1}),  j = 1 - i,
-        V^i_{t+1} = B_i over the same ratio,
+        I^i_t = A_i τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1}),
+        V^i_t = B_i τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j),  j = 1 - i
 
-    (indices mod N), where each generation solves the bilinear equations
-    A_s τ^{t+1}_j τ^{t-1}_{j+1} - B_s τ^{t+1}_{j+1} τ^{t-1}_j = κ τ^t_j τ^t_{j+1},
-    s = 1 - j (Hirota's discrete Toda equation).  A scalar κ_t and one per
-    generation change no ratio, so the equations run on A, B times the lcm
-    of their denominators, and each generation is divided by its content.
-    The equations are a cyclic linear recursion in τ^{t+1}; round the cycle
-    it closes on τ^{t+1}_0 = S / ((prod A - prod B) prod τ^{t-1}), with S the
-    sum of one Horner pass, so κ = prod A - prod B and the rest follow by
-    division by B_s τ^{t-1}_j.  These divisions are exact up to small
+    (indices mod N), where A = A^(t mod M) and B = B^(t mod K) are the
+    window slices of t's phase, and each generation solves the reduced
+    Hirota-Miwa equations
+
+        A_s τ^t_j τ^{t-M-K}_{j+1} - B_s τ^{t-M-K}_j τ^t_{j+1} = κ_t τ^{t-K}_j τ^{t-M}_{j+1},
+
+    s = 1 - j.  Then x y = a b holds identically, and x_n - b_n = a_{n-1} -
+    y_{n-1} holds as the equations at j = 1 - n and 2 - n share κ_t.
+    For M = K = 1 it is Hirota's discrete Toda equation, and V's ratio is
+    the inverse of I's.  A scalar κ_t and one per generation change no
+    ratio, so the equations run on A, B times the lcm of the window's
+    denominators, and each generation is divided by its content.  The
+    equations are a cyclic linear recursion in τ^t; round the cycle it
+    closes on τ^t_0 = S / ((prod A - prod B) prod τ^{t-M-K}), with S the sum
+    of one Horner pass, so κ = prod A - prod B and the rest follow by
+    division by B_s τ^{t-M-K}_j.  These divisions are exact up to small
     factors (the Laurent phenomenon); where one is not, the generation and
-    κ are scaled by the least factor that makes it so.
+    κ are scaled by the least factor that makes it so.  prod A = prod B
+    makes the closure zero, exactly where the kernel raises.
 
     The τ's stay near half the values' height, so a value is reduced by
-    gcds of half-height τ's: of adjacent τ^{t+1} and of τ^t_j with
-    τ^{t+1}_j, each shared by two values, and of the small gcds left."""
+    gcds of half-height τ's: of adjacent τ's of a generation, taken once
+    as it is made, and of τ^t_j with τ^{t-K}_j and τ^{t-M}_j, each shared
+    by two values."""
 
-    __slots__ = ("a", "b", "coef_a", "coef_b", "closure", "prev", "cur", "adj")
+    __slots__ = ("a", "b", "gens", "steps")
 
     def __init__(self, a, b):
-        n = len(a)
-        d = lcm(*(v.denominator for v in a + b))
-        self.a = [(v.numerator, v.denominator) for v in a]
-        self.b = [(v.numerator, v.denominator) for v in b]
-        # the coefficients of equation j, at site s = 1 - j
-        self.coef_a = [a[1 - j].numerator * (d // a[1 - j].denominator) for j in range(n)]
-        self.coef_b = [b[1 - j].numerator * (d // b[1 - j].denominator) for j in range(n)]
-        self.closure = prod(self.coef_a) - prod(self.coef_b)
-        self.prev = self.cur = [1] * n
-        self.adj = [1] * n  # gcd(cur_j, cur_{j+1})
+        """``a`` and ``b``: the window's I- and V-slices in time order."""
+        a = [[v.as_integer_ratio() for v in s] for s in a]
+        b = [[v.as_integer_ratio() for v in s] for s in b]
+        d = lcm(*(q for s in a + b for _, q in s))
+        self.a, self.b = _phases(a, d), _phases(b, d)
+        ones = [1] * len(a[0])
+        # (τ, num, den, largest bit length of τ), oldest first, with
+        # τ_j / τ_{j+1} = num_j / den_j in lowest terms
+        self.gens = [(ones, ones, ones, 1)] * (len(a) + len(b))
+        self.steps = 0
 
     def step(self):
-        """The next slices (x, y) and the largest bit length of τ^t, the
-        older of the two generations they are formed of, or None when a τ
-        of the next generation is zero."""
-        p, q, ca, cb = self.prev, self.cur, self.coef_a, self.coef_b
-        n = len(q)
+        """The next slices (x, y) and whether the chain is outgrown: τ^{t-K}
+        or τ^{t-M} is taller than every numerator and denominator of x and
+        y.  None when the phase's closure or a τ of the new generation is
+        zero."""
+        M, K, gens = len(self.a), len(self.b), self.gens
+        ca, pa, a = self.a[self.steps % M]
+        cb, pb, b = self.b[self.steps % K]
+        if pa == pb:
+            return None
+        p = gens[-M - K][0]
+        qk, kn, kd, bits_k = gens[-K]
+        qm, mn, md, bits_m = gens[-M]
+        n = len(p)
         # indices mod n: j + 1 - n is j + 1's negative index
-        c = [q[j] * q[j + 1 - n] for j in range(n)]
+        c = [qk[j] * qm[j + 1 - n] for j in range(n)]
         # S = sum_j c_j prod_{k<j} cb_k p_k prod_{k>j} ca_k p_{k+1}
         h, m = 0, 1
         for j in range(n):
@@ -245,7 +273,7 @@ class _TodaTau:
             m = m * (cb[j] * p[j])
         v, kappa = _exact_quotient(h, prod(p))
         u = [v]
-        kappa *= self.closure
+        kappa *= pa - pb
         for j in range(n - 1):
             v, f = _exact_quotient(ca[j] * p[j + 1] * u[j] - kappa * c[j], cb[j] * p[j])
             if f > 1:
@@ -254,38 +282,78 @@ class _TodaTau:
             u.append(v)
         if 0 in u:
             return None
-        adj = [gcd(u[j], u[j + 1 - n]) for j in range(n)]
-        g = 0
-        for w in adj:
-            g = gcd(g, w)
+        adj = list(map(gcd, u, u[1:] + u[:1]))
+        g = gcd(*adj)
         if g > 1:
             u = [w // g for w in u]
             adj = [w // g for w in adj]
-        same = [gcd(qj, uj) for qj, uj in zip(q, u)]
+        un = list(map(floordiv, u, adj))
+        ud = list(map(floordiv, u[1:] + u[:1], adj))
+        same_k = list(map(gcd, qk, u))
+        same_m = same_k if M == K else list(map(gcd, qm, u))
+        # at index j, the gcds at site j + 1
+        next_k, next_m = same_k[1:] + same_k[:1], same_m[1:] + same_m[:1]
 
         x, y = [None] * n, [None] * n
+        bits = max(bits_k, bits_m)
+        short = True
         for i in range(n):
-            j, k = 1 - i, 2 - i  # in range(2 - n, 3) as n >= 3
-            # the ratio q_k u_j / (q_j u_k), reduced pair by pair, which is a
-            # full reduction; a pair's gcd divides its gcd before the
-            # reduction, which is known and small, so it is taken from that
-            parts = [q[k], u[j], q[j], u[k]]
-            for ia, ib, g in ((0, 2, self.adj[j]), (0, 3, same[k]), (1, 2, same[j]), (1, 3, adj[j])):
-                if g != 1:
-                    g = gcd(gcd(parts[ia], g), parts[ib])
-                    parts[ia] //= g
-                    parts[ib] //= g
-            rn, rd = parts[0] * parts[1], parts[2] * parts[3]
-            if rd < 0:
-                rn, rd = -rn, -rd
-            (an, ad), (bn, bd) = self.a[i], self.b[i]
-            g1, g2 = gcd(an, rd), gcd(rn, ad)
-            x[i] = from_coprime((an // g1) * (rn // g2), (ad // g2) * (rd // g1))
-            g1, g2 = gcd(bn, rn), gcd(rd, bd)
-            yn, yd = (bn // g1) * (rd // g2), (bd // g2) * (rn // g1)
-            y[i] = from_coprime(yn, yd) if yd > 0 else from_coprime(-yn, -yd)
-        self.prev, self.cur, self.adj = q, u, adj
-        return tuple(x), tuple(y), max(w.bit_length() for w in q)
+            j = 1 - i  # in range(2 - n, 2) as n >= 2
+            # τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1})
+            rn, rd = _ratio(kd[j], un[j], kn[j], ud[j], next_k[j], same_k[j])
+            xn, xd = _times(a[i], rn, rd)
+            if M == K:
+                yn, yd = _times(b[i], rd, rn)
+            else:
+                # τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j)
+                rn, rd = _ratio(mn[j], ud[j], md[j], un[j], same_m[j], next_m[j])
+                yn, yd = _times(b[i], rn, rd)
+            short = short and max(
+                xn.bit_length(), xd.bit_length(), yn.bit_length(), yd.bit_length()
+            ) < bits
+            x[i] = from_coprime(xn, xd)
+            y[i] = from_coprime(yn, yd)
+        gens.append((u, un, ud, max(map(int.bit_length, u))))
+        del gens[0]
+        self.steps += 1
+        return tuple(x), tuple(y), short
+
+
+def _phases(slices, d):
+    """Per window slice of (numerator, denominator) pairs, the coefficients
+    of its equations, its value at site 1 - j times d for equation j, their
+    product and the pairs."""
+    out = []
+    for s in slices:
+        coef = [n * (d // q) for n, q in s[1::-1] + s[:1:-1]]
+        out.append((coef, prod(coef), s))
+    return out
+
+
+def _ratio(n1, n2, d1, d2, g1, g2):
+    """n1 n2 / (d1 d2) in lowest terms, with the denominator positive, for
+    n1, d1 coprime and n2, d2 coprime.  g1 and g2 are known multiples of
+    gcd(n1, d2) and gcd(n2, d1), mostly 1 or small, so those gcds are
+    taken from them."""
+    if g1 != 1:
+        g = gcd(gcd(n1, g1), d2)
+        n1 //= g
+        d2 //= g
+    if g2 != 1:
+        g = gcd(gcd(n2, g2), d1)
+        n2 //= g
+        d1 //= g
+    rn, rd = n1 * n2, d1 * d2
+    return (-rn, -rd) if rd < 0 else (rn, rd)
+
+
+def _times(value, rn, rd):
+    """The reduced pair of value * rn / rd, value a reduced (numerator,
+    denominator) pair and rn / rd reduced, with the denominator positive."""
+    vn, vd = value
+    g1, g2 = gcd(vn, rd), gcd(rn, vd)
+    num, den = (vn // g1) * (rn // g2), (vd // g2) * (rd // g1)
+    return (-num, -den) if den < 0 else (num, den)
 
 
 _TIME_KEY = re.compile(r"-?[0-9]+")
@@ -426,32 +494,42 @@ class LatticeState:
     # -- evolution --------------------------------------------------------------
 
     def step(self) -> "LatticeState":
-        """Write the slices at frontier + 1.  An M = K = 1, N >= 3 state
-        whose history is its stepping window at its first step, with
-        prod(I) != prod(V), anchors a ``_TodaTau`` chain there and reads
-        each slice off it; the chain is dropped for good once τ^t outgrows
-        the slices at t + 1.  Every other state and step, and any step with
-        a zero τ, take ``step_slices``, so each error keeps its type,
-        message and step.  The step neither reads nor fills the ``built``
-        cache."""
+        """Write the slices at t = frontier + 1.  A state with N >= 2 whose
+        history is its stepping window at its first step anchors a
+        ``_TauChain`` there, in the gauge A = A^(t mod M), B = B^(t mod K)
+        of the window slices and τ = 1 on the M + K generations up to it,
+        and reads each slice off three τ generations,
+
+            I^i_t = A_i τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1}),
+            V^i_t = B_i τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j),  j = 1 - i,
+
+        each generation solving A_s τ^t_j τ^{t-M-K}_{j+1} - B_s τ^{t-M-K}_j
+        τ^t_{j+1} = κ_t τ^{t-K}_j τ^{t-M}_{j+1}, s = 1 - j.  The chain is
+        dropped for good once τ^{t-K} or τ^{t-M} outgrows the slices at t.
+        Every other state and step, any step whose phase has prod(A) ==
+        prod(B) and any step with a zero τ take ``step_slices``, so each
+        error keeps its type, message and step.  The step neither reads nor
+        fills the ``built`` cache."""
         t1 = self.frontier + 1
         M, K = self.params.M, self.params.K
         a, b = self._i[t1 - M], self._v[t1 - K]
         if self._tau is None:
             self._tau = (
-                M == K == 1
-                and self.params.N >= 3
-                and len(self._i) == len(self._v) == 1
-                and _product(a) != _product(b)
-                and _TodaTau(a, b)
+                self.params.N >= 2
+                and len(self._i) == M
+                and len(self._v) == K
+                and _TauChain(
+                    [self._i[t1 - M + r] for r in range(M)],
+                    [self._v[t1 - K + r] for r in range(K)],
+                )
             )
         out = self._tau.step() if self._tau else None
         if out is None:
             self._tau = False
             x, y = step_slices(a, b, t1, ab_invariant=M == K == 1)
         else:
-            x, y, bits = out
-            if bits > height(x + y):
+            x, y, outgrown = out
+            if outgrown:
                 self._tau = False
         self._i[t1] = x
         self._v[t1] = y

@@ -1,15 +1,17 @@
-"""The τ functions of the M = K = 1 lattice (the discrete periodic Toda
-chain) and the integer τ chain that ``LatticeState.step`` runs on them.
+"""The τ functions of the (M, K) lattice and the integer τ chain that
+``LatticeState.step`` runs on them.
 
-With the anchor slices as gauge, A = I_0, B = V_0 and τ^{-1} = τ^0 = 1,
-each generation solves Hirota's bilinear equations
+With the window slices of t's phase as gauge, A = A^(t mod M) among the
+last M I-slices, B = B^(t mod K) among the last K V-slices, and τ^s = 1 for
+the M + K generations up to the window's end, each generation solves the
+reduced Hirota-Miwa equations
 
-    A_s τ^{t+1}_j τ^{t-1}_{j+1} - B_s τ^{t+1}_{j+1} τ^{t-1}_j = τ^t_j τ^t_{j+1},  s = 1 - j,
+    A_s τ^t_j τ^{t-M-K}_{j+1} - B_s τ^{t-M-K}_j τ^t_{j+1} = τ^{t-K}_j τ^{t-M}_{j+1},  s = 1 - j,
 
-and I^i_{t+1} = A_i τ^t_{2-i} τ^{t+1}_{1-i} / (τ^t_{1-i} τ^{t+1}_{2-i}), V^i_{t+1}
-B_i times the inverse ratio (indices mod N).  ``tau_generations`` solves
-them over the rationals; the chain in ``lattice`` is held to the kernel
-``step_slices`` step by step."""
+and I^i_t = A_i τ^{t-K}_{2-i} τ^t_{1-i} / (τ^{t-K}_{1-i} τ^t_{2-i}),
+V^i_t = B_i τ^{t-M}_{1-i} τ^t_{2-i} / (τ^{t-M}_{2-i} τ^t_{1-i}) (indices
+mod N).  ``tau_generations`` solves them over the rationals; the chain in
+``lattice`` is held to the kernel ``step_slices`` step by step."""
 
 from math import gcd, prod
 
@@ -29,31 +31,37 @@ from redkp.lattice import step_slices
 from conftest import on_every_set, random_state, windows
 
 STEPS = 8
+TAU_SETS = [(1, 1, n) for n in range(3, 9)] + [
+    (1, 2, 2), (2, 1, 2), (1, 2, 3), (2, 1, 3), (1, 2, 4), (1, 3, 4), (2, 1, 5), (3, 2, 5),
+]
 
 
 def tau_generations(a, b, steps):
-    """τ^{-1}, τ^0, ... τ^steps of the anchor slices a, b as rationals, and
-    per generation the Horner sum S and prod τ^{t-1}, with
-    (prod a - prod b) prod τ^{t-1} τ^{t+1}_0 = S.  Stops at a zero τ."""
-    n = len(a)
-    taus, sums = [[rat(1)] * n, [rat(1)] * n], []
-    closure = prod(a, start=rat(1)) - prod(b, start=rat(1))
-    for _ in range(steps):
-        p, q = taus[-2], taus[-1]
-        alpha = [a[1 - j] * p[(j + 1) % n] for j in range(n)]
-        beta = [b[1 - j] * p[j] for j in range(n)]
-        c = [q[j] * q[(j + 1) % n] for j in range(n)]
+    """τ generations of the window a (M I-slices) and b (K V-slices), in
+    time order, as rationals: the M + K anchor generations of ones, then
+    one per step, with κ = 1.  Stops before a step whose phase has
+    prod A = prod B, and after a generation with a zero τ."""
+    M, K, n = len(a), len(b), len(a[0])
+    taus = [[rat(1)] * n for _ in range(M + K)]
+    for t in range(steps):
+        A, B = a[t % M], b[t % K]
+        closure = prod(A, start=rat(1)) - prod(B, start=rat(1))
+        if closure == 0:
+            break
+        p, qk, qm = taus[-M - K], taus[-K], taus[-M]
+        alpha = [A[1 - j] * p[(j + 1) % n] for j in range(n)]
+        beta = [B[1 - j] * p[j] for j in range(n)]
+        c = [qk[j] * qm[(j + 1) % n] for j in range(n)]
         s, m = rat(0), rat(1)
         for j in range(n):
             s, m = s * alpha[j] + c[j] * m, m * beta[j]
         u = [s / (closure * prod(p, start=rat(1)))]
         for j in range(n - 1):
             u.append((alpha[j] * u[j] - c[j]) / beta[j])
-        sums.append((s, prod(p, start=rat(1))))
         taus.append(u)
         if any(v == 0 for v in u):
             break
-    return taus, sums
+    return taus
 
 
 def smooth_over(value, base: int) -> bool:
@@ -64,10 +72,11 @@ def smooth_over(value, base: int) -> bool:
     return value == 1
 
 
-def slices_of(a, b, q, u):
-    n = len(a)
-    ratio = [q[(2 - i) % n] * u[(1 - i) % n] / (q[(1 - i) % n] * u[(2 - i) % n]) for i in range(n)]
-    return tuple(ai * r for ai, r in zip(a, ratio)), tuple(bi / r for bi, r in zip(b, ratio))
+def slices_of(A, B, qk, qm, u):
+    n = len(A)
+    x = [A[i] * qk[(2 - i) % n] * u[(1 - i) % n] / (qk[(1 - i) % n] * u[(2 - i) % n]) for i in range(n)]
+    y = [B[i] * qm[(1 - i) % n] * u[(2 - i) % n] / (qm[(2 - i) % n] * u[(1 - i) % n]) for i in range(n)]
+    return tuple(x), tuple(y)
 
 
 def outcome(call):
@@ -77,43 +86,46 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-@on_every_set([(1, 1, n) for n in range(3, 9)])
+@on_every_set(TAU_SETS)
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_tau_chain_on_any_window(M, K, N, data):
-    """Every τ generation satisfies the bilinear equations exactly; the
-    Horner sum over prod τ^{t-1}, and every τ, has only primes of A, B and
-    prod A - prod B in its denominator; the slices the τ's give, and those
-    the state writes with the chain anchored, equal the kernel's at every
-    step, errors included."""
+    """On the last M I-slices and K V-slices of a window, every τ
+    generation satisfies the bilinear equations exactly; every τ has only
+    primes of the window values and of the phase closures prod A - prod B
+    in its denominator; the slices the τ's give, and those the state
+    writes with the chain anchored, equal the kernel's at every step,
+    errors included."""
     i_slices, v_slices = data.draw(windows(M, K, N))
-    a, b = i_slices[0], v_slices[0]
-    state = new_state(LatticeParams(M, K, N), {0: a}, {0: b})
-    pa, pb = prod(a, start=rat(1)), prod(b, start=rat(1))
-    x, y = a, b
-    if pa != pb:
-        base = prod(v.numerator * v.denominator for v in a + b) * (pa - pb).numerator
-        base *= (pa - pb).denominator
-        taus, sums = tau_generations(a, b, STEPS)
-        for t in range(1, len(taus) - 1):
-            p, q, u = taus[t - 1], taus[t], taus[t + 1]
-            for j in range(N):
-                k = (j + 1) % N
-                assert a[1 - j] * u[j] * p[k] - b[1 - j] * u[k] * p[j] == q[j] * q[k]
-            s, pp = sums[t - 1]
-            assert smooth_over((s / pp).denominator, abs(base))
-            assert all(smooth_over(v.denominator, abs(base)) for v in u)
-            if all(v != 0 for v in u):
-                assert slices_of(a, b, q, u) == step_slices(x, y, t)
-                x, y = slices_of(a, b, q, u)
-    x, y = a, b
+    a = [i_slices[r] for r in range(1 - M, 1)]
+    b = [v_slices[r] for r in range(1 - K, 1)]
+    state = new_state(LatticeParams(M, K, N), dict(enumerate(a, 1 - M)), dict(enumerate(b, 1 - K)))
+    base = prod(v.numerator * v.denominator for s in a + b for v in s)
+    for A in a:
+        for B in b:
+            closure = prod(A, start=rat(1)) - prod(B, start=rat(1))
+            base *= closure.numerator * closure.denominator or 1
+    hist_i, hist_v = dict(enumerate(a, 1 - M)), dict(enumerate(b, 1 - K))
+    taus = tau_generations(a, b, STEPS)
+    for t in range(1, len(taus) - M - K + 1):
+        p, qk, qm, u = taus[t - 1], taus[t + M - 1], taus[t + K - 1], taus[t + M + K - 1]
+        A, B = a[(t - 1) % M], b[(t - 1) % K]
+        for j in range(N):
+            k = (j + 1) % N
+            assert A[1 - j] * u[j] * p[k] - B[1 - j] * p[j] * u[k] == qk[j] * qm[k]
+        assert all(smooth_over(v.denominator, abs(base)) for v in u)
+        if all(v != 0 for v in u):
+            expected = step_slices(hist_i[t - M], hist_v[t - K], t)
+            assert slices_of(A, B, qk, qm, u) == expected
+            hist_i[t], hist_v[t] = expected
+    hist_i, hist_v = dict(enumerate(a, 1 - M)), dict(enumerate(b, 1 - K))
     for t in range(1, STEPS + 1):
-        expected = outcome(lambda: step_slices(x, y, t))
+        expected = outcome(lambda: step_slices(hist_i[t - M], hist_v[t - K], t))
         got = outcome(lambda: state.step() and (state.i_slice(t), state.v_slice(t)))
         assert got == expected
         if type(expected[0]) is type:
             break
-        x, y = expected
+        hist_i[t], hist_v[t] = expected
 
 
 def count_kernel_steps(monkeypatch):
@@ -163,24 +175,54 @@ def test_chain_errors_equal_the_kernels(monkeypatch):
         assert outcome(lambda: step_slices(x, y, 3)) == (error, message)
 
 
-def test_which_states_take_the_chain(monkeypatch):
-    """(1,1,3) and (1,1,8) windows take the chain at every step; (1,1,2),
-    whose τ's are pure powers of small primes, and a state with more
-    history than its window take the kernel; a window deep in its orbit
-    drops the chain once its τ's outgrow the values."""
-    windows_ = [random_state(*params, seed=4) for params in ((1, 1, 3), (1, 1, 8), (1, 1, 2))]
+def test_chain_leaves_only_the_degenerate_phase_to_the_kernel(monkeypatch):
+    """A (2,1,3) window whose second phase pair has prod A = prod B = 4:
+    the chain takes step 1, and step 2 alone goes to the kernel, which
+    raises as it does with no chain."""
+    i_win = {-1: [rat(1), rat(2), rat(3)], 0: [rat(2), rat(1), rat(2)]}
+    v_win = {0: [rat(1), rat(4), rat(1)]}
+    message = "prod(I) == prod(V) == 4 at step 2: closure is not unique"
+    x, y = step_slices(i_win[-1], v_win[0], 1)
+    assert outcome(lambda: step_slices(i_win[0], y, 2)) == (DegenerateEvolution, message)
     calls = count_kernel_steps(monkeypatch)
-    for state in windows_[:2]:
+    state = new_state(LatticeParams(2, 1, 3), i_win, v_win)
+    assert error_of(state, 5) == (DegenerateEvolution, message, 2)
+    assert calls == [2]
+    assert (state.i_slice(1), state.v_slice(1)) == (x, y)
+
+
+def window_at(state, t):
+    """A new state holding only the stepping window of ``state`` at t."""
+    M, K = state.params.M, state.params.K
+    return new_state(
+        state.params,
+        {s: state.i_slice(s) for s in range(t - M + 1, t + 1)},
+        {s: state.v_slice(s) for s in range(t - K + 1, t + 1)},
+    )
+
+
+def test_which_states_take_the_chain(monkeypatch):
+    """Windows of (1,1,3), (1,1,8) and general (M, K) take the chain at
+    every step; (1,1,2), whose orbits have period 2, drops it after its
+    first steps; a state with more history than its window takes the
+    kernel; a window deep in its orbit drops the chain once its τ's
+    outgrow the values."""
+    general = [(1, 2, 2), (1, 2, 3), (2, 1, 3), (1, 3, 4), (2, 1, 5), (3, 2, 5)]
+    windows_ = [random_state(*params, seed=4) for params in [(1, 1, 3), (1, 1, 8)] + general]
+    periodic = random_state(1, 1, 2, seed=4)
+    calls = count_kernel_steps(monkeypatch)
+    for state in windows_:
         state.evolve_to(20)
     assert calls == []
-    windows_[2].evolve_to(20)
-    assert calls == list(range(1, 21))
-    calls.clear()
-    longer = lattice.LatticeState.loads(windows_[0].prune_below(15).dumps())
-    assert len(longer.times("I")) > 1
-    longer.evolve_to(25)
-    assert calls == list(range(21, 26))
-    calls.clear()
-    deep = lattice.LatticeState.loads(longer.prune_below(25).dumps())
-    deep.evolve_to(40)
-    assert calls[0] > 26 and calls == list(range(calls[0], 41))
+    periodic.evolve_to(20)
+    assert 1 < calls[0] and calls == list(range(calls[0], 21))
+    for state in (windows_[0], windows_[4]):
+        calls.clear()
+        longer = lattice.LatticeState.loads(state.prune_below(15).dumps())
+        assert len(longer.times("I")) > state.params.M
+        longer.evolve_to(25)
+        assert calls == list(range(21, 26))
+        calls.clear()
+        deep = window_at(longer, 25)
+        deep.evolve_to(40)
+        assert calls[0] > 26 and calls == list(range(calls[0], 41))
