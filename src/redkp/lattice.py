@@ -202,34 +202,22 @@ def _exact_quotient(num, den):
 
 
 class _TauChain:
-    """The τ functions of an (M, K) orbit with N >= 2, carried as integers.
+    """The τ functions of an (M, K) orbit with N >= 2, carried as integers,
+    in the gauge of its window (module docstring).
 
-    Anchored at the window I_{t0-M+1..t0}, V_{t0-K+1..t0} with τ^s = 1 for
-    the M + K generations s = t0-M-K+1..t0, every later slice is read off
-    the τ generations t, t - K and t - M:
-
-        I^i_t = A_i τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1}),
-        V^i_t = B_i τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j),  j = 1 - i
-
-    (indices mod N), where A = A^(t mod M) and B = B^(t mod K) are the
-    window slices of t's phase, and each generation solves the reduced
-    Hirota-Miwa equations
-
-        A_s τ^t_j τ^{t-M-K}_{j+1} - B_s τ^{t-M-K}_j τ^t_{j+1} = κ_t τ^{t-K}_j τ^{t-M}_{j+1},
-
-    s = 1 - j.  Then x y = a b holds identically, and x_n - b_n = a_{n-1} -
-    y_{n-1} holds as the equations at j = 1 - n and 2 - n share κ_t.
-    For M = K = 1 it is Hirota's discrete Toda equation, and V's ratio is
-    the inverse of I's.  A scalar κ_t and one per generation change no
-    ratio, so the equations run on A, B times the lcm of the window's
-    denominators, and each generation is divided by its content.  The
-    equations are a cyclic linear recursion in τ^t; round the cycle it
-    closes on τ^t_0 = S / ((prod A - prod B) prod τ^{t-M-K}), with S the sum
-    of one Horner pass, so κ = prod A - prod B and the rest follow by
-    division by B_s τ^{t-M-K}_j.  These divisions are exact up to small
-    factors (the Laurent phenomenon); where one is not, the generation and
-    κ are scaled by the least factor that makes it so.  prod A = prod B
-    makes the closure zero, exactly where the kernel raises.
+    In the τ form x y = a b holds identically, and x_n - b_n = a_{n-1} -
+    y_{n-1} holds as the equations at j = 1 - n and 2 - n share κ_t; for
+    M = K = 1 V's ratio is the inverse of I's.  A scalar κ_t and one per
+    generation change no ratio, so the equations run on A, B times the lcm
+    of the window's denominators, and each generation is divided by its
+    content.  The equations are a cyclic linear recursion in τ^t; round the
+    cycle it closes on τ^t_0 = S / ((prod A - prod B) prod τ^{t-M-K}), with
+    S the sum of one Horner pass, so κ = prod A - prod B and the rest
+    follow by division by B_s τ^{t-M-K}_j.  These divisions are exact up to
+    small factors (the Laurent phenomenon); where one is not, the
+    generation and κ are scaled by the least factor that makes it so.
+    prod A = prod B makes the closure zero, exactly where the kernel
+    raises.
 
     The τ's stay near half the values' height, so a value is reduced by
     gcds of half-height τ's: of adjacent τ's of a generation, taken once
@@ -296,7 +284,7 @@ class _TauChain:
 
         x, y = [None] * n, [None] * n
         bits = max(bits_k, bits_m)
-        short = True
+        outgrown = True
         for i in range(n):
             j = 1 - i  # in range(2 - n, 2) as n >= 2
             # τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1})
@@ -308,7 +296,7 @@ class _TauChain:
                 # τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j)
                 rn, rd = _ratio(mn[j], ud[j], md[j], un[j], same_m[j], next_m[j])
                 yn, yd = _times(b[i], rn, rd)
-            short = short and max(
+            outgrown = outgrown and max(
                 xn.bit_length(), xd.bit_length(), yn.bit_length(), yd.bit_length()
             ) < bits
             x[i] = from_coprime(xn, xd)
@@ -316,13 +304,13 @@ class _TauChain:
         gens.append((u, un, ud, max(map(int.bit_length, u))))
         del gens[0]
         self.steps += 1
-        return tuple(x), tuple(y), short
+        return tuple(x), tuple(y), outgrown
 
 
 def _phases(slices, d):
-    """Per window slice of (numerator, denominator) pairs, the coefficients
-    of its equations, its value at site 1 - j times d for equation j, their
-    product and the pairs."""
+    """For each window slice, given as (numerator, denominator) pairs: the
+    coefficient of each equation j, its value at site 1 - j times d, their
+    product, and the pairs."""
     out = []
     for s in slices:
         coef = [n * (d // q) for n, q in s[1::-1] + s[:1:-1]]

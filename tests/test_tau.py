@@ -73,9 +73,14 @@ def smooth_over(value, base: int) -> bool:
 
 
 def slices_of(A, B, qk, qm, u):
+    """The slices at t of the window slices A, B of t's phase and the τ
+    generations t - K, t - M and t."""
     n = len(A)
-    x = [A[i] * qk[(2 - i) % n] * u[(1 - i) % n] / (qk[(1 - i) % n] * u[(2 - i) % n]) for i in range(n)]
-    y = [B[i] * qm[(1 - i) % n] * u[(2 - i) % n] / (qm[(2 - i) % n] * u[(1 - i) % n]) for i in range(n)]
+    x, y = [], []
+    for i in range(n):
+        j, k = (1 - i) % n, (2 - i) % n
+        x.append(A[i] * qk[k] * u[j] / (qk[j] * u[k]))
+        y.append(B[i] * qm[j] * u[k] / (qm[k] * u[j]))
     return tuple(x), tuple(y)
 
 
@@ -216,7 +221,7 @@ def test_which_states_take_the_chain(monkeypatch):
     assert calls == []
     periodic.evolve_to(20)
     assert 1 < calls[0] and calls == list(range(calls[0], 21))
-    for state in (windows_[0], windows_[4]):
+    for state in windows_[0], windows_[4]:  # (1,1,3) and (2,1,3)
         calls.clear()
         longer = lattice.LatticeState.loads(state.prune_below(15).dumps())
         assert len(longer.times("I")) > state.params.M
