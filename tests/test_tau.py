@@ -104,13 +104,14 @@ def test_tau_chain_on_any_window(M, K, N, data):
     i_slices, v_slices = data.draw(windows(M, K, N))
     a = [i_slices[r] for r in range(1 - M, 1)]
     b = [v_slices[r] for r in range(1 - K, 1)]
-    state = new_state(LatticeParams(M, K, N), dict(enumerate(a, 1 - M)), dict(enumerate(b, 1 - K)))
+    i_win, v_win = dict(enumerate(a, 1 - M)), dict(enumerate(b, 1 - K))
+    state = new_state(LatticeParams(M, K, N), i_win, v_win)
     base = prod(v.numerator * v.denominator for s in a + b for v in s)
     for A in a:
         for B in b:
             closure = prod(A, start=rat(1)) - prod(B, start=rat(1))
             base *= closure.numerator * closure.denominator or 1
-    hist_i, hist_v = dict(enumerate(a, 1 - M)), dict(enumerate(b, 1 - K))
+    hist_i, hist_v = dict(i_win), dict(v_win)
     taus = tau_generations(a, b, STEPS)
     for t in range(1, len(taus) - M - K + 1):
         p, qk, qm, u = taus[t - 1], taus[t + M - 1], taus[t + K - 1], taus[t + M + K - 1]
@@ -123,7 +124,7 @@ def test_tau_chain_on_any_window(M, K, N, data):
             expected = step_slices(hist_i[t - M], hist_v[t - K], t)
             assert slices_of(A, B, qk, qm, u) == expected
             hist_i[t], hist_v[t] = expected
-    hist_i, hist_v = dict(enumerate(a, 1 - M)), dict(enumerate(b, 1 - K))
+    hist_i, hist_v = dict(i_win), dict(v_win)
     for t in range(1, STEPS + 1):
         expected = outcome(lambda: step_slices(hist_i[t - M], hist_v[t - K], t))
         got = outcome(lambda: state.step() and (state.i_slice(t), state.v_slice(t)))
