@@ -46,13 +46,11 @@ def _nonzero(terms: dict) -> dict:
     return {key: c for key, c in terms.items() if c}
 
 
-def _add_product(acc: dict, p: dict, q: dict, c=1) -> dict:
-    """acc += c*p*q on term maps over any coefficient ring; sums that cancel
+def _add_product(acc: dict, p: dict, q: dict) -> dict:
+    """acc += p*q on term maps over any coefficient ring; sums that cancel
     stay in acc as 0."""
     get = acc.get
     for (px, py), pc in p.items():
-        if c != 1:
-            pc *= c
         for (qx, qy), qc in q.items():
             key = (px + qx, py + qy)
             cur = get(key)

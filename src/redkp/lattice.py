@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import floordiv
 
+from . import rational
 from .errors import (
     DegenerateEvolution,
     GcdViolation,
@@ -144,20 +145,17 @@ def monodromy_closure(a, b):
     return (t11, t12, t21, t22), _product(a), _product(b)
 
 
-def step_slices(a, b, t1, product=_product, ab_invariant=False) -> tuple:
+def step_slices(a, b, t1, product=_product) -> tuple:
     """The slices (x, y) one step after a (the I-slice M steps back) and b
     (the V-slice K steps back), the step at time t1 (module docstring).
 
     Only + - * /, tests against zero and ``product``, the product of a
     slice, are taken of the values, so any field serves; ``product``
     defaults to the one-gcd product of ``Rational`` slices.  The a_i b_i are
-    formed once, for y and, with ``ab_invariant``, for prod(b) =
-    prod(ab) / prod(a): when M = K = 1 they are the site invariants, so this
-    spares a product of N values of the slices' height.  Other (M, K) keep
-    prod(b): there the a_i b_i are as tall as the slices, and the quotient
-    measured no faster.  Raises ``DegenerateEvolution`` when the closure is
-    not unique or lies at infinity, and ``SingularStep`` on a zero x_i,
-    naming the step t1."""
+    formed once, for y and for prod(b) = prod(ab) / prod(a), as the pass
+    leaves prod(a).  Raises ``DegenerateEvolution`` when the closure is not
+    unique or lies at infinity, and ``SingularStep`` on a zero x_i, naming
+    the step t1."""
     n = len(a)
     ab = [ai * bi for ai, bi in zip(a, b)]
 
@@ -167,7 +165,7 @@ def step_slices(a, b, t1, product=_product, ab_invariant=False) -> tuple:
     for i in range(n):
         w = pa + b[i - 1] * w
         pa = pa * a[i - 1]
-    pb = product(ab) / pa if ab_invariant else product(b)
+    pb = product(ab) / pa
     if pa == pb:
         raise DegenerateEvolution(
             f"prod(I) == prod(V) == {format_rational(pa)} at step {t1}: "
@@ -289,18 +287,14 @@ class _TauChain:
             j = 1 - i  # in range(2 - n, 2) as n >= 2
             # τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1})
             rn, rd = _ratio(kd[j], un[j], kn[j], ud[j], next_k[j], same_k[j])
-            xn, xd = _times(a[i], rn, rd)
+            x[i] = rational._product(*a[i], rn, rd)
             if M == K:
-                yn, yd = _times(b[i], rd, rn)
+                y[i] = rational._product(*b[i], rd, rn)
             else:
                 # τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j)
                 rn, rd = _ratio(mn[j], ud[j], md[j], un[j], same_m[j], next_m[j])
-                yn, yd = _times(b[i], rn, rd)
-            outgrown = outgrown and max(
-                xn.bit_length(), xd.bit_length(), yn.bit_length(), yd.bit_length()
-            ) < bits
-            x[i] = from_coprime(xn, xd)
-            y[i] = from_coprime(yn, yd)
+                y[i] = rational._product(*b[i], rn, rd)
+            outgrown = outgrown and height((x[i], y[i])) < bits
         gens.append((u, un, ud, max(map(int.bit_length, u))))
         del gens[0]
         self.steps += 1
@@ -319,10 +313,10 @@ def _phases(slices, d):
 
 
 def _ratio(n1, n2, d1, d2, g1, g2):
-    """n1 n2 / (d1 d2) in lowest terms, with the denominator positive, for
-    n1, d1 coprime and n2, d2 coprime.  g1 and g2 are known multiples of
-    gcd(n1, d2) and gcd(n2, d1), mostly 1 or small, so those gcds are
-    taken from them."""
+    """n1 n2 / (d1 d2) in lowest terms, for n1, d1 coprime and n2, d2
+    coprime, with either sign: ``rational._product`` fixes it.  g1 and g2
+    are known multiples of gcd(n1, d2) and gcd(n2, d1), mostly 1 or small,
+    so those gcds are taken from them."""
     if g1 != 1:
         g = gcd(gcd(n1, g1), d2)
         n1 //= g
@@ -331,17 +325,7 @@ def _ratio(n1, n2, d1, d2, g1, g2):
         g = gcd(gcd(n2, g2), d1)
         n2 //= g
         d1 //= g
-    rn, rd = n1 * n2, d1 * d2
-    return (-rn, -rd) if rd < 0 else (rn, rd)
-
-
-def _times(value, rn, rd):
-    """The reduced pair of value * rn / rd, value a reduced (numerator,
-    denominator) pair and rn / rd reduced, with the denominator positive."""
-    vn, vd = value
-    g1, g2 = gcd(vn, rd), gcd(rn, vd)
-    num, den = (vn // g1) * (rn // g2), (vd // g2) * (rd // g1)
-    return (-num, -den) if den < 0 else (num, den)
+    return n1 * n2, d1 * d2
 
 
 _TIME_KEY = re.compile(r"-?[0-9]+")
@@ -500,7 +484,6 @@ class LatticeState:
         fills the ``built`` cache."""
         t1 = self.frontier + 1
         M, K = self.params.M, self.params.K
-        a, b = self._i[t1 - M], self._v[t1 - K]
         if self._tau is None:
             self._tau = (
                 self.params.N >= 2
@@ -514,7 +497,7 @@ class LatticeState:
         out = self._tau.step() if self._tau else None
         if out is None:
             self._tau = False
-            x, y = step_slices(a, b, t1, ab_invariant=M == K == 1)
+            x, y = step_slices(self._i[t1 - M], self._v[t1 - K], t1)
         else:
             x, y, outgrown = out
             if outgrown:

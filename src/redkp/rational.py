@@ -127,14 +127,16 @@ def _sum(na, da, nb, db):
     when g2 = 1, and (q h + r/g2, s t h) otherwise.  A zero sum has r = 0
     and s = t = 1, as reduced operands with equal values share da = db.
 
-    Deep in an evolution g is large: each numerator and denominator is a
-    product of factors of about half the height, shared with neighbouring
-    values.  Over the eight sub-cap ``evolve-deep`` draws of bench seed 11,
-    g > 1 in 4135 of 5004 sums and gcd(n, g) > 1 in 3977; of the 2568 with
-    g > 1 and a denominator past 2000 bits, 937 divide out all of g and 2069
-    leave h of at most 64 bits.  There ``Fraction``'s gcd(n, g), n/g2 and
-    db/g2 took 21% of the step's time, and this branch takes 12%.  On
-    200-bit operands sharing a 100-bit factor a sum costs about 3% more."""
+    The benchmark's steps run on ``lattice``'s τ chain, which makes no
+    ``Rational`` sum; its curve paths make them.  In one pass of bench seed 5, ``charpoly-tall``'s rational
+    determinant ring makes 218 sums with g > 1 and a denominator past 2000
+    bits, and ``charpoly-wide`` and ``check-claims`` make 1897 and 2791 with
+    g > 1 on small operands.  With ``Fraction._add``'s gcd(n, g) and two
+    divisions in place of this branch, ``charpoly-tall``'s ops took x1.06
+    of their summed time (x1.01-1.16 in each of five alternating rounds, in
+    process, best of 7 per op), and its (1,1,3) curves x1.00-1.14, rising
+    with height.  On 200-bit operands sharing a 100-bit factor a sum costs
+    about 3% more."""
     g = gcd(da, db)
     if g == 1:
         n, d = na * db + da * nb, da * db
@@ -158,9 +160,10 @@ def _sum(na, da, nb, db):
 
 def _product(na, da, nb, db):
     """(na/da)(nb/db), reduced as ``Fraction._mul`` does by the two cross
-    gcds.  A quotient passes its nonzero divisor inverted, so ``da`` or
-    ``db`` may be negative; then it takes ``Fraction._div``'s sign fix.  An
-    int operand goes first, for the reason ``Rational.__add__`` gives."""
+    gcds.  A quotient passes its nonzero divisor inverted, and ``lattice``'s
+    τ chain a τ ratio of either sign, so ``da`` or ``db`` may be negative;
+    then it takes ``Fraction._div``'s sign fix.  An int operand goes first,
+    for the reason ``Rational.__add__`` gives."""
     g1 = gcd(na, db)
     if g1 > 1:
         na //= g1

@@ -98,6 +98,17 @@ def test_evolve_max_bits_at_the_final_height_writes_the_default_output(tmp_path,
     assert budget.read_bytes() == default.read_bytes()
 
 
+def test_evolve_to_before_the_frontier_exits_2_without_output(tmp_path, tall_file, capsys):
+    evolved, out = tmp_path / "evolved.json", tmp_path / "out.json"
+    assert run_cli("evolve", tall_file, "--to", "5", "-o", str(evolved)) == 0
+    assert run_cli("evolve", str(evolved), "--to", "3", "-o", str(out)) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "target 3 is before the frontier 5",
+    }
+
+
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_evolve_writes_the_bytes_of_json_dumps(params, tmp_path, capsys):
     """The file holds json.dumps(state, indent=2) byte for byte, and stdout

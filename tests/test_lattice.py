@@ -218,15 +218,14 @@ def test_step_equals_monodromy_oracle_past_1000_bits():
 def test_step_kernel_on_fractions_equals_the_step():
     """``step_slices`` takes only field operations of its values: on plain
     ``Fraction`` slices with ``math.prod`` it returns ``Fraction``s equal to
-    the state's own steps, with or without ``ab_invariant``."""
+    the state's own steps."""
     for M, K, N in PARAM_SETS + [(1, 1, 2), (1, 1, 5)]:
         st = random_state(M, K, N, seed=M + 3 * K + 7 * N)
         for t1 in range(1, 9):
             a, b = ([Fraction(v) for v in s] for s in (st.i_slice(t1 - M), st.v_slice(t1 - K)))
-            for ab_invariant in {M == K == 1, False}:
-                x, y = step_slices(a, b, t1, product=prod, ab_invariant=ab_invariant)
-                assert {type(v) for v in x + y} == {Fraction}
-                assert (x, y) == (st.i_slice(t1), st.v_slice(t1))
+            x, y = step_slices(a, b, t1, product=prod)
+            assert {type(v) for v in x + y} == {Fraction}
+            assert (x, y) == (st.i_slice(t1), st.v_slice(t1))
 
 
 def test_evolve_to_noop_and_uniform():
