@@ -7,8 +7,6 @@ banded matrix products stay sparse.  Values are immutable after construction.
 
 from __future__ import annotations
 
-import math
-
 from .errors import ExactDivisionError
 from .rational import Rational, format_rational, parse_rational
 
@@ -179,28 +177,11 @@ class BiPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x0, y0):
-        """Exact value at a rational point; a ring homomorphism.  The terms a
-        zero coordinate kills are skipped (0**0 = 1 keeps the constant term).
-        With x0 = p/q, y0 = r/s, A and B the top live degrees and L the lcm of
-        the live denominators, the value is the integer sum of
-        c*L * p**a q**(A-a) * r**b s**(B-b) over L q**A s**B: one gcd per call,
-        and each power taken once."""
-        if type(x0) is not Rational:
-            x0 = Rational(x0)
-        if type(y0) is not Rational:
-            y0 = Rational(y0)
-        x_dead, y_dead = not x0, not y0
-        live = [(dx, dy, c) for (dx, dy), c in self._terms.items() if not (x_dead and dx or y_dead and dy)]
-        if not live:
-            return _ZERO
-        top_x = max(dx for dx, _, _ in live)
-        top_y = max(dy for _, dy, _ in live)
-        p, q, r, s = x0.numerator, x0.denominator, y0.numerator, y0.denominator
-        xs = {dx: p**dx * q ** (top_x - dx) for dx in {dx for dx, _, _ in live}}
-        ys = {dy: r**dy * s ** (top_y - dy) for dy in {dy for _, dy, _ in live}}
-        lcm = math.lcm(*(c.denominator for _, _, c in live))
-        total = sum(c.numerator * (lcm // c.denominator) * xs[dx] * ys[dy] for dx, dy, c in live)
-        return Rational(total, lcm * q**top_x * s**top_y)
+        """Exact value at a rational point, the term sum of c*x0**dx*y0**dy
+        over ``Rational`` (0**0 = 1 keeps the constant term); a ring
+        homomorphism."""
+        x0, y0 = Rational(x0), Rational(y0)
+        return sum((c * x0**dx * y0**dy for (dx, dy), c in self._terms.items()), _ZERO)
 
     # -- serialization -------------------------------------------------------
 

@@ -255,9 +255,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _EVOLUTION_ERRORS as exc:
         return _fail(exc, EXIT_EVOLUTION)
-    except RedkpError as exc:
-        return _fail(exc, EXIT_VALIDATION)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (RedkpError, ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         return _fail(exc, EXIT_VALIDATION)
 
 

@@ -1,11 +1,9 @@
 """Square matrices with bivariate polynomial entries and exact determinants.
 
-The product skips the zero entries of both operands (a banded Lax factor has
-2N nonzero entries of N^2) and sums each output entry in one term map with
-``bipoly._add_product``, the accumulator of ``BiPoly.__mul__``, dropping the
-sums that cancel.  No command calls it: the monodromy, the
-intertwinings of ``lax.apply_shift`` and the companion product of ``yform``
-are all row updates of band rows.  Its one caller in the package is
+The product is the plain sum of entry products by ``BiPoly``'s ``*`` and
+``+``.  No command calls it: the monodromy, the intertwinings of
+``lax.apply_shift`` and the companion product of ``yform`` are all row
+updates of band rows.  Its one caller in the package is
 ``lax.verify_compatibility``; the tests use it as the dense oracle.  The
 characteristic matrices A - xI of the curve and the leading forms of
 ``numeric``, and Y - yI of ``yform``, are formed by ``minus_diagonal``, which
@@ -78,7 +76,7 @@ from __future__ import annotations
 import math
 from operator import mul, neg
 
-from .bipoly import _ONE, BiPoly, _add_product, _coerce, _nonzero
+from .bipoly import _ONE, BiPoly, _coerce, _nonzero
 from .errors import SizeMismatch
 from .rational import from_coprime
 
@@ -114,16 +112,8 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.n != other.n:
             raise SizeMismatch("size mismatch in product")
-        right = [[(j, e._terms) for j, e in enumerate(row) if e] for row in other._rows]
-        out = []
-        for row in self._rows:
-            acc = [{} for _ in range(self.n)]
-            for e, nonzero in zip(row, right):
-                if e:
-                    for j, q in nonzero:
-                        _add_product(acc[j], e._terms, q)
-            out.append([BiPoly._raw(_nonzero(terms)) for terms in acc])
-        return PolyMatrix(out)
+        cols = list(zip(*other._rows))
+        return PolyMatrix([[sum(map(mul, row, col), BiPoly.zero()) for col in cols] for row in self._rows])
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.n != other.n:

@@ -1,4 +1,5 @@
-"""Compare ``redkp.rational.Rational`` with ``fractions.Fraction`` on + - * /.
+"""Compare ``redkp.rational.Rational`` with ``fractions.Fraction`` on + - * /,
+``**`` by an int, unary - and abs.
 
 ``Rational`` runs ``Fraction``'s field operations on its private slots, and
 the order of its gcd arguments is tuned to CPython's ``math.gcd``, so this
@@ -10,10 +11,13 @@ redkp installed:
 Each operator is applied to every ordered pair of operands in which at least
 one is a ``Rational`` and the other a ``Rational`` or an int, from 0 and +-1
 to about 1400 bits, among them pairs whose denominators share a 607-bit
-prime, so that sums reach every branch of ``rational._sum``.  It must give
-the value ``Fraction`` gives, as a ``Rational``, or raise
-``ZeroDivisionError`` where ``Fraction`` does, with the message ``Fraction``
-gives on the running Python (3.12 and later word some of them differently).
+prime, so that sums reach every branch of ``rational._sum``.  Each
+``Rational`` operand is also raised to every int power from -3 to 3
+(``BiPoly.evaluate`` takes its powers so), negated and passed to ``abs``.
+Every operation must give the value ``Fraction`` gives, as a ``Rational``,
+or raise ``ZeroDivisionError`` where ``Fraction`` does (a quotient by zero,
+or 0 to a negative power), with the message ``Fraction`` gives on the
+running Python (3.12 and later word some of them differently).
 Exits 1 and lists the mismatches if there are any.
 """
 
@@ -25,6 +29,8 @@ from fractions import Fraction
 from redkp.rational import Rational
 
 OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+POWERS = range(-3, 4)
+UNARY = (operator.neg, operator.abs)
 
 
 def operands(rng):
@@ -54,32 +60,37 @@ def operands(rng):
     return ints, rationals
 
 
-def outcome(op, a, b):
+def outcome(op, *args):
     try:
-        return op(a, b)
+        return op(*args)
     except ZeroDivisionError as exc:
         return ZeroDivisionError, str(exc)
+
+
+def fraction(x):
+    return Fraction(x) if type(x) is Rational else x
 
 
 def main():
     ints, rationals = operands(random.Random(33))
     pairs = [(a, b) for a in ints + rationals for b in ints + rationals]
     pairs = [(a, b) for a, b in pairs if Rational in (type(a), type(b))]
+    cases = [(op, a, b) for a, b in pairs for op in OPERATORS]
+    cases += [(operator.pow, a, k) for a in rationals for k in POWERS]
+    cases += [(op, a) for a in rationals for op in UNARY]
     bad = []
-    for a, b in pairs:
-        fa, fb = (Fraction(x) if type(x) is Rational else x for x in (a, b))
-        for op in OPERATORS:
-            got, want = outcome(op, a, b), outcome(op, fa, fb)
-            if type(want) is tuple:
-                same = got == want
-            else:
-                same = type(got) is Rational and (got.numerator, got.denominator) == (
-                    want.numerator,
-                    want.denominator,
-                )
-            if not same:
-                bad.append(f"{op.__name__}({a!r}, {b!r}): {got!r}, Fraction gives {want!r}")
-    print(f"{len(pairs) * len(OPERATORS)} cases, {len(bad)} mismatches on Python {sys.version.split()[0]}")
+    for op, *args in cases:
+        got, want = outcome(op, *args), outcome(op, *map(fraction, args))
+        if type(want) is tuple:
+            same = got == want
+        else:
+            same = type(got) is Rational and (got.numerator, got.denominator) == (
+                want.numerator,
+                want.denominator,
+            )
+        if not same:
+            bad.append(f"{op.__name__}{tuple(args)!r}: {got!r}, Fraction gives {want!r}")
+    print(f"{len(cases)} cases, {len(bad)} mismatches on Python {sys.version.split()[0]}")
     for line in bad:
         print(line)
     return 1 if bad else 0

@@ -284,11 +284,18 @@ def test_eval_examples():
     assert curve.evaluate(0, 6) == 0
 
 
-def naive_value(p: BiPoly, x0, y0):
-    """Term-by-term sum with every power taken afresh: the oracle for
-    ``BiPoly.evaluate``."""
+def horner_value(p: BiPoly, x0, y0):
+    """A Horner pass in x for each power of y, then one in y over their
+    values, with no power taken: the oracle for ``BiPoly.evaluate``'s term
+    sum."""
     x0, y0 = rat(x0), rat(y0)
-    return sum((c * x0**dx * y0**dy for (dx, dy), c in p.items()), rat(0))
+    value = rat(0)
+    for dy in range(p.degree_y, -1, -1):
+        row = rat(0)
+        for dx in range(p.degree_x, -1, -1):
+            row = row * x0 + p.coefficient(dx, dy)
+        value = value * y0 + row
+    return value
 
 
 _TALL_X = rat(-(3**4000 + 2), 2**5000 + 1)  # 6.3k / 5k bits
@@ -318,7 +325,7 @@ def test_evaluate_equals_naive_term_sum(point):
     for p in polys:
         value = p.evaluate(*point)
         assert type(value) is Rational
-        assert value == naive_value(p, *point)
+        assert value == horner_value(p, *point)
     assert polys[-3].evaluate(0, 0) == 5  # 0**0 = 1 keeps the constant term
 
 
@@ -994,7 +1001,7 @@ def naive_mul(p: BiPoly, q: BiPoly) -> BiPoly:
 
 
 def dense_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """The dense triple loop of products and sums: the oracle for the sparse
+    """The dense triple loop of products and sums: the oracle for
     ``PolyMatrix.__matmul__``."""
     n = a.n
     out = []

@@ -60,7 +60,7 @@ def test_evolve_roundtrip_bit_exact(tmp_path, classic_file):
     assert direct == via  # two-hop equals one-hop, bit for bit
 
 
-def test_evolve_errors(tmp_path):
+def test_evolve_errors(tmp_path, capsys):
     bad = tmp_path / "deg.json"
     st = new_state(LatticeParams(1, 1, 2), {0: [2, 3]}, {0: [1, 6]})
     bad.write_text(st.dumps())
@@ -69,7 +69,9 @@ def test_evolve_errors(tmp_path):
     assert run_cli("evolve", str(missing), "--to", "1") == 2
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
+    capsys.readouterr()
     assert run_cli("evolve", str(garbage), "--to", "1") == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "JSONDecodeError"
 
 
 @pytest.fixture
