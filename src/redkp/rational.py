@@ -24,13 +24,37 @@ zero takes ``Fraction``'s own method, so it raises the running Python's
 ``from_coprime`` builds a reduced pair by setting its slots, with no gcd;
 ``parse_rational``, the determinant coefficients of ``polymatrix`` and the
 slice products of ``lattice`` use it.
+
+``format_rational`` writes a numerator or denominator past ``_LEAF_BITS``
+bits by divide and conquer, as ``int.__str__`` takes time quadratic in the
+digit count: n = hi·10^k + lo, k a power of two below n's digit count, lo's
+digits zero-padded to k places, until plain ``str`` writes pieces of at
+most ``_LEAF_BITS`` bits.  As 10^k = 5^k·2^k, hi and lo come from one
+divmod of n >> k by 5^k, cached in ``_POW5``, and the k low bits of n: the
+divisor is 30% shorter than 10^k, and so is the schoolbook division's time.
+An int that may have more digits than ``sys.get_int_max_str_digits()``
+allows (bits·log10 2 >= limit - 1) goes to plain ``str`` whole, so the same
+value fails first, with CPython's own ``ValueError``; this module never
+sets that limit, and a Python without it has none.  A value with both
+parts within the leaf is written as ``Fraction.__str__`` writes it, after
+one bit-length test.  The leaf was read off ``to_json_dict`` of the 72
+sub-cap ``evolve-deep`` histories of bench seeds 5-7 (three passes each),
+against plain ``str``, over 10 interleaved rounds (Python 3.11.7, x86-64):
+
+    leaf bits   1000   1500   2000   2500   3000   3500   4000
+    time       x0.80  x0.76  x0.74  x0.74  x0.73  x0.78  x0.79
+
+Per int the split takes x0.84 of ``str``'s time at 4000 bits, x0.74 at
+6000 and x0.58-0.65 at 8000-14 000.  A divmod by 10^k itself read x0.86
+with the 3000-bit leaf, and x0.75 per int at 8000-14 000 bits.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 
 __all__ = ["Rational", "rat", "parse_rational", "format_rational"]
 
@@ -222,6 +246,46 @@ def parse_rational(text: str):
     raise ValueError(f"not a rational: {text!r}")
 
 
+# the leaf size of format_rational's divide and conquer (the module docstring
+# has the table it was chosen from), and 5^k for each split k
+_LEAF_BITS = 3000
+_POW5 = {}
+
+
 def format_rational(value) -> str:
-    """Wire form ``"p/q"``; plain ``"p"`` when the denominator is 1."""
-    return str(value)
+    """Wire form ``"p/q"`` of a ``Rational`` or ``Fraction``; plain ``"p"``
+    when the denominator is 1.  The text of ``str(value)``, or the same
+    ``ValueError`` past the digit cap: a part past ``_LEAF_BITS`` bits is
+    split at powers of ten, unless it may pass the cap, which plain ``str``
+    then raises (the module docstring)."""
+    n, d = value._numerator, value._denominator
+    if n.bit_length() <= _LEAF_BITS >= d.bit_length():
+        return f"{n}/{d}" if d != 1 else str(n)
+    return f"{_decimal(n)}/{_decimal(d)}" if d != 1 else _decimal(n)
+
+
+def _decimal(n):
+    """``str(n)``: plain ``str`` where n may pass the digit cap (so it raises
+    that ``ValueError``), else ``_split``.  A Python with no cap has no
+    ``sys.get_int_max_str_digits``, and ``int()`` stands in for it as 0."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and n.bit_length() * log10(2) >= limit - 1:
+        return str(n)
+    if n < 0:
+        return "-" + _split(-n)
+    return _split(n)
+
+
+def _split(n):
+    """The digits of n >= 0: n = hi·10^k + lo, k the largest power of two
+    below floor(bits·log10 2), which is at most n's digit count, so hi > 0;
+    lo's digits zero-padded to k places.  (n >> k) = hi·5^k + r gives
+    lo = r·2^k + (n mod 2^k).  Plain ``str`` writes each piece of at most
+    ``_LEAF_BITS`` bits."""
+    bits = n.bit_length()
+    if bits <= _LEAF_BITS:
+        return str(n)
+    k = 1 << (int(bits * log10(2)) - 1).bit_length() - 1
+    power = _POW5.get(k) or _POW5.setdefault(k, 5**k)
+    hi, lo = divmod(n >> k, power)
+    return _split(hi) + _split((lo << k) | (n & ((1 << k) - 1))).zfill(k)

@@ -18,6 +18,14 @@ Every operation must give the value ``Fraction`` gives, as a ``Rational``,
 or raise ``ZeroDivisionError`` where ``Fraction`` does (a quotient by zero,
 or 0 to a negative power), with the message ``Fraction`` gives on the
 running Python (3.12 and later word some of them differently).
+
+``format_rational`` is compared with ``str(Fraction(v))`` on values whose
+numerators and denominators run from 0 to 14 000 bits, below the default
+4300-digit cap: random ints, 10^k - 1, 10^k and 10^k + 1 for every power of
+two k and the leaf size +- 1 bit, so that the divide-and-conquer writer takes
+every split it makes under the cap (3.12 changed the internals of
+``int.__str__``).
+
 Exits 1 and lists the mismatches if there are any.
 """
 
@@ -26,7 +34,8 @@ import random
 import sys
 from fractions import Fraction
 
-from redkp.rational import Rational
+from redkp import rational
+from redkp.rational import Rational, format_rational
 
 OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
 POWERS = range(-3, 4)
@@ -60,6 +69,15 @@ def operands(rng):
     return ints, rationals
 
 
+def written(rng):
+    ints = [rng.getrandbits(bits) for bits in range(0, 14_001, 250)]
+    ints += [10**k + e for k in (2**j for j in range(13)) for e in (-1, 0, 1)]
+    leaf = rational._LEAF_BITS
+    ints += [2**bits + e for bits in (leaf - 1, leaf, leaf + 1) for e in (-1, 0, 1)]
+    dens = [1, 7, rng.getrandbits(3000) | 1, rng.getrandbits(14_000) | 1]
+    return [Rational(s * n, d) for n in ints for d in dens for s in (1, -1)]
+
+
 def outcome(op, *args):
     try:
         return op(*args)
@@ -79,6 +97,12 @@ def main():
     cases += [(operator.pow, a, k) for a in rationals for k in POWERS]
     cases += [(op, a) for a in rationals for op in UNARY]
     bad = []
+    values = written(random.Random(44))
+    for v in values:
+        got, want = format_rational(v), str(Fraction(v))
+        if got != want:
+            p, q = v.numerator.bit_length(), v.denominator.bit_length()
+            bad.append(f"format_rational of {p}-bit p over {q}-bit q: {got[:30]}..., not str's")
     for op, *args in cases:
         got, want = outcome(op, *args), outcome(op, *map(fraction, args))
         if type(want) is tuple:
@@ -90,7 +114,10 @@ def main():
             )
         if not same:
             bad.append(f"{op.__name__}{tuple(args)!r}: {got!r}, Fraction gives {want!r}")
-    print(f"{len(cases)} cases, {len(bad)} mismatches on Python {sys.version.split()[0]}")
+    print(
+        f"{len(cases)} cases and {len(values)} writes,"
+        f" {len(bad)} mismatches on Python {sys.version.split()[0]}"
+    )
     for line in bad:
         print(line)
     return 1 if bad else 0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redkp import rational
 from redkp import (
     DegenerateEvolution,
     GcdViolation,
@@ -424,6 +425,74 @@ def test_parse_rational_inverts_format_rational(sign, p, q):
     parsed = parse_rational(format_rational(value))
     assert type(parsed) is Rational
     assert (parsed.numerator, parsed.denominator) == (value.numerator, value.denominator)
+
+
+def _writer_ints(rng, max_bits):
+    """Ints for format_rational's divide and conquer: random ones from 0 to
+    ``max_bits`` bits, 10^k - 1, 10^k and 10^k + 1 around every split k (a
+    power of two) and its neighbours, and the leaf size +- 1 bit."""
+    ints = [rng.getrandbits(rng.randrange(max_bits + 1)) for _ in range(60)]
+    for j in range(1, (max_bits * 3 // 10).bit_length()):
+        for k in (2**j - 1, 2**j, 2**j + 1):
+            if k * 10 // 3 < max_bits:
+                ints += [10**k - 1, 10**k, 10**k + 1]
+    for bits in (rational._LEAF_BITS - 1, rational._LEAF_BITS, rational._LEAF_BITS + 1):
+        ints += [2 ** (bits - 1), 2**bits - 1, rng.getrandbits(bits) | 2 ** (bits - 1)]
+    return ints
+
+
+def _assert_writes_as_str(max_bits, seed):
+    rng = random.Random(seed)
+    ints = _writer_ints(rng, max_bits)
+    for n in ints:
+        for value in (rat(n), rat(-n), rat(n, 7), rat(-7, n or 1)):
+            assert format_rational(value) == str(Fraction(value))
+    for _ in range(40):
+        n = rng.choice(ints)
+        d = rng.choice(ints) or 1
+        value = rat(rng.choice((1, -1)) * n, d)
+        assert format_rational(value) == str(Fraction(value))
+
+
+def test_format_rational_writes_big_parts_as_str():
+    _assert_writes_as_str(14_000, seed=44)
+
+
+@pytest.fixture
+def digit_cap():
+    """Sets CPython's int-to-str digit cap for one test and restores it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit cap")
+    cap = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(cap)
+
+
+def test_format_rational_writes_as_str_with_no_digit_cap(digit_cap):
+    digit_cap(0)
+    _assert_writes_as_str(60_000, seed=45)
+
+
+def _outcome(write, value):
+    try:
+        return write(value)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_format_rational_past_the_digit_cap_raises_str_error(digit_cap):
+    """At the default cap the same values fail as with str, with the same
+    text: 10^4300 - 1 is written, 10^4300 is not, in either part."""
+    digit_cap(4300)
+    message = _outcome(str, 10**4300)
+    assert message.startswith("Exceeds the limit (4300 digits)")
+    big = random.Random(46).getrandbits(15_000) | 1
+    for value in (rat(big), rat(-big, 3), rat(3, big), rat(big, big + 2)):
+        assert _outcome(format_rational, value) == message
+    for j in range(4290, 4302):
+        for n in (10**j - 1, 10**j, 10**j + 1):
+            for value in (rat(n), rat(-n, 7), rat(7, n)):
+                assert _outcome(format_rational, value) == _outcome(str, Fraction(value))
 
 
 def test_json_wire_form_accepted_and_zero_denominator_rejected():
