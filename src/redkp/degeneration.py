@@ -113,6 +113,31 @@ def _float_diff(a, b) -> float:
     return num / (a.denominator * b.denominator)
 
 
+def _max_deviation(pairs) -> float:
+    """The largest |float(a - b)| over the rational ``pairs``, 0.0 for none.
+
+    A pair takes the exact ``_float_diff`` only if its float bound can reach
+    the largest deviation so far.  With fa = float(a), fb = float(b) and
+    d = |fa - fb| in floats, each conversion, the subtraction and the
+    rounding of a - b is off by at most 2^-53 of its value, so
+    |float(a - b)| <= d + 2^-51 (|fa| + |fb| + d), with room for the
+    rounding of the bound itself; 2^-1070 covers subnormal values, whose
+    error is absolute.  A value past float range takes the exact path, which
+    returns or raises as it does for every pair."""
+    err = 0.0
+    for a, b in pairs:
+        try:
+            fa, fb = a.numerator / a.denominator, b.numerator / b.denominator
+        except OverflowError:
+            pass
+        else:
+            d = abs(fa - fb)
+            if d + 2**-51 * (abs(fa) + abs(fb) + d) + 2**-1070 < err:
+                continue
+        err = max(err, abs(_float_diff(a, b)))
+    return err
+
+
 def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
     """Exact big-system runs over the zeta sweep against the exact reduced run:
     per zeta, the largest deviation over the kept times and sites."""
@@ -128,12 +153,11 @@ def limit_compare(plan: DegenerationPlan, zeta_sweep) -> ConvergenceTable:
         # floats like 1e3 convert exactly; arbitrary rationals pass through
         state = seed_large_zeta(plan, z)
         state.evolve_to(kept[-1])
-        err = 0.0
+        pairs = []
         for s, t_big in enumerate(kept, start=1):
-            for n in range(big.N):
-                err = max(err, abs(_float_diff(state.i_slice(t_big)[n], reduced.i_slice(s)[n])))
-                err = max(err, abs(_float_diff(state.v_slice(t_big)[n], reduced.v_slice(s)[n])))
-        rows.append(ConvergenceRow(zeta=float(Rational(z)), max_err=err))
+            pairs += zip(state.i_slice(t_big), reduced.i_slice(s))
+            pairs += zip(state.v_slice(t_big), reduced.v_slice(s))
+        rows.append(ConvergenceRow(zeta=float(Rational(z)), max_err=_max_deviation(pairs)))
 
     if len({r.zeta for r in rows}) >= 2:
         slope = statistics.linear_regression(

@@ -22,7 +22,8 @@ from redkp import (
     xi_set,
 )
 from redkp.cli import main
-from redkp.degeneration import _float_diff, hidden_sum
+from redkp import degeneration
+from redkp.degeneration import _float_diff, _max_deviation, hidden_sum
 from conftest import curve_closed_form_112, curve_closed_form_212, random_state
 
 
@@ -306,6 +307,64 @@ def test_float_diff_equals_float_of_the_difference():
             float(a - b)
         with pytest.raises(OverflowError):
             _float_diff(a, b)
+
+
+def full_max(pairs):
+    """The largest |float(a - b)| with every pair's ``_float_diff`` taken."""
+    return max((abs(_float_diff(a, b)) for a, b in pairs), default=0.0)
+
+
+def outcome_of(f, pairs):
+    try:
+        return f(pairs)
+    except OverflowError as exc:
+        return type(exc), str(exc)
+
+
+def test_max_deviation_equals_the_full_max_loop():
+    """On shuffled lists of 1k-20k-bit pairs, near-equal, subnormal,
+    negated, tied and past the float range, and on a difference that the
+    rounding of both values hides, ``_max_deviation`` returns or raises as
+    the loop that takes every exact difference does."""
+    rng = random.Random(72)
+    huge = rat(2**2000 + 1, 3)
+    for _ in range(60):
+        pairs = []
+        for _ in range(rng.randint(0, 12)):
+            bits = rng.randint(1000, 20000)
+            a = rat(rng.getrandbits(bits) * rng.choice((-1, 1)), rng.getrandbits(bits) | 1)
+            d = rat(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((7, 2**40, 2**1070, 2**1200)))
+            pairs.append(rng.choice((
+                (a, a + d),
+                (a, -a),
+                (a, rat(rng.getrandbits(bits), rng.getrandbits(bits) | 1)),
+                (a + 1, a + 1 + d),  # ties (a, a + d) when both are drawn
+                (huge + d, huge),  # past the float range, with a difference within it
+            )))
+        if rng.random() < 0.1:
+            pairs.insert(rng.randint(0, len(pairs)), (huge, rat(1, 7)))  # a difference past it
+        rng.shuffle(pairs)
+        assert outcome_of(_max_deviation, pairs) == outcome_of(full_max, pairs)
+    a, b = rat(1, 3), rat(1, 7)
+    tie = [(a, b), (a + 5, b + 5), (b, a)]
+    assert _max_deviation(tie) == full_max(tie) == float(a - b)
+    # both values of the second pair round to 1.0, so only the bound's
+    # rounding room keeps its exact difference from being skipped
+    hidden = [(rat(1, 2**61), rat(0)), (1 + rat(1, 2**60), rat(1))]
+    assert _max_deviation(hidden) == full_max(hidden) == 2.0**-60
+    assert _max_deviation([]) == 0.0
+
+
+@pytest.mark.parametrize("direction", ["reduce_M", "reduce_K"])
+def test_limit_compare_equals_the_full_max_loop(direction, classic_state, monkeypatch):
+    """The tables of the classic and the uniform (1,1,2) base, whose
+    max_err is 0.0, and of a (1,1,3) base equal those of the full loop."""
+    bases = (classic_state, uniform_state(LatticeParams(1, 1, 2), 3, 1), random_state(1, 1, 3, seed=5))
+    plans = [DegenerationPlan(direction, base) for base in bases]
+    tables = [limit_compare(plan, [1e2, 1e3, 1e4]) for plan in plans]
+    assert [r.max_err for r in tables[1].rows] == [0.0] * 3
+    monkeypatch.setattr(degeneration, "_max_deviation", full_max)
+    assert tables == [limit_compare(plan, [1e2, 1e3, 1e4]) for plan in plans]
 
 
 # sha256 of `redkp degenerate` CSVs, from the Fraction differences the

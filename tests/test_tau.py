@@ -27,7 +27,7 @@ from redkp import (
     uniform_state,
 )
 from redkp import lattice
-from redkp.lattice import step_slices
+from redkp.lattice import height, step_slices
 from conftest import on_every_set, random_state, windows
 
 STEPS = 8
@@ -232,3 +232,88 @@ def test_which_states_take_the_chain(monkeypatch):
         deep = window_at(longer, 25)
         deep.evolve_to(40)
         assert calls[0] > 26 and calls == list(range(calls[0], 41))
+
+
+@on_every_set(TAU_SETS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def refined_gcds_on_any_window(M, K, N, data):
+    """The chain on the last M I-slices and K V-slices of a window gives the
+    kernel's slices at every step, and each generation keeps gcd(τ^{t-K}_j,
+    τ^t_j) and gcd(τ^{t-M}_j, τ^t_j) as ``math.gcd`` takes them."""
+    i_slices, v_slices = data.draw(windows(M, K, N))
+    a = [i_slices[r] for r in range(1 - M, 1)]
+    b = [v_slices[r] for r in range(1 - K, 1)]
+    hist_i, hist_v = dict(enumerate(a, 1 - M)), dict(enumerate(b, 1 - K))
+    chain = lattice._TauChain(a, b)
+    for t in range(1, STEPS + 1):
+        out = chain.step()
+        if out is None:
+            break
+        x, y, _ = out
+        assert outcome(lambda: step_slices(hist_i[t - M], hist_v[t - K], t)) == (x, y)
+        hist_i[t], hist_v[t] = x, y
+        gens = chain.gens
+        u, same_k, same_m = gens[-1][0], gens[-1][4], gens[-1][5]
+        assert same_k == list(map(gcd, gens[-1 - K][0], u))
+        assert same_m == list(map(gcd, gens[-1 - M][0], u))
+
+
+def test_refined_gcds_on_any_window(monkeypatch):
+    """``refined_gcds_on_any_window`` with every step past the cut."""
+    monkeypatch.setattr(lattice, "REFINE_BITS", 0)
+    refined_gcds_on_any_window()
+
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@given(
+    exponents=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=6, max_size=6),
+    signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+    extra=st.integers(1, 10**6),
+)
+def test_refined_gcd_is_the_gcd(exponents, signs, extra):
+    """On x and y whose common primes all divide the base, to powers up to
+    12 where the base holds each once, and with any signs of x, y and the
+    base, ``_refined_gcd`` is ``math.gcd``; the Mersenne primes
+    2^61 - 1 and 2^89 - 1 make the cofactors of x and y coprime."""
+    x = signs[0] * (2**61 - 1) * prod(p**i for p, (i, _) in zip(PRIMES, exponents))
+    y = signs[1] * (2**89 - 1) * prod(p**j for p, (_, j) in zip(PRIMES, exponents))
+    base = signs[2] * extra * prod(p for p, (i, j) in zip(PRIMES, exponents) if i and j)
+    assert lattice._refined_gcd(x, y, base) == gcd(x, y)
+
+
+def test_chain_past_the_cut_on_general_windows(monkeypatch):
+    """A tall (2,1,3) and a tall (1,3,4) window step on the chain alone to
+    about 8000 bits, τ's of over 3000 bits, past ``REFINE_BITS``, and every
+    step's slices equal the kernel's."""
+    draws = (
+        (
+            LatticeParams(2, 1, 3),
+            {-1: [rat(2), rat(3, 2), rat(5)], 0: [rat(1, 3), rat(4), rat(7, 2)]},
+            {0: [rat(1), rat(7, 3), rat(4)]},
+            60,
+        ),
+        (
+            LatticeParams(1, 3, 4),
+            {0: [rat(2), rat(3, 2), rat(5), rat(1, 3)]},
+            {
+                -2: [rat(1), rat(7, 3), rat(4), rat(3)],
+                -1: [rat(1, 2), rat(2), rat(5, 4), rat(3)],
+                0: [rat(4), rat(2, 5), rat(1), rat(9, 2)],
+            },
+            58,
+        ),
+    )
+    calls = count_kernel_steps(monkeypatch)
+    for params, i_win, v_win, steps in draws:
+        M, K = params.M, params.K
+        state = new_state(params, i_win, v_win)
+        for t in range(1, steps + 1):
+            expected = step_slices(state.i_slice(t - M), state.v_slice(t - K), t)
+            state.step()
+            assert (state.i_slice(t), state.v_slice(t)) == expected
+        assert height(expected[0] + expected[1]) > 7000
+        assert state._tau.gens[-1][3] > 3000 > lattice.REFINE_BITS
+    assert calls == []
