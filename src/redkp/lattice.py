@@ -49,6 +49,39 @@ bench seeds 5-7 (best of 5 per step, interleaved, Python 3.11.7, x86-64):
 
     τ bits from  0      100    200    300    400    500    600    1000   2000   5000
     time        x1.15  x1.06  x0.98  x0.94  x0.92  x0.90  x0.88  x0.87  x0.88  x0.93
+
+Each generation's cycle closes on τ^t_0 = S / prod τ^{t-M-K}, an integer
+on all but a few percent of steps, 151 of the 2761 past the cut in the
+table below (``_TauChain``).  The exact closure (``_closure_exact``) sums
+S by a Horner pass whose partial sums grow to N + 1 times τ's length,
+about N^2 / 2 τ-sized products, and divides by the N τ-long product by
+long division, quadratic in its length; it holds over any ring with
+exact division.  From ``TWO_ADIC_BITS`` on N - 1 times the larger bit
+length of τ^{t-K} and τ^{t-M}, the chain first takes the quotient
+2-adically (``_closure_2adic``): an integer quotient is fixed by its
+residue mod 2^k, k a bound on its length from the operands' (exact
+division, Jebelean, J. Symbolic Comput. 15 (1993) 169), so the Horner
+pass runs mod 2^(k+e), e the divisor's 2-adic valuation, and one Newton
+inverse of the divisor's odd part gives the residue: O(N) τ-sized
+products.  A quotient that is not an integer shows in the dividend's low
+e bits, in the same pass mod a one-digit prime, or else in the closing
+equation j = N - 1 once the recurrence has given τ^t_1 .. τ^t_{N-1}: that
+equation and the N - 1 the recurrence solves make τ^t the system's one
+solution, as prod A != prod B.  Any failure sends the step to the exact
+closure, so both paths give every generation alike.  The closure and
+recurrence's time, 2-adic path against exact, by N - 1 times the τ bit
+length, over the chain steps of the ``evolve-deep`` draws below the digit
+cap, of (1,1,N) draws to t = 32 for N = 6-9 and of the ``check-claims``
+degenerate sweeps, for bench seeds 5-8 (best of 5 per step, Python
+3.11.7, x86-64).  On N τ the break-even falls from about 6000 bits at
+N = 3 to 4000 at N >= 4, and N = 2 stays slower to 6000; on (N - 1) τ it
+is near 3000-4000 for every N:
+
+    (N-1) τ bits from  2000   3000   4000   5000   6000   8000   12000  20000
+    N = 2             x1.21  x1.08
+    N = 3             x1.21  x1.05  x0.94  x0.88  x0.88  x0.84  x0.93
+    N = 4, 5          x1.23  x0.97  x0.81  x0.73  x0.72  x0.66  x0.57  x0.50
+    N >= 6            x1.33  x0.99  x0.82  x0.69  x0.62  x0.52  x0.44  x0.36
 """
 
 from __future__ import annotations
@@ -57,7 +90,7 @@ import json
 import re
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import floordiv
+from operator import floordiv, mul
 
 from . import rational
 from .errors import (
@@ -77,6 +110,13 @@ CASE_MIXED = "mixed"
 # τ bit length from which the τ chain takes its same-site gcds by factor
 # refinement (module docstring)
 REFINE_BITS = 200
+
+# N - 1 times the τ bit length from which the τ chain closes each
+# generation's cycle 2-adically first (module docstring)
+TWO_ADIC_BITS = 4000
+
+# the largest prime below 2^30, one digit of CPython's ints
+CHECK_PRIME = 2**30 - 35
 
 
 @dataclass(frozen=True)
@@ -231,7 +271,10 @@ class _TauChain:
     small factors (the Laurent phenomenon); where one is not, the
     generation and κ are scaled by the least factor that makes it so.
     prod A = prod B makes the closure zero, exactly where the kernel
-    raises.
+    raises.  S / prod τ^{t-M-K} is taken exactly (``_closure_exact``) or,
+    from ``TWO_ADIC_BITS`` on, 2-adically first (``_closure_2adic``), a
+    generation the closing equation j = N - 1 then accepts or sends back
+    to the exact closure (module docstring).
 
     The τ's stay near half the values' height, so a value is reduced by
     gcds of half-height τ's: of adjacent τ's of a generation, taken once
@@ -280,20 +323,20 @@ class _TauChain:
         n = len(p)
         # indices mod n: j + 1 - n is j + 1's negative index
         c = [qk[j] * qm[j + 1 - n] for j in range(n)]
-        # S = sum_j c_j prod_{k<j} cb_k p_k prod_{k>j} ca_k p_{k+1}
-        h, m = 0, 1
-        for j in range(n):
-            h = h * (ca[j] * p[j + 1 - n]) + c[j] * m
-            m = m * (cb[j] * p[j])
-        v, kappa = _exact_quotient(h, prod(p))
-        u = [v]
-        kappa *= pa - pb
-        for j in range(n - 1):
-            v, f = _exact_quotient(ca[j] * p[j + 1] * u[j] - kappa * c[j], cb[j] * p[j])
-            if f > 1:
-                u = [w * f for w in u]
-                kappa *= f
-            u.append(v)
+        alpha = [ca[j] * p[j + 1 - n] for j in range(n)]
+        beta = list(map(mul, cb, p))
+        bits = max(bits_k, bits_m)
+        u = None
+        if (n - 1) * bits >= TWO_ADIC_BITS:
+            v = _closure_2adic(alpha, beta, c, pb)
+            if v is not None:
+                u, kappa = _recurrence(alpha, beta, c, pa - pb, v)
+                # equation n - 1, the one the recurrence does not solve
+                if alpha[-1] * u[-1] - beta[-1] * u[0] != kappa * c[-1]:
+                    u = None
+        if u is None:
+            v, f = _closure_exact(alpha, beta, c, p)
+            u, kappa = _recurrence(alpha, beta, c, (pa - pb) * f, v)
         if 0 in u:
             return None
         adj = list(map(gcd, u, u[1:] + u[:1]))
@@ -303,7 +346,6 @@ class _TauChain:
             adj = [w // g for w in adj]
         un = list(map(floordiv, u, adj))
         ud = list(map(floordiv, u[1:] + u[:1], adj))
-        bits = max(bits_k, bits_m)
         if bits < REFINE_BITS:
             same_k = list(map(gcd, qk, u))
             same_m = same_k if M == K else list(map(gcd, qm, u))
@@ -337,6 +379,95 @@ class _TauChain:
         del gens[0]
         self.steps += 1
         return tuple(x), tuple(y), outgrown
+
+
+def _closure_exact(alpha, beta, c, p):
+    """(u_0, f): the closure u_0 = f S / prod(p) of a generation's cycle,
+    f >= 1 the least factor that makes it an integer, with S = sum_j c_j
+    prod_{i<j} beta_i prod_{i>j} alpha_i by one Horner pass (class
+    docstring)."""
+    h, m = 0, 1
+    for a, b, x in zip(alpha, beta, c[:-1]):
+        h = h * a + x * m
+        m *= b
+    return _exact_quotient(h * alpha[-1] + c[-1] * m, prod(p))
+
+
+def _closure_2adic(alpha, beta, c, pb):
+    """The closure S / prod(p) = S pb / prod(beta) of ``_closure_exact``,
+    pb = prod(beta) / prod(p), when it is an integer, from the Horner pass
+    mod 2^(k+e): e = v2(prod(beta)), and k is 2 more than a bound on the
+    quotient's bit length, as |S| < n 2^top, top the largest of the terms'
+    bit length bounds, and |prod(beta)| >= 2^(sum of bit lengths of beta -
+    n).  None when S pb's low e bits are not zero or the residue fails the
+    check mod ``CHECK_PRIME``; some other residue, rarely, when the quotient
+    is not an integer."""
+    n = len(beta)
+    ab = [x.bit_length() for x in alpha]
+    bb = [x.bit_length() for x in beta]
+    top = max(x.bit_length() + sum(bb[:j]) + sum(ab[j + 1:]) for j, x in enumerate(c))
+    k = max(top + n.bit_length() + pb.bit_length() + 2 + n - sum(bb), 1)
+    e = sum((x & -x).bit_length() - 1 for x in beta)
+    mask = (1 << k + e) - 1
+    h, m = 0, 1
+    for a, b, x in zip(alpha, beta, c[:-1]):
+        h = (h * a + (x & mask) * m) & mask
+        m = m * b & mask
+    h = (h * alpha[-1] + (c[-1] & mask) * m) & mask
+    v = _divide_2adic(h * pb & mask, m * beta[-1] & mask, e, k)
+    if v is None:
+        return None
+    # the same pass mod the prime CHECK_PRIME, linear in the operands'
+    # length: a residue that is not the quotient fails S pb = v prod(beta)
+    # there but by a chance near 1 / CHECK_PRIME, and skips the recurrence
+    h, m = 0, 1
+    for a, b, x in zip(alpha, beta, c):
+        h = (h * (a % CHECK_PRIME) + x % CHECK_PRIME * m) % CHECK_PRIME
+        m = m * (b % CHECK_PRIME) % CHECK_PRIME
+    return v if (h * pb - v * m) % CHECK_PRIME == 0 else None
+
+
+def _divide_2adic(h, d, e, k):
+    """h / d for an integer quotient of absolute value below 2^(k-2), from
+    h and d mod 2^(k+e), e = v2(d) (exact division, Jebelean, J. Symbolic
+    Comput. 15 (1993) 169): None when h's low e bits are not zero; some
+    other residue when the quotient is not such an integer."""
+    if h & ((1 << e) - 1):
+        return None
+    mask = (1 << k) - 1
+    v = (h >> e) * _inverse_2adic(d >> e, k) & mask
+    # the signed residue
+    return v - (1 << k) if v >> (k - 1) else v
+
+
+def _inverse_2adic(q, k):
+    """The inverse of the odd q mod 2^k by Newton's iteration: from x q =
+    1 + 2^b t mod 2^(2b), x - 2^b x t is the inverse mod 2^(2b), and q q =
+    1 mod 8 starts it at b = 3."""
+    # the precisions, each at most twice the last, down from k to 3
+    steps = [k]
+    while steps[-1] > 3:
+        steps.append((steps[-1] + 1) // 2)
+    x, b = q & 7, 3
+    for c in reversed(steps[:-1]):
+        t = ((q & ((1 << c) - 1)) * x >> b) & ((1 << c - b) - 1)
+        x = (x - (x * t << b)) & ((1 << c) - 1)
+        b = c
+    return x & ((1 << k) - 1)
+
+
+def _recurrence(alpha, beta, c, kappa, v):
+    """The generation u from u_0 = v by the equations j < n - 1, alpha_j
+    u_j - beta_j u_{j+1} = κ c_j, and its κ: where a quotient is not exact,
+    u and κ are scaled by the least factor that makes it so."""
+    u = [v]
+    for a, b, x in zip(alpha, beta, c[:-1]):
+        v, f = _exact_quotient(a * u[-1] - kappa * x, b)
+        if f > 1:
+            u = [w * f for w in u]
+            kappa *= f
+        u.append(v)
+    return u, kappa
 
 
 def _refined_gcd(x, y, base):

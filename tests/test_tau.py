@@ -13,6 +13,7 @@ V^i_t = B_i τ^{t-M}_{1-i} τ^t_{2-i} / (τ^{t-M}_{2-i} τ^t_{1-i}) (indices
 mod N).  ``tau_generations`` solves them over the rationals; the chain in
 ``lattice`` is held to the kernel ``step_slices`` step by step."""
 
+import random
 from math import gcd, prod
 
 from hypothesis import given, settings
@@ -284,10 +285,109 @@ def test_refined_gcd_is_the_gcd(exponents, signs, extra):
     assert lattice._refined_gcd(x, y, base) == gcd(x, y)
 
 
+def count_closures(monkeypatch):
+    """Counts of the chain's steps by how they closed their cycle: "2-adic"
+    steps closed 2-adically, "exact" steps closed exactly with no 2-adic
+    try, and "fallback" the factor f (``_closure_exact``) of each step whose
+    2-adic try fell back to the exact closure."""
+    paths = {"2-adic": 0, "exact": 0, "fallback": []}
+    log = []
+    two_adic, exact, step = lattice._closure_2adic, lattice._closure_exact, lattice._TauChain.step
+
+    def tried(*args):
+        log.append(None)
+        return two_adic(*args)
+
+    def closed(*args):
+        out = exact(*args)
+        log.append(out[1])
+        return out
+
+    def stepped(self):
+        log.clear()
+        out = step(self)
+        if log == [None]:
+            paths["2-adic"] += 1
+        elif log[:1] == [None]:
+            paths["fallback"].append(log[1])
+        elif log:
+            paths["exact"] += 1
+        return out
+
+    monkeypatch.setattr(lattice, "_closure_2adic", tried)
+    monkeypatch.setattr(lattice, "_closure_exact", closed)
+    monkeypatch.setattr(lattice._TauChain, "step", stepped)
+    return paths
+
+
+def test_closures_agree_on_any_window(monkeypatch):
+    """The chain on the last M I-slices and K V-slices of a window of every
+    set gives the same slices and generations with every step past
+    ``TWO_ADIC_BITS`` as with none, with the check mod ``CHECK_PRIME`` off,
+    so that the closing equation alone rejects a residue that is not the
+    quotient; past the cut most steps close 2-adically, and a step falls
+    back to the exact closure only when that closure is not an integer
+    (f > 1), as a bound k too short would show."""
+    paths = count_closures(monkeypatch)
+    monkeypatch.setattr(lattice, "TWO_ADIC_BITS", 0)
+    monkeypatch.setattr(lattice, "CHECK_PRIME", 1)
+
+    @on_every_set(TAU_SETS)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def closures_agree(M, K, N, data):
+        i_slices, v_slices = data.draw(windows(M, K, N))
+        a = [i_slices[r] for r in range(1 - M, 1)]
+        b = [v_slices[r] for r in range(1 - K, 1)]
+        runs = []
+        for cut in (0, 10**9):
+            lattice.TWO_ADIC_BITS = cut
+            chain, run = lattice._TauChain(a, b), []
+            for _ in range(STEPS):
+                out = chain.step()
+                run.append((out, chain.gens[-1]))
+                if out is None:
+                    break
+            runs.append(run)
+        assert runs[0] == runs[1]
+
+    closures_agree()
+    assert paths["2-adic"] > 2 * len(paths["fallback"]) > 0
+    assert all(f > 1 for f in paths["fallback"])
+
+
+def test_inverse_2adic():
+    """``_inverse_2adic`` inverts odd q of either sign mod 2^k for every k
+    from 1 to 4096."""
+    rng = random.Random(1)
+    for k in range(1, 4097):
+        for q in (rng.getrandbits(k + 8) | 1, -(rng.getrandbits(k + 8) | 1), 1, -1):
+            x = lattice._inverse_2adic(q, k)
+            assert 0 <= x < 2**k and q * x % 2**k == 1
+
+
+def test_divide_2adic():
+    """``_divide_2adic`` gives h / d from h and d mod 2^(k+e) for quotients
+    of either sign below 2^(k-2), an even d and an odd one; it is None when
+    one of h's low e bits is set."""
+    rng = random.Random(2)
+    for k in (3, 10, 64, 1000):
+        for e in (0, 1, 5, 70):
+            d = rng.choice((1, -1)) * (rng.getrandbits(k + 40) | 1) << e
+            for q in (2 ** (k - 2) - 1, 1 - 2 ** (k - 2), -rng.getrandbits(k - 2), 0):
+                mask = 2 ** (k + e) - 1
+                assert lattice._divide_2adic(q * d & mask, d & mask, e, k) == q
+                if e:
+                    assert lattice._divide_2adic(q * d + 2 ** (e - 1) & mask, d & mask, e, k) is None
+
+
 def test_chain_past_the_cut_on_general_windows(monkeypatch):
     """A tall (2,1,3) and a tall (1,3,4) window step on the chain alone to
-    about 8000 bits, τ's of over 3000 bits, past ``REFINE_BITS``, and every
-    step's slices equal the kernel's."""
+    about 8000 bits, τ's of over 3000 bits, past ``REFINE_BITS``, and a
+    (1,1,8) window to about 17000 bits, τ's of over 8000; every step's
+    slices equal the kernel's.  Past ``TWO_ADIC_BITS`` most steps close
+    2-adically, and the (2,1,3) window's non-integral closures fall back to
+    the exact closure."""
     draws = (
         (
             LatticeParams(2, 1, 3),
@@ -305,9 +405,16 @@ def test_chain_past_the_cut_on_general_windows(monkeypatch):
             },
             58,
         ),
+        (
+            LatticeParams(1, 1, 8),
+            {0: [rat(3), rat(1, 2), rat(5, 4), rat(2), rat(7, 3), rat(4), rat(3, 2), rat(5)]},
+            {0: [rat(2), rat(9, 4), rat(1), rat(7, 2), rat(4, 3), rat(3), rat(5, 2), rat(6)]},
+            45,
+        ),
     )
-    calls = count_kernel_steps(monkeypatch)
+    calls, paths, fallbacks = count_kernel_steps(monkeypatch), count_closures(monkeypatch), []
     for params, i_win, v_win, steps in draws:
+        paths.update({"2-adic": 0, "exact": 0, "fallback": []})
         M, K = params.M, params.K
         state = new_state(params, i_win, v_win)
         for t in range(1, steps + 1):
@@ -316,4 +423,8 @@ def test_chain_past_the_cut_on_general_windows(monkeypatch):
             assert (state.i_slice(t), state.v_slice(t)) == expected
         assert height(expected[0] + expected[1]) > 7000
         assert state._tau.gens[-1][3] > 3000 > lattice.REFINE_BITS
+        assert paths["2-adic"] > len(paths["fallback"])
+        assert all(f > 1 for f in paths["fallback"])
+        fallbacks.append(len(paths["fallback"]))
     assert calls == []
+    assert fallbacks[0] > 0
