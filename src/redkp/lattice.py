@@ -38,6 +38,17 @@ prod(A) = prod(B) and any step with a zero τ take the kernel, so an error
 keeps its type, message and step, and the slices stay the one source of
 truth.
 
+A chain step makes only its generation (``_Generation``), what later
+steps read: the closure, the recurrence and the division by the content.
+Its read-out (``_ReadOut``), the other adjacent gcds, the reduced ratios,
+the same-site gcds and the value products, is made when one of its slices
+is first read, and kept, so a caller pays only for the slices it reads:
+none for a probe evolution, one window for ``charpoly --time T``, and
+every step's, in time order, for ``evolve``.  The drop test reads one site's
+values, x_1 and y_1, whose ratios take the same-site gcds at sites 0 and
+1, and the whole step only when those are shorter than the τ's, so the
+chain leaves at the same step as when each step read every slice.
+
 The bilinear equations confine the primes that τ^t_j shares with
 τ^{t-K}_j and τ^{t-M}_j to a short known product, so from ``REFINE_BITS``
 on the chain finds those same-site gcds by factor refinement over it
@@ -90,7 +101,7 @@ import json
 import re
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import floordiv, mul
+from operator import mul
 
 from . import rational
 from .errors import (
@@ -277,19 +288,29 @@ class _TauChain:
     to the exact closure (module docstring).
 
     The τ's stay near half the values' height, so a value is reduced by
-    gcds of half-height τ's: of adjacent τ's of a generation, taken once
-    as it is made, and of τ^t_j with τ^{t-K}_j and τ^{t-M}_j, each shared
-    by two values.  With u = τ^t after its content g is divided out, p =
-    τ^{t-M-K}, qk = τ^{t-K} and qm = τ^{t-M}, equation j reads
-    g (ca_j p_{j+1} u_j - cb_j p_j u_{j+1}) = κ qk_j qm_{j+1}.  So a prime
-    of qk_j and u_j divides g cb_j p_j u_{j+1}, and with it g cb_j
-    gcd(p_j, qk_j) adj_j, adj_j = gcd(u_j, u_{j+1}); by equation j - 1 a
-    prime of qm_j and u_j divides g ca_{j-1} gcd(p_j, qm_j) adj_{j-1}.
-    gcd(p, qk) and gcd(p, qm) are the same-site gcds taken when qk and qm
-    were made, kept in ``gens`` (ones for the anchor generations).  From
-    ``REFINE_BITS`` on (module docstring) each same-site gcd is taken by
-    ``_refined_gcd`` over that product; the adjacent gcds stay full gcds,
-    as the argument needs them."""
+    gcds of half-height τ's: of adjacent τ's of a generation, and of τ^t_j
+    with τ^{t-K}_j and τ^{t-M}_j, each shared by two values.  With u = τ^t
+    after its content g is divided out, p = τ^{t-M-K}, qk = τ^{t-K} and qm
+    = τ^{t-M}, equation j reads g (ca_j p_{j+1} u_j - cb_j p_j u_{j+1}) =
+    κ qk_j qm_{j+1}.  So a prime of qk_j and u_j divides g cb_j p_j
+    u_{j+1}, and with it g cb_j gcd(p_j, qk_j) adj_j, adj_j = gcd(u_j,
+    u_{j+1}); by equation j - 1 a prime of qm_j and u_j divides g ca_{j-1}
+    gcd(p_j, qm_j) adj_{j-1}.  gcd(p, qk) and gcd(p, qm) are the same-site
+    gcds of the generations qk and qm, kept as those were read (ones for
+    the anchor generations).  From ``REFINE_BITS`` on (module docstring)
+    each same-site gcd is taken by ``_refined_gcd`` over that product, or
+    by ``math.gcd`` where the older one was never taken; the adjacent gcds
+    stay full gcds, as the argument needs them.
+
+    A step makes only the generation, what later steps read: the closure,
+    the recurrence and the content, by gcd(u_0, u_1) and the rest of u.
+    The gcds and ratio products that give its slices are its read-out
+    (``_ReadOut``), taken on first read.  A state keeps an unread step's
+    read-out under its time, and its copies share it, so two readers may
+    take a step's gcds twice.  The drop test reads the values at site 1,
+    whose ratios take the same-site gcds at sites 0 and 1, so every
+    generation keeps those and the next steps refine theirs; it reads the
+    whole step only when those values are shorter than the τ's."""
 
     __slots__ = ("a", "b", "gens", "steps")
 
@@ -299,33 +320,28 @@ class _TauChain:
         b = [[v.as_integer_ratio() for v in s] for s in b]
         d = lcm(*(q for s in a + b for _, q in s))
         self.a, self.b = _phases(a, d), _phases(b, d)
-        ones = [1] * len(a[0])
-        # (τ, num, den, largest bit length of τ, same_k, same_m), oldest
-        # first, with τ_j / τ_{j+1} = num_j / den_j in lowest terms and
-        # same_k_j, same_m_j the gcds of τ_j with τ^{-K}_j and τ^{-M}_j
-        self.gens = [(ones, ones, ones, 1, ones, ones)] * (len(a) + len(b))
+        # the last M + K generations, oldest first
+        self.gens = [_Generation.anchor(len(a[0]))] * (len(a) + len(b))
         self.steps = 0
 
     def step(self):
-        """The next slices (x, y) and whether the chain is outgrown: τ^{t-K}
-        or τ^{t-M} is taller than every numerator and denominator of x and
-        y.  None when the phase's closure or a τ of the new generation is
+        """The next generation's read-out, whose ``read`` gives the next
+        slices (x, y), and whether the chain is outgrown: τ^{t-K} or
+        τ^{t-M} is taller than every numerator and denominator of x and y.
+        None when the phase's closure or a τ of the new generation is
         zero."""
         M, K, gens = len(self.a), len(self.b), self.gens
         ca, pa, a = self.a[self.steps % M]
         cb, pb, b = self.b[self.steps % K]
         if pa == pb:
             return None
-        p = gens[-M - K][0]
-        # gcd(p_j, qk_j) and gcd(p_j, qm_j), taken when qk and qm were made
-        qk, kn, kd, bits_k, _, old_m = gens[-K]
-        qm, mn, md, bits_m, old_k, _ = gens[-M]
+        p, qk, qm = gens[-M - K].u, gens[-K], gens[-M]
         n = len(p)
         # indices mod n: j + 1 - n is j + 1's negative index
-        c = [qk[j] * qm[j + 1 - n] for j in range(n)]
+        c = [qk.u[j] * qm.u[j + 1 - n] for j in range(n)]
         alpha = [ca[j] * p[j + 1 - n] for j in range(n)]
         beta = list(map(mul, cb, p))
-        bits = max(bits_k, bits_m)
+        bits = max(qk.bits, qm.bits)
         u = None
         if (n - 1) * bits >= TWO_ADIC_BITS:
             v = _closure_2adic(alpha, beta, c, pb)
@@ -339,46 +355,127 @@ class _TauChain:
             u, kappa = _recurrence(alpha, beta, c, (pa - pb) * f, v)
         if 0 in u:
             return None
-        adj = list(map(gcd, u, u[1:] + u[:1]))
-        g = gcd(*adj)
+        adj = gcd(u[0], u[1])
+        g = gcd(adj, *u[2:])
         if g > 1:
             u = [w // g for w in u]
-            adj = [w // g for w in adj]
-        un = list(map(floordiv, u, adj))
-        ud = list(map(floordiv, u[1:] + u[:1], adj))
-        if bits < REFINE_BITS:
-            same_k = list(map(gcd, qk, u))
-            same_m = same_k if M == K else list(map(gcd, qm, u))
-        else:
-            # the primes the bilinear equations j and j - 1 allow (class docstring)
-            same_k = [
-                _refined_gcd(x, w, g * c * o * e) for x, w, c, o, e in zip(qk, u, cb, old_m, adj)
-            ]
-            same_m = same_k if M == K else [
-                _refined_gcd(x, w, g * c * o * e)
-                for x, w, c, o, e in zip(qm, u, ca[-1:] + ca[:-1], old_k, adj[-1:] + adj[:-1])
-            ]
-        # at index j, the gcds at site j + 1
-        next_k, next_m = same_k[1:] + same_k[:1], same_m[1:] + same_m[:1]
-
-        x, y = [None] * n, [None] * n
-        outgrown = True
-        for i in range(n):
-            j = 1 - i  # in range(2 - n, 2) as n >= 2
-            # τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1})
-            rn, rd = _ratio(kd[j], un[j], kn[j], ud[j], next_k[j], same_k[j])
-            x[i] = rational._product(*a[i], rn, rd)
-            if M == K:
-                y[i] = rational._product(*b[i], rd, rn)
-            else:
-                # τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j)
-                rn, rd = _ratio(mn[j], ud[j], md[j], un[j], same_m[j], next_m[j])
-                y[i] = rational._product(*b[i], rn, rd)
-            outgrown = outgrown and height((x[i], y[i])) < bits
-        gens.append((u, un, ud, max(map(int.bit_length, u)), same_k, same_m))
+            adj //= g
+        gen = _Generation(u, g, adj, M == K)
+        out = _ReadOut(gen, qk, qm, ca, cb, a, b, bits)
+        outgrown = height(out.value(1)) < bits and height(sum(out.read(), ())) < bits
+        gens.append(gen)
         del gens[0]
         self.steps += 1
-        return tuple(x), tuple(y), outgrown
+        return out, outgrown
+
+
+class _Generation:
+    """A τ generation u = τ^t of a ``_TauChain``, its content g divided out
+    (class docstring there), and the gcds taken of it, which later steps
+    and reads take as refinement bases.
+
+    u, g, its largest bit length and adj_0 = gcd(u_0, u_1) are made with
+    the generation.  The rest is made per site on first use and kept:
+    adj_j = gcd(u_j, u_{j+1}), u_j and u_{j+1} divided by it (``pair``),
+    and, by the generation's read-out (``_ReadOut``), the same-site gcds of
+    u_j with τ^{t-K}_j and τ^{t-M}_j (``same``, None where not taken, one
+    list when M = K).  A generation refers to no other, so it lives only
+    as long as the chain or an unread step needs it."""
+
+    __slots__ = ("u", "g", "bits", "adj", "pairs", "same")
+
+    def __init__(self, u, g, adj, one_same):
+        n = len(u)
+        self.u, self.g, self.bits = u, g, max(map(int.bit_length, u))
+        self.adj = [adj] + [None] * (n - 1)
+        self.pairs = [None] * n
+        same_k = [None] * n
+        self.same = (same_k, same_k if one_same else [None] * n)
+
+    @classmethod
+    def anchor(cls, n):
+        """τ = 1 on n sites, every gcd taken."""
+        ones = [1] * n
+        gen = cls(ones, 1, 1, True)
+        gen.adj, gen.pairs, gen.same = ones, [(1, 1)] * n, (ones, ones)
+        return gen
+
+    def adjacent(self, j):
+        """adj_j = gcd(u_j, u_{j+1})."""
+        e = self.adj[j]
+        if e is None:
+            u = self.u
+            e = self.adj[j] = gcd(u[j], u[j + 1 - len(u)])
+        return e
+
+    def pair(self, j):
+        """(u_j, u_{j+1}) / adj_j, in lowest terms."""
+        p = self.pairs[j]
+        if p is None:
+            u, e = self.u, self.adjacent(j)
+            p = self.pairs[j] = (u[j] // e, u[j + 1 - len(u)] // e)
+        return p
+
+
+class _ReadOut:
+    """The slices at t read off the generations t, t - K and t - M of a
+    ``_TauChain`` (class docstring there), made per site on first use and
+    kept.  ``older`` holds the three generations, the phase and the step's
+    τ bit length until every value is made; ``read`` drops it then, so a
+    read step holds only its slices."""
+
+    __slots__ = ("older", "values", "slices")
+
+    def __init__(self, gen, qk, qm, ca, cb, a, b, bits):
+        self.older = (gen, qk, qm, ca, cb, a, b, bits)
+        self.values = [None] * len(gen.u)
+        self.slices = None
+
+    def _same(self, kind, j):
+        """gcd(u_j, τ^{t-K}_j) for kind 0, gcd(u_j, τ^{t-M}_j) for kind 1,
+        over the primes of equation j or j - 1, or by ``math.gcd`` where
+        the older generation's same-site gcd was never taken."""
+        gen, qk, qm, ca, cb, _, _, bits = self.older
+        memo = gen.same[kind]
+        s = memo[j]
+        if s is None:
+            q, coef, e = (qk, cb[j], j) if kind == 0 else (qm, ca[j - 1], j - 1)
+            x, w, old = q.u[j], gen.u[j], q.same[1 - kind][j]
+            if bits < REFINE_BITS or old is None:
+                s = gcd(x, w)
+            else:
+                s = _refined_gcd(x, w, gen.g * coef * old * gen.adjacent(e))
+            memo[j] = s
+        return s
+
+    def value(self, i):
+        """(x_i, y_i), the values at site i of the slices at t."""
+        v = self.values[i]
+        if v is None:
+            gen, qk, qm, _, _, a, b, _ = self.older
+            n = len(gen.u)
+            j, k = (1 - i) % n, (2 - i) % n  # k = j + 1
+            kn, kd = qk.pair(j)
+            un, ud = gen.pair(j)
+            # τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1})
+            rn, rd = _ratio(kd, un, kn, ud, self._same(0, k), self._same(0, j))
+            x = rational._product(*a[i], rn, rd)
+            if gen.same[0] is gen.same[1]:  # M = K
+                y = rational._product(*b[i], rd, rn)
+            else:
+                # τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j)
+                mn, md = qm.pair(j)
+                rn, rd = _ratio(mn, ud, md, un, self._same(1, j), self._same(1, k))
+                y = rational._product(*b[i], rn, rd)
+            v = self.values[i] = (x, y)
+        return v
+
+    def read(self):
+        """The slices (x, y) at t."""
+        if self.slices is None:
+            self.slices = tuple(zip(*map(self.value, range(len(self.values)))))
+            self.older = None
+        return self.slices
 
 
 def _closure_exact(alpha, beta, c, p):
@@ -566,9 +663,17 @@ class LatticeState:
     is carried from one time to the next.  The step's τ chain (module
     docstring) carries τ's, which the slices are read off, and no value.
 
+    A chain step's slices are written on first read: until then the
+    history holds the step's ``_ReadOut`` under its time in both
+    families, and a read of either writes both as plain tuples, leaving a
+    slice written over the read-out as it is.  ``prune_below`` drops
+    unread steps below the floor, and the kernel fallback and
+    ``to_json_dict`` read the steps they need.
+
     A state is exclusively owned while being advanced.  ``copy()`` snapshots
     may be read concurrently; reading one fills its own cache, so two readers
-    may build the same object twice.
+    may build the same object twice.  Copies share their unread steps, so
+    two readers may also take a step's gcds twice.
     """
 
     def __init__(self, params: LatticeParams, i_hist: dict, v_hist: dict, frontier: int):
@@ -619,11 +724,19 @@ class LatticeState:
         if t > self.frontier:
             self.evolve_to(t)
         try:
-            return hist[t]
+            vals = hist[t]
         except KeyError:
             raise InsufficientHistory(
                 f"{kind}-slice at time {t} predates the initial data"
             ) from None
+        if type(vals) is _ReadOut:
+            x, y = vals.read()
+            if self._i.get(t) is vals:
+                self._i[t] = x
+            if self._v.get(t) is vals:
+                self._v[t] = y
+            return y if kind == "V" else x
+        return vals
 
     def i_slice(self, t: int) -> tuple:
         return self._get(self._i, "I", t)
@@ -656,7 +769,7 @@ class LatticeState:
         history is its stepping window at its first step anchors a
         ``_TauChain`` there, in the gauge A = A^(t mod M), B = B^(t mod K)
         of the window slices and τ = 1 on the M + K generations up to it,
-        and reads each slice off three τ generations,
+        and reads each slice off three τ generations on first read,
 
             I^i_t = A_i τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1}),
             V^i_t = B_i τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j),  j = 1 - i,
@@ -683,9 +796,10 @@ class LatticeState:
         out = self._tau.step() if self._tau else None
         if out is None:
             self._tau = False
-            x, y = step_slices(self._i[t1 - M], self._v[t1 - K], t1)
+            x, y = step_slices(self.i_slice(t1 - M), self.v_slice(t1 - K), t1)
         else:
-            x, y, outgrown = out
+            read_out, outgrown = out
+            x = y = read_out
             if outgrown:
                 self._tau = False
         self._i[t1] = x
@@ -747,8 +861,8 @@ class LatticeState:
             "K": self.params.K,
             "N": self.params.N,
             "frontier": self.frontier,
-            "I": {str(t): [format_rational(v) for v in vals] for t, vals in sorted(self._i.items())},
-            "V": {str(t): [format_rational(v) for v in vals] for t, vals in sorted(self._v.items())},
+            "I": {str(t): [format_rational(v) for v in self.i_slice(t)] for t in self.times("I")},
+            "V": {str(t): [format_rational(v) for v in self.v_slice(t)] for t in self.times("V")},
         }
 
     @classmethod

@@ -195,6 +195,10 @@ def dense_monodromy(state, t, form="standard"):
     return out
 
 
+# the step as the library defines it, which ``bounded_steps`` wraps
+LIBRARY_STEP = LatticeState.step
+
+
 @pytest.fixture(autouse=True)
 def bounded_steps(monkeypatch):
     """Every step a test takes fails once its slice passes STEP_MAX_BITS.
@@ -211,6 +215,25 @@ def bounded_steps(monkeypatch):
         return self
 
     monkeypatch.setattr(LatticeState, "step", bounded)
+
+
+def read_as_stepped(state, last):
+    """A copy of ``state`` stepped to ``last``, each step's slices read as
+    it is made: the history as it was kept before a τ chain step's slices
+    were written on first read."""
+    out = state.copy()
+    while out.frontier < last:
+        out.step()
+        out.i_slice(out.frontier)
+    return out
+
+
+@pytest.fixture
+def unread_steps(monkeypatch):
+    """The library's step in place of ``bounded_steps``, which reads every
+    slice it checks: a τ chain step's slices stay unread until a test reads
+    them, as outside the tests."""
+    monkeypatch.setattr(LatticeState, "step", LIBRARY_STEP)
 
 
 @pytest.fixture

@@ -440,8 +440,8 @@ def test_no_two_suites_share_a_failure_set():
     base = CORRUPTION_BASES["113"]()
     base.evolve_to(default_time(base, deep=True) + 3)
     failures = {}
-    for family, hist in (("I", base._i), ("V", base._v)):
-        for t in sorted(hist):
+    for family in ("I", "V"):
+        for t in base.times(family):
             for site in range(base.params.N):
                 st = base.copy()
                 _corrupt(st, family, t, site)
@@ -464,8 +464,8 @@ def test_evolution_consistency_fails_on_every_corruption_of_112():
     base.evolve_to(default_time(base, deep=True) + 3)
     corruptions = [
         (family, t, site)
-        for family, hist in (("I", base._i), ("V", base._v))
-        for t in sorted(hist)
+        for family in ("I", "V")
+        for t in base.times(family)
         for site in range(base.params.N)
     ]
     assert len(corruptions) == 20 and ("I", 3, 0) in corruptions
@@ -482,10 +482,9 @@ def test_evolution_consistency_fails_on_every_corruption_of_112():
 
 def _corrupt(state, family, t, site):
     """Multiply the stored value at (family, t, site) by 3/2."""
-    hist = state._i if family == "I" else state._v
-    vals = list(hist[t])
+    vals = list(state.i_slice(t) if family == "I" else state.v_slice(t))
     vals[site] *= rat(3, 2)
-    hist[t] = tuple(vals)
+    (state._i if family == "I" else state._v)[t] = tuple(vals)
 
 
 def _classic_corrupted(classic_state):

@@ -27,7 +27,7 @@ from redkp import (
     uniform_state,
 )
 from redkp.lattice import default_time, step_slices
-from conftest import PARAM_SETS, on_every_set, random_state, rotated
+from conftest import PARAM_SETS, on_every_set, random_state, read_as_stepped, rotated
 
 
 def products(values):
@@ -607,3 +607,50 @@ def test_prune_below_errors_instead_of_silence():
     st.prune_below(99)
     st.step()
     assert st.frontier == 11
+
+
+@pytest.mark.parametrize("params", [(1, 1, 3), (2, 1, 3), (1, 2, 4)])
+def test_prune_below_drops_unread_steps(params, unread_steps):
+    """Pruning a state whose chain steps are unread drops the steps below
+    the floor as it drops written slices, keeps the stepping window, and
+    the steps it keeps read as the eager history's."""
+    base = random_state(*params, seed=6)
+    eager = read_as_stepped(base, 10)
+    state = base.copy().evolve_to(10)
+    state.i_slice(6)
+    state.prune_below(5)
+    assert state.times("I") == list(range(5, 11)) and state.times("V") == list(range(5, 11))
+    for t in (4, 0):
+        with pytest.raises(InsufficientHistory):
+            state.v_slice(t)
+    assert [state.i_slice(t) for t in range(5, 11)] == [eager.i_slice(t) for t in range(5, 11)]
+    state.prune_below(99)
+    window = list(range(11 - max(base.params.M, base.params.K), 11))
+    assert state.times("I") == window and state.times("V") == window
+    assert state.to_json_dict() == eager.prune_below(99).to_json_dict()
+
+
+@pytest.mark.parametrize("family", ["I", "V"])
+def test_a_slice_written_over_an_unread_step_stays(family, unread_steps):
+    """Writing a slice over an unread chain step, as the corruption tests
+    do, leaves the other family's slice at that time as the step reads it,
+    in the state and in a copy made before the write, and the written one
+    as written."""
+    base = random_state(1, 1, 3, seed=6)
+    eager = read_as_stepped(base, 6)
+    state = base.copy().evolve_to(6)
+    before = state.copy()
+    other = "V" if family == "I" else "I"
+    written = tuple(v * rat(3, 2) for v in eager.i_slice(3))
+    (state._i if family == "I" else state._v)[3] = written
+
+    def read(s, kind, t):
+        return s.i_slice(t) if kind == "I" else s.v_slice(t)
+
+    assert read(state, other, 3) == read(eager, other, 3)
+    assert read(state, family, 3) == written
+    assert read(before, family, 3) == read(eager, family, 3)
+    expected = eager.to_json_dict()
+    expected[family]["3"] = [format_rational(v) for v in written]
+    assert state.to_json_dict() == expected
+    assert before.to_json_dict() == eager.to_json_dict()

@@ -367,10 +367,9 @@ def test_apply_shift_matches_adjugate_oracle(M, K, N, monkeypatch):
 
 def _corrupted(st, t, kind="V"):
     out = st.copy()
-    hist = out._v if kind == "V" else out._i
-    vals = list(hist[t])
+    vals = list(out.v_slice(t) if kind == "V" else out.i_slice(t))
     vals[0] += 1
-    hist[t] = tuple(vals)
+    (out._v if kind == "V" else out._i)[t] = tuple(vals)
     return out
 
 

@@ -534,10 +534,9 @@ def test_superdiagonal_ratio_is_special_to_case_b():
 
 def _corrupted(st, t, kind):
     out = st.copy()
-    hist = out._i if kind == "I" else out._v
-    vals = list(hist[t])
+    vals = list(out.i_slice(t) if kind == "I" else out.v_slice(t))
     vals[0] += 1
-    hist[t] = tuple(vals)
+    (out._i if kind == "I" else out._v)[t] = tuple(vals)
     return out
 
 

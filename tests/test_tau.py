@@ -29,7 +29,7 @@ from redkp import (
 )
 from redkp import lattice
 from redkp.lattice import height, step_slices
-from conftest import on_every_set, random_state, windows
+from conftest import on_every_set, random_state, read_as_stepped, windows
 
 STEPS = 8
 TAU_SETS = [(1, 1, n) for n in range(3, 9)] + [
@@ -235,13 +235,95 @@ def test_which_states_take_the_chain(monkeypatch):
         assert calls[0] > 26 and calls == list(range(calls[0], 41))
 
 
+# the first step each window hands to the kernel within DROP_STEPS of its
+# anchor (None: none), taken before the slices were written on first read:
+# per set, seeds 1-6 of ``random_state``, the same draws' windows at t = 12
+# and the uniform state with I = 2, V = 1
+DROP_STEPS = 12
+DROPS = {
+    (1, 1, 2): [3, 3, 3, 3, 5, 3, 3, 3, 3, 3, 5, 3, None],
+    (1, 1, 3): [None] * 6 + [3] * 6 + [None],
+    (2, 1, 3): [None] * 6 + [3] * 6 + [None],
+    (1, 2, 4): [None] * 6 + [3] * 6 + [None],
+    (3, 2, 5): [None] * 6 + [4] * 6 + [None],
+    (1, 1, 8): [None] * 6 + [3] * 6 + [None],
+}
+
+
+def test_the_chain_drops_at_the_same_step(monkeypatch, unread_steps):
+    """The drop test reads the values at site 1 and the whole step only
+    when those are shorter than the τ's, so each of the 78 windows of
+    ``DROPS``, stepped with no slice read, hands the same first step to
+    the kernel as when every step's slices were written as it was made."""
+    calls = count_kernel_steps(monkeypatch)
+
+    def drop(state):
+        calls.clear()
+        t0 = state.frontier
+        state.evolve_to(t0 + DROP_STEPS)
+        return calls[0] - t0 if calls else None
+
+    for params, expected in DROPS.items():
+        fresh = [random_state(*params, seed=seed) for seed in range(1, 7)]
+        deep = [window_at(state.copy().evolve_to(12), 12) for state in fresh]
+        uniform = uniform_state(LatticeParams(*params), 2, 1)
+        assert [drop(state) for state in fresh + deep + [uniform]] == expected, params
+
+
+@on_every_set(TAU_SETS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def reads_on_any_window(M, K, N, data):
+    """A state stepped on the chain from the last M I-slices and K V-slices
+    of a window, its slices unread, gives each slice ``step_slices`` gives
+    and the ``to_json_dict`` of a state read as it steps, whichever slices
+    are read first: every step in order, the frontier alone, a random
+    subset in random order, or reads split between it and its ``copy()``."""
+    i_slices, v_slices = data.draw(windows(M, K, N))
+    params = LatticeParams(M, K, N)
+    i_win = {r: tuple(i_slices[r]) for r in range(1 - M, 1)}
+    v_win = {r: tuple(v_slices[r]) for r in range(1 - K, 1)}
+    hist_i, hist_v = dict(i_win), dict(v_win)
+    for t in range(1, STEPS + 1):
+        try:
+            hist_i[t], hist_v[t] = step_slices(hist_i[t - M], hist_v[t - K], t)
+        except (DegenerateEvolution, SingularStep):
+            break
+    last = max(hist_i)
+    eager = read_as_stepped(new_state(params, i_win, v_win), last).to_json_dict()
+    times = list(range(1, last + 1))
+    subset = data.draw(st.permutations(times))[: data.draw(st.integers(0, last))]
+    schedules = (
+        [(0, "I", t) for t in times],
+        [(0, "V", last)],
+        [(0, data.draw(st.sampled_from("IV")), t) for t in subset],
+        [(data.draw(st.integers(0, 1)), data.draw(st.sampled_from("IV")), t) for t in subset],
+    )
+    for reads in schedules:
+        state = new_state(params, i_win, v_win).evolve_to(last)
+        states = (state, state.copy())
+        for which, kind, t in reads:
+            read = states[which].i_slice if kind == "I" else states[which].v_slice
+            assert read(t) == (hist_i if kind == "I" else hist_v)[t]
+        assert [s.to_json_dict() for s in states] == [eager, eager]
+
+
+def test_reads_on_any_window(unread_steps, monkeypatch):
+    """``reads_on_any_window`` with every step past the cut, so that a read
+    takes its same-site gcds by refinement where an older read took the
+    bases, and by ``math.gcd`` where none did."""
+    monkeypatch.setattr(lattice, "REFINE_BITS", 0)
+    reads_on_any_window()
+
+
 @on_every_set(TAU_SETS)
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def refined_gcds_on_any_window(M, K, N, data):
     """The chain on the last M I-slices and K V-slices of a window gives the
-    kernel's slices at every step, and each generation keeps gcd(τ^{t-K}_j,
-    τ^t_j) and gcd(τ^{t-M}_j, τ^t_j) as ``math.gcd`` takes them."""
+    kernel's slices at every step, and each generation, once read, keeps
+    gcd(τ^{t-K}_j, τ^t_j) and gcd(τ^{t-M}_j, τ^t_j) as ``math.gcd`` takes
+    them."""
     i_slices, v_slices = data.draw(windows(M, K, N))
     a = [i_slices[r] for r in range(1 - M, 1)]
     b = [v_slices[r] for r in range(1 - K, 1)]
@@ -251,13 +333,13 @@ def refined_gcds_on_any_window(M, K, N, data):
         out = chain.step()
         if out is None:
             break
-        x, y, _ = out
+        x, y = out[0].read()
         assert outcome(lambda: step_slices(hist_i[t - M], hist_v[t - K], t)) == (x, y)
         hist_i[t], hist_v[t] = x, y
-        gens = chain.gens
-        u, same_k, same_m = gens[-1][0], gens[-1][4], gens[-1][5]
-        assert same_k == list(map(gcd, gens[-1 - K][0], u))
-        assert same_m == list(map(gcd, gens[-1 - M][0], u))
+        gen = chain.gens[-1]
+        same_k, same_m = gen.same
+        assert same_k == list(map(gcd, chain.gens[-1 - K].u, gen.u))
+        assert same_m == list(map(gcd, chain.gens[-1 - M].u, gen.u))
 
 
 def test_refined_gcds_on_any_window(monkeypatch):
@@ -345,9 +427,13 @@ def test_closures_agree_on_any_window(monkeypatch):
             chain, run = lattice._TauChain(a, b), []
             for _ in range(STEPS):
                 out = chain.step()
-                run.append((out, chain.gens[-1]))
                 if out is None:
+                    run.append(None)
                     break
+                gen, (read_out, outgrown) = chain.gens[-1], out
+                run.append(
+                    (read_out.read(), outgrown, gen.u, gen.g, gen.adj, gen.pairs, gen.same)
+                )
             runs.append(run)
         assert runs[0] == runs[1]
 
@@ -422,7 +508,7 @@ def test_chain_past_the_cut_on_general_windows(monkeypatch):
             state.step()
             assert (state.i_slice(t), state.v_slice(t)) == expected
         assert height(expected[0] + expected[1]) > 7000
-        assert state._tau.gens[-1][3] > 3000 > lattice.REFINE_BITS
+        assert state._tau.gens[-1].bits > 3000 > lattice.REFINE_BITS
         assert paths["2-adic"] > len(paths["fallback"])
         assert all(f > 1 for f in paths["fallback"])
         fallbacks.append(len(paths["fallback"]))
