@@ -431,11 +431,12 @@ class _ReadOut:
         self.values = [None] * len(gen.u)
         self.slices = None
 
-    def _same(self, kind, j):
+    @staticmethod
+    def _same(older, kind, j):
         """gcd(u_j, τ^{t-K}_j) for kind 0, gcd(u_j, τ^{t-M}_j) for kind 1,
         over the primes of equation j or j - 1, or by ``math.gcd`` where
         the older generation's same-site gcd was never taken."""
-        gen, qk, qm, ca, cb, _, _, bits = self.older
+        gen, qk, qm, ca, cb, _, _, bits = older
         memo = gen.same[kind]
         s = memo[j]
         if s is None:
@@ -452,20 +453,23 @@ class _ReadOut:
         """(x_i, y_i), the values at site i of the slices at t."""
         v = self.values[i]
         if v is None:
-            gen, qk, qm, _, _, a, b, _ = self.older
+            older = self.older
+            if older is None:  # another reader made every value meanwhile
+                return self.values[i]
+            gen, qk, qm, _, _, a, b, _ = older
             n = len(gen.u)
             j, k = (1 - i) % n, (2 - i) % n  # k = j + 1
             kn, kd = qk.pair(j)
             un, ud = gen.pair(j)
             # τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1})
-            rn, rd = _ratio(kd, un, kn, ud, self._same(0, k), self._same(0, j))
+            rn, rd = _ratio(kd, un, kn, ud, self._same(older, 0, k), self._same(older, 0, j))
             x = rational._product(*a[i], rn, rd)
             if gen.same[0] is gen.same[1]:  # M = K
                 y = rational._product(*b[i], rd, rn)
             else:
                 # τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j)
                 mn, md = qm.pair(j)
-                rn, rd = _ratio(mn, ud, md, un, self._same(1, j), self._same(1, k))
+                rn, rd = _ratio(mn, ud, md, un, self._same(older, 1, j), self._same(older, 1, k))
                 y = rational._product(*b[i], rn, rd)
             v = self.values[i] = (x, y)
         return v
@@ -667,8 +671,8 @@ class LatticeState:
     history holds the step's ``_ReadOut`` under its time in both
     families, and a read of either writes both as plain tuples, leaving a
     slice written over the read-out as it is.  ``prune_below`` drops
-    unread steps below the floor, and the kernel fallback and
-    ``to_json_dict`` read the steps they need.
+    unread steps below the floor, and the kernel fallback, a new chain's
+    window and ``to_json_dict`` read the steps they need.
 
     A state is exclusively owned while being advanced.  ``copy()`` snapshots
     may be read concurrently; reading one fills its own cache, so two readers
@@ -789,8 +793,8 @@ class LatticeState:
                 and len(self._i) == M
                 and len(self._v) == K
                 and _TauChain(
-                    [self._i[t1 - M + r] for r in range(M)],
-                    [self._v[t1 - K + r] for r in range(K)],
+                    [self.i_slice(t1 - M + r) for r in range(M)],
+                    [self.v_slice(t1 - K + r) for r in range(K)],
                 )
             )
         out = self._tau.step() if self._tau else None

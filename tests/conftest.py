@@ -15,7 +15,7 @@ from redkp import (
     rat,
     uniform_state,
 )
-from redkp.lattice import height
+from redkp.lattice import _ReadOut, height
 from redkp.lax import factor_slices
 from redkp.yform import _levels, _word_levels, _word_value
 
@@ -204,12 +204,17 @@ def bounded_steps(monkeypatch):
     """Every step a test takes fails once its slice passes STEP_MAX_BITS.
 
     A correct step grows heights quadratically in t, while a broken one lets
-    them explode; without a budget such a test runs on instead of failing."""
+    them explode; without a budget such a test runs on instead of failing.
+    A τ chain step's slices are read where the history keeps them and not
+    written into it, so the tests read histories that hold unread steps."""
     step = LatticeState.step
 
     def bounded(self):
         t = step(self).frontier
-        bits = height(self.i_slice(t) + self.v_slice(t))
+        x, y = self._i[t], self._v[t]
+        if type(x) is _ReadOut:
+            x, y = x.read()
+        bits = height(x + y)
         if bits > STEP_MAX_BITS:
             raise AssertionError(f"slice at t = {t} reaches {bits} bits, over {STEP_MAX_BITS}")
         return self
@@ -231,8 +236,8 @@ def read_as_stepped(state, last):
 @pytest.fixture
 def unread_steps(monkeypatch):
     """The library's step in place of ``bounded_steps``, which reads every
-    slice it checks: a τ chain step's slices stay unread until a test reads
-    them, as outside the tests."""
+    step it checks: a τ chain step's gcds stay untaken until a test reads
+    one of its slices, as outside the tests."""
     monkeypatch.setattr(LatticeState, "step", LIBRARY_STEP)
 
 

@@ -55,6 +55,15 @@ MUTANTS = [
         ],
     ),
     (
+        "a new chain started on the raw history",
+        "redkp/lattice.py",
+        "[self.i_slice(t1 - M + r) for r in range(M)],\n"
+        "                    [self.v_slice(t1 - K + r) for r in range(K)],",
+        "[self._i[t1 - M + r] for r in range(M)],\n"
+        "                    [self._v[t1 - K + r] for r in range(K)],",
+        [LATTICE + "test_a_pruned_copy_steps_from_its_window"],
+    ),
+    (
         "prune_below keeps unread steps below the floor",
         "redkp/lattice.py",
         "self._i = {t: v for t, v in self._i.items() if t >= floor}",

@@ -27,6 +27,7 @@ from redkp import (
     uniform_state,
 )
 from redkp.lattice import default_time, step_slices
+from redkp.verify import run_verification
 from conftest import PARAM_SETS, on_every_set, random_state, read_as_stepped, rotated
 
 
@@ -628,6 +629,24 @@ def test_prune_below_drops_unread_steps(params, unread_steps):
     window = list(range(11 - max(base.params.M, base.params.K), 11))
     assert state.times("I") == window and state.times("V") == window
     assert state.to_json_dict() == eager.prune_below(99).to_json_dict()
+
+
+@pytest.mark.parametrize("params", [(1, 1, 3), (1, 1, 5), (1, 1, 8)])
+def test_a_pruned_copy_steps_from_its_window(params, unread_steps):
+    """A copy of an M = K = 1 state pruned to its stepping window over unread
+    chain steps starts a new chain on that window, reading the steps it
+    starts on, and steps as the eager history does; ``verify``, which
+    steps a copy, reports as on the eager history."""
+    base = random_state(*params, seed=6)
+    eager = read_as_stepped(base, 14)
+    pruned = base.copy().evolve_to(10).prune_below(99)
+    out = pruned.copy().evolve_to(14)
+    assert out.times("I") == list(range(11 - base.params.M, 15))
+    for t in out.times("I"):
+        assert out.i_slice(t) == eager.i_slice(t) and out.v_slice(t) == eager.v_slice(t)
+    pruned = base.copy().evolve_to(10).prune_below(99)
+    expected = run_verification(read_as_stepped(base, 10).prune_below(99))
+    assert run_verification(pruned) == expected
 
 
 @pytest.mark.parametrize("family", ["I", "V"])
