@@ -38,13 +38,13 @@ prod(A) = prod(B) and any step with a zero τ take the kernel, so an error
 keeps its type, message and step, and the slices stay the one source of
 truth.
 
-A chain step makes only its generation (``_Generation``), what later
-steps read: the closure, the recurrence and the division by the content.
-Its read-out (``_ReadOut``), the other adjacent gcds, the reduced ratios,
-the same-site gcds and the value products, is made when one of its slices
-is first read, and kept, so a caller pays only for the slices it reads:
-none for a probe evolution, one window for ``charpoly --time T``, and
-every step's, in time order, for ``evolve``.  The drop test reads one site's
+A chain step is one object, its generation (``_Generation``).  The step
+makes only what later steps read: the closure, the recurrence and the
+division by the content.  The other adjacent gcds, the reduced ratios, the
+same-site gcds and the value products are made when one of its slices is
+first read, and kept, so a caller pays only for the slices it reads: none
+for a probe evolution, one window for ``charpoly --time T``, and every
+step's, in time order, for ``evolve``.  The drop test reads one site's
 values, x_1 and y_1, whose ratios take the same-site gcds at sites 0 and
 1, and the whole step only when those are shorter than the τ's, so the
 chain leaves at the same step as when each step read every slice.
@@ -304,10 +304,9 @@ class _TauChain:
 
     A step makes only the generation, what later steps read: the closure,
     the recurrence and the content, by gcd(u_0, u_1) and the rest of u.
-    The gcds and ratio products that give its slices are its read-out
-    (``_ReadOut``), taken on first read.  A state keeps an unread step's
-    read-out under its time, and its copies share it, so two readers may
-    take a step's gcds twice.  The drop test reads the values at site 1,
+    The gcds and ratio products that give its slices are taken on first
+    read (``_Generation.read``), and a state keeps an unread step's
+    generation under its time.  The drop test reads the values at site 1,
     whose ratios take the same-site gcds at sites 0 and 1, so every
     generation keeps those and the next steps refine theirs; it reads the
     whole step only when those values are shorter than the τ's."""
@@ -325,11 +324,10 @@ class _TauChain:
         self.steps = 0
 
     def step(self):
-        """The next generation's read-out, whose ``read`` gives the next
-        slices (x, y), and whether the chain is outgrown: τ^{t-K} or
-        τ^{t-M} is taller than every numerator and denominator of x and y.
-        None when the phase's closure or a τ of the new generation is
-        zero."""
+        """The next generation, whose ``read`` gives the next slices (x, y),
+        and whether the chain is outgrown: τ^{t-K} or τ^{t-M} is taller than
+        every numerator and denominator of x and y.  None when the phase's
+        closure or a τ of the new generation is zero."""
         M, K, gens = len(self.a), len(self.b), self.gens
         ca, pa, a = self.a[self.steps % M]
         cb, pb, b = self.b[self.steps % K]
@@ -360,92 +358,70 @@ class _TauChain:
         if g > 1:
             u = [w // g for w in u]
             adj //= g
-        gen = _Generation(u, g, adj, M == K)
-        out = _ReadOut(gen, qk, qm, ca, cb, a, b, bits)
-        outgrown = height(out.value(1)) < bits and height(sum(out.read(), ())) < bits
+        gen = _Generation(u, g, adj, M == K, (qk, qm, ca, cb, a, b, bits))
+        outgrown = height(gen.value(1)) < bits and height(sum(gen.read(), ())) < bits
         gens.append(gen)
         del gens[0]
         self.steps += 1
-        return out, outgrown
+        return gen, outgrown
 
 
 class _Generation:
     """A τ generation u = τ^t of a ``_TauChain``, its content g divided out
-    (class docstring there), and the gcds taken of it, which later steps
-    and reads take as refinement bases.
+    (class docstring there), the gcds taken of it, which later steps and
+    reads take as refinement bases, and the slices at t read off it.
 
-    u, g, its largest bit length and adj_0 = gcd(u_0, u_1) are made with
-    the generation.  The rest is made per site on first use and kept:
-    adj_j = gcd(u_j, u_{j+1}), u_j and u_{j+1} divided by it (``pair``),
-    and, by the generation's read-out (``_ReadOut``), the same-site gcds of
-    u_j with τ^{t-K}_j and τ^{t-M}_j (``same``, None where not taken, one
-    list when M = K).  A generation refers to no other, so it lives only
-    as long as the chain or an unread step needs it."""
+    u, g, its largest bit length and site 0's pair are made with the
+    generation.  The rest is made per site on first use and kept: the pair
+    (adj_j, u_j / adj_j, u_{j+1} / adj_j), adj_j = gcd(u_j, u_{j+1}); the
+    same-site gcds of u_j with τ^{t-K}_j and τ^{t-M}_j (``same``, None
+    where not taken, one list when M = K); and the values at each site.
+    ``older`` holds the generations t - K and t - M, the phase and the
+    step's τ bit length until ``read`` has made every value, and ``read``
+    drops it then, so a read generation refers to no other."""
 
-    __slots__ = ("u", "g", "bits", "adj", "pairs", "same")
+    __slots__ = ("u", "g", "bits", "older", "pairs", "same", "values", "slices")
 
-    def __init__(self, u, g, adj, one_same):
+    def __init__(self, u, g, adj, one_same, older):
         n = len(u)
         self.u, self.g, self.bits = u, g, max(map(int.bit_length, u))
-        self.adj = [adj] + [None] * (n - 1)
-        self.pairs = [None] * n
+        self.older = older
+        self.pairs = [(adj, u[0] // adj, u[1 - n] // adj)] + [None] * (n - 1)
         same_k = [None] * n
         self.same = (same_k, same_k if one_same else [None] * n)
+        self.values, self.slices = [None] * n, None
 
     @classmethod
     def anchor(cls, n):
         """τ = 1 on n sites, every gcd taken."""
         ones = [1] * n
-        gen = cls(ones, 1, 1, True)
-        gen.adj, gen.pairs, gen.same = ones, [(1, 1)] * n, (ones, ones)
+        gen = cls(ones, 1, 1, True, None)
+        gen.pairs, gen.same = [(1, 1, 1)] * n, (ones, ones)
         return gen
 
-    def adjacent(self, j):
-        """adj_j = gcd(u_j, u_{j+1})."""
-        e = self.adj[j]
-        if e is None:
-            u = self.u
-            e = self.adj[j] = gcd(u[j], u[j + 1 - len(u)])
-        return e
-
     def pair(self, j):
-        """(u_j, u_{j+1}) / adj_j, in lowest terms."""
+        """(adj_j, u_j / adj_j, u_{j+1} / adj_j), adj_j = gcd(u_j, u_{j+1})."""
         p = self.pairs[j]
         if p is None:
-            u, e = self.u, self.adjacent(j)
-            p = self.pairs[j] = (u[j] // e, u[j + 1 - len(u)] // e)
+            u, k = self.u, j + 1 - len(self.u)
+            e = gcd(u[j], u[k])
+            p = self.pairs[j] = (e, u[j] // e, u[k] // e)
         return p
 
-
-class _ReadOut:
-    """The slices at t read off the generations t, t - K and t - M of a
-    ``_TauChain`` (class docstring there), made per site on first use and
-    kept.  ``older`` holds the three generations, the phase and the step's
-    τ bit length until every value is made; ``read`` drops it then, so a
-    read step holds only its slices."""
-
-    __slots__ = ("older", "values", "slices")
-
-    def __init__(self, gen, qk, qm, ca, cb, a, b, bits):
-        self.older = (gen, qk, qm, ca, cb, a, b, bits)
-        self.values = [None] * len(gen.u)
-        self.slices = None
-
-    @staticmethod
-    def _same(older, kind, j):
+    def _same(self, kind, j):
         """gcd(u_j, τ^{t-K}_j) for kind 0, gcd(u_j, τ^{t-M}_j) for kind 1,
         over the primes of equation j or j - 1, or by ``math.gcd`` where
         the older generation's same-site gcd was never taken."""
-        gen, qk, qm, ca, cb, _, _, bits = older
-        memo = gen.same[kind]
+        memo = self.same[kind]
         s = memo[j]
         if s is None:
+            qk, qm, ca, cb, _, _, bits = self.older
             q, coef, e = (qk, cb[j], j) if kind == 0 else (qm, ca[j - 1], j - 1)
-            x, w, old = q.u[j], gen.u[j], q.same[1 - kind][j]
+            x, w, old = q.u[j], self.u[j], q.same[1 - kind][j]
             if bits < REFINE_BITS or old is None:
                 s = gcd(x, w)
             else:
-                s = _refined_gcd(x, w, gen.g * coef * old * gen.adjacent(e))
+                s = _refined_gcd(x, w, self.g * coef * old * self.pair(e)[0])
             memo[j] = s
         return s
 
@@ -453,23 +429,20 @@ class _ReadOut:
         """(x_i, y_i), the values at site i of the slices at t."""
         v = self.values[i]
         if v is None:
-            older = self.older
-            if older is None:  # another reader made every value meanwhile
-                return self.values[i]
-            gen, qk, qm, _, _, a, b, _ = older
-            n = len(gen.u)
+            qk, qm, _, _, a, b, _ = self.older
+            n = len(self.u)
             j, k = (1 - i) % n, (2 - i) % n  # k = j + 1
-            kn, kd = qk.pair(j)
-            un, ud = gen.pair(j)
+            _, kn, kd = qk.pair(j)
+            _, un, ud = self.pair(j)
             # τ^{t-K}_{j+1} τ^t_j / (τ^{t-K}_j τ^t_{j+1})
-            rn, rd = _ratio(kd, un, kn, ud, self._same(older, 0, k), self._same(older, 0, j))
+            rn, rd = _ratio(kd, un, kn, ud, self._same(0, k), self._same(0, j))
             x = rational._product(*a[i], rn, rd)
-            if gen.same[0] is gen.same[1]:  # M = K
+            if self.same[0] is self.same[1]:  # M = K
                 y = rational._product(*b[i], rd, rn)
             else:
                 # τ^{t-M}_j τ^t_{j+1} / (τ^{t-M}_{j+1} τ^t_j)
-                mn, md = qm.pair(j)
-                rn, rd = _ratio(mn, ud, md, un, self._same(older, 1, j), self._same(older, 1, k))
+                _, mn, md = qm.pair(j)
+                rn, rd = _ratio(mn, ud, md, un, self._same(1, j), self._same(1, k))
                 y = rational._product(*b[i], rn, rd)
             v = self.values[i] = (x, y)
         return v
@@ -477,7 +450,7 @@ class _ReadOut:
     def read(self):
         """The slices (x, y) at t."""
         if self.slices is None:
-            self.slices = tuple(zip(*map(self.value, range(len(self.values)))))
+            self.slices = tuple(zip(*map(self.value, range(len(self.u)))))
             self.older = None
         return self.slices
 
@@ -668,16 +641,16 @@ class LatticeState:
     docstring) carries τ's, which the slices are read off, and no value.
 
     A chain step's slices are written on first read: until then the
-    history holds the step's ``_ReadOut`` under its time in both
+    history holds the step's ``_Generation`` under its time in both
     families, and a read of either writes both as plain tuples, leaving a
-    slice written over the read-out as it is.  ``prune_below`` drops
-    unread steps below the floor, and the kernel fallback, a new chain's
-    window and ``to_json_dict`` read the steps they need.
+    slice written over the generation as it is.  ``prune_below`` drops
+    unread steps below the floor, though the unread steps it keeps hold
+    the older generations they read, each until it is read.  The kernel
+    fallback, a new chain's window and ``to_json_dict`` read the steps
+    they need.
 
-    A state is exclusively owned while being advanced.  ``copy()`` snapshots
-    may be read concurrently; reading one fills its own cache, so two readers
-    may build the same object twice.  Copies share their unread steps, so
-    two readers may also take a step's gcds twice.
+    A state is exclusively owned while being advanced and read; ``copy()``
+    starts an empty cache and shares the unread steps.
     """
 
     def __init__(self, params: LatticeParams, i_hist: dict, v_hist: dict, frontier: int):
@@ -733,7 +706,7 @@ class LatticeState:
             raise InsufficientHistory(
                 f"{kind}-slice at time {t} predates the initial data"
             ) from None
-        if type(vals) is _ReadOut:
+        if type(vals) is _Generation:
             x, y = vals.read()
             if self._i.get(t) is vals:
                 self._i[t] = x
@@ -802,8 +775,8 @@ class LatticeState:
             self._tau = False
             x, y = step_slices(self.i_slice(t1 - M), self.v_slice(t1 - K), t1)
         else:
-            read_out, outgrown = out
-            x = y = read_out
+            gen, outgrown = out
+            x = y = gen
             if outgrown:
                 self._tau = False
         self._i[t1] = x

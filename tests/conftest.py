@@ -15,7 +15,7 @@ from redkp import (
     rat,
     uniform_state,
 )
-from redkp.lattice import _ReadOut, height
+from redkp.lattice import _Generation, height
 from redkp.lax import factor_slices
 from redkp.yform import _levels, _word_levels, _word_value
 
@@ -212,7 +212,7 @@ def bounded_steps(monkeypatch):
     def bounded(self):
         t = step(self).frontier
         x, y = self._i[t], self._v[t]
-        if type(x) is _ReadOut:
+        if type(x) is _Generation:
             x, y = x.read()
         bits = height(x + y)
         if bits > STEP_MAX_BITS:

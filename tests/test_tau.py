@@ -13,9 +13,11 @@ V^i_t = B_i τ^{t-M}_{1-i} τ^t_{2-i} / (τ^{t-M}_{2-i} τ^t_{1-i}) (indices
 mod N).  ``tau_generations`` solves them over the rationals; the chain in
 ``lattice`` is held to the kernel ``step_slices`` step by step."""
 
+import gc
 import random
 from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,6 +272,34 @@ def test_the_chain_drops_at_the_same_step(monkeypatch, unread_steps):
         assert [drop(state) for state in fresh + deep + [uniform]] == expected, params
 
 
+def generations_held(state):
+    """The number of ``_Generation`` objects reachable from ``state``
+    through its history, its chain and the generations themselves."""
+    follow = (lattice.LatticeState, lattice._TauChain, lattice._Generation, dict, list, tuple)
+    seen, todo, count = set(), [state], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or type(obj) not in follow:
+            continue
+        seen.add(id(obj))
+        count += type(obj) is lattice._Generation
+        todo += gc.get_referents(obj)
+    return count
+
+
+@pytest.mark.parametrize("params", [(2, 1, 3), (1, 2, 4), (1, 1, 8)])
+def test_a_read_step_holds_no_older_generation(params, unread_steps):
+    """Twenty unread chain steps hold every generation from the anchor on;
+    once every slice is read, the state holds only the chain's last M + K
+    generations, as a read generation drops the older ones it read."""
+    state = random_state(*params, seed=1)
+    for _ in range(20):
+        state.step()
+    assert generations_held(state) == 21
+    for t in state.times("I"):
+        state.i_slice(t)
+    assert generations_held(state) == params[0] + params[1]
+
 @on_every_set(TAU_SETS)
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
@@ -333,10 +363,11 @@ def refined_gcds_on_any_window(M, K, N, data):
         out = chain.step()
         if out is None:
             break
-        x, y = out[0].read()
+        gen = out[0]
+        x, y = gen.read()
         assert outcome(lambda: step_slices(hist_i[t - M], hist_v[t - K], t)) == (x, y)
         hist_i[t], hist_v[t] = x, y
-        gen = chain.gens[-1]
+        assert chain.gens[-1] is gen
         same_k, same_m = gen.same
         assert same_k == list(map(gcd, chain.gens[-1 - K].u, gen.u))
         assert same_m == list(map(gcd, chain.gens[-1 - M].u, gen.u))
@@ -430,10 +461,8 @@ def test_closures_agree_on_any_window(monkeypatch):
                 if out is None:
                     run.append(None)
                     break
-                gen, (read_out, outgrown) = chain.gens[-1], out
-                run.append(
-                    (read_out.read(), outgrown, gen.u, gen.g, gen.adj, gen.pairs, gen.same)
-                )
+                gen, outgrown = out
+                run.append((gen.read(), outgrown, gen.u, gen.g, gen.pairs, gen.same))
             runs.append(run)
         assert runs[0] == runs[1]
 
