@@ -30,7 +30,7 @@ from .errors import (
 from .lattice import LatticeState, default_time, height
 from .lax import special_points, spectral_curve
 from .polymatrix import PolyMatrix
-from .rational import format_rational
+from .rational import format_rational, may_pass_digit_cap
 from .verify import run_verification
 from .yform import band_coefficients, companion_product, shift_stars
 
@@ -114,13 +114,18 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"target {args.to} is before the frontier {state.frontier}")
     while state.frontier < args.to:
         t = state.step().frontier
-        if args.max_bits is None:
-            continue
-        bits = height(state.i_slice(t) + state.v_slice(t))
-        if bits > args.max_bits:
-            raise HeightBudgetExceeded(
-                f"t = {t} reaches {bits} bits, over --max-bits {args.max_bits}"
-            )
+        values = state.i_slice(t) + state.v_slice(t)
+        bits = height(values)
+        if args.max_bits is not None:
+            if bits > args.max_bits:
+                raise HeightBudgetExceeded(
+                    f"t = {t} reaches {bits} bits, over --max-bits {args.max_bits}"
+                )
+        elif may_pass_digit_cap(bits):
+            # the writer's own test: a part past the int-to-str cap raises
+            # its ValueError at this step, not after stepping to --to
+            for value in values:
+                format_rational(value)
     _write(_json_text(state.to_json_dict()), args.output)
     return EXIT_OK
 

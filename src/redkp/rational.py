@@ -33,8 +33,9 @@ most ``_LEAF_BITS`` bits.  As 10^k = 5^k·2^k, hi and lo come from one
 divmod of n >> k by 5^k, cached in ``_POW5``, and the k low bits of n: the
 divisor is 30% shorter than 10^k, and so is the schoolbook division's time.
 An int that may have more digits than ``sys.get_int_max_str_digits()``
-allows (bits·log10 2 >= limit - 1) goes to plain ``str`` whole, so the same
-value fails first, with CPython's own ``ValueError``; this module never
+allows (bits·log10 2 >= limit - 1, ``may_pass_digit_cap``, which ``evolve``
+also asks of each step) goes to plain ``str`` whole, so the same value
+fails first, with CPython's own ``ValueError``; this module never
 sets that limit, and a Python without it has none.  A value with both
 parts within the leaf is written as ``Fraction.__str__`` writes it, after
 one bit-length test.  The leaf was read off ``to_json_dict`` of the 72
@@ -264,12 +265,19 @@ def format_rational(value) -> str:
     return f"{_decimal(n)}/{_decimal(d)}" if d != 1 else _decimal(n)
 
 
-def _decimal(n):
-    """``str(n)``: plain ``str`` where n may pass the digit cap (so it raises
-    that ``ValueError``), else ``_split``.  A Python with no cap has no
+def may_pass_digit_cap(bits: int) -> bool:
+    """Whether an int of ``bits`` bits may have more digits than
+    ``sys.get_int_max_str_digits()`` allows: bits·log10 2 >= limit - 1, as
+    its digit count is below bits·log10 2 + 1.  A Python with no cap has no
     ``sys.get_int_max_str_digits``, and ``int()`` stands in for it as 0."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and n.bit_length() * log10(2) >= limit - 1:
+    return bool(limit) and bits * log10(2) >= limit - 1
+
+
+def _decimal(n):
+    """``str(n)``: plain ``str`` where n may pass the digit cap (so it raises
+    that ``ValueError``), else ``_split``."""
+    if may_pass_digit_cap(n.bit_length()):
         return str(n)
     if n < 0:
         return "-" + _split(-n)

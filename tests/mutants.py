@@ -29,6 +29,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TAU = "tests/test_tau.py::"
 LATTICE = "tests/test_lattice.py::"
 DEGENERATION = "tests/test_degeneration.py::"
+CLI = "tests/test_cli.py::"
 
 # (name, module, old text, new text, tests that must fail)
 MUTANTS = [
@@ -140,6 +141,58 @@ MUTANTS = [
         [
             TAU + "test_closures_agree_on_any_window",
             TAU + "test_chain_past_the_cut_on_general_windows",
+        ],
+    ),
+    # the writer of big parts and the digit cap
+    (
+        "no zero padding of lo",
+        "redkp/rational.py",
+        "_split((lo << k) | (n & ((1 << k) - 1))).zfill(k)",
+        "_split((lo << k) | (n & ((1 << k) - 1)))",
+        [
+            LATTICE + "test_format_rational_writes_big_parts_as_str",
+            LATTICE + "test_format_rational_writes_as_str_with_no_digit_cap",
+            LATTICE + "test_format_rational_past_the_digit_cap_raises_str_error",
+        ],
+    ),
+    (
+        "a split at k + 1 digits padded to k",
+        "redkp/rational.py",
+        "    hi, lo = divmod(n >> k, power)\n"
+        "    return _split(hi) + _split((lo << k) | (n & ((1 << k) - 1))).zfill(k)",
+        "    hi, lo = divmod(n, 10 ** (k + 1))\n"
+        "    return _split(hi) + _split(lo).zfill(k)",
+        [
+            LATTICE + "test_format_rational_writes_big_parts_as_str",
+            LATTICE + "test_format_rational_writes_as_str_with_no_digit_cap",
+            LATTICE + "test_format_rational_past_the_digit_cap_raises_str_error",
+        ],
+    ),
+    (
+        "no cap guard in the writer",
+        "redkp/rational.py",
+        "    if may_pass_digit_cap(n.bit_length()):\n        return str(n)",
+        "    if False:\n        return str(n)",
+        [LATTICE + "test_format_rational_past_the_digit_cap_raises_str_error"],
+    ),
+    (
+        "no step check past the digit cap",
+        "redkp/cli.py",
+        "        elif may_pass_digit_cap(bits):",
+        "        elif False:",
+        [
+            CLI + "test_evolve_stops_at_the_first_step_past_the_digit_cap",
+            CLI + "test_evolve_stops_where_the_writer_fails",
+        ],
+    ),
+    (
+        "the digit-cap step check taken under --max-bits",
+        "redkp/cli.py",
+        "        elif may_pass_digit_cap(bits):",
+        "        if may_pass_digit_cap(bits):",
+        [
+            CLI + "test_evolve_max_bits_outranks_the_digit_cap",
+            CLI + "test_evolve_within_max_bits_past_the_digit_cap_fails_at_the_write",
         ],
     ),
 ]

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from redkp import (
 )
 from redkp import cli
 from redkp.cli import build_parser, main
-from redkp.lattice import default_time
+from redkp.lattice import default_time, height
+from redkp.rational import may_pass_digit_cap
 from redkp.verify import _run, _suites, run_verification
 from redkp.yform import verify_word_append_rule
 from conftest import PARAM_SETS, random_state
@@ -188,6 +190,105 @@ def test_evolve_past_the_digit_cap_exits_2_before_opening_the_output(tmp_path, t
         sys.set_int_max_str_digits(cap)
     assert not out.exists()
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+@contextlib.contextmanager
+def _digit_cap(digits):
+    """CPython's int-to-str cap set to ``digits`` inside the block."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _counted_steps(monkeypatch, most):
+    """The times ``LatticeState.step`` writes from here on.  A step past
+    ``most`` steps fails the test at once, so a run that would step on to a
+    far target costs no more than ``most`` steps."""
+    times = []
+    step = LatticeState.step
+
+    def counted(self):
+        times.append(self.frontier + 1)
+        if len(times) > most:
+            pytest.fail(f"evolve took more than {most} steps")
+        return step(self)
+
+    monkeypatch.setattr(LatticeState, "step", counted)
+    return times
+
+
+_CAP_MESSAGE = "Exceeds the limit (4300 digits)"
+
+
+def test_evolve_stops_at_the_first_step_past_the_digit_cap(tmp_path, tall_file, capsys, monkeypatch):
+    """The tall state's slices first pass the 4300-digit cap at t = 54, so
+    ``--to 300`` stops there, with the bytes ``--to 54`` writes to stderr and
+    no output file."""
+    out54, out300 = tmp_path / "out54.json", tmp_path / "out300.json"
+    with _digit_cap(4300):
+        assert run_cli("evolve", tall_file, "--to", "54", "-o", str(out54)) == 2
+        err54 = capsys.readouterr().err
+        times = _counted_steps(monkeypatch, 54)
+        assert run_cli("evolve", tall_file, "--to", "300", "-o", str(out300)) == 2
+    assert times == list(range(1, 55))
+    assert capsys.readouterr().err == err54
+    assert _CAP_MESSAGE in json.loads(err54)["message"]
+    assert not out54.exists() and not out300.exists()
+
+
+def test_evolve_stops_where_the_writer_fails(tmp_path, tall_file, capsys, monkeypatch):
+    """With the cap at the digit count of the longest part at t = 30, the
+    run to t = 30 writes; one digit lower, a run to t = 40 stops after
+    stepping to exactly t = 30.  So the step check is the writer's own
+    test, not its bits·log10 2 bound."""
+    state = cli._load_state(tall_file).evolve_to(30)
+    values = state.i_slice(30) + state.v_slice(30)
+    digits = max(len(str(abs(n))) for v in values for n in (v.numerator, v.denominator))
+    default, out = tmp_path / "default.json", tmp_path / "out.json"
+    assert run_cli("evolve", tall_file, "--to", "30", "-o", str(default)) == 0
+    with _digit_cap(digits):
+        assert may_pass_digit_cap(height(values))
+        assert run_cli("evolve", tall_file, "--to", "30", "-o", str(out)) == 0
+    assert out.read_bytes() == default.read_bytes()
+    out.unlink()
+    with _digit_cap(digits - 1):
+        times = _counted_steps(monkeypatch, 30)
+        assert run_cli("evolve", tall_file, "--to", "40", "-o", str(out)) == 2
+    assert times == list(range(1, 31))
+    assert not out.exists()
+    assert f"Exceeds the limit ({digits - 1} digits)" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_evolve_max_bits_outranks_the_digit_cap(tmp_path, tall_file, capsys, monkeypatch):
+    """With --max-bits the budget decides: the steps past the cap run on to
+    the budget's step, t = 64, and exit 3."""
+    out = tmp_path / "out.json"
+    with _digit_cap(4300):
+        times = _counted_steps(monkeypatch, 64)
+        assert run_cli("evolve", tall_file, "--to", "300", "--max-bits", "20000", "-o", str(out)) == 3
+    assert times == list(range(1, 65))
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "HeightBudgetExceeded",
+        "message": "t = 64 reaches 20360 bits, over --max-bits 20000",
+    }
+
+
+def test_evolve_within_max_bits_past_the_digit_cap_fails_at_the_write(
+    tmp_path, tall_file, capsys, monkeypatch
+):
+    """A budget above the target's height steps to the target, t = 60 at
+    17 896 bits, and then exits 2 at the write."""
+    out = tmp_path / "out.json"
+    with _digit_cap(4300):
+        times = _counted_steps(monkeypatch, 60)
+        assert run_cli("evolve", tall_file, "--to", "60", "--max-bits", "20000", "-o", str(out)) == 2
+    assert times == list(range(1, 61))
+    assert not out.exists()
+    assert _CAP_MESSAGE in json.loads(capsys.readouterr().err)["message"]
 
 
 @pytest.mark.parametrize(
