@@ -644,8 +644,9 @@ class LatticeState:
     history holds the step's ``_Generation`` under its time in both
     families, and a read of either writes both as plain tuples, leaving a
     slice written over the generation as it is.  ``prune_below`` drops
-    unread steps below the floor, though the unread steps it keeps hold
-    the older generations they read, each until it is read.  The kernel
+    unread steps below the floor and reads the chain's last M + K
+    generations, which hold the older ones until read; an unread step it
+    keeps below those still holds the generations it reads.  The kernel
     fallback, a new chain's window and ``to_json_dict`` read the steps
     they need.
 
@@ -793,11 +794,17 @@ class LatticeState:
         """Drop slices strictly below ``floor``.  The history is unbounded by
         default; after pruning, a request below the floor raises
         InsufficientHistory rather than recomputing silently.  The stepping
-        windows themselves are never evicted."""
+        windows themselves are never evicted.  Each of the chain's last M + K
+        generations not yet read is read, so a dropped step is not held
+        through the chain."""
         keep = min(self.frontier - self.params.M + 1, self.frontier - self.params.K + 1)
         floor = min(floor, keep)
         self._i = {t: v for t, v in self._i.items() if t >= floor}
         self._v = {t: v for t, v in self._v.items() if t >= floor}
+        if self._tau:
+            for gen in self._tau.gens:
+                if gen.older is not None:  # the anchor generations hold none
+                    gen.read()
         self._built.clear()
         return self
 

@@ -8,9 +8,11 @@ row of ``SURVIVORS`` is a known survivor in the same form, with the tests
 that must still pass on it and why the code keeps what the mutant drops.
 For each row (or each row named on the command line) the script copies ``src/``
 and ``tests/`` to a temporary directory, replaces the old text there, and
-runs pytest on the named tests alone, with the copy first on ``PYTHONPATH``
-and hypothesis's seed fixed (``--hypothesis-seed=0``), so each run draws the
-same examples and writes no example database into the repository.
+runs the named tests alone in one pytest run, with the copy first on
+``PYTHONPATH`` and hypothesis's seed fixed (``--hypothesis-seed=0``), so each
+run draws the same examples and writes no example database into the
+repository.  A test named without its parameters is caught if any of its
+cases fails.
 
 It exits 1 if a mutant's old text is not found exactly once, so a refactor
 updates its rows in the same change, if a mutant survives: its tests all
@@ -30,6 +32,9 @@ TAU = "tests/test_tau.py::"
 LATTICE = "tests/test_lattice.py::"
 DEGENERATION = "tests/test_degeneration.py::"
 CLI = "tests/test_cli.py::"
+ALGEBRA = "tests/test_algebra.py::"
+EVERY_ROUTE = ALGEBRA + "test_matdet_equals_leibniz_on_every_route"
+AT_EACH_CUT = ALGEBRA + "test_matdet_routes_at_each_cut"
 
 # (name, module, old text, new text, tests that must fail)
 MUTANTS = [
@@ -81,6 +86,13 @@ MUTANTS = [
         "self._i = {t: v for t, v in self._i.items() if t >= floor}",
         "self._i = {t: v for t, v in self._i.items() if t >= floor or type(v) is _Generation}",
         [LATTICE + "test_prune_below_drops_unread_steps"],
+    ),
+    (
+        "prune_below reading no chain generation",
+        "redkp/lattice.py",
+        "        if self._tau:\n            for gen in self._tau.gens:",
+        "        if False:\n            for gen in self._tau.gens:",
+        [TAU + "test_prune_below_holds_only_the_chain_generations"],
     ),
     # the refinement base of the same-site gcds
     (
@@ -195,6 +207,330 @@ MUTANTS = [
             CLI + "test_evolve_within_max_bits_past_the_digit_cap_fails_at_the_write",
         ],
     ),
+    # matdet: its views, rings, packed form and cuts
+    (
+        "the packing base without its +1",
+        "redkp/polymatrix.py",
+        "base = n * max(0, *(e.degree_y for row in m._rows for e in row)) + 1",
+        "base = n * max(0, *(e.degree_y for row in m._rows for e in row))",
+        [
+            EVERY_ROUTE + "[identity]",
+            EVERY_ROUTE + "[4x4-0]",
+            EVERY_ROUTE + "[size-2]",
+            EVERY_ROUTE + "[curve-2-1-3]",
+            EVERY_ROUTE + "[tall-2-0]",
+            EVERY_ROUTE + "[views-1-x-0]",
+            EVERY_ROUTE + "[packs-1-deg2]",
+            EVERY_ROUTE + "[single]",
+            EVERY_ROUTE + "[packed-1-deg1]",
+            EVERY_ROUTE + "[zero-1-x]",
+            EVERY_ROUTE + "[hadamard-2-x]",
+            AT_EACH_CUT + "[D-1024-bits-3-y]",
+            AT_EACH_CUT + "[near-A-yI-A-not-free-of-y]",
+            AT_EACH_CUT + "[slot-general-packed]",
+        ],
+    ),
+    (
+        "the packing base without its factor n",
+        "redkp/polymatrix.py",
+        "base = n * max(0, *(e.degree_y for row in m._rows for e in row)) + 1",
+        "base = max(0, *(e.degree_y for row in m._rows for e in row)) + 1",
+        [
+            EVERY_ROUTE + "[4x4-0]",
+            EVERY_ROUTE + "[size-2]",
+            EVERY_ROUTE + "[curve-1-1-3]",
+            EVERY_ROUTE + "[tall-2-0]",
+            EVERY_ROUTE + "[views-2-x-0]",
+            EVERY_ROUTE + "[packs-2-deg2]",
+            EVERY_ROUTE + "[packed-2-deg1]",
+            EVERY_ROUTE + "[zero-2-y]",
+            EVERY_ROUTE + "[hadamard-2-x]",
+            AT_EACH_CUT + "[D-1024-bits-3-y]",
+            AT_EACH_CUT + "[near-minus-2x-on-the-diagonal]",
+            AT_EACH_CUT + "[slot-general-packed]",
+        ],
+    ),
+    (
+        ">= for > at the 1024-bit D cut",
+        "redkp/polymatrix.py",
+        "if d.bit_length() > _INTEGER_DENOMINATOR_BITS:",
+        "if d.bit_length() >= _INTEGER_DENOMINATOR_BITS:",
+        [AT_EACH_CUT + "[D-1024-bits-3-x]"],
+    ),
+    (
+        "the rational ring without its sign",
+        "redkp/polymatrix.py",
+        "terms = {key: sign * c for key, _, c in keyed}",
+        "terms = {key: c for key, _, c in keyed}",
+        [
+            EVERY_ROUTE + "[size-3]",
+            EVERY_ROUTE + "[curve-1-1-3]",
+            EVERY_ROUTE + "[tall-3-0]",
+            EVERY_ROUTE + "[views-1-x-0]",
+            EVERY_ROUTE + "[packs-1-deg2]",
+            EVERY_ROUTE + "[single]",
+            EVERY_ROUTE + "[packed-1-deg1]",
+            EVERY_ROUTE + "[zero-1-x]",
+            AT_EACH_CUT + "[D-1024-bits-3-x]",
+        ],
+    ),
+    (
+        "the general view's constant coefficient negated",
+        "redkp/polymatrix.py",
+        "keyed = [(divmod(key, base), n, c) for",
+        "keyed = [(divmod(key, base), n, -c) for",
+        [
+            EVERY_ROUTE + "[identity]",
+            EVERY_ROUTE + "[corner]",
+            EVERY_ROUTE + "[4x4-0]",
+            EVERY_ROUTE + "[size-2]",
+            EVERY_ROUTE + "[curve-1-1-3]",
+            EVERY_ROUTE + "[tall-2-0]",
+            EVERY_ROUTE + "[views-1-x-0]",
+            EVERY_ROUTE + "[packs-1-deg2]",
+            EVERY_ROUTE + "[single]",
+            EVERY_ROUTE + "[packed-1-deg1]",
+            EVERY_ROUTE + "[zero-1-x]",
+            EVERY_ROUTE + "[hadamard-2-x]",
+            AT_EACH_CUT + "[D-1024-bits-3-y]",
+            AT_EACH_CUT + "[near-minus-2x-on-the-diagonal]",
+            AT_EACH_CUT + "[slot-general-packed]",
+        ],
+    ),
+    (
+        "the slot without its factor n",
+        "redkp/polymatrix.py",
+        "slot = n * (n * e).bit_length() + 2",
+        "slot = (n * e).bit_length() + 2",
+        [
+            EVERY_ROUTE + "[4x4-0]",
+            EVERY_ROUTE + "[size-2]",
+            EVERY_ROUTE + "[curve-1-1-3]",
+            EVERY_ROUTE + "[views-2-x-0]",
+            EVERY_ROUTE + "[packs-2-deg2]",
+            EVERY_ROUTE + "[packed-2-deg1]",
+            EVERY_ROUTE + "[hadamard-2-x]",
+            AT_EACH_CUT + "[near-minus-2x-on-the-diagonal]",
+            AT_EACH_CUT + "[slot-general-packed]",
+        ],
+    ),
+    (
+        "slot as n bit_length(e) + 2",
+        "redkp/polymatrix.py",
+        "slot = n * (n * e).bit_length() + 2",
+        "slot = n * e.bit_length() + 2",
+        [
+            EVERY_ROUTE + "[hadamard-4-x]",
+            AT_EACH_CUT + "[slot-general-int]",
+        ],
+    ),
+    (
+        "the slot without its +2",
+        "redkp/polymatrix.py",
+        "slot = n * (n * e).bit_length() + 2",
+        "slot = n * (n * e).bit_length()",
+        [
+            EVERY_ROUTE + "[views-1-x-1]",
+            EVERY_ROUTE + "[single-x]",
+            EVERY_ROUTE + "[packed-1-deg1-x]",
+            EVERY_ROUTE + "[zero-1]",
+            AT_EACH_CUT + "[slot-general-int]",
+        ],
+    ),
+    (
+        "< for <= at the slot cut",
+        "redkp/polymatrix.py",
+        "if slot <= _PACKED_SLOT_BITS:",
+        "if slot < _PACKED_SLOT_BITS:",
+        [AT_EACH_CUT + "[slot-general-packed]"],
+    ),
+    (
+        "_unpack without its balanced correction",
+        "redkp/polymatrix.py",
+        "if c >= half:",
+        "if False:",
+        [
+            EVERY_ROUTE + "[identity]",
+            EVERY_ROUTE + "[corner]",
+            EVERY_ROUTE + "[4x4-0]",
+            EVERY_ROUTE + "[size-2]",
+            EVERY_ROUTE + "[curve-1-1-3]",
+            EVERY_ROUTE + "[views-1-x-0]",
+            EVERY_ROUTE + "[packs-1-deg2]",
+            EVERY_ROUTE + "[single]",
+            EVERY_ROUTE + "[packed-1-deg1]",
+            EVERY_ROUTE + "[entry]",
+            EVERY_ROUTE + "[hadamard-2-x]",
+            AT_EACH_CUT + "[near-minus-2x-on-the-diagonal]",
+            AT_EACH_CUT + "[slot-general-packed]",
+        ],
+    ),
+    (
+        "_unpack dropping its top digit",
+        "redkp/polymatrix.py",
+        "for k in range(abs(p).bit_length() // slot + 1):",
+        "for k in range(abs(p).bit_length() // slot):",
+        [
+            EVERY_ROUTE + "[identity]",
+            EVERY_ROUTE + "[corner]",
+            EVERY_ROUTE + "[4x4-0]",
+            EVERY_ROUTE + "[size-2]",
+            EVERY_ROUTE + "[curve-1-1-3]",
+            EVERY_ROUTE + "[views-1-x-0]",
+            EVERY_ROUTE + "[packs-1-deg2]",
+            EVERY_ROUTE + "[single]",
+            EVERY_ROUTE + "[packed-1-deg1]",
+            EVERY_ROUTE + "[zero-1-x]",
+            EVERY_ROUTE + "[hadamard-2-x]",
+            AT_EACH_CUT + "[near-minus-2x-on-the-diagonal]",
+            AT_EACH_CUT + "[slot-general-packed]",
+        ],
+    ),
+    (
+        "the int term maps without negation",
+        "redkp/polymatrix.py",
+        "_INTEGER_TERMS = ({0: 1}, _negate, _dot)",
+        "_INTEGER_TERMS = ({0: 1}, dict, _dot)",
+        [
+            AT_EACH_CUT + "[D-1024-bits-3-x]",
+            AT_EACH_CUT + "[slot-x-int]",
+        ],
+    ),
+    (
+        "_dot keeping zero sums",
+        "redkp/polymatrix.py",
+        "return _nonzero(acc)",
+        "return acc",
+        [
+            EVERY_ROUTE + "[tall-3-0]",
+            EVERY_ROUTE + "[views-2-x-1]",
+            EVERY_ROUTE + "[packs-2-deg2]",
+            EVERY_ROUTE + "[singular]",
+            EVERY_ROUTE + "[packed-2-deg1-y]",
+            EVERY_ROUTE + "[singular-4]",
+            EVERY_ROUTE + "[hadamard-2-x]",
+            AT_EACH_CUT + "[D-1024-bits-3-x]",
+            AT_EACH_CUT + "[slot-general-packed]",
+        ],
+    ),
+    (
+        "the characteristic view taken for A - yI",
+        "redkp/polymatrix.py",
+        "        return 0\n    return None",
+        "        return 0\n"
+        "    if all(rows[i][i]._terms.get((0, 1)) == -1 for i in range(n)) and all(\n"
+        "        not key[1] or (i == j and key == (0, 1)) for i in range(n) for j in range(n) for key in rows[i][j]._terms\n"
+        "    ):\n"
+        "        return 0\n"
+        "    return None",
+        [
+            EVERY_ROUTE + "[views-1-y-0]",
+            EVERY_ROUTE + "[packed-1-deg1-y]",
+            EVERY_ROUTE + "[zero-1-y]",
+            EVERY_ROUTE + "[hadamard-2-y]",
+            AT_EACH_CUT + "[D-1024-bits-3-y]",
+            AT_EACH_CUT + "[near-A-yI]",
+            AT_EACH_CUT + "[slot-y-packed]",
+        ],
+    ),
+    (
+        "coefficients built without the gcd",
+        "redkp/polymatrix.py",
+        "g = math.gcd(scales[k], c)",
+        "g = 1",
+        [
+            EVERY_ROUTE + "[4x4-0]",
+            EVERY_ROUTE + "[size-2]",
+            EVERY_ROUTE + "[curve-1-1-3]",
+            EVERY_ROUTE + "[views-1-x-0]",
+            EVERY_ROUTE + "[packs-1-deg2]",
+            EVERY_ROUTE + "[packed-1-deg1]",
+            EVERY_ROUTE + "[entry]",
+            AT_EACH_CUT + "[D-1024-bits-3-x]",
+            AT_EACH_CUT + "[near-minus-2x-on-the-diagonal]",
+            AT_EACH_CUT + "[slot-general-packed]",
+        ],
+    ),
+    # the float screen of _max_deviation
+    (
+        "_max_deviation skipping every pair once a deviation is found",
+        "redkp/degeneration.py",
+        "if d + 2**-51 * (abs(fa) + abs(fb) + d) + 2**-1070 < err:",
+        "if err:",
+        [
+            DEGENERATION + "test_max_deviation_equals_the_full_max_loop",
+            DEGENERATION + "test_limit_compare_equals_the_full_max_loop",
+        ],
+    ),
+    (
+        "_max_deviation skipping with no rounding room",
+        "redkp/degeneration.py",
+        "if d + 2**-51 * (abs(fa) + abs(fb) + d) + 2**-1070 < err:",
+        "if d < err:",
+        [DEGENERATION + "test_max_deviation_equals_the_full_max_loop"],
+    ),
+    # BiPoly.evaluate and PolyMatrix.__matmul__ as plain sums
+    (
+        "evaluate with x0 and y0 swapped in the powers",
+        "redkp/bipoly.py",
+        "c * x0**dx * y0**dy for",
+        "c * y0**dx * x0**dy for",
+        [ALGEBRA + "test_eval_examples", ALGEBRA + "test_evaluate_equals_naive_term_sum"],
+    ),
+    (
+        "evaluate returning a Fraction",
+        "redkp/bipoly.py",
+        "return sum((c * x0**dx * y0**dy for (dx, dy), c in self._terms.items()), _ZERO)",
+        'return __import__("fractions").Fraction(sum((c * x0**dx * y0**dy for (dx, dy), c in self._terms.items()), _ZERO))',
+        [ALGEBRA + "test_evaluate_equals_naive_term_sum"],
+    ),
+    (
+        "__matmul__ pairing each row with the rows of other",
+        "redkp/polymatrix.py",
+        "cols = list(zip(*other._rows))",
+        "cols = other._rows",
+        [
+            ALGEBRA + "test_sparse_product_equals_dense_oracle",
+            ALGEBRA + "test_factor_chain_products_equal_dense_oracle",
+            ALGEBRA + "test_adjugate_inverse_relation",
+            ALGEBRA + "test_matrix_associativity_spot_check",
+            "tests/test_acceptance.py::test_criterion_5_compatibility_and_conjugation",
+        ],
+    ),
+    # the kernel's prod(b) and the chain's ratios
+    (
+        "the kernel's prod(b) without / prod(a)",
+        "redkp/lattice.py",
+        "pb = product(ab) / pa",
+        "pb = product(ab)",
+        [
+            LATTICE + "test_step_kernel_on_fractions_equals_the_step",
+            LATTICE + "test_step_equals_monodromy_oracle_on_signed_inputs",
+        ],
+    ),
+    (
+        "the M = K read-out building y with (rn, rd)",
+        "redkp/lattice.py",
+        "y = rational._product(*b[i], rd, rn)",
+        "y = rational._product(*b[i], rn, rd)",
+        [
+            TAU + "test_tau_chain_on_any_window",
+            TAU + "test_chain_errors_equal_the_kernels",
+            TAU + "test_which_states_take_the_chain",
+        ],
+    ),
+    (
+        "_ratio returning its pair swapped",
+        "redkp/lattice.py",
+        "return n1 * n2, d1 * d2",
+        "return d1 * d2, n1 * n2",
+        [
+            TAU + "test_tau_chain_on_any_window",
+            TAU + "test_chain_errors_equal_the_kernels",
+            TAU + "test_chain_leaves_only_the_degenerate_phase_to_the_kernel",
+            TAU + "test_which_states_take_the_chain",
+        ],
+    ),
 ]
 
 # (name, module, old text, new text, tests that must pass, why it is kept)
@@ -241,18 +577,20 @@ def run(module, old, new, tests, survives) -> list:
         if not where.stdout.startswith(tmp):
             found = where.stdout.strip() or where.stderr.strip()
             return [f"the copy's redkp was not imported: {found}"]
-        problems = []
-        for test in tests:
-            done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                 "--hypothesis-seed=0", test],
-                cwd=tmp, env=env, capture_output=True, text=True,
-            )
-            if done.returncode not in (0, 1):
-                problems.append(f"{test} did not run (pytest exit {done.returncode})")
-            elif (done.returncode == 0) != survives:
-                problems.append(f"{'is caught by' if survives else 'survives'} {test}")
-        return problems
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
+             "--hypothesis-seed=0", *tests],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+        if done.returncode not in (0, 1):
+            return [f"the tests did not run (pytest exit {done.returncode})"]
+        # the short summary's lines: "FAILED <node id> - <message>"
+        failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+        return [
+            f"{'is caught by' if survives else 'survives'} {test}"
+            for test in tests
+            if any(f == test or f.startswith(test + "[") for f in failed) == survives
+        ]
 
 
 def main(names) -> int:

@@ -28,8 +28,8 @@ from redkp.polymatrix import (
     _INTEGER_DENOMINATOR_BITS as CUT,
     _INTEGER_TERMS,
     _PACKED,
+    _PACKED_SLOT_BITS as SLOT_CUT,
     _RATIONAL_TERMS,
-    _common_denominator,
     _det_berkowitz,
 )
 from redkp.verify import _suites
@@ -423,9 +423,7 @@ def leibniz_det(m: PolyMatrix) -> BiPoly:
     rows = m.rows
     total = BiPoly.zero()
     for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
         term = rows[0][perm[0]]
         for i in range(1, n):
             term = term * rows[i][perm[i]]
@@ -433,18 +431,11 @@ def leibniz_det(m: PolyMatrix) -> BiPoly:
     return total
 
 
-def test_det_identity():
-    assert matdet(identity(3)) == BiPoly.one()
-
-
-def test_det_corner_matrix():
-    m = PolyMatrix([[BiPoly.zero(), BiPoly.one()], [BiPoly.y(), BiPoly.zero()]])
-    assert matdet(m) == -BiPoly.y()
-    assert leibniz_det(m) == -BiPoly.y()
-
-
 # 1/(2^(CUT+25) - 1) pushes the common denominator past the integer ring's cut
 TALL_SCALE = rat(1, 2 ** (CUT + 25) - 1)
+# matdet's view of A - xI (the characteristic one) and of A - yI (the general one)
+VIEWS = (0, None)
+VARIABLES = (BiPoly.x(), BiPoly.y())
 
 
 def full_denominator(m: PolyMatrix) -> int:
@@ -465,38 +456,47 @@ def both_rings(m: PolyMatrix, v=None) -> BiPoly:
     return by_rationals
 
 
-def assert_general_view_equals_leibniz(m: PolyMatrix):
-    """On m, in both rings, and on m scaled past the cut, whose determinant
-    is TALL_SCALE^n times that of m."""
-    expected = leibniz_det(m)
-    assert matdet(m) == both_rings(m) == expected
-    assert matdet(scale(m, TALL_SCALE)) == expected * TALL_SCALE**m.n
+def route(monkeypatch) -> list:
+    """The view and ring of each determinant ``matdet`` takes from here on:
+    (v, d), v = 0 for A - xI and None for the general view, d the
+    common denominator of the integer ring or None for the rational ring."""
+    calls = []
+
+    def traced(m, v, d):
+        calls.append((v, d))
+        return _det_berkowitz(m, v, d)
+
+    monkeypatch.setattr(redkp.polymatrix, "_det_berkowitz", traced)
+    return calls
 
 
-def test_general_view_equals_leibniz_4x4():
-    """The general view of 4 x 4 matrices, in both rings and past the cut."""
-    rng = random.Random(11)
-    for _ in range(8):
-        assert_general_view_equals_leibniz(random_matrix(rng, 4))
+FORMS = {id(_PACKED): "packed", id(_INTEGER_TERMS): "int terms", id(_RATIONAL_TERMS): "rational terms"}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_berkowitz_equals_leibniz_sizes(n):
-    """The general view of n x n matrices, in both rings and past the cut."""
-    rng = random.Random(100 + n)
-    assert_general_view_equals_leibniz(random_matrix(rng, n))
+def forms(monkeypatch) -> list:
+    """The form of each Berkowitz loop from here on: "packed" ints, "int
+    terms" or "rational terms"."""
+    calls = []
+    loop = redkp.polymatrix._berkowitz
+
+    def traced(a, ring):
+        calls.append(FORMS[id(ring)])
+        return loop(a, ring)
+
+    monkeypatch.setattr(redkp.polymatrix, "_berkowitz", traced)
+    return calls
 
 
-@pytest.mark.parametrize("params", PARAM_SETS)
-def test_berkowitz_equals_leibniz_on_curves(params):
-    """Each curve in both views and both rings, in the same term order."""
-    state = random_state(*params, seed=3)
-    t = default_time(state)
-    n = params[2]
-    m = build_monodromy(state, t) - scale(identity(n), BiPoly.x())
-    characteristic, general = both_rings(m, 0), both_rings(m)
-    assert characteristic == general == leibniz_det(m)
-    assert list(characteristic.items()) == list(general.items())
+def slot_bits(m: PolyMatrix, v=None) -> int:
+    """n bit_length(n e) + 2, e the largest coefficient 1-norm over the
+    entries of D A, A = m + xI in the characteristic view (v = 0) and m in
+    the general one."""
+    d = full_denominator(m)
+    norms = [
+        sum(abs(c.numerator) * (d // c.denominator) for key, c in e.items() if v is None or not key[v])
+        for row in m.rows for e in row
+    ]
+    return m.n * (m.n * max(norms)).bit_length() + 2
 
 
 # Coefficient denominators of the tall draws: mixed, several past the cut
@@ -533,30 +533,193 @@ def tall_matrix(rng, n):
     return PolyMatrix(rows)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_general_view_rational_ring_equals_leibniz(n, monkeypatch):
-    """Matrices past the cut take the general view in the rational ring."""
-    rng = random.Random(700 + n)
-    calls = route(monkeypatch)
-    for _ in range(12 if n < 6 else 3):
-        m = tall_matrix(rng, n)
+def characteristic_matrix(rng, n, v, dens=(1, 2, 3), degree=2) -> PolyMatrix:
+    """A - vI (v = 0 for x, 1 for y) with A random in the other variable, of
+    degree up to ``degree``: about a third of its entries zero, negative
+    coefficients, denominators drawn from ``dens``."""
+    rows = [[BiPoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.7:
+                terms = {}
+                for deg in range(rng.randint(1, degree + 1)):
+                    key = (0, deg) if v == 0 else (deg, 0)
+                    terms[key] = rat(rng.randint(-5, 5), rng.choice(dens))
+                rows[i][j] = BiPoly(terms)
+        rows[i][i] = rows[i][i] - VARIABLES[v]
+    return PolyMatrix(rows)
+
+
+def packing_matrix(rng, n, deg_y=3):
+    """Sparse entries with x-degree up to 2 and y-degree up to ``deg_y``,
+    each reaching both tops, so that products of n entries reach y^(n
+    deg_y), the last power the packing base n deg_y + 1 keeps apart from
+    the next power of x."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            terms = {(2, deg_y): rat(rng.randint(1, 5), rng.randint(1, 3)), (0, 0): rat(rng.randint(-5, 5))}
+            for _ in range(3):
+                terms[(rng.randint(0, 2), rng.randint(0, deg_y))] = rat(rng.randint(-5, 5), rng.randint(1, 3))
+            row.append(BiPoly(terms))
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
+def hadamard(n: int) -> list:
+    """Sylvester's n x n matrix of signs, n a power of 2, with |det| =
+    n^(n/2), the largest a matrix of signs reaches."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-s for s in row] for row in h]
+    return h
+
+
+def matdet_cases():
+    """(m, view, facts): view 0 for A - xI with A free of x and None for
+    the general view, ``facts`` the case's own checks."""
+    x, y = VARIABLES
+
+    def case(name, m, view=None, *facts):
+        return pytest.param(m, view, facts, id=name)
+
+    yield case("identity", identity(3))
+    yield case("corner", PolyMatrix([[0, 1], [y, 0]]))
+    rng = random.Random(11)
+    for i in range(8):
+        yield case(f"4x4-{i}", random_matrix(rng, 4), None, "tall")
+    for n in range(2, 7):
+        yield case(f"size-{n}", random_matrix(random.Random(100 + n), n), None, "tall")
+    for params in PARAM_SETS:
+        state = random_state(*params, seed=3)
+        m = build_monodromy(state, default_time(state)) - scale(identity(params[2]), x)
+        yield case("curve-%d-%d-%d" % params, m, 0)
+    for n in range(2, 7):
+        rng = random.Random(700 + n)
+        for i in range(12 if n < 6 else 3):
+            yield case(f"tall-{n}-{i}", tall_matrix(rng, n))
+    for n in range(1, 7):
+        for v in (0, 1):
+            rng = random.Random(900 + 10 * n + v)
+            for i in range(4 if n < 6 else 2):
+                yield case(f"views-{n}-{'xy'[v]}-{i}", characteristic_matrix(rng, n, v), VIEWS[v])
+    for n in range(1, 5):
+        rng = random.Random(980 + n)
+        for deg_y in (2, 3):
+            yield case(f"packs-{n}-deg{deg_y}", packing_matrix(rng, n, deg_y), None, "degree_y", "tall")
+    rng = random.Random(990)
+    for factor, tag in ((1, ""), (TALL_SCALE, "-tall")):
+        rows = scale(packing_matrix(rng, 3), factor).rows
+        rows[2] = [p * 2 - q for p, q in zip(rows[0], rows[1])]  # row 2 = 2 row 0 - row 1
+        yield case("singular" + tag, PolyMatrix(rows))
+        entry = packing_matrix(rng, 1).entry(0, 0) * factor
+        yield case("single" + tag, PolyMatrix([[entry]]))
+        free_of_x = BiPoly({key: c for key, c in entry.items() if not key[0]})
+        yield case("single-x" + tag, PolyMatrix([[free_of_x - x]]), 0)
+    for n in (1, 2, 3):
+        zero = PolyMatrix([[0] * n for _ in range(n)])
+        yield case(f"zero-{n}", zero, None, "packed")
+        yield case(f"zero-{n}-x", zero.minus_diagonal(x), 0, "packed")
+        yield case(f"zero-{n}-y", zero.minus_diagonal(y), None, "packed")
+    entry = BiPoly({(0, 3): rat(-7, 2), (0, 1): rat(5, 3), (0, 0): rat(-1)})
+    for name, p, view in (("entry", entry, None), ("entry-x", entry - x, 0), ("entry-times-x", entry * x, None)):
+        yield case(name, PolyMatrix([[p]]), view, "packed")
+    rows = characteristic_matrix(random.Random(1010), 4, 0).rows
+    rows[3] = [p * 3 - q for p, q in zip(rows[0], rows[1])]  # row 3 = 3 row 0 - row 1
+    yield case("singular-4", PolyMatrix(rows), None, "packed")
+    for n in range(1, 6):
+        rng = random.Random(1000 + n)
+        for deg_y in (1, 2, 3):
+            yield case(f"packed-{n}-deg{deg_y}", packing_matrix(rng, n, deg_y), None, "packed")
+            yield case(f"packed-{n}-deg{deg_y}-x", characteristic_matrix(rng, n, 0, degree=deg_y), 0, "packed")
+            yield case(f"packed-{n}-deg{deg_y}-y", characteristic_matrix(rng, n, 1, degree=deg_y), None, "packed")
+    for n in (2, 4):
+        for p, diagonal, view, tag in ((1 + y, x, 0, "x"), (1 + x, y, None, "y"), (1 + x + y, 0, None, "general")):
+            m = PolyMatrix([[p * (s * (2**40 - 3)) for s in row] for row in hadamard(n)]).minus_diagonal(diagonal)
+            yield case(f"hadamard-{n}-{tag}", m, view, "packed", "hadamard")
+
+
+@pytest.mark.parametrize("m, view, facts", matdet_cases())
+def test_matdet_equals_leibniz_on_every_route(m, view, facts, monkeypatch):
+    """m takes its view, the integer ring while D fits the cut and the
+    packed form while the slot does, and equals Leibniz and both rings in
+    each view it can take, terms lex-descending.  Facts: the packed form
+    runs; m scaled past the cut; det's y-degree is n deg_y; a coefficient
+    of det has more than half the slot's bits (c H p, H Hadamard)."""
+    d = full_denominator(m)
+    ring = d if d.bit_length() <= CUT else None
+    slot = slot_bits(m, view)
+    form = "rational terms" if ring is None else "packed" if slot <= SLOT_CUT else "int terms"
+    calls, loops = route(monkeypatch), forms(monkeypatch)
+    det = matdet(m)
+    assert calls == [(view, ring)] and loops == [form]
+    assert form == "packed" or "packed" not in facts
+    expected = leibniz_det(m)
+    for v in (0, None) if view == 0 else (None,):
+        by_rings = both_rings(m, v)
+        assert det == expected == by_rings and list(det.items()) == list(by_rings.items())
+    assert list(det.items()) == sorted(det.items(), reverse=True)
+    if "tall" in facts:
         calls.clear()
-        assert matdet(m) == leibniz_det(m) == both_rings(m)
-        assert calls == [(None, None)]
+        assert matdet(scale(m, TALL_SCALE)) == expected * TALL_SCALE**m.n and calls == [(None, None)]
+    if "degree_y" in facts:
+        assert expected.degree_y == m.n * max(e.degree_y for row in m.rows for e in row)
+    if "hadamard" in facts:
+        assert 2 * max(abs(c.numerator) for _, c in det.items()).bit_length() > slot
 
 
-def route(monkeypatch) -> list:
-    """The view and ring of each determinant ``matdet`` takes from here on:
-    (v, d), v = 0 for A - xI and None for the general view, d the
-    common denominator of the integer ring or None for the rational ring."""
-    calls = []
+def cut_rows():
+    """(m, view, D, form): D of CUT and CUT + 1 bits in both views; m
+    scaled by 2^k to the largest slot within ``_PACKED_SLOT_BITS`` (at n =
+    2 it steps by 2, so it meets the even cut) and one step past, in all
+    three views; and matrices near A - xI, which take the general view."""
+    x, y = VARIABLES
+    for v in (0, 1):
+        rng = random.Random(950 + v)
+        for den, form in ((2**CUT - 1, "int terms"), (2**CUT + 1, "rational terms")):
+            for n in (3, 5):
+                corner = [[rat(-1, den) if (i, j) == (0, n - 1) else 0 for j in range(n)] for i in range(n)]
+                m = add(characteristic_matrix(rng, n, v, dens=(1, den)), PolyMatrix(corner))
+                yield pytest.param(m, VIEWS[v], den, form, id=f"D-{den.bit_length()}-bits-{n}-{'xy'[v]}")
+    for v in (None, 0, 1):
+        rng = random.Random(1020 + (v or 0))
+        view, name = (None, "general") if v is None else (VIEWS[v], "xy"[v])
+        base = packing_matrix(rng, 2, 2) if v is None else characteristic_matrix(rng, 2, v, dens=(1, 3))
+        # 2^k A - vI for A - vI
+        scaled = lambda k: scale(base, 2**k).minus_diagonal(0 if v is None else VARIABLES[v] * (1 - 2**k))
+        k = 0
+        while slot_bits(scaled(k + 1), view) <= SLOT_CUT:
+            k += 1
+        for m, form in ((scaled(k), "packed"), (scaled(k + 1), "int terms")):
+            yield pytest.param(m, view, full_denominator(m), form, id=f"slot-{name}-{form.split()[0]}")
+    rng = random.Random(970)
+    a = characteristic_matrix(rng, 3, 0)
+    corner = PolyMatrix([[0, 0, x], [0] * 3, [0] * 3])
+    lead = PolyMatrix([[x, 0, 0], [0] * 3, [0] * 3])
+    near = {
+        "minus-2x-on-the-diagonal": scale(a, 2),
+        "x-off-the-diagonal": add(a, corner),
+        "a-diagonal-entry-free-of-x": add(a, lead),
+        "xy-on-the-diagonal": add(a, scale(identity(3), x * y)),
+        "x2-on-the-diagonal": a - scale(identity(3), x * x),
+        "A-yI-A-not-free-of-y": add(characteristic_matrix(rng, 3, 1), scale(corner, y)),
+        "random": random_matrix(rng, 3),
+        "A-yI": characteristic_matrix(rng, 3, 1),
+    }
+    for name, m in near.items():
+        yield pytest.param(m, None, full_denominator(m), "packed", id="near-" + name)
 
-    def traced(m, v, d):
-        calls.append((v, d))
-        return _det_berkowitz(m, v, d)
 
-    monkeypatch.setattr(redkp.polymatrix, "_det_berkowitz", traced)
-    return calls
+@pytest.mark.parametrize("m, view, d, form", cut_rows())
+def test_matdet_routes_at_each_cut(m, view, d, form, monkeypatch):
+    """Each row takes the route its side of each cut gives, and equals Leibniz and both rings."""
+    calls, loops = route(monkeypatch), forms(monkeypatch)
+    det = matdet(m)
+    assert full_denominator(m) == d
+    assert calls == [(view, None if form == "rational terms" else d)] and loops == [form]
+    assert (slot_bits(m, view) <= SLOT_CUT) == (form == "packed")
+    assert det == leibniz_det(m) == _det_berkowitz(m, view, d) == _det_berkowitz(m, view, None)
 
 
 def test_determinant_paths_select_by_denominator_height(tmp_path, monkeypatch):
@@ -613,290 +776,6 @@ def test_verify_past_the_cut_takes_the_rational_ring(monkeypatch):
     calls = route(monkeypatch)
     assert dict(_suites(window))["isospectrality"]() == {"_ok": True, "times": 4}
     assert calls == [(0, None)] * 4
-
-
-# -- Berkowitz on m = A - vI ------------------------------------------------------
-
-VARIABLES = (BiPoly.x(), BiPoly.y())
-# matdet's view of A - xI (the characteristic one) and of A - yI (the general one)
-VIEWS = (0, None)
-
-
-def characteristic_matrix(rng, n, v, dens=(1, 2, 3), degree=2) -> PolyMatrix:
-    """A - vI (v = 0 for x, 1 for y) with A random in the other variable, of
-    degree up to ``degree``: about a third of its entries zero, negative
-    coefficients, denominators drawn from ``dens``."""
-    rows = [[BiPoly.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < 0.7:
-                terms = {}
-                for deg in range(rng.randint(1, degree + 1)):
-                    key = (0, deg) if v == 0 else (deg, 0)
-                    terms[key] = rat(rng.randint(-5, 5), rng.choice(dens))
-                rows[i][j] = BiPoly(terms)
-        rows[i][i] = rows[i][i] - VARIABLES[v]
-    return PolyMatrix(rows)
-
-
-@pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_characteristic_and_general_views_equal_leibniz(n, v, monkeypatch):
-    """A - xI takes the characteristic view, A - yI the general view; each
-    equals the other view and the oracle, in both rings and in the same term
-    order."""
-    rng = random.Random(900 + 10 * n + v)
-    calls = route(monkeypatch)
-    for _ in range(4 if n < 6 else 2):
-        m = characteristic_matrix(rng, n, v)
-        d = _common_denominator(m)
-        calls.clear()
-        det = matdet(m)
-        assert calls == [(VIEWS[v], d)]
-        general = both_rings(m)
-        assert det == general == both_rings(m, VIEWS[v]) == leibniz_det(m)
-        assert list(det.items()) == list(general.items())
-
-
-@pytest.mark.parametrize("v", [0, 1], ids=["x", "y"])
-def test_characteristic_form_routes_by_denominator_height(v, monkeypatch):
-    """D of CUT bits takes the integer ring, D of CUT + 1 bits the rational
-    ring, in the characteristic view for A - xI and the general one for
-    A - yI."""
-    rng = random.Random(950 + v)
-    calls = route(monkeypatch)
-    for den, ring in ((2**CUT - 1, 2**CUT - 1), (2**CUT + 1, None)):
-        for n in (3, 5):
-            corner = [[rat(-1, den) if (i, j) == (0, n - 1) else 0 for j in range(n)] for i in range(n)]
-            m = add(characteristic_matrix(rng, n, v, dens=(1, den)), PolyMatrix(corner))
-            assert full_denominator(m) == den
-            calls.clear()
-            det = matdet(m)
-            assert calls == [(VIEWS[v], ring)]
-            assert det == leibniz_det(m) == _det_berkowitz(m, VIEWS[v], den)
-
-
-def test_near_characteristic_matrices_take_the_general_view(monkeypatch):
-    """Matrices that are not A - xI with A free of x take the general view."""
-    x, y = BiPoly.x(), BiPoly.y()
-    zero = BiPoly.zero()
-    rng = random.Random(970)
-    a = characteristic_matrix(rng, 3, 0)
-    corner = PolyMatrix([[zero, zero, x], [zero] * 3, [zero] * 3])
-    lead = PolyMatrix([[x, zero, zero], [zero] * 3, [zero] * 3])
-    near = [
-        scale(a, 2),  # -2x on the diagonal
-        add(a, corner),  # x off the diagonal
-        add(a, lead),  # one diagonal entry free of x
-        add(a, scale(identity(3), x * y)),  # x y on the diagonal
-        a - scale(identity(3), x * x),  # x^2 on the diagonal
-        add(characteristic_matrix(rng, 3, 1), scale(corner, y)),  # A - yI, A not free of y
-        random_matrix(rng, 3),
-        characteristic_matrix(rng, 3, 1),  # A - yI
-    ]
-    calls = route(monkeypatch)
-    for m in near:
-        calls.clear()
-        assert matdet(m) == leibniz_det(m)
-        assert calls == [(None, _common_denominator(m))]
-
-
-# -- the general view: x^i y^j packed into one int key ---------------------------------
-
-
-def packing_matrix(rng, n, deg_y=3):
-    """Sparse entries with x-degree up to 2 and y-degree up to ``deg_y``,
-    each reaching both tops, so that products of n entries reach y^(n
-    deg_y), the last power the packing base n deg_y + 1 keeps apart from
-    the next power of x."""
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            terms = {(2, deg_y): rat(rng.randint(1, 5), rng.randint(1, 3)), (0, 0): rat(rng.randint(-5, 5))}
-            for _ in range(3):
-                terms[(rng.randint(0, 2), rng.randint(0, deg_y))] = rat(rng.randint(-5, 5), rng.randint(1, 3))
-            row.append(BiPoly(terms))
-        rows.append(row)
-    return PolyMatrix(rows)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_general_view_packs_bivariate_entries(n, monkeypatch):
-    """Entries of y-degree 2 and 3, in both rings and past the cut, equal
-    the oracle in value and in lex-descending term order."""
-    rng = random.Random(980 + n)
-    calls = route(monkeypatch)
-    for deg_y in (2, 3):
-        m = packing_matrix(rng, n, deg_y)
-        expected = leibniz_det(m)
-        assert expected.degree_y == n * deg_y
-        calls.clear()
-        det = matdet(m)
-        assert det == both_rings(m) == expected and calls == [(None, _common_denominator(m))]
-        assert list(det.items()) == sorted(det.items(), reverse=True)
-        tall = scale(m, TALL_SCALE)
-        calls.clear()
-        assert matdet(tall) == expected * TALL_SCALE**n and calls == [(None, None)]
-
-
-def test_general_view_on_singular_zero_and_single_entry_matrices():
-    rng = random.Random(990)
-    x = BiPoly.x()
-    for factor in (1, TALL_SCALE):
-        rows = scale(packing_matrix(rng, 3), factor).rows
-        rows[2] = [p * 2 - q for p, q in zip(rows[0], rows[1])]  # row 2 = 2 row 0 - row 1
-        singular = PolyMatrix(rows)
-        assert matdet(singular).is_zero() and both_rings(singular).is_zero()
-        entry = packing_matrix(rng, 1).entry(0, 0) * factor
-        single = PolyMatrix([[entry]])
-        assert matdet(single) == both_rings(single) == entry
-        assert list(matdet(single).items()) == sorted(entry.items(), reverse=True)
-        free_of_x = BiPoly({key: c for key, c in entry.items() if not key[0]})
-        assert matdet(PolyMatrix([[free_of_x - x]])) == both_rings(PolyMatrix([[free_of_x - x]]), 0) == free_of_x - x
-    for n in (1, 2, 3):
-        zero = PolyMatrix([[0] * n for _ in range(n)])
-        assert matdet(zero).is_zero() and both_rings(zero).is_zero()
-
-
-# -- the packed form of the integer ring -----------------------------------------
-
-FORMS = {id(_PACKED): "packed", id(_INTEGER_TERMS): "int terms", id(_RATIONAL_TERMS): "rational terms"}
-
-
-def forms(monkeypatch) -> list:
-    """The form of each Berkowitz loop from here on: "packed" ints, "int
-    terms" or "rational terms"."""
-    calls = []
-    loop = redkp.polymatrix._berkowitz
-
-    def traced(a, ring):
-        calls.append(FORMS[id(ring)])
-        return loop(a, ring)
-
-    monkeypatch.setattr(redkp.polymatrix, "_berkowitz", traced)
-    return calls
-
-
-def slot_bits(m: PolyMatrix, v=None) -> int:
-    """n bit_length(n e) + 2, e the largest coefficient 1-norm over the
-    entries of D A, A = m + xI in the characteristic view (v = 0) and m in
-    the general one."""
-    d = full_denominator(m)
-    norms = [
-        sum(abs(c.numerator) * (d // c.denominator) for key, c in e.items() if v is None or not key[v])
-        for row in m.rows
-        for e in row
-    ]
-    return m.n * (m.n * max(norms)).bit_length() + 2
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_packed_form_equals_term_maps_on_random_matrices(n, monkeypatch):
-    """Negative coefficients, y-degree up to 3 and both keys in the general
-    view (A - yI with A of x-degree up to 3 among them), y-degree up to 3
-    in the characteristic one: the packed form runs, and equals the
-    rational ring's term maps and the oracle in value and term order."""
-    rng = random.Random(1000 + n)
-    calls = forms(monkeypatch)
-    for deg_y in (1, 2, 3):
-        for m, v in (
-            (packing_matrix(rng, n, deg_y), None),
-            (characteristic_matrix(rng, n, 0, degree=deg_y), 0),
-            (characteristic_matrix(rng, n, 1, degree=deg_y), None),
-        ):
-            assert slot_bits(m, v) <= redkp.polymatrix._PACKED_SLOT_BITS
-            calls.clear()
-            det = matdet(m)
-            assert calls == ["packed"]
-            by_every_ring = both_rings(m, v)
-            assert det == by_every_ring == leibniz_det(m)
-            assert list(det.items()) == list(by_every_ring.items())
-
-
-def test_packed_form_on_zero_single_entry_and_singular_matrices(monkeypatch):
-    rng = random.Random(1010)
-    x, y = BiPoly.x(), BiPoly.y()
-    calls = forms(monkeypatch)
-    for n in (1, 2, 3):
-        zero = PolyMatrix([[0] * n for _ in range(n)])
-        sign = rat((-1) ** n)
-        for m, v, expected in (
-            (zero, None, BiPoly.zero()),
-            (zero.minus_diagonal(x), 0, BiPoly({(n, 0): sign})),
-            (zero.minus_diagonal(y), None, BiPoly({(0, n): sign})),
-        ):
-            calls.clear()
-            det = matdet(m)
-            assert calls == ["packed"] and det == both_rings(m) == both_rings(m, v) == expected
-    entry = BiPoly({(0, 3): rat(-7, 2), (0, 1): rat(5, 3), (0, 0): rat(-1)})
-    for m in (PolyMatrix([[entry]]), PolyMatrix([[entry - x]]), PolyMatrix([[entry * x]])):
-        calls.clear()
-        det = matdet(m)
-        assert calls == ["packed"] and det == both_rings(m) == m.entry(0, 0)
-    rows = characteristic_matrix(rng, 4, 0).rows
-    rows[3] = [p * 3 - q for p, q in zip(rows[0], rows[1])]  # row 3 = 3 row 0 - row 1
-    singular = PolyMatrix(rows)
-    calls.clear()
-    det = matdet(singular)
-    assert calls == ["packed"] and det.is_zero() and both_rings(singular).is_zero()
-
-
-def hadamard(n: int) -> list:
-    """Sylvester's n x n matrix of signs, n a power of 2, with |det| =
-    n^(n/2), the largest a matrix of signs reaches."""
-    h = [[1]]
-    while len(h) < n:
-        h = [row + row for row in h] + [row + [-s for s in row] for row in h]
-    return h
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_packed_slot_holds_hadamard_determinants(n, monkeypatch):
-    """c H p with p = 1 + y minus x on the diagonal (characteristic view),
-    1 + x minus y on the diagonal and 1 + x + y (general view), whose
-    determinant c^n det(H) p^n has a coefficient of more than half the
-    slot's bits: the packed form keeps it whole."""
-    c = 2**40 - 3
-    x, y = BiPoly.x(), BiPoly.y()
-    calls = forms(monkeypatch)
-    for p, diagonal, v in ((1 + y, x, 0), (1 + x, y, None), (1 + x + y, 0, None)):
-        m = PolyMatrix([[p * (s * c) for s in row] for row in hadamard(n)]).minus_diagonal(diagonal)
-        slot = slot_bits(m, v)
-        calls.clear()
-        det = matdet(m)
-        assert calls == ["packed"]
-        assert det == both_rings(m, v) == leibniz_det(m)
-        assert 2 * max(abs(coefficient.numerator) for _, coefficient in det.items()).bit_length() > slot
-
-
-@pytest.mark.parametrize("v", [None, 0, 1], ids=["general", "x", "y"])
-def test_packing_routes_by_slot_width(v, monkeypatch):
-    """Scaled by 2^k, the same matrix takes the packed form while its slot
-    fits ``_PACKED_SLOT_BITS`` and the int term maps once it does not; both
-    equal the oracle.  At n = 2 the slot steps by 2 with k, so an even
-    limit is met exactly.  A - yI takes the general view."""
-    rng = random.Random(1020 + (v or 0))
-    view = None if v is None else VIEWS[v]
-    base = packing_matrix(rng, 2, 2) if v is None else characteristic_matrix(rng, 2, v, dens=(1, 3))
-
-    def scaled(k):
-        if v is None:
-            return scale(base, 2**k)
-        return add(scale(base, 2**k), scale(identity(2), VARIABLES[v] * (2**k - 1)))
-
-    limit = redkp.polymatrix._PACKED_SLOT_BITS
-    k = 0
-    while slot_bits(scaled(k + 1), view) <= limit:
-        k += 1
-    calls = forms(monkeypatch)
-    for m, form in ((scaled(k), "packed"), (scaled(k + 1), "int terms")):
-        assert (slot_bits(m, view) <= limit) == (form == "packed")
-        calls.clear()
-        det = matdet(m)
-        assert calls == [form]
-        assert det == leibniz_det(m) == both_rings(m, view)
-
 
 # the wide and widest states whose charpoly CI pins
 WIDE_CI_STATE = '{"M":3,"K":2,"N":5,"frontier":0,"I":{"-2":["1/4","4/3","1/4","3/2","2"],"-1":["1","1","9/2","2","4"],"0":["9/2","2","1","2","4"]},"V":{"-1":["5/4","2","8","5/3","3"],"0":["3","1/4","2","3/2","7/2"]}}'

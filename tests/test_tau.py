@@ -300,6 +300,23 @@ def test_a_read_step_holds_no_older_generation(params, unread_steps):
         state.i_slice(t)
     assert generations_held(state) == params[0] + params[1]
 
+
+@pytest.mark.parametrize("params", [(2, 1, 3), (1, 2, 4), (1, 1, 8)])
+def test_prune_below_holds_only_the_chain_generations(params, unread_steps):
+    """Twenty unread chain steps pruned to their stepping window hold only
+    the chain's last M + K generations, and the next six steps give the
+    slices of a state read as it stepped."""
+    state = random_state(*params, seed=1)
+    for _ in range(20):
+        state.step()
+    state.prune_below(99)
+    assert generations_held(state) == params[0] + params[1]
+    eager = read_as_stepped(random_state(*params, seed=1), 26)
+    state.evolve_to(26)
+    for t in range(21, 27):
+        assert (state.i_slice(t), state.v_slice(t)) == (eager.i_slice(t), eager.v_slice(t))
+
+
 @on_every_set(TAU_SETS)
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
